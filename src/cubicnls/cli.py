@@ -8,10 +8,11 @@ fixed-points   fixed points with stability reports, as JSON
 profile        sample the space-time profile to CSV
 
 Exit codes: 0 success, 1 malformed input, 2 no coercive conserved form,
-3 parameters outside the closed-form catalogue in closed mode.
+3 parameters outside the closed-form catalogue in closed mode, or outside
+the pure-p1 family for profile --special.
 
 All CSV output uses 17 significant digits, '.' decimals and LF endings, so
-identical inputs (and seeds) give byte-identical files.  The environment
+identical inputs give byte-identical files.  The environment
 variable NLS_ASY_LOG in {error, info, debug} controls logging verbosity.
 """
 
@@ -122,8 +123,6 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 def cmd_solve(args) -> int:
     params = _load_params(args.params)
-    if args.rho <= 0:
-        raise _CliError(EXIT_BAD_INPUT, "rho must be positive")
     s0 = np.array(_parse_floats(args.init, 3, "--init"))
     a, b = _parse_floats(args.span, 2, "--span")
     taus = np.linspace(a, b, args.samples)
@@ -164,8 +163,6 @@ def cmd_solve(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     params = _load_params(args.params)
-    if args.rho <= 0:
-        raise _CliError(EXIT_BAD_INPUT, "rho must be positive")
     fps = fixed_points(params, args.rho)
     entries = []
     for pt in fps.points:
@@ -214,6 +211,12 @@ def _load_finaldata(path: str) -> FinalData:
 
 def cmd_profile(args) -> int:
     params = _load_params(args.params)
+    if args.special and (case := classify(params).case) != 1:
+        raise _CliError(
+            EXIT_UNSUPPORTED,
+            "--special checks the explicit profile of the pure-p1 family (case 1, "
+            f"p = (p1, 0, 0, 0, 0)); these parameters are case {case}",
+        )
     fd = _load_finaldata(args.finaldata)
     t_list = [float(v) for v in args.t_list.split(",")]
     xa, xb, xn = _parse_floats(args.x_grid, 3, "--x-grid")
@@ -269,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--samples", type=int, default=201)
     p_solve.add_argument("--mode", choices=["closed", "oracle", "both"], default="both")
     p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.add_argument("--seed", type=int, default=0, help="seed recorded for reproducibility")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 

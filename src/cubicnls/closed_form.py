@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic as el
-from .quadratic_flow import qqq_rhs
+from .quadratic_flow import _check_sphere, qqq_rhs
 from .standard_form import TrivialSystemError
 
 __all__ = [
@@ -300,12 +300,6 @@ def _acosh_clamped(x: float) -> float:
     return math.acosh(x)
 
 
-def _sn_inversion(sn0: float, cn0: float, m: float) -> float:
-    """Argument u with (sn, cn)(u, m) matching the (possibly off-circle) pair."""
-    r = math.hypot(sn0, cn0)
-    return float(el.incomplete_F(math.atan2(sn0 / r, cn0 / r), m))
-
-
 def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
     """Closed solution of f' = -gh, g' = fh, h' = -(f + eta) g, eta > 0.
 
@@ -345,7 +339,7 @@ def _lemma3_k_positive(eta, f0, g0, h0, r0, k0):
     m0 = (theta * theta + r0 * r0 - k0 - eta * eta) / (2.0 * theta * theta)
     cn0 = (f0 + xi * r0) / (r0 + xi * f0)
     sn0 = g0 * (1.0 - xi * cn0) / (r0 * math.sqrt(1.0 - xi * xi))
-    t0 = _sn_inversion(sn0, cn0, m0)
+    t0 = el.invert_sn_cn(sn0, cn0, m0)
     root = math.sqrt(1.0 - xi * xi)
 
     def fgh(t):
@@ -452,7 +446,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
             s_sq = a * (f0 + r0) / (b * (r0 - f0))
             sn0 = math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), g0)
             cn0 = math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), h0)
-            t0 = _sn_inversion(sn0, cn0, m0)
+            t0 = el.invert_sn_cn(sn0, cn0, m0)
             cg = 2.0 * r0 * math.sqrt(a * b)
             ch = a * math.sqrt((r0 - eta) ** 2 + k0)
 
@@ -467,7 +461,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
         s_sq = a * (f0 + eta - kap) / (b2 * (f0 + eta + kap))
         sn0 = math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), h0)
         cn0 = -math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), g0)
-        t0 = _sn_inversion(sn0, cn0, m0)
+        t0 = el.invert_sn_cn(sn0, cn0, m0)
         cg = a * math.sqrt(r0 * r0 - (eta - kap) ** 2)
         ch = 2.0 * kap * math.sqrt(a * b2)
 
@@ -487,7 +481,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
         s_sq = (2.0 * r0 - den0) / b
         sn0 = -math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), h0)
         cn0 = math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), g0)
-        t0 = _sn_inversion(sn0, cn0, m0)
+        t0 = el.invert_sn_cn(sn0, cn0, m0)
         cg = 2.0 * r0 * math.sqrt(r0 * r0 - (eta - kap) ** 2)
         ch = 2.0 * theta * math.sqrt(r0 * r0 - (eta - kap) ** 2)
 
@@ -504,7 +498,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
     s_sq = (f0 + r0) * b / (2.0 * r0 * (f0 + eta - kap))
     sn0 = -math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), g0)
     cn0 = math.sqrt(max(0.0, 1.0 - sn0 * sn0))
-    t0 = _sn_inversion(sn0, cn0, m0)
+    t0 = el.invert_sn_cn(sn0, cn0, m0)
     cg = 2.0 * r0 * math.sqrt((eta - kap) ** 2 - r0 * r0)
     ch = b * math.sqrt((r0 - eta) ** 2 + k0)
 
@@ -524,20 +518,16 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
 # per-case builders
 
 
-def _sphere_check(s0, rho: float) -> np.ndarray:
-    s0 = np.asarray(s0, dtype=float)
-    if abs(float(s0 @ s0) - rho * rho) > 1e-9 * max(1.0, rho * rho):
-        raise ValueError("initial state is off the sphere")
-    return s0
-
-
 def solve_case(params, rho: float, s0) -> ClosedFormSolution:
     """Closed-form trajectory of the quadratic flow through s0.
 
     Raises UnsupportedCaseError when the parameters are outside the
     catalogue (use the numerical oracle instead) and UnsupportedRatioError
-    for a p1/p3 family whose ratio has no catalogued formula.
+    for a p1/p3 family whose ratio has no catalogued formula.  The radius
+    and the state are validated first, so a bad one raises ValueError
+    whatever the parameters.
     """
+    s0 = _check_sphere(rho, s0)
     case_id = classify(params)
     if case_id.case == 0:
         raise UnsupportedCaseError(
@@ -548,35 +538,20 @@ def solve_case(params, rho: float, s0) -> ClosedFormSolution:
             f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
             "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
         )
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    s0 = _sphere_check(s0, rho)
 
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
     if np.linalg.norm(qqq_rhs(params, rho, s0)) <= 1e-13 * rho * rho * pscale:
-        d0, r0, i0 = s0
-
-        def const_eval(t):
-            one = np.ones_like(np.asarray(t, dtype=float))
-            return d0 * one, r0 * one, i0 * one
-
-        return ClosedFormSolution(case_id, "fixed-point", {}, rho, s0, const_eval)
+        return ClosedFormSolution(case_id, "fixed-point", {}, rho, s0, _constant(*s0))
 
     builder = _CASE_BUILDERS[case_id.case]
     branch, constants, fn = builder(params, rho, s0, case_id)
     return ClosedFormSolution(case_id, branch, constants, rho, s0, fn)
 
 
-def _case1(params, rho, s0, case_id):
-    return _case15_core(params.p1, 0.0, rho, s0)
-
-
-def _case5(params, rho, s0, case_id):
-    return _case15_core(params.p1, params.p2, rho, s0)
-
-
-def _case15_core(p1, p2, rho, s0):
+def _case1_5(params, rho, s0, case_id):
     """Shared closed form for the p1-only and p1/p2 families."""
+    # case 1 admits |p2| up to 1e-12 of the scale; its formula takes p2 = 0
+    p1, p2 = params.p1, (params.p2 if case_id.case == 5 else 0.0)
     d0, r0, i0 = s0
     tau0 = math.atanh(min(1.0 - 1e-16, max(-1.0 + 1e-16, i0 / rho)))
     phase0 = math.atan2(r0, d0)
@@ -599,16 +574,27 @@ def _case15_core(p1, p2, rho, s0):
     return ("rotating-collapse" if p2 else "collapse"), {"tau0": tau0, "phase0": phase0}, fn
 
 
-def _case2(params, rho, s0, case_id):
-    d0, r0, i0 = s0
-    w = 2.0 * params.p2 * i0
+def _rotation(i, j, rate):
+    """Builder of a rigid rotation taking component i towards component j.
 
-    def fn(t):
-        ang = w * np.asarray(t, dtype=float)
-        c, s = np.cos(ang), np.sin(ang)
-        return d0 * c + r0 * s, -d0 * s + r0 * c, i0 * np.ones_like(ang)
+    rate(params, rho, s0) is the angular rate; the third component stays
+    constant.
+    """
 
-    return "rotation", {"rate": w}, fn
+    def build(params, rho, s0, case_id):
+        w = rate(params, rho, s0)
+
+        def fn(t):
+            ang = w * np.asarray(t, dtype=float)
+            c, s = np.cos(ang), np.sin(ang)
+            out = [s0[k] * np.ones_like(ang) for k in range(3)]
+            out[i] = s0[i] * c - s0[j] * s
+            out[j] = s0[i] * s + s0[j] * c
+            return tuple(out)
+
+        return "rotation", {"rate": w}, fn
+
+    return build
 
 
 def _case3(params, rho, s0, case_id):
@@ -622,18 +608,6 @@ def _case3(params, rho, s0, case_id):
         return h / k, g / k, f / (2.0 * p3)
 
     return "lemma1", {}, fn
-
-
-def _case4(params, rho, s0, case_id):
-    d0, r0, i0 = s0
-    w = 2.0 * params.p4 * rho
-
-    def fn(t):
-        ang = w * np.asarray(t, dtype=float)
-        c, s = np.cos(ang), np.sin(ang)
-        return d0 * np.ones_like(ang), r0 * c - i0 * s, r0 * s + i0 * c
-
-    return "rotation", {"rate": w}, fn
 
 
 def _case6(params, rho, s0, case_id):
@@ -889,15 +863,9 @@ def _depressed_cubic_roots(c_plus: float, rho_sq: float, c_minus: float):
     return alpha, beta, gamma
 
 
-def _case14(params, rho, s0, case_id):
-    return _case1415_core(params, rho, s0, with_p4=False)
-
-
-def _case15(params, rho, s0, case_id):
-    return _case1415_core(params, rho, s0, with_p4=True)
-
-
-def _case1415_core(params, rho, s0, with_p4: bool):
+def _case14_15(params, rho, s0, case_id):
+    # case 14 admits p4, p5 up to 1e-12 of the scale; its formula ignores them
+    with_p4 = case_id.case == 15
     p1, p2, p3, p4 = params.p1, params.p2, params.p3, params.p4
     d0, r0, i0 = s0
     theta_ang = math.atan2(p1, p2 + p3)
@@ -965,46 +933,20 @@ def _case1415_core(params, rho, s0, with_p4: bool):
     return "|X| above threshold", consts, assemble(e_trig, i_trig)
 
 
-def _case12(params, rho, s0, case_id):
-    p3, p4 = params.p3, params.p4
-    d0, r0, i0 = s0
-    w = 2.0 * (2.0 * p3 * d0 + p4 * rho)
-
-    def fn(t):
-        ang = w * np.asarray(t, dtype=float)
-        c, s = np.cos(ang), np.sin(ang)
-        return d0 * np.ones_like(ang), r0 * c - i0 * s, r0 * s + i0 * c
-
-    return "rotation", {"rate": w}, fn
-
-
-def _case13(params, rho, s0, case_id):
-    p3, p5 = params.p3, params.p5
-    d0, r0, i0 = s0
-    w = 2.0 * (2.0 * p3 * r0 - p5 * rho)
-
-    def fn(t):
-        ang = w * np.asarray(t, dtype=float)
-        c, s = np.cos(ang), np.sin(ang)
-        return d0 * c - i0 * s, r0 * np.ones_like(ang), d0 * s + i0 * c
-
-    return "rotation", {"rate": w}, fn
-
-
 _CASE_BUILDERS = {
-    1: _case1,
-    2: _case2,
+    1: _case1_5,
+    2: _rotation(1, 0, lambda params, rho, s0: 2.0 * params.p2 * s0[2]),
     3: _case3,
-    4: _case4,
-    5: _case5,
+    4: _rotation(1, 2, lambda params, rho, s0: 2.0 * params.p4 * rho),
+    5: _case1_5,
     6: _case6,
     7: _case7,
     8: _case8,
     9: _case9,
     10: _case10,
     11: _case11,
-    12: _case12,
-    13: _case13,
-    14: _case14,
-    15: _case15,
+    12: _rotation(1, 2, lambda params, rho, s0: 2.0 * (2.0 * params.p3 * s0[0] + params.p4 * rho)),
+    13: _rotation(0, 2, lambda params, rho, s0: 2.0 * (2.0 * params.p3 * s0[1] - params.p5 * rho)),
+    14: _case14_15,
+    15: _case14_15,
 }

@@ -129,11 +129,13 @@ class Trajectory:
             out = np.stack([raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]], axis=-1)
         else:
             out = raw.T
-        # stored nodes reproduce stored states exactly
-        for j, t in enumerate(taus):
-            hit = np.nonzero(self.times == t)[0]
-            if hit.size:
-                out[j] = self.states[hit[0]]
+        # stored nodes reproduce stored states exactly; the stable sort makes
+        # the first stored node win among equal times
+        order = np.argsort(self.times, kind="stable")
+        pos = np.minimum(np.searchsorted(self.times[order], taus), len(order) - 1)
+        node = order[pos]
+        hit = self.times[node] == taus
+        out[hit] = self.states[node[hit]]
         return out[0] if np.ndim(tau) == 0 else out
 
     def resampled(self, taus) -> "Trajectory":
@@ -164,10 +166,20 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_sphere(s, rho: float, tol: float = 1e-9) -> np.ndarray:
+def _check_sphere(rho: float, s=None):
+    """Require a finite radius rho > 0 and, when s is given, a finite state
+    within 1e-9 (relative to max(1, rho^2)) of the sphere of that radius.
+
+    Returns s as a float array (None without s).  Both tests are written so
+    that NaN fails them.
+    """
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
+    if s is None:
+        return None
     s = np.asarray(s, dtype=float)
     err = abs(float(s @ s) - rho * rho)
-    if err > tol * max(1.0, rho * rho):
+    if not err <= 1e-9 * max(1.0, rho * rho):
         raise ValueError(f"state is off the sphere of radius {rho} by {err:.3g}")
     return s
 
@@ -188,15 +200,8 @@ def integrate_quad(params, rho: float, s0, span, tol: float = 1e-10) -> Trajecto
     observable of the test suite, not enforced by the integrator.  s0 is the
     state at span[0].
     """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    s0 = _check_sphere(rho, s0)
     tol = _check_tol(tol)
-    s0 = _check_sphere(s0, rho)
-    if rho == 0.0:
-        if np.any(s0 != 0.0):
-            raise ValueError("rho = 0 admits only the zero state")
-        times = np.asarray(span, dtype=float)
-        return Trajectory(times, np.zeros((len(times), 3)), "quad", lambda t: np.zeros((3, len(t))))
     sol = _run_ivp(lambda t, y: qqq_rhs(params, rho, y), span, s0, tol)
     return Trajectory(sol.t, sol.y.T, "quad", sol.sol)
 
@@ -230,17 +235,20 @@ class Circle:
     radius: float
 
     def samples(self, n: int = 16) -> np.ndarray:
-        axis = np.asarray(self.axis)
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(axis @ seed) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        e1 = seed - (seed @ axis) * axis
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(axis, e1)
+        e1, e2 = _tangent_basis(np.asarray(self.axis))
         ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         return np.asarray(self.center) + self.radius * (
             np.outer(np.cos(ang), e1) + np.outer(np.sin(ang), e2)
         )
+
+
+def _tangent_basis(n_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal e1, e2 perpendicular to the unit vector n_hat, with
+    e2 = n_hat x e1."""
+    seed = np.array([1.0, 0.0, 0.0]) if abs(n_hat[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = seed - (seed @ n_hat) * n_hat
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(n_hat, e1)
 
 
 @dataclass
@@ -314,13 +322,14 @@ def fixed_points(params, rho: float) -> FixedPointSet:
     """Fixed points of the quadratic flow on the sphere of radius rho.
 
     For the catalogued parameter families the analytic sets are returned
-    (continua as Circle descriptors).  Anything else falls back to seeded
-    multi-start numerical root finding, which returns isolated points only.
+    (continua as Circle descriptors); for families 14 and 15 the circle is
+    analytic and the isolated points off it are found numerically.  Anything
+    else falls back to seeded multi-start numerical root finding, which
+    returns isolated points only.
     """
     from .closed_form import classify  # local import to avoid a cycle
 
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_sphere(rho)
     p1, p2, p3, p4, p5 = (float(x) for x in params.p)
     case = classify(params).case
     pts = []
@@ -391,6 +400,15 @@ def fixed_points(params, rho: float) -> FixedPointSet:
         if 2.0 * p3 > p5:
             w = rho * math.sqrt(1.0 - (p5 / (2.0 * p3)) ** 2)
             circles = [Circle((0.0, p5 / (2 * p3) * rho, 0.0), (0.0, 1.0, 0.0), w)]
+    elif case in (14, 15):
+        # p1^2 + p2^2 = p3^2 makes the flow vanish on the whole plane
+        # p1 D + (p2 - p3) R + rho p5 = 0; its other fixed points are isolated
+        normal = np.array([p1, p2 - p3, 0.0])
+        axis = normal / np.linalg.norm(normal)
+        offset = -rho * p5 / np.linalg.norm(normal)
+        if abs(offset) < rho:
+            circles = [Circle(tuple(offset * axis), tuple(axis), math.sqrt(rho * rho - offset * offset))]
+        pts = [s for s in _numeric_fixed_points(params, rho) if abs(s @ axis - offset) > 1e-6 * rho]
     else:
         pts = _numeric_fixed_points(params, rho)
 
@@ -419,11 +437,7 @@ def stability(params, rho: float, point) -> StabilityReport:
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
     if np.linalg.norm(qqq_rhs(params, rho, point)) >= 1e-8 * rho * rho * pscale:
         raise ValueError("stability requested at a non-fixed point")
-    n_hat = point / np.linalg.norm(point)
-    seed = np.array([1.0, 0.0, 0.0]) if abs(n_hat[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = seed - (seed @ n_hat) * n_hat
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n_hat, e1)
+    e1, e2 = _tangent_basis(point / np.linalg.norm(point))
     H = flow_jacobian(params, rho, point)
     Hs = 0.5 * (H + H.T)
     E = np.column_stack([e1, e2])
@@ -458,8 +472,6 @@ def detect_sync(params, rho: float, *, n_starts: int = 64, tol: float = 1e-9):
     and accepts only if every non-equilibrium start lands within 1e-3 rho of
     the candidate.  A successful detection is evidence, not a proof.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
     fps = fixed_points(params, rho)
     if any(c.radius > 1e-12 * rho for c in fps.circles):
         return None

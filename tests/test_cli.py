@@ -10,6 +10,7 @@ from cubicnls.cli import main
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
 CASE1_PARAMS = '{"p": [1, 0, 0, 0, 0], "q": [0, 0, 0]}'
+UNCATALOGUED_PARAMS = '{"p": [0.3, 0.5, 0.7, 0.2, 0.1], "q": [0, 0, 0]}'
 
 
 def run(capsys, *argv):
@@ -83,12 +84,29 @@ class TestSolve:
         args = [
             "solve", "--params", CASE1_PARAMS, "--rho", "1",
             "--init", "0.6,0.0,0.8", "--span=-2,2", "--samples", "33",
-            "--mode", "both", "--seed", "7",
+            "--mode", "both",
         ]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["closed", "oracle", "both"])
+    def test_nan_rho_exit_1(self, capsys, mode):
+        code, out, _ = run(
+            capsys, "solve", "--params", CASE1_PARAMS, "--rho", "nan",
+            "--init", "0.6,0.0,0.8", "--span", "0,1", "--mode", mode,
+        )
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
+    def test_bad_rho_outside_catalogue_exit_1(self, capsys, rho):
+        # the radius is checked before the parameters are classified
+        code, _, _ = run(
+            capsys, "solve", "--params", UNCATALOGUED_PARAMS, f"--rho={rho}",
+            "--init", "0.6,0.0,0.8", "--span", "0,1", "--mode", "closed",
+        )
+        assert code == 1
 
     def test_bad_init_exit_1(self, capsys):
         code, _, _ = run(
@@ -124,6 +142,11 @@ class TestFixedPoints:
     def test_bad_rho_exit_1(self, capsys):
         code, _, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_nonfinite_rho_exit_1(self, capsys, rho):
+        code, out, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", rho)
+        assert (code, out) == (1, "")
 
 
 class TestProfile:
@@ -165,6 +188,16 @@ class TestProfile:
         assert "max relative deviation" in err
         val = float(err.strip().rsplit(" ", 1)[-1])
         assert val < 1e-6
+
+    @pytest.mark.parametrize("p", ["[0, 0, 1, 0, 0]", "[1, 0, 1, 0, 0]"])
+    def test_special_outside_family1_exit_3(self, capsys, finaldata_csv, p):
+        code, out, err = run(
+            capsys, "profile", "--params", f'{{"p": {p}, "q": [0, 0, 0]}}',
+            "--finaldata", str(finaldata_csv), "--t-list", "2,5", "--x-grid=-2,2,5",
+            "--special",
+        )
+        assert (code, out) == (3, "")
+        assert "pure-p1" in err
 
     def test_sync_check(self, capsys, finaldata_csv):
         code, _, err = run(

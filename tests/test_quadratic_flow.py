@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubicnls.closed_form import UnsupportedCaseError, solve_case
 from cubicnls.quadratic_flow import (
     ASYMPTOTICALLY_STABLE,
     INCONCLUSIVE,
@@ -119,6 +122,17 @@ class TestIntegrators:
         for j in (0, len(tr.times) // 2, -1):
             assert np.array_equal(tr.at(tr.times[j]), tr.states[j])
 
+    def test_at_first_stored_node_wins_in_any_order(self):
+        # unsorted times with a repeat, as resampled or backward trajectories have
+        times = np.array([2.0, -1.0, 0.5, -1.0, 3.0])
+        states = np.arange(15.0).reshape(5, 3)
+        tr = Trajectory(times, states, "quad", lambda t: np.full((3, len(t)), -7.0))
+        taus = np.array([3.0, -1.0, 0.25, 2.0, 0.5, 4.0, -2.0])
+        off = [-7.0] * 3
+        expected = [states[4], states[1], off, states[0], states[2], off, off]
+        assert np.array_equal(tr.at(taus), expected)
+        assert np.array_equal(tr.at(-1.0), states[1])
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             integrate_quad(CASE1, 1.0, (0, 0, 1), (0, 1.0), tol=1e-3)
@@ -214,6 +228,23 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             fixed_points(CASE1, 0.0)
 
+    @pytest.mark.parametrize(
+        "p", [StandardParams(0.6, 0.8, 1.0, 0, 0), StandardParams(0.6, 0.8, 1.0, 0.6, 0.2)]
+    )
+    def test_case14_15_circle(self, p):
+        rho = 1.3
+        fps = fixed_points(p, rho)
+        (circle,) = fps.circles
+        axis = np.asarray(circle.axis)
+        for s in circle.samples(32):
+            assert abs(s @ s - rho * rho) < 1e-12
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) < 1e-13 * rho * rho
+        assert fps.points
+        for s in fps.points:
+            assert abs((s - np.asarray(circle.center)) @ axis) > 1e-6 * rho
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) < 1e-9 * rho * rho
+        assert detect_sync(p, rho) is None
+
 
 class TestStability:
     def test_case1_poles(self):
@@ -257,3 +288,53 @@ class TestSync:
     def test_gamma_of_first_pole(self):
         g1, g2 = gamma_pair((1.0, 0.0, 0.0), 1.0)
         assert g1 == 0.0 and abs(g2) == pytest.approx(math.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
+# input contract of the entry points taking a radius
+
+BAD_RHO = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+)
+VALIDATED_PARAMS = [
+    CASE1,
+    StandardParams(0, 0, 1.1, 0, 0),
+    StandardParams(0.3, 0.5, 0.7, 0.2, 0.1),  # outside the catalogue
+]
+
+
+@st.composite
+def bad_radius_or_state(draw):
+    """(rho, s): a bad radius, or a good one with a non-finite or off-sphere state."""
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)))
+    v /= np.linalg.norm(v)
+    if draw(st.booleans()):
+        return draw(BAD_RHO), v
+    rho = draw(st.floats(0.1, 10.0))
+    s = rho * v
+    if draw(st.booleans()):
+        s[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        s *= 1.0 + draw(st.one_of(st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6)))
+    return rho, s
+
+
+class TestInputContract:
+    @settings(max_examples=80, deadline=None)
+    @given(params=st.sampled_from(VALIDATED_PARAMS), bad=bad_radius_or_state())
+    def test_solvers_reject(self, params, bad):
+        rho, s = bad
+        with pytest.raises(ValueError) as exc:
+            solve_case(params, rho, s)
+        assert not isinstance(exc.value, UnsupportedCaseError)
+        with pytest.raises(ValueError):
+            integrate_quad(params, rho, s, (0.0, 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.sampled_from(VALIDATED_PARAMS), rho=BAD_RHO)
+    def test_fixed_points_and_sync_reject(self, params, rho):
+        with pytest.raises(ValueError):
+            fixed_points(params, rho)
+        with pytest.raises(ValueError):
+            detect_sync(params, rho)
