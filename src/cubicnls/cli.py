@@ -300,7 +300,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CliError as exc:
-        log.error("%s", exc)
+        # the error line is the report; logging it at error level would repeat it
+        log.debug("exit %d: %s", exc.code, exc)
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
     except (ValueError, OSError) as exc:

@@ -235,26 +235,21 @@ def solve_lemma2(f0: float, g0: float, h0: float):
     disc = h0 * h0 - 2.0 * (rfg_sq + g0)
     scale = max(h0 * h0, rfg_sq, p_sq)
 
-    def with_g(h_fun, f_fun):
-        def fgh(t):
-            h = h_fun(t)
-            return f_fun(t), 0.5 * (h * h - h0 * h0) + g0, h
-
-        return fgh
+    def g_of(h):
+        return 0.5 * (h * h - h0 * h0) + g0
 
     if abs(disc) <= _BRANCH_TOL * scale:
         # threshold: h0 = +-2P and the pulse is a sech
         sig = math.copysign(1.0, h0)
         t0 = math.copysign(1.0, f0 * h0) * _acosh_clamped(2.0 * p / abs(h0))
 
-        def h_sech(t):
-            return sig * 2.0 * p / np.cosh(p * np.asarray(t, dtype=float) + t0)
-
-        def f_sech(t):
+        def sech_branch(t):
             arg = p * np.asarray(t, dtype=float) + t0
-            return sig * 2.0 * p_sq * np.tanh(arg) / np.cosh(arg)
+            ch = np.cosh(arg)
+            h = sig * 2.0 * p / ch
+            return sig * 2.0 * p_sq * np.tanh(arg) / ch, g_of(h), h
 
-        return with_g(h_sech, f_sech)
+        return sech_branch
 
     if disc < 0.0:
         m = p_sq / rfg_sq
@@ -263,15 +258,12 @@ def solve_lemma2(f0: float, g0: float, h0: float):
             phi = -phi
         t0 = el.incomplete_F(phi, m)
 
-        def h_cn(t):
-            _, cn, _ = el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + t0, m)
-            return 2.0 * p * cn
+        def cn_branch(t):
+            sn, cn, dn = el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + t0, m)
+            h = 2.0 * p * cn
+            return 2.0 * p * rate * sn * dn, g_of(h), h
 
-        def f_cn(t):
-            sn, _, dn = el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + t0, m)
-            return 2.0 * p * rate * sn * dn
-
-        return with_g(h_cn, f_cn)
+        return cn_branch
 
     m = rfg_sq / p_sq
     sig = math.copysign(1.0, h0)
@@ -281,15 +273,12 @@ def solve_lemma2(f0: float, g0: float, h0: float):
     if f0 < 0.0:
         t0 = -t0
 
-    def h_dn(t):
-        _, _, dn = el.jacobi_sn_cn_dn(sig * p * np.asarray(t, dtype=float) + t0, m)
-        return sig * 2.0 * p * dn
+    def dn_branch(t):
+        sn, cn, dn = el.jacobi_sn_cn_dn(sig * p * np.asarray(t, dtype=float) + t0, m)
+        h = sig * 2.0 * p * dn
+        return 2.0 * p_sq * m * sn * cn, g_of(h), h
 
-    def f_dn(t):
-        sn, cn, _ = el.jacobi_sn_cn_dn(sig * p * np.asarray(t, dtype=float) + t0, m)
-        return 2.0 * p_sq * m * sn * cn
-
-    return with_g(h_dn, f_dn)
+    return dn_branch
 
 
 def _acosh_clamped(x: float) -> float:
@@ -400,6 +389,14 @@ def _lemma3_k_zero(eta, f0, g0, h0, r0):
     return hyp_neg
 
 
+def _sn_start(sn_sq, sn_sign, cn_sign, m):
+    """Elliptic start u0 with sn(u0, m)^2 = sn_sq (clamped onto [0, 1]) and
+    the signs of sn(u0) and cn(u0) taken from sn_sign and cn_sign."""
+    sn0 = math.copysign(math.sqrt(min(max(sn_sq, 0.0), 1.0)), sn_sign)
+    cn0 = math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), cn_sign)
+    return el.invert_sn_cn(sn0, cn0, m)
+
+
 def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
     kap = math.sqrt(-k0)
     tol = _BRANCH_TOL * scale
@@ -443,10 +440,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
         if f0 + eta < 0.0:
             # component with f <= -(eta + kap)
             b = r0 - eta - kap
-            s_sq = a * (f0 + r0) / (b * (r0 - f0))
-            sn0 = math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), g0)
-            cn0 = math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), h0)
-            t0 = el.invert_sn_cn(sn0, cn0, m0)
+            t0 = _sn_start(a * (f0 + r0) / (b * (r0 - f0)), g0, h0, m0)
             cg = 2.0 * r0 * math.sqrt(a * b)
             ch = a * math.sqrt((r0 - eta) ** 2 + k0)
 
@@ -458,10 +452,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
 
             return outer_minus
         b2 = r0 + eta - kap
-        s_sq = a * (f0 + eta - kap) / (b2 * (f0 + eta + kap))
-        sn0 = math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), h0)
-        cn0 = -math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), g0)
-        t0 = el.invert_sn_cn(sn0, cn0, m0)
+        t0 = _sn_start(a * (f0 + eta - kap) / (b2 * (f0 + eta + kap)), h0, -g0, m0)
         cg = a * math.sqrt(r0 * r0 - (eta - kap) ** 2)
         ch = 2.0 * kap * math.sqrt(a * b2)
 
@@ -478,10 +469,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
         m0 = (eta * eta - (r0 - kap) ** 2) / (4.0 * r0 * kap)
         b = r0 + eta - kap
         den0 = 2.0 * r0 * (r0 - eta + kap) / (f0 + r0)
-        s_sq = (2.0 * r0 - den0) / b
-        sn0 = -math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), h0)
-        cn0 = math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), g0)
-        t0 = el.invert_sn_cn(sn0, cn0, m0)
+        t0 = _sn_start((2.0 * r0 - den0) / b, -h0, g0, m0)
         cg = 2.0 * r0 * math.sqrt(r0 * r0 - (eta - kap) ** 2)
         ch = 2.0 * theta * math.sqrt(r0 * r0 - (eta - kap) ** 2)
 
@@ -495,10 +483,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
     theta = 0.5 * math.sqrt(eta * eta - (r0 - kap) ** 2)
     m0 = 4.0 * r0 * kap / (eta * eta - (r0 - kap) ** 2)
     b = r0 + eta - kap
-    s_sq = (f0 + r0) * b / (2.0 * r0 * (f0 + eta - kap))
-    sn0 = -math.copysign(math.sqrt(min(max(s_sq, 0.0), 1.0)), g0)
-    cn0 = math.sqrt(max(0.0, 1.0 - sn0 * sn0))
-    t0 = el.invert_sn_cn(sn0, cn0, m0)
+    t0 = _sn_start((f0 + r0) * b / (2.0 * r0 * (f0 + eta - kap)), -g0, 1.0, m0)
     cg = 2.0 * r0 * math.sqrt((eta - kap) ** 2 - r0 * r0)
     ch = b * math.sqrt((r0 - eta) ** 2 + k0)
 
@@ -531,7 +516,7 @@ def solve_case(params, rho: float, s0) -> ClosedFormSolution:
     case_id = classify(params)
     if case_id.case == 0:
         raise UnsupportedCaseError(
-            f"no closed form for parameters {tuple(params.p)}; use integrate_quad"
+            f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
         )
     if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
         raise UnsupportedRatioError(
@@ -559,7 +544,6 @@ def _case1_5(params, rho, s0, case_id):
     ratio = p2 / p1
 
     def fn(t):
-        t = np.asarray(t, dtype=float)
         arg = 2.0 * p1 * rho * t - tau0
         sech = 1.0 / np.cosh(arg)
         if ratio == 0.0:
@@ -585,7 +569,7 @@ def _rotation(i, j, rate):
         w = rate(params, rho, s0)
 
         def fn(t):
-            ang = w * np.asarray(t, dtype=float)
+            ang = w * t
             c, s = np.cos(ang), np.sin(ang)
             out = [s0[k] * np.ones_like(ang) for k in range(3)]
             out[i] = s0[i] * c - s0[j] * s
@@ -624,7 +608,7 @@ def _case6(params, rho, s0, case_id):
         c2t = 2.0 * rho * (rho - r0)
 
         def fn_rat(t):
-            lin = c2t * p1 * np.asarray(t, dtype=float) - i0
+            lin = c2t * p1 * t - i0
             den = lin * lin + c2t - i0 * i0
             e = c2t / den
             return e * d0, e * (r0 - rho) + rho, -c2t * lin / den
@@ -637,7 +621,7 @@ def _case6(params, rho, s0, case_id):
         rt = math.sqrt(c3)
 
         def fn_cosh(t):
-            arg = 2.0 * p1 * rt * np.asarray(t, dtype=float) - tau0
+            arg = 2.0 * p1 * rt * t - tau0
             den = w * np.cosh(arg) - c2
             e = 2.0 * c3 / den
             return e * d0, e * (r0 - mu * rho) + mu * rho, -rt * w * np.sinh(arg) / den
@@ -649,7 +633,7 @@ def _case6(params, rho, s0, case_id):
     tau0 = -math.copysign(1.0, i0) * el.arccos_clamped((c2 + 2.0 * c3) / w)
 
     def fn_cos(t):
-        arg = 2.0 * p1 * rt * np.asarray(t, dtype=float) + tau0
+        arg = 2.0 * p1 * rt * t + tau0
         den = c2 - w * np.cos(arg)
         e = -2.0 * c3 / den
         return e * d0, e * (r0 - mu * rho) + mu * rho, -rt * w * np.sin(arg) / den
@@ -754,12 +738,11 @@ def _case11_balanced(params, rho, s0):
     big_l = math.sqrt(rho * rho - c_minus)
     tau0 = -math.atanh(i0 / big_l)
     amp = big_l / math.sqrt(c_plus)
+    mean, half = 0.5 * (d0 + r0), 0.5 * (d0 - r0)
 
     def fn(t):
-        arg = 4.0 * p1 * big_l * np.asarray(t, dtype=float) + tau0
+        arg = 4.0 * p1 * big_l * t + tau0
         s = amp / np.cosh(arg)
-        mean = 0.5 * (d0 + r0)
-        half = 0.5 * (d0 - r0)
         return mean + half * s, mean - half * s, -big_l * np.tanh(arg)
 
     return "ratio=1", {"L": big_l, "tau0": tau0}, fn
@@ -770,14 +753,13 @@ def _case11_dominant(params, rho, s0):
     d0, r0, i0 = s0
     w_big = math.sqrt(8.0 * rho * rho * (d0 - r0) ** 2 + (d0 + r0) ** 4)
     tau0 = -math.asinh(4.0 * rho * i0 / w_big)
+    mean, half = 0.5 * (d0 + r0), 0.5 * (d0 - r0)
 
     def fn(t):
-        arg = 8.0 * p3 * rho * np.asarray(t, dtype=float) + tau0
+        arg = 8.0 * p3 * rho * t + tau0
         den = w_big * np.cosh(arg) + (d0 + r0) ** 2
         e4 = 4.0 * rho * rho / den
         e2 = 2.0 * rho / np.sqrt(den)
-        mean = 0.5 * (d0 + r0)
-        half = 0.5 * (d0 - r0)
         return mean * e2 + half * e4, mean * e2 - half * e4, -rho * w_big * np.sinh(arg) / den
 
     return "ratio=3", {"W": w_big, "tau0": tau0}, fn
@@ -798,7 +780,7 @@ def _case11_recessive(params, rho, s0):
         sig = math.copysign(1.0, d0)
 
         def fn_diag(t):
-            arg = (4.0 / 3.0) * p3 * rho * np.asarray(t, dtype=float) + tau0
+            arg = (4.0 / 3.0) * p3 * rho * t + tau0
             d = sig * rho / (math.sqrt(2.0) * np.cosh(arg))
             return d, d.copy(), rho * np.tanh(arg)
 
@@ -809,7 +791,7 @@ def _case11_recessive(params, rho, s0):
         sig = math.copysign(1.0, d0)
 
         def fn_anti(t):
-            arg = (8.0 / 3.0) * p3 * rho * np.asarray(t, dtype=float) - tau0
+            arg = (8.0 / 3.0) * p3 * rho * t - tau0
             d = sig * rho / (math.sqrt(2.0) * np.cosh(arg))
             return d, -d, -rho * np.tanh(arg)
 
@@ -827,7 +809,7 @@ def _case11_recessive(params, rho, s0):
     rate_i = math.sqrt(c_plus * gamma * (beta - alpha))
 
     def fn_gen(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(theta * np.asarray(t, dtype=float) + t0, m0)
+        sn, cn, dn = el.jacobi_sn_cn_dn(theta * t + t0, m0)
         den = gamma - (gamma - beta) * sn * sn
         w = beta * gamma / den
         i_val = rate_i * (gamma - beta) * sn * cn * dn / den
@@ -878,59 +860,46 @@ def _case14_15(params, rho, s0, case_id):
     disc = cap - x0 * x0
     consts = {"Theta": theta_ang, "X": x0, "Y": y0, "threshold": cap}
 
-    def assemble(e_fun, i_fun):
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            y = y0 * e_fun(t)
-            d = sin_t * (x0 - y - (cx + cy) * rho)
-            r = cos_t * (x0 + y - (cx - cy) * rho)
-            return d * np.ones_like(t), r * np.ones_like(t), i_fun(t)
-
-        return fn
-
+    # e_i(t) gives the factor e(t) = Y(t)/Y0 and I(t) of the branch
     if abs(disc) <= _BRANCH_TOL * rho * rho:
+        branch = "|X| at threshold"
         c0 = i0 * i0 + y0 * y0
 
-        def e_rational(t):
+        def e_i(t):
             lin = 2.0 * p1 * t * c0 - i0
-            return c0 / (lin * lin + y0 * y0)
+            den = lin * lin + y0 * y0
+            return c0 / den, -c0 * lin / den
 
-        def i_rational(t):
-            lin = 2.0 * p1 * np.asarray(t, dtype=float) * c0 - i0
-            return -c0 * lin / (lin * lin + y0 * y0)
-
-        return "|X| at threshold", consts, assemble(e_rational, i_rational)
-
-    if disc > 0.0:
+    elif disc > 0.0:
+        branch = "|X| below threshold"
         r_c = math.sqrt(disc)
         ap = (r_c - i0) ** 2 + y0 * y0
         am = (r_c + i0) ** 2 + y0 * y0
         c0 = -2.0 * i0 * i0 - 2.0 * y0 * y0 + 2.0 * r_c * r_c
 
-        def e_hyp(t):
-            ex = np.exp(4.0 * p1 * r_c * np.asarray(t, dtype=float))
-            return 4.0 * r_c * r_c / (ap * ex + am / ex + c0)
+        def e_i(t):
+            ex = np.exp(4.0 * p1 * r_c * t)
+            den = ap * ex + am / ex + c0
+            return 4.0 * r_c * r_c / den, -r_c * (ap * ex - am / ex) / den
 
-        def i_hyp(t):
-            ex = np.exp(4.0 * p1 * r_c * np.asarray(t, dtype=float))
-            return -r_c * (ap * ex - am / ex) / (ap * ex + am / ex + c0)
+    else:
+        branch = "|X| above threshold"
+        r_c = math.sqrt(-disc)
+        c_sum = i0 * i0 + y0 * y0 + r_c * r_c
+        c_dif = i0 * i0 + y0 * y0 - r_c * r_c
 
-        return "|X| below threshold", consts, assemble(e_hyp, i_hyp)
+        def e_i(t):
+            ang = 4.0 * p1 * r_c * t
+            sin, cos = np.sin(ang), np.cos(ang)
+            den = c_sum - 2.0 * r_c * i0 * sin - c_dif * cos
+            return 2.0 * r_c * r_c / den, r_c * (2.0 * r_c * i0 * cos - c_dif * sin) / den
 
-    r_c = math.sqrt(-disc)
-    c_sum = i0 * i0 + y0 * y0 + r_c * r_c
-    c_dif = i0 * i0 + y0 * y0 - r_c * r_c
+    def fn(t):
+        e, i = e_i(t)
+        y = y0 * e
+        return sin_t * (x0 - y - (cx + cy) * rho), cos_t * (x0 + y - (cx - cy) * rho), i
 
-    def e_trig(t):
-        ang = 4.0 * p1 * r_c * np.asarray(t, dtype=float)
-        return 2.0 * r_c * r_c / (c_sum - 2.0 * r_c * i0 * np.sin(ang) - c_dif * np.cos(ang))
-
-    def i_trig(t):
-        ang = 4.0 * p1 * r_c * np.asarray(t, dtype=float)
-        den = c_sum - 2.0 * r_c * i0 * np.sin(ang) - c_dif * np.cos(ang)
-        return r_c * (2.0 * r_c * i0 * np.cos(ang) - c_dif * np.sin(ang)) / den
-
-    return "|X| above threshold", consts, assemble(e_trig, i_trig)
+    return branch, consts, fn
 
 
 _CASE_BUILDERS = {

@@ -55,25 +55,25 @@ class JacobiValues:
     nd: float
 
 
-def arcsin_clamped(x, tol: float = _CLAMP_TOL):
-    """arcsin with arguments within ``tol`` of [-1, 1] clamped onto it.
+def _clamped(fn, name: str, x):
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0 + _CLAMP_TOL):
+        raise EllipticDomainError(f"{name} argument {x!r} outside [-1, 1] beyond tolerance")
+    out = fn(np.clip(x, -1.0, 1.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def arcsin_clamped(x):
+    """arcsin with arguments within 1e-12 of [-1, 1] clamped onto it.
 
     Arguments farther outside the interval raise EllipticDomainError.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + tol):
-        raise EllipticDomainError(f"arcsin argument {x!r} outside [-1, 1] beyond tolerance")
-    out = np.arcsin(np.clip(x, -1.0, 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _clamped(np.arcsin, "arcsin", x)
 
 
-def arccos_clamped(x, tol: float = _CLAMP_TOL):
+def arccos_clamped(x):
     """arccos with the same clamping contract as :func:`arcsin_clamped`."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + tol):
-        raise EllipticDomainError(f"arccos argument {x!r} outside [-1, 1] beyond tolerance")
-    out = np.arccos(np.clip(x, -1.0, 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _clamped(np.arccos, "arccos", x)
 
 
 def _check_m(m: float, *, allow_one: bool) -> float:

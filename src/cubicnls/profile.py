@@ -97,9 +97,9 @@ def _flow(params, a0: tuple[complex, complex], tau: float) -> tuple[complex, com
     try:
         cf = solve_case(params, rho, s0)
     except UnsupportedCaseError:
-        traj = integrate_full(params, a0, (0.0, tau), tol=1e-10)
-        out = traj.at(tau)
-        return complex(out[0]), complex(out[1])
+        # the last stored node is the state at tau itself
+        end = integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]
+        return complex(end[0]), complex(end[1])
     return reconstruct(params, a0, cf.eval, rho, tau)
 
 
@@ -119,22 +119,30 @@ def uapp(params, fd: FinalData, t: float, x: float) -> tuple[complex, complex]:
 # specialized closed profiles
 
 
+def _explicit_data(name: str, coupling: float, q, fd: FinalData, t: float, x: float):
+    """Input checks shared by the explicit profiles.
+
+    Returns (q1, q2, q3), alpha1 and the quadratic quantities
+    (rho, (D, R, I)) of the final data at xi = x / (2t).
+    """
+    if coupling <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    if t <= 1.0:
+        raise ValueError("the explicit formula is stated for t > 1")
+    q1, q2, q3 = (float(v) for v in q)
+    alpha1, alpha2 = fd.interp(x / (2.0 * t))
+    if alpha1 == 0:
+        raise ValueError("the formula needs alpha1(xi) != 0")
+    return (q1, q2, q3), alpha1, amplitudes_to_quad(alpha1, alpha2)
+
+
 def case1_profile(p1: float, q, fd: FinalData, t: float, x: float) -> tuple[complex, complex]:
     """Fully explicit profile for the pure p1 family (p2 = ... = p5 = 0).
 
     Requires t > 1, alpha1 != 0 at the sampled xi, and |I0| bounded away
     from rho (at equality the family's denominators degenerate).
     """
-    if p1 <= 0.0:
-        raise ValueError("p1 must be positive")
-    if t <= 1.0:
-        raise ValueError("the explicit formula is stated for t > 1")
-    q1, q2, q3 = (float(v) for v in q)
-    xi = x / (2.0 * t)
-    alpha1, alpha2 = fd.interp(xi)
-    if alpha1 == 0:
-        raise ValueError("the formula needs alpha1(xi) != 0")
-    rho, (d0, r0, i0) = amplitudes_to_quad(alpha1, alpha2)
+    (q1, q2, q3), alpha1, (rho, (d0, r0, i0)) = _explicit_data("p1", p1, q, fd, t, x)
     if rho - abs(i0) <= 1e-12 * rho:
         raise ValueError("degenerate data: |I0| = rho")
     amp2 = math.sqrt(d0 * d0 + r0 * r0)  # = sqrt(rho^2 - I0^2) > 0
@@ -176,16 +184,7 @@ def case3_profile(p3: float, q, fd: FinalData, t: float, x: float) -> tuple[comp
     normalized invariants; outside it the representation needs case splits
     that are not provided here.
     """
-    if p3 <= 0.0:
-        raise ValueError("p3 must be positive")
-    if t <= 1.0:
-        raise ValueError("the explicit formula is stated for t > 1")
-    q1, q2, q3 = (float(v) for v in q)
-    xi = x / (2.0 * t)
-    alpha1, alpha2 = fd.interp(xi)
-    if alpha1 == 0:
-        raise ValueError("the formula needs alpha1(xi) != 0")
-    rho, (d0, r0, i0) = amplitudes_to_quad(alpha1, alpha2)
+    (q1, q2, q3), alpha1, (rho, (d0, r0, i0)) = _explicit_data("p3", p3, q, fd, t, x)
     if d0 == 0.0:
         raise ValueError("the formula needs D0 != 0")
     om1 = math.copysign(math.sqrt((i0 * i0 + 2.0 * d0 * d0) / (2.0 * rho * rho)), d0)

@@ -184,10 +184,8 @@ def _check_sphere(rho: float, s=None):
     return s
 
 
-def _run_ivp(fun, span, y0, tol, t_eval=None):
-    sol = solve_ivp(
-        fun, span, y0, method="RK45", rtol=tol, atol=tol, dense_output=True, t_eval=t_eval
-    )
+def _run_ivp(fun, span, y0, tol):
+    sol = solve_ivp(fun, span, y0, method="RK45", rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise StiffnessError(sol.message)
     return sol
@@ -256,10 +254,11 @@ class FixedPointSet:
     points: list
     circles: list
 
-    def all_points(self, circle_samples: int = 16) -> list:
+    def all_points(self) -> list:
+        """The isolated points followed by 16 samples of each circle."""
         out = list(self.points)
         for c in self.circles:
-            out.extend(c.samples(circle_samples))
+            out.extend(c.samples())
         return out
 
 
@@ -318,6 +317,18 @@ def _numeric_fixed_points(params, rho: float) -> list:
     return _dedup(found, 1e-6 * rho)
 
 
+def _pair(rho: float, k: int, c: float, j: int) -> list:
+    """The two points of the sphere with component k = c rho, component
+    j = +-rho sqrt(1 - c^2) and the third component zero."""
+    w = rho * math.sqrt(1.0 - c**2)
+    out = []
+    for sgn in (1.0, -1.0):
+        s = np.zeros(3)
+        s[k], s[j] = c * rho, sgn * w
+        out.append(s)
+    return out
+
+
 def fixed_points(params, rho: float) -> FixedPointSet:
     """Fixed points of the quadratic flow on the sphere of radius rho.
 
@@ -349,34 +360,27 @@ def fixed_points(params, rho: float) -> FixedPointSet:
         pts = [x, -x]
     elif case == 6:
         if p1 > p4:
-            w = rho * math.sqrt(1.0 - (p4 / p1) ** 2)
-            pts = [np.array([0.0, p4 / p1 * rho, w]), np.array([0.0, p4 / p1 * rho, -w])]
+            pts = _pair(rho, 1, p4 / p1, 2)
         elif p1 == p4:
             pts = [y]
         else:
-            w = rho * math.sqrt(1.0 - (p1 / p4) ** 2)
-            pts = [np.array([w, p1 / p4 * rho, 0.0]), np.array([-w, p1 / p4 * rho, 0.0])]
+            pts = _pair(rho, 1, p1 / p4, 0)
     elif case == 8:
         pts = [x, -x]
         if abs(p2) >= p4:
-            w = rho * math.sqrt(1.0 - (p4 / p2) ** 2)
-            pts += [np.array([-p4 / p2 * rho, 0.0, w]), np.array([-p4 / p2 * rho, 0.0, -w])]
+            pts += _pair(rho, 0, -p4 / p2, 2)
     elif case == 9:
         pts = [x, -x]
         if p4 <= 2.0 * p3:
-            w = rho * math.sqrt(1.0 - (p4 / (2.0 * p3)) ** 2)
-            pts += [np.array([-p4 / (2 * p3) * rho, w, 0.0]), np.array([-p4 / (2 * p3) * rho, -w, 0.0])]
+            pts += _pair(rho, 0, -p4 / (2.0 * p3), 1)
         if p4 <= p3:
-            w = rho * math.sqrt(1.0 - (p4 / p3) ** 2)
-            pts += [np.array([-p4 / p3 * rho, 0.0, w]), np.array([-p4 / p3 * rho, 0.0, -w])]
+            pts += _pair(rho, 0, -p4 / p3, 2)
     elif case == 10:
         pts = [y, -y]
         if p5 <= 2.0 * p3:
-            w = rho * math.sqrt(1.0 - (p5 / (2.0 * p3)) ** 2)
-            pts += [np.array([w, p5 / (2 * p3) * rho, 0.0]), np.array([-w, p5 / (2 * p3) * rho, 0.0])]
+            pts += _pair(rho, 1, p5 / (2.0 * p3), 0)
         if p5 <= p3:
-            w = rho * math.sqrt(1.0 - (p5 / p3) ** 2)
-            pts += [np.array([0.0, p5 / p3 * rho, w]), np.array([0.0, p5 / p3 * rho, -w])]
+            pts += _pair(rho, 1, p5 / p3, 2)
     elif case == 11:
         pts = [z, -z]
         if p1 == p3:
@@ -431,9 +435,10 @@ def stability(params, rho: float, point) -> StabilityReport:
 
     The Jacobian's symmetric part is restricted to an orthonormal basis of
     the tangent plane; both eigenvalues below -1e-10 is sufficient for
-    asymptotic stability, anything else is reported inconclusive.
+    asymptotic stability, anything else is reported inconclusive.  A bad
+    radius or an off-sphere point raises ValueError, like a non-fixed point.
     """
-    point = np.asarray(point, dtype=float)
+    point = _check_sphere(rho, point)
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
     if np.linalg.norm(qqq_rhs(params, rho, point)) >= 1e-8 * rho * rho * pscale:
         raise ValueError("stability requested at a non-fixed point")
@@ -464,13 +469,14 @@ def gamma_pair(p_inf, rho: float) -> tuple[complex, complex]:
     return complex(g1), g2
 
 
-def detect_sync(params, rho: float, *, n_starts: int = 64, tol: float = 1e-9):
+def detect_sync(params, rho: float):
     """Empirical synchronization detector.
 
     Requires a finite fixed-point set with exactly one point passing the
-    sufficient stability condition, then launches a lattice of trajectories
-    and accepts only if every non-equilibrium start lands within 1e-3 rho of
-    the candidate.  A successful detection is evidence, not a proof.
+    sufficient stability condition, then launches a lattice of 64
+    trajectories (RK45 at tolerance 1e-9) and accepts only if every
+    non-equilibrium start lands within 1e-3 rho of the candidate.  A
+    successful detection is evidence, not a proof.
     """
     fps = fixed_points(params, rho)
     if any(c.radius > 1e-12 * rho for c in fps.circles):
@@ -483,10 +489,10 @@ def detect_sync(params, rho: float, *, n_starts: int = 64, tol: float = 1e-9):
         return None
     candidate = stable[0]
     horizon = 20.0 / (rho * max(params.p1, 1e-12))
-    for start in fibonacci_sphere(n_starts, rho):
+    for start in fibonacci_sphere(64, rho):
         if any(np.linalg.norm(start - q) < 1e-6 * rho for q in fps.points):
             continue
-        sol = _run_ivp(lambda t, y: qqq_rhs(params, rho, y), (0.0, horizon), start, tol)
+        sol = _run_ivp(lambda t, y: qqq_rhs(params, rho, y), (0.0, horizon), start, 1e-9)
         if np.linalg.norm(sol.y[:, -1] - candidate) > 1e-3 * rho:
             return None
     return SyncResult(candidate, gamma_pair(candidate, rho))

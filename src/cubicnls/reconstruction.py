@@ -42,6 +42,7 @@ _ZERO_VALUE_TOL = 1e-10  # a refined minimum below this (times rho) counts as a 
 # purpose: a true zero sampled half a grid cell away can sit well above the
 # eventual acceptance level, and refining a shallow dip is cheap.
 _GRAZE_TOL = 5e-2
+_N_SCAN = 512  # cells of the uniform grid the zero scan samples
 
 
 class SingularAnchorError(ZeroDivisionError):
@@ -95,37 +96,35 @@ def phase_rate_N2(params, rho: float, s) -> float:
     return _phase_rate(params, rho, s, -1.0)
 
 
-def zero_times(params, rho: float, quad_src, tau: float, sign: float, n_scan: int = 512):
+def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     """Times in (0, tau) (or (tau, 0)) where rho + sign*D touches zero.
 
-    The weight is nonnegative, so zeros are grazing minima: grid minima
-    dipping below a relative threshold are refined by root-finding on the
-    analytic derivative of D and accepted when the refined value is below
-    1e-10 rho.
+    The weight is nonnegative, so zeros are grazing minima: minima of a
+    512-cell grid dipping below a relative threshold are refined by
+    root-finding on the analytic derivative of D and accepted when the
+    refined value is below 1e-10 rho.
     """
     if tau == 0.0:
         return []
-    ts = np.linspace(0.0, tau, n_scan + 1)
-    states = np.asarray(quad_src(ts))
-    w = rho + sign * states[:, 0]
+    ts = np.linspace(0.0, tau, _N_SCAN + 1)
+    w = rho + sign * np.asarray(quad_src(ts))[:, 0]
+    mid = w[1:-1]
+    dips = np.flatnonzero((mid <= w[:-2]) & (mid <= w[2:]) & (mid < _GRAZE_TOL * rho)) + 1
 
     def wdot(t):
         s = quad_src(float(t))
         return sign * qqq_rhs(params, rho, s)[0]
 
     zeros = []
-    thresh = _GRAZE_TOL * rho
-    for j in range(1, n_scan):
-        if w[j] <= w[j - 1] and w[j] <= w[j + 1] and w[j] < thresh:
-            a, b = ts[j - 1], ts[j + 1]
-            da, db = wdot(a), wdot(b)
-            if da * db < 0.0:
-                t_star = brentq(wdot, a, b, xtol=1e-12)
-            else:
-                t_star = ts[j]
-            s_star = quad_src(float(t_star))
-            if rho + sign * s_star[0] < _ZERO_VALUE_TOL * rho:
-                zeros.append(float(t_star))
+    for j in dips:
+        a, b = ts[j - 1], ts[j + 1]
+        if wdot(a) * wdot(b) < 0.0:
+            t_star = brentq(wdot, a, b, xtol=1e-12)
+        else:
+            t_star = ts[j]
+        s_star = quad_src(float(t_star))
+        if rho + sign * s_star[0] < _ZERO_VALUE_TOL * rho:
+            zeros.append(float(t_star))
     return sorted(zeros, key=abs)
 
 

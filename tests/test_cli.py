@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,19 @@ class TestStandardize:
         code, _, _ = run(capsys, "standardize", '{"lambda": [1, 2, 3]}')
         assert code == 1
 
+    def test_error_reported_once(self):
+        # a subprocess, because under pytest the log capture handler would
+        # hide a second copy of the message written through logging
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("NLS_ASY_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubicnls.cli", "standardize", '{"lambda": [0,1,0,0,0,0,0,0,0,0,0,0]}'],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: no coercive conserved quadratic form; cannot reduce"]
+
 
 class TestSolve:
     def test_both_mode_deviation(self, capsys):
@@ -79,6 +96,15 @@ class TestSolve:
         )
         assert code == 3
         assert "oracle" in err
+
+    def test_outside_catalogue_message_plain_floats(self, capsys):
+        code, _, err = run(
+            capsys, "solve", "--params", UNCATALOGUED_PARAMS, "--rho", "1",
+            "--init", "0.6,0.0,0.8", "--span", "0,1", "--mode", "closed",
+        )
+        assert code == 3
+        assert "(0.3, 0.5, 0.7, 0.2, 0.1)" in err
+        assert "np.float64" not in err
 
     def test_deterministic_output(self, capsys, tmp_path):
         args = [

@@ -330,6 +330,8 @@ class TestInputContract:
         assert not isinstance(exc.value, UnsupportedCaseError)
         with pytest.raises(ValueError):
             integrate_quad(params, rho, s, (0.0, 1.0))
+        with pytest.raises(ValueError):
+            stability(params, rho, s)
 
     @settings(max_examples=40, deadline=None)
     @given(params=st.sampled_from(VALIDATED_PARAMS), rho=BAD_RHO)

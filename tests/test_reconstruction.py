@@ -204,6 +204,42 @@ class TestReconstruct:
                 assert abs(got[0] - ref[0]) < 1e-7
                 assert abs(got[1] - ref[1]) < 1e-7
 
+    def test_zero_scan_matches_loop_reference(self):
+        # the scan picks its candidate dips with array masks; this loop over
+        # every grid point is the reference it must reproduce exactly
+        from scipy.optimize import brentq
+
+        from cubicnls.quadratic_flow import qqq_rhs
+
+        def loop_zero_times(p, rho, src, tau, sign, n_scan=512):
+            ts = np.linspace(0.0, tau, n_scan + 1)
+            w = rho + sign * np.asarray(src(ts))[:, 0]
+
+            def wdot(t):
+                return sign * qqq_rhs(p, rho, src(float(t)))[0]
+
+            zeros = []
+            for j in range(1, n_scan):
+                if w[j] <= w[j - 1] and w[j] <= w[j + 1] and w[j] < 5e-2 * rho:
+                    a, b = ts[j - 1], ts[j + 1]
+                    t_star = brentq(wdot, a, b, xtol=1e-12) if wdot(a) * wdot(b) < 0.0 else ts[j]
+                    if rho + sign * src(float(t_star))[0] < 1e-10 * rho:
+                        zeros.append(float(t_star))
+            return sorted(zeros, key=abs)
+
+        cases = [(std(p2=-0.7, p3=0.7, p5=0.4), np.array([0.8**2 - 0.35**2, 0.0, 2 * 0.8 * 0.35]))]
+        cases += [(p, s) for p in (std(p3=1.0), std(p1=1.0, p3=3.0)) for s in random_sphere_states(1.3, 4, seed=7)]
+        found = 0
+        for p, s0 in cases:
+            rho = float(np.linalg.norm(s0))
+            sol = solve_case(p, rho, s0)
+            for tau in (12.0, -9.0):
+                for sign in (1.0, -1.0):
+                    got = zero_times(p, rho, sol.eval, tau, sign)
+                    assert got == loop_zero_times(p, rho, sol.eval, tau, sign)
+                    found += len(got)
+        assert found > 0
+
 
 class TestResidual:
     def test_oracle_path_is_consistent(self):
