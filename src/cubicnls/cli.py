@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .closed_form import UnsupportedCaseError, classify, solve_case
 from .profile import FinalData, case1_profile, sync_decay, uapp
-from .quadratic_flow import detect_sync, fixed_points, integrate_quad, stability
+from .quadratic_flow import _check_span, _csv, detect_sync, fixed_points, integrate_quad, stability
 from .standard_form import GeneralCubic, NonCoerciveError, StandardParams, reduce_to_standard
 
 log = logging.getLogger("cubicnls")
@@ -46,28 +45,30 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _setup_logging() -> None:
     level = os.environ.get("NLS_ASY_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(levelname)s %(message)s")
 
 
-def _read_text(source: str) -> str:
+def _parse(what: str, fn, *args):
+    """fn(*args), with any failure reported as malformed input (exit 1)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise _CliError(EXIT_BAD_INPUT, f"cannot parse {what}: {exc}") from exc
+
+
+def _from_json(cls, source: str):
+    """cls.from_json of the file at path source, or of source itself."""
     if os.path.exists(source):
         with open(source) as fh:
-            return fh.read()
-    return source
+            source = fh.read()
+    return cls.from_json(source)
 
 
 def _load_params(source: str) -> StandardParams:
-    try:
-        return StandardParams.from_json(_read_text(source))
-    except Exception as exc:
-        raise _CliError(EXIT_BAD_INPUT, f"cannot parse standard parameters: {exc}") from exc
+    return _parse("standard parameters", _from_json, StandardParams, source)
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -78,21 +79,12 @@ def _write(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_standardize(args) -> int:
-    try:
-        g = GeneralCubic.from_json(_read_text(args.input))
-    except Exception as exc:
-        raise _CliError(EXIT_BAD_INPUT, f"cannot parse general system: {exc}") from exc
+    g = _parse("general system", _from_json, GeneralCubic, args.input)
     try:
         params, trace = reduce_to_standard(g)
     except NonCoerciveError as exc:
@@ -125,6 +117,7 @@ def cmd_solve(args) -> int:
     params = _load_params(args.params)
     s0 = np.array(_parse_floats(args.init, 3, "--init"))
     a, b = _parse_floats(args.span, 2, "--span")
+    _check_span((a, b))
     taus = np.linspace(a, b, args.samples)
 
     closed = oracle = None
@@ -197,16 +190,9 @@ def cmd_fixed_points(args) -> int:
     return EXIT_OK
 
 
-def _load_finaldata(path: str) -> FinalData:
-    try:
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        return FinalData(
-            raw["xi"],
-            raw["re_a1"] + 1j * raw["im_a1"],
-            raw["re_a2"] + 1j * raw["im_a2"],
-        )
-    except Exception as exc:
-        raise _CliError(EXIT_BAD_INPUT, f"cannot parse final data CSV: {exc}") from exc
+def _finaldata(path: str) -> FinalData:
+    raw = np.genfromtxt(path, delimiter=",", names=True)
+    return FinalData(raw["xi"], raw["re_a1"] + 1j * raw["im_a1"], raw["re_a2"] + 1j * raw["im_a2"])
 
 
 def cmd_profile(args) -> int:
@@ -217,7 +203,7 @@ def cmd_profile(args) -> int:
             "--special checks the explicit profile of the pure-p1 family (case 1, "
             f"p = (p1, 0, 0, 0, 0)); these parameters are case {case}",
         )
-    fd = _load_finaldata(args.finaldata)
+    fd = _parse("final data CSV", _finaldata, args.finaldata)
     t_list = [float(v) for v in args.t_list.split(",")]
     xa, xb, xn = _parse_floats(args.x_grid, 3, "--x-grid")
     xs = np.linspace(xa, xb, int(xn))
@@ -244,7 +230,7 @@ def cmd_profile(args) -> int:
             for t in t_list:
                 if t > 1.0:
                     val = sync_decay(params, fd, sync.gamma, t, (xi_lo, xi_hi))
-                    sys.stderr.write(f"sync observable at t={_fmt(t)}: {_fmt(val)}\n")
+                    sys.stderr.write(f"sync observable at t={t:.17g}: {val:.17g}\n")
     return EXIT_OK
 
 

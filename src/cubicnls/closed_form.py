@@ -171,6 +171,12 @@ def _constant(f0: float, g0: float, h0: float):
     return fgh
 
 
+def _mapped(sol, back):
+    """The solution sol(t) = (f, g, h) mapped by back(f, g, h), e.g. a
+    lemma solution carried back to (D, R, I)."""
+    return lambda t: back(*sol(t))
+
+
 def solve_lemma1(f0: float, g0: float, h0: float):
     """Closed solution of f' = gh, g' = -fh, h' = -fg through (f0, g0, h0).
 
@@ -181,13 +187,7 @@ def solve_lemma1(f0: float, g0: float, h0: float):
     r_fg = math.hypot(f0, g0)
     r_fh = math.hypot(f0, h0)
     if r_fh < r_fg:
-        inner = solve_lemma1(f0, h0, g0)
-
-        def swapped(t):
-            f, h, g = inner(t)
-            return f, g, h
-
-        return swapped
+        return _mapped(solve_lemma1(f0, h0, g0), lambda f, h, g: (f, g, h))
 
     if r_fg == 0.0:
         return _constant(0.0, 0.0, h0)
@@ -303,13 +303,7 @@ def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
     if g0 * h0 == 0.0 and f0 * h0 == 0.0 and (f0 + eta) * g0 == 0.0:
         return _constant(f0, g0, h0)
     if h0 < 0.0:
-        inner = solve_lemma3(eta, f0, -g0, -h0)
-
-        def mirrored(t):
-            f, g, h = inner(t)
-            return f, -g, -h
-
-        return mirrored
+        return _mapped(solve_lemma3(eta, f0, -g0, -h0), lambda f, g, h: (f, -g, -h))
 
     r0 = math.hypot(f0, g0)
     k0 = h0 * h0 - (f0 + eta) ** 2
@@ -586,12 +580,7 @@ def _case3(params, rho, s0, case_id):
     d0, r0, i0 = s0
     k = math.sqrt(8.0) * p3
     sol = solve_lemma1(2.0 * p3 * i0, k * r0, k * d0)
-
-    def fn(t):
-        f, g, h = sol(t)
-        return h / k, g / k, f / (2.0 * p3)
-
-    return "lemma1", {}, fn
+    return "lemma1", {}, _mapped(sol, lambda f, g, h: (h / k, g / k, f / (2.0 * p3)))
 
 
 def _case6(params, rho, s0, case_id):
@@ -604,8 +593,12 @@ def _case6(params, rho, s0, case_id):
     consts = {"C1": c1, "C2": c2, "C3": c3}
 
     if abs(c3) <= _BRANCH_TOL * rho * rho:
-        # threshold p1 = p4: rational collapse onto (0, rho, 0)
+        # threshold p1 = p4: rational collapse onto (0, rho, 0).  Within
+        # classify's band p4 != p1, so (0, rho, 0) is not caught as a fixed
+        # point, and the formula would divide 0/0 there
         c2t = 2.0 * rho * (rho - r0)
+        if c2t == 0.0:
+            return "fixed-point", {}, _constant(*s0)
 
         def fn_rat(t):
             lin = c2t * p1 * t - i0
@@ -649,32 +642,18 @@ def _case7(params, rho, s0, case_id):
         cg = math.sqrt(8.0 * p3 * (p3 - p2))
         ch = 2.0 * math.sqrt(p2 * p2 - p3 * p3)
         sol = solve_lemma1(-cf * d0, cg * r0, ch * i0)
-
-        def fn(t):
-            f, g, h = sol(t)
-            return -f / cf, g / cg, h / ch
-
-    elif p2 < p3:
+        return "lemma1", {}, _mapped(sol, lambda f, g, h: (-f / cf, g / cg, h / ch))
+    if p2 < p3:
         cf = 2.0 * math.sqrt(p3 * p3 - p2 * p2)
         cg = math.sqrt(8.0 * p3 * (p3 - p2))
         ch = math.sqrt(8.0 * p3 * (p2 + p3))
         sol = solve_lemma1(cf * i0, cg * r0, ch * d0)
-
-        def fn(t):
-            f, g, h = sol(t)
-            return h / ch, g / cg, f / cf
-
-    else:
-        cf = math.sqrt(8.0 * p3 * (p2 - p3))
-        cg = math.sqrt(8.0 * p3 * (p2 + p3))
-        ch = 2.0 * math.sqrt(p2 * p2 - p3 * p3)
-        sol = solve_lemma1(-cf * r0, cg * d0, ch * i0)
-
-        def fn(t):
-            f, g, h = sol(t)
-            return g / cg, -f / cf, h / ch
-
-    return "lemma1", {}, fn
+        return "lemma1", {}, _mapped(sol, lambda f, g, h: (h / ch, g / cg, f / cf))
+    cf = math.sqrt(8.0 * p3 * (p2 - p3))
+    cg = math.sqrt(8.0 * p3 * (p2 + p3))
+    ch = 2.0 * math.sqrt(p2 * p2 - p3 * p3)
+    sol = solve_lemma1(-cf * r0, cg * d0, ch * i0)
+    return "lemma1", {}, _mapped(sol, lambda f, g, h: (g / cg, -f / cf, h / ch))
 
 
 def _case8(params, rho, s0, case_id):
@@ -683,12 +662,9 @@ def _case8(params, rho, s0, case_id):
     sol = solve_lemma2(
         4.0 * p2 * p4 * rho * r0, 4.0 * p4 * rho * (p2 * d0 + p4 * rho), -2.0 * p2 * i0
     )
-
-    def fn(t):
-        f, g, h = sol(t)
-        return (g / (4.0 * p4 * rho) - p4 * rho) / p2, f / (4.0 * p2 * p4 * rho), -h / (2.0 * p2)
-
-    return "lemma2", {}, fn
+    return "lemma2", {}, _mapped(
+        sol, lambda f, g, h: ((g / (4.0 * p4 * rho) - p4 * rho) / p2, f / (4.0 * p2 * p4 * rho), -h / (2.0 * p2))
+    )
 
 
 def _case9(params, rho, s0, case_id):
@@ -697,12 +673,9 @@ def _case9(params, rho, s0, case_id):
     rt2 = math.sqrt(2.0)
     eta = rt2 * p4 * rho
     sol = solve_lemma3(eta, 2.0 * rt2 * (p3 * d0 + 0.5 * p4 * rho), 2.0 * p3 * i0, 2.0 * rt2 * p3 * r0)
-
-    def fn(t):
-        f, g, h = sol(t)
-        return (f / (2.0 * rt2) - 0.5 * p4 * rho) / p3, h / (2.0 * rt2 * p3), g / (2.0 * p3)
-
-    return "lemma3", {"eta": eta}, fn
+    return "lemma3", {"eta": eta}, _mapped(
+        sol, lambda f, g, h: ((f / (2.0 * rt2) - 0.5 * p4 * rho) / p3, h / (2.0 * rt2 * p3), g / (2.0 * p3))
+    )
 
 
 def _case10(params, rho, s0, case_id):
@@ -713,26 +686,22 @@ def _case10(params, rho, s0, case_id):
     sol = solve_lemma3(
         eta, -2.0 * rt2 * (p3 * r0 - 0.5 * p5 * rho), -2.0 * p3 * i0, 2.0 * rt2 * p3 * d0
     )
-
-    def fn(t):
-        f, g, h = sol(t)
-        return h / (2.0 * rt2 * p3), (0.5 * p5 * rho - f / (2.0 * rt2)) / p3, -g / (2.0 * p3)
-
-    return "lemma3", {"eta": eta}, fn
+    return "lemma3", {"eta": eta}, _mapped(
+        sol, lambda f, g, h: (h / (2.0 * rt2 * p3), (0.5 * p5 * rho - f / (2.0 * rt2)) / p3, -g / (2.0 * p3))
+    )
 
 
 def _case11(params, rho, s0, case_id):
-    ratio = case_id.ratio
-    if ratio == 1.0:
-        return _case11_balanced(params, rho, s0)
-    if ratio == 3.0:
-        return _case11_dominant(params, rho, s0)
-    return _case11_recessive(params, rho, s0)
+    builder = {1.0: _case11_balanced, 3.0: _case11_dominant}.get(case_id.ratio, _case11_recessive)
+    return builder(params, rho, s0)
 
 
 def _case11_balanced(params, rho, s0):
     p1 = params.p1
     d0, r0, i0 = s0
+    if d0 == r0:
+        # the fixed circle D = R of p1 = p3, reached within the ratio band
+        return "fixed-point", {}, _constant(*s0)
     c_plus = 0.5 * (d0 - r0) ** 2
     c_minus = 0.5 * (d0 + r0) ** 2
     big_l = math.sqrt(rho * rho - c_minus)
@@ -774,28 +743,20 @@ def _case11_recessive(params, rho, s0):
     half = 0.5 * (d0 - r0)
     scale = rho * rho
 
-    if c_plus <= _BRANCH_TOL * scale:
-        # d0 = r0: collapse onto the upper pole along the diagonal
+    diag = c_plus <= _BRANCH_TOL * scale
+    if diag or c_minus <= _BRANCH_TOL * scale:
+        # d0 = +-r0: collapse onto the upper (lower) pole along the diagonal
+        # (anti-diagonal); s = -1 flips R, I and tau0, at twice the rate
+        s, rate = (1.0, 4.0 / 3.0) if diag else (-1.0, 8.0 / 3.0)
         tau0 = math.atanh(i0 / rho)
         sig = math.copysign(1.0, d0)
 
         def fn_diag(t):
-            arg = (4.0 / 3.0) * p3 * rho * t + tau0
+            arg = rate * p3 * rho * t + s * tau0
             d = sig * rho / (math.sqrt(2.0) * np.cosh(arg))
-            return d, d.copy(), rho * np.tanh(arg)
+            return d, s * d, s * rho * np.tanh(arg)
 
-        return "ratio=1/3 diag+", {"tau0": tau0}, fn_diag
-
-    if c_minus <= _BRANCH_TOL * scale:
-        tau0 = math.atanh(i0 / rho)
-        sig = math.copysign(1.0, d0)
-
-        def fn_anti(t):
-            arg = (8.0 / 3.0) * p3 * rho * t - tau0
-            d = sig * rho / (math.sqrt(2.0) * np.cosh(arg))
-            return d, -d, -rho * np.tanh(arg)
-
-        return "ratio=1/3 diag-", {"tau0": tau0}, fn_anti
+        return ("ratio=1/3 diag+" if diag else "ratio=1/3 diag-"), {"tau0": tau0}, fn_diag
 
     alpha, beta, gamma = _depressed_cubic_roots(c_plus, rho * rho, c_minus)
     m0 = (gamma - beta) * (-alpha) / (gamma * (beta - alpha))

@@ -104,7 +104,9 @@ def _flow(params, a0: tuple[complex, complex], tau: float) -> tuple[complex, com
 
 
 def uapp(params, fd: FinalData, t: float, x: float) -> tuple[complex, complex]:
-    """The approximate solution pair at (t, x) for t != 0."""
+    """The approximate solution pair at (t, x) for finite t != 0."""
+    if not math.isfinite(t):
+        raise ValueError(f"the profile is defined for finite t, got {t}")
     if t == 0.0:
         raise ValueError("the profile is defined for t != 0")
     xi = x / (2.0 * t)

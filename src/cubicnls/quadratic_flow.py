@@ -154,9 +154,13 @@ class Trajectory:
             header = "tau,D,R,I"
             rows = ((t, s[0], s[1], s[2]) for t, s in zip(self.times, self.states))
         with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(_csv(header, rows))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header, then one line per row of 17-significant-digit
+    values, every line ending in LF."""
+    return "".join([header + "\n"] + [",".join(f"{x:.17g}" for x in row) + "\n" for row in rows])
 
 
 def _check_tol(tol: float) -> float:
@@ -184,7 +188,16 @@ def _check_sphere(rho: float, s=None):
     return s
 
 
+def _check_span(span) -> None:
+    """Require both ends of an integration span to be finite (an infinite or
+    NaN end can keep the adaptive integrator stepping forever)."""
+    if not all(math.isfinite(float(t)) for t in span):
+        raise ValueError(f"span ends must be finite, got {tuple(float(t) for t in span)}")
+
+
 def _run_ivp(fun, span, y0, tol):
+    _check_span(span)
+    tol = _check_tol(tol)
     sol = solve_ivp(fun, span, y0, method="RK45", rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise StiffnessError(sol.message)
@@ -199,7 +212,6 @@ def integrate_quad(params, rho: float, s0, span, tol: float = 1e-10) -> Trajecto
     state at span[0].
     """
     s0 = _check_sphere(rho, s0)
-    tol = _check_tol(tol)
     sol = _run_ivp(lambda t, y: qqq_rhs(params, rho, y), span, s0, tol)
     return Trajectory(sol.t, sol.y.T, "quad", sol.sol)
 
@@ -207,7 +219,6 @@ def integrate_quad(params, rho: float, s0, span, tol: float = 1e-10) -> Trajecto
 def integrate_full(params, a0, span, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK45 oracle of the full complex flow (same contract as
     :func:`integrate_quad`, over C^2)."""
-    tol = _check_tol(tol)
     a0 = np.asarray(a0, dtype=complex)
     y0 = np.array([a0[0].real, a0[0].imag, a0[1].real, a0[1].imag])
 
@@ -329,6 +340,13 @@ def _pair(rho: float, k: int, c: float, j: int) -> list:
     return out
 
 
+# the families whose fixed points include +-rho e_k, by axis k of (D, R, I)
+_AXES = {
+    1: (2,), 2: (2,), 3: (0, 1, 2), 4: (0,), 5: (2,), 7: (0, 1, 2),
+    8: (0,), 9: (0,), 10: (1,), 11: (2,), 12: (0,), 13: (1,),
+}
+
+
 def fixed_points(params, rho: float) -> FixedPointSet:
     """Fixed points of the quadratic flow on the sphere of radius rho.
 
@@ -342,48 +360,37 @@ def fixed_points(params, rho: float) -> FixedPointSet:
 
     _check_sphere(rho)
     p1, p2, p3, p4, p5 = (float(x) for x in params.p)
-    case = classify(params).case
-    pts = []
+    case_id = classify(params)
+    case = case_id.case
+    pts = [sgn * rho * np.eye(3)[k] for k in _AXES.get(case, ()) for sgn in (1.0, -1.0)]
     circles = []
-    z = rho * np.array([0.0, 0.0, 1.0])
-    x = rho * np.array([1.0, 0.0, 0.0])
-    y = rho * np.array([0.0, 1.0, 0.0])
 
-    if case in (1, 5):
-        pts = [z, -z]
-    elif case == 2:
-        pts = [z, -z]
+    if case == 2:
         circles = [Circle((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), rho)]
-    elif case in (3, 7):
-        pts = [x, -x, y, -y, z, -z]
-    elif case == 4:
-        pts = [x, -x]
     elif case == 6:
-        if p1 > p4:
+        # the branch is the one classify chose, so the p1 = p4 band agrees
+        # with the closed form
+        if case_id.subcase == "p1=p4":
+            pts = [rho * np.eye(3)[1]]
+        elif case_id.subcase == "p1>p4":
             pts = _pair(rho, 1, p4 / p1, 2)
-        elif p1 == p4:
-            pts = [y]
         else:
             pts = _pair(rho, 1, p1 / p4, 0)
     elif case == 8:
-        pts = [x, -x]
         if abs(p2) >= p4:
             pts += _pair(rho, 0, -p4 / p2, 2)
     elif case == 9:
-        pts = [x, -x]
         if p4 <= 2.0 * p3:
             pts += _pair(rho, 0, -p4 / (2.0 * p3), 1)
         if p4 <= p3:
             pts += _pair(rho, 0, -p4 / p3, 2)
     elif case == 10:
-        pts = [y, -y]
         if p5 <= 2.0 * p3:
             pts += _pair(rho, 1, p5 / (2.0 * p3), 0)
         if p5 <= p3:
             pts += _pair(rho, 1, p5 / p3, 2)
     elif case == 11:
-        pts = [z, -z]
-        if p1 == p3:
+        if case_id.ratio == 1.0:
             circles = [Circle((0.0, 0.0, 0.0), tuple(np.array([1.0, -1.0, 0.0]) / math.sqrt(2)), rho)]
         elif p1 < p3:
             # equilibria in the I = 0 plane: p1 (D^2 + R^2) = 2 p3 D R
@@ -395,12 +402,10 @@ def fixed_points(params, rho: float) -> FixedPointSet:
                 r = rho / math.hypot(ratio, 1.0)
                 pts += [np.array([d, r, 0.0]), np.array([-d, -r, 0.0])]
     elif case == 12:
-        pts = [x, -x]
         if 2.0 * p3 > abs(p4):
             w = rho * math.sqrt(1.0 - (p4 / (2.0 * p3)) ** 2)
             circles = [Circle((-p4 / (2 * p3) * rho, 0.0, 0.0), (1.0, 0.0, 0.0), w)]
     elif case == 13:
-        pts = [y, -y]
         if 2.0 * p3 > p5:
             w = rho * math.sqrt(1.0 - (p5 / (2.0 * p3)) ** 2)
             circles = [Circle((0.0, p5 / (2 * p3) * rho, 0.0), (0.0, 1.0, 0.0), w)]
@@ -413,7 +418,7 @@ def fixed_points(params, rho: float) -> FixedPointSet:
         if abs(offset) < rho:
             circles = [Circle(tuple(offset * axis), tuple(axis), math.sqrt(rho * rho - offset * offset))]
         pts = [s for s in _numeric_fixed_points(params, rho) if abs(s @ axis - offset) > 1e-6 * rho]
-    else:
+    elif case == 0:
         pts = _numeric_fixed_points(params, rho)
 
     return FixedPointSet(_dedup(pts, 1e-6 * rho), circles)

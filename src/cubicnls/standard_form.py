@@ -265,16 +265,19 @@ def mass_forms(C: np.ndarray) -> tuple[list[np.ndarray], bool]:
     kernel element (a, b, c) is coercive when a c > b^2; existence is decided
     by maximizing the coercivity form over the kernel subspace.
     """
+    basis = _kernel_basis(C)
+    return basis, select_coercive_form(basis) is not None
+
+
+def _kernel_basis(C: np.ndarray) -> list[np.ndarray]:
+    """Right singular vectors of C with singular value <= 1e-10 max|C_ij|
+    (the unit basis when C = 0)."""
     C = np.asarray(C, dtype=float)
     scale = np.max(np.abs(C))
     if scale == 0.0:
-        basis = [np.eye(3)[i] for i in range(3)]
-        return basis, True
+        return [np.eye(3)[i] for i in range(3)]
     _, s, Vt = np.linalg.svd(C)
-    basis = [Vt[i] for i in range(3) if s[i] <= _KERNEL_RTOL * scale]
-    if not basis:
-        return [], False
-    return basis, select_coercive_form(basis) is not None
+    return [Vt[i] for i in range(3) if s[i] <= _KERNEL_RTOL * scale]
 
 
 def select_coercive_form(basis: list[np.ndarray]) -> tuple[float, float, float] | None:
@@ -373,12 +376,13 @@ def reduce_to_standard(g: GeneralCubic) -> tuple[StandardParams, ReductionTrace]
     Raises NonCoerciveError when no coercive conserved quadratic form
     exists.  The returned trace records the mass form used, the quadratic
     completion matrix, whether the second component's sign was flipped, and
-    the rotation angle (smallest admissible candidate, which makes the
-    output canonical under these tie-breaks).
+    the rotation angle (the smallest admissible candidate, see
+    ``_pick_rotation``).  These tie-breaks are not a canonical form: the
+    mass form is the kernel element nearest (1, 0, 1) in the given
+    coordinates, so equivalent systems with several conserved forms can
+    reduce to different parameters.
     """
-    C, _ = build_structure(g)
-    basis, _ = mass_forms(C)
-    form = select_coercive_form(basis)
+    form = select_coercive_form(_kernel_basis(build_structure(g)[0]))
     if form is None:
         raise NonCoerciveError("no coercive conserved quadratic form; cannot reduce")
     a, b, c = form
@@ -387,14 +391,12 @@ def reduce_to_standard(g: GeneralCubic) -> tuple[StandardParams, ReductionTrace]
     A = np.array([[a, b], [b, c]])
     M = np.linalg.cholesky(A).T
     g1 = transform_cubic(g, M)
-    C1, _ = build_structure(g1)
-    t = extract_sixtuple(C1)
+    t = extract_sixtuple(build_structure(g1)[0])
 
     flip = bool(t.p1 < 0.0)
     if flip:
         g1 = transform_cubic(g1, np.diag([1.0, -1.0]))
-        C1, _ = build_structure(g1)
-        t = extract_sixtuple(C1)
+        t = extract_sixtuple(build_structure(g1)[0])
 
     theta = _pick_rotation(t)
     g2 = transform_cubic(g1, _rotation(theta)) if theta != 0.0 else g1
@@ -415,23 +417,26 @@ def reduce_to_standard(g: GeneralCubic) -> tuple[StandardParams, ReductionTrace]
 
 
 def _pick_rotation(t: SixTuple) -> float:
-    """Smallest angle in [0, 2 pi) that zeroes p3~ with p3 >= 0 and p5 >= 0.
+    """Smallest angle in [0, 2 pi) that zeroes p3~ with p3 >= 0 and p5 >= 0,
+    and p4 >= 0 where p5 vanishes.
 
-    When p3 and p3~ both vanish the angle is chosen to zero p5 instead.
+    When p3 and p3~ both vanish the angle is chosen to zero p5 instead.  A
+    candidate within the tolerance of 2 pi counts as 0, so the identity is
+    tried first.
     """
     scale = max(float(np.max(np.abs(t.as_array()))), 1e-300)
     tol = 1e-12 * scale
     if math.hypot(t.p3, t.p3_tilde) > tol:
-        phi0 = math.atan2(t.p3_tilde, t.p3)
-        cands = sorted(((-phi0 + k * math.pi) / 4.0) % (2.0 * math.pi) for k in range(8))
+        phi0, divisor, count = math.atan2(t.p3_tilde, t.p3), 4.0, 8
     elif math.hypot(t.p4, t.p5) > tol:
-        phi0 = math.atan2(t.p5, t.p4)
-        cands = sorted(((-phi0 + k * math.pi) / 2.0) % (2.0 * math.pi) for k in range(4))
+        phi0, divisor, count = math.atan2(t.p5, t.p4), 2.0, 4
     else:
         return 0.0
-    for theta in cands:
+    angles = (((-phi0 + k * math.pi) / divisor) % (2.0 * math.pi) for k in range(count))
+    for theta in sorted(a if 2.0 * math.pi - a > tol else 0.0 for a in angles):
         r = rotate_sixtuple(t, theta)
-        if abs(r.p3_tilde) <= 1e-9 * scale and r.p3 >= -tol and r.p5 >= -tol:
+        signs_ok = r.p3 >= -tol and r.p5 >= -tol and (r.p5 > tol or r.p4 >= -tol)
+        if abs(r.p3_tilde) <= 1e-9 * scale and signs_ok:
             return theta if theta > tol else 0.0
     raise AssertionError("no admissible rotation angle found")  # cannot happen
 

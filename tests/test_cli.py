@@ -141,6 +141,17 @@ class TestSolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "span,mode", [("0,inf", "closed"), ("0,inf", "oracle"), ("0,nan", "oracle"), ("-inf,0", "both")]
+    )
+    def test_nonfinite_span_exit_1(self, capsys, span, mode):
+        code, out, err = run(
+            capsys, "solve", "--params", CASE1_PARAMS, "--rho", "1", "--init=1,0,0",
+            f"--span={span}", "--samples", "3", "--mode", mode,
+        )
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
 
 class TestFixedPoints:
     def test_case1(self, capsys):
@@ -224,6 +235,18 @@ class TestProfile:
         )
         assert (code, out) == (3, "")
         assert "pure-p1" in err
+
+    @pytest.mark.parametrize(
+        "params,t_list",
+        [(CASE1_PARAMS, "inf"), (CASE1_PARAMS, "2,nan"), (UNCATALOGUED_PARAMS, "inf")],
+    )
+    def test_nonfinite_time_exit_1(self, capsys, finaldata_csv, params, t_list):
+        code, out, err = run(
+            capsys, "profile", "--params", params, "--finaldata", str(finaldata_csv),
+            f"--t-list={t_list}", "--x-grid=-1,1,3",
+        )
+        assert (code, out) == (1, "")
+        assert "finite t" in err
 
     def test_sync_check(self, capsys, finaldata_csv):
         code, _, err = run(

@@ -286,6 +286,25 @@ class TestSolveCase:
             assert sol.branch == "fixed-point"
             assert np.max(np.abs(sol(np.linspace(-3, 3, 7)) - s0)) < 1e-12
 
+    @pytest.mark.parametrize("eps", [1e-13, -1e-13])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_case6_band_start_at_fixed_point(self, eps, rho):
+        # p1 = p4 within classify's band: (0, rho, 0) is not fixed for these
+        # parameters, and the rational formula would divide 0/0 there
+        sol = solve_case(std(p1=1.0, p4=1.0 + eps), rho, (0.0, rho, 0.0))
+        assert np.array_equal(sol(np.linspace(-3, 3, 7)), np.tile([0.0, rho, 0.0], (7, 1)))
+
+    @pytest.mark.parametrize("eps", [3e-13, -3e-13])
+    def test_case11_band_fixed_circle(self, eps):
+        # p1/p3 within the band of ratio 1, on the circle D = R with I != 0,
+        # where the balanced formula would take atanh(+-1)
+        p = std(p1=1.0, p3=1.0 + eps)
+        for ang in (0.3, 2.0, 4.4):
+            s0 = np.array(
+                [math.cos(ang) / math.sqrt(2), math.cos(ang) / math.sqrt(2), math.sin(ang)]
+            )
+            assert np.max(np.abs(solve_case(p, 1.0, s0)(np.linspace(-3, 3, 7)) - s0)) < 1e-12
+
     def test_eval_initial_consistency(self):
         rng = np.random.default_rng(31)
         for params in (std(p3=1.0, p4=0.6), std(p1=1.0, p3=3.0), std(p2=-0.8, p4=0.5)):

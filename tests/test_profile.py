@@ -70,6 +70,11 @@ class TestUapp:
         with pytest.raises(ValueError):
             uapp(std(p1=1.0), make_fd(), 0.0, 0.1)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_t_rejected(self, t):
+        with pytest.raises(ValueError, match="finite t"):
+            uapp(std(p1=1.0), make_fd(), t, 0.1)
+
     def test_pointwise_mass(self):
         fd = make_fd()
         p = std(p1=1.0, p2=0.3, q=(0.1, 0.2, 0.3))

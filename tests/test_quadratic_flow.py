@@ -139,6 +139,14 @@ class TestIntegrators:
         with pytest.raises(ValueError):
             integrate_quad(CASE1, 1.0, (0.5, 0, 0.5), (0, 1.0), tol=1e-10)  # off-sphere
 
+    @pytest.mark.parametrize("end", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_span_rejected(self, end):
+        # an infinite or NaN end would keep the adaptive step loop running
+        with pytest.raises(ValueError, match="finite"):
+            integrate_quad(CASE1, 1.0, (1, 0, 0), (0.0, end))
+        with pytest.raises(ValueError, match="finite"):
+            integrate_full(CASE1, (0.6, 0.8j), (0.0, end))
+
     def test_scaling_property(self):
         # rescaled trajectories solve the rescaled system
         rng = np.random.default_rng(5)
@@ -162,6 +170,16 @@ class TestIntegrators:
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert np.array_equal(data["tau"], tr.times)
         assert np.array_equal(data["D"], tr.states[:, 0])
+
+    def test_csv_amplitude_rows(self, tmp_path):
+        tr = integrate_full(CASE1, (0.6 + 0.1j, -0.3 + 0.7j), (0, 0.5), tol=1e-10)
+        path = tmp_path / "amp.csv"
+        tr.write_csv(path)
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[0] == "tau,re_a1,im_a1,re_a2,im_a2"
+        assert lines[-1] == "" and len(lines) == len(tr.times) + 2
+        for line, t, (a1, a2) in zip(lines[1:], tr.times, tr.states):
+            assert line == ",".join(f"{v:.17g}" for v in (t, a1.real, a1.imag, a2.real, a2.imag))
 
 
 class TestFixedPoints:
@@ -215,6 +233,20 @@ class TestFixedPoints:
             fps = fixed_points(p, rho)
             for s in fps.all_points():
                 assert np.linalg.norm(qqq_rhs(p, rho, s)) < 1e-9 * rho * rho
+
+    @pytest.mark.parametrize("eps", [3e-13, -3e-13])
+    def test_ratio_one_band_keeps_circle(self, eps):
+        # classify puts p1/p3 within 1e-12 of 1 in the ratio-1 family, whose
+        # fixed set is the poles and the circle D = R
+        fps = fixed_points(StandardParams(1, 0, 1 + eps, 0, 0), 1.0)
+        (circle,) = fps.circles
+        assert np.allclose(circle.axis, np.array([1.0, -1.0, 0.0]) / math.sqrt(2), atol=1e-15)
+        assert sorted(tuple(np.round(p, 12)) for p in fps.points) == [(0, 0, -1), (0, 0, 1)]
+
+    def test_p1_p4_band_single_point(self):
+        # within the p1 = p4 band the fixed set is the one point (0, rho, 0)
+        fps = fixed_points(StandardParams(1, 0, 0, 1 - 3e-13, 0), 2.0)
+        assert [p.tolist() for p in fps.points] == [[0.0, 2.0, 0.0]]
 
     def test_numeric_fallback(self):
         # uncatalogued parameters: multi-start root finding on the sphere
@@ -284,6 +316,16 @@ class TestSync:
 
     def test_case4_none(self):
         assert detect_sync(StandardParams(0, 0, 0, 1, 0), 1.0) is None
+
+    def test_lattice_rejects_single_stable_candidate(self):
+        # four isolated fixed points and exactly one passes the sufficient
+        # test, so only the trajectory lattice can reject the candidate
+        p = StandardParams(0.75, -0.89, 0.03, 0.69, 0.59)
+        fps = fixed_points(p, 1.0)
+        assert fps.circles == [] and len(fps.points) == 4
+        verdicts = [stability(p, 1.0, s).classification for s in fps.points]
+        assert verdicts.count(ASYMPTOTICALLY_STABLE) == 1
+        assert detect_sync(p, 1.0) is None
 
     def test_gamma_of_first_pole(self):
         g1, g2 = gamma_pair((1.0, 0.0, 0.0), 1.0)

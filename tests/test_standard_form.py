@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicnls.closed_form import classify
 from cubicnls.quadratic_flow import integrate_full
 from cubicnls.standard_form import (
     GeneralCubic,
@@ -26,6 +27,17 @@ from cubicnls.standard_form import (
 )
 
 V_SYSTEM = GeneralCubic((0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0))  # lambda5 = lambda9 = 1
+
+# members of every catalogued family 1..15, with p4 >= 0 where p5 = 0 (the
+# sign the reduction picks when the rotation leaves it free)
+CATALOGUE = [
+    (1, 0, 0, 0, 0), (0.4, 0, 0, 0, 0), (0, -0.8, 0, 0, 0), (0, 0.5, 0, 0, 0), (0, 0, 1.1, 0, 0),
+    (0, 0, 0, 0.9, 0), (0, 0, 0, 0.3, 0), (1, 0.7, 0, 0, 0), (1, 0, 0, 0.4, 0), (1, 0, 0, 1, 0),
+    (0.5, 0, 0, 1.2, 0), (0, -2, 1, 0, 0), (0, 0.4, 1, 0, 0), (0, 2, 1, 0, 0), (0, 0.8, 0, 0.5, 0),
+    (0, -0.3, 0, 0.9, 0), (0, 0, 1, 0.3, 0), (0, 0, 1, 1.5, 0), (0, 0, 1, 0, 0.3), (0, 0, 1, 0, 1.3),
+    (1, 0, 1, 0, 0), (3, 0, 1, 0, 0), (1, 0, 3, 0, 0), (0, 0.7, 0.7, 0.4, 0), (0, -0.7, 0.7, 0, 0.4),
+    (0.6, 0.8, 1, 0, 0), (0.6, 0.8, 1, 0.5, 0.5 * 0.6 / 1.8),
+]
 
 
 class TestBuildStructure:
@@ -153,6 +165,23 @@ class TestReduce:
             out, _ = reduce_to_standard(standard_system(p))
             assert np.allclose(out.p, p.p, atol=1e-12)
             assert np.allclose(out.q, p.q, atol=1e-12)
+
+    @pytest.mark.parametrize("p", CATALOGUE)
+    def test_catalogue_member_reduces_to_itself(self, p):
+        # plain, and disguised by v = c R(phi) diag(1, +-1) u: the mass stays
+        # the conserved form, so the reduction must give back p / c^2
+        params = StandardParams(*p)
+        case = classify(params)
+        rng = np.random.default_rng(23)
+        for j in range(21):
+            c, phi, sign = (1.0, 0.0, 1.0)
+            if j:
+                c, phi, sign = rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi), rng.choice([1.0, -1.0])
+            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            g = transform_cubic(standard_system(params), c * rot @ np.diag([1.0, sign]))
+            out, _ = reduce_to_standard(g)
+            assert classify(out) == case, (j, out.p)
+            assert np.allclose(out.p * c * c, params.p, atol=1e-9), (j, out.p)
 
     def test_sign_flip(self):
         base = standard_system(StandardParams(1.0, 0.0, 0.0, 0.0, 0.0))
