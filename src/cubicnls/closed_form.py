@@ -703,9 +703,10 @@ def _case11_balanced(params, rho, s0):
         # the fixed circle D = R of p1 = p3, reached within the ratio band
         return "fixed-point", {}, _constant(*s0)
     c_plus = 0.5 * (d0 - r0) ** 2
-    c_minus = 0.5 * (d0 + r0) ** 2
-    big_l = math.sqrt(rho * rho - c_minus)
-    tau0 = -math.atanh(i0 / big_l)
+    # on the sphere rho^2 - (D0 + R0)^2 / 2 = I0^2 + c_plus and atanh(I0 / L)
+    # = asinh(I0 / sqrt(c_plus)): forms that do not cancel next to the circle
+    big_l = math.sqrt(i0 * i0 + c_plus)
+    tau0 = -math.asinh(i0 / math.sqrt(c_plus))
     amp = big_l / math.sqrt(c_plus)
     mean, half = 0.5 * (d0 + r0), 0.5 * (d0 - r0)
 

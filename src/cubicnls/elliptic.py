@@ -1,10 +1,13 @@
 """Jacobi elliptic functions and first-kind elliptic integrals.
 
-Everything here is built on the arithmetic-geometric mean (the descending
-Landen transformation), which converges quadratically and gives close to
-machine precision uniformly in the parameter.  The parameter convention is
-``m = k**2`` with ``0 <= m <= 1``; at ``m = 0`` the functions degenerate to
-trigonometric functions and at ``m = 1`` to hyperbolic ones.
+All of them read one arithmetic-geometric mean chain (the descending Landen
+transformation from a_0 = 1, b_0 = sqrt(1 - m)), which converges
+quadratically and is close to machine precision uniformly in the parameter
+``m = k**2``, ``0 <= m <= 1``.  At ``m = 0`` the functions degenerate to
+trigonometric ones; the Jacobi functions and F take the exact ``m = 1``
+hyperbolic forms for all ``m >= 1 - 1e-10``, a switch made in
+:func:`_checked`.  Every public function raises EllipticDomainError for a
+parameter outside its range and for a NaN or infinite argument.
 
 The amplitude ``am(u, m)`` is returned *unwrapped*: it is the globally
 monotone inverse of the incomplete integral, not a principal value, so
@@ -55,18 +58,87 @@ class JacobiValues:
     nd: float
 
 
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _check_m(m: float, *, allow_one: bool) -> float:
+    m = float(m)
+    if not (0.0 <= m < 1.0 or (allow_one and m == 1.0)):
+        raise EllipticDomainError(f"parameter m={m} outside [0, {'1]' if allow_one else '1)'}")
+    return m
+
+
+class _AGMChain:
+    """The AGM levels a_n, b_n, c_n (c_0 = sqrt(m)) for one 0 <= m < 1.
+
+    K stops at the first level with |a_n - b_n| <= tol a_n, F's Landen
+    recursion at the first such level past 0 and the phase recursion at the
+    first with c_n <= tol: one shared level would change the last bits.
+    """
+
+    def __init__(self, m: float):
+        an, bn, cn = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+        self.a, self.b, self.c = [an], [bn], [cn]
+        self.k_top = self.phase_top = None
+        for n in range(_MAX_ITER):
+            if self.k_top is None and abs(an - bn) <= _AGM_TOL * an:
+                self.k_top = n
+            if self.phase_top is None and cn <= _AGM_TOL:
+                self.phase_top = n
+            if n > 0 and self.k_top is not None and self.phase_top is not None:
+                break
+            an, bn, cn = 0.5 * (an + bn), math.sqrt(an * bn), 0.5 * (an - bn)
+            self.a.append(an)
+            self.b.append(bn)
+            self.c.append(cn)
+        self.K = math.pi / (2.0 * self.a[self.k_top])
+
+    def amplitude(self, u: np.ndarray):
+        """am(u, m) of u reduced modulo 4K, by the descending phase
+        recursion, and the number of periods 4K removed."""
+        a, c, top = self.a, self.c, self.phase_top
+        n4 = np.round(u / (4.0 * self.K))
+        phi = (2.0**top) * a[top] * (u - 4.0 * self.K * n4)
+        for n in range(top, 0, -1):
+            phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
+        return phi, n4
+
+    def incomplete_F(self, phi: np.ndarray) -> np.ndarray:
+        """F(phi, m): half-period reduction, then the ascending Landen phase recursion."""
+        a, b, top = self.a, self.b, max(self.k_top, 1)
+        n = np.floor(phi / math.pi + 0.5)
+        phi = phi - n * math.pi
+        for j in range(top):
+            phi = phi + np.round(phi / math.pi) * math.pi + np.arctan((b[j] / a[j]) * np.tan(phi))
+        return phi / ((2.0**top) * a[top]) + 2.0 * n * (math.pi / (2.0 * a[top]))
+
+
+def _checked(x, m: float, name: str):
+    """Input contract and hyperbolic switch of the Jacobi functions and F.
+
+    Returns m, x as an array and the AGM chain of m, or None in place of the
+    chain for m >= 1 - 1e-10, where the m = 1 forms are used.
+    """
+    m = _check_m(m, allow_one=True)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise EllipticDomainError(f"argument {name} must be finite")
+    return m, x, (None if m >= _M_HYPERBOLIC else _AGMChain(m))
+
+
 def _clamped(fn, name: str, x):
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + _CLAMP_TOL):
+    if not (np.abs(x) <= 1.0 + _CLAMP_TOL).all():
         raise EllipticDomainError(f"{name} argument {x!r} outside [-1, 1] beyond tolerance")
-    out = fn(np.clip(x, -1.0, 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(fn(np.clip(x, -1.0, 1.0)))
 
 
 def arcsin_clamped(x):
     """arcsin with arguments within 1e-12 of [-1, 1] clamped onto it.
 
-    Arguments farther outside the interval raise EllipticDomainError.
+    Arguments farther outside the interval, NaN included, raise
+    EllipticDomainError.
     """
     return _clamped(np.arcsin, "arcsin", x)
 
@@ -76,22 +148,6 @@ def arccos_clamped(x):
     return _clamped(np.arccos, "arccos", x)
 
 
-def _check_m(m: float, *, allow_one: bool) -> float:
-    m = float(m)
-    if math.isnan(m) or m < 0.0 or m > 1.0 or (not allow_one and m == 1.0):
-        upper = "1" if allow_one else "1)"
-        raise EllipticDomainError(f"parameter m={m} outside [0, {upper}")
-    return m
-
-
-def _agm(a: float, b: float) -> float:
-    for _ in range(_MAX_ITER):
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return a
-
-
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m).
 
@@ -99,31 +155,7 @@ def complete_K(m: float) -> float:
     increasing in m with K(0) = pi/2; the limit m -> 1 diverges, so m = 1 is
     rejected.
     """
-    m = _check_m(m, allow_one=False)
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
-
-
-def _agm_levels(m: float):
-    """Ascending AGM chain (a_n, c_n) for the phase recursions."""
-    a = [1.0]
-    b = math.sqrt(1.0 - m)
-    c = [math.sqrt(m)]
-    while c[-1] > _AGM_TOL and len(a) < _MAX_ITER:
-        an = a[-1]
-        a.append(0.5 * (an + b))
-        c.append(0.5 * (an - b))
-        b = math.sqrt(an * b)
-    return a, c
-
-
-def _amplitude(u: np.ndarray, m: float) -> np.ndarray:
-    """Unwrapped amplitude am(u, m) for 0 <= m < 1, vectorized in u."""
-    a, c = _agm_levels(m)
-    n_top = len(a) - 1
-    phi = (2.0**n_top) * a[n_top] * u
-    for n in range(n_top, 0, -1):
-        phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
-    return phi
+    return _AGMChain(_check_m(m, allow_one=False)).K
 
 
 def jacobi_sn_cn_dn(u, m: float):
@@ -132,21 +164,13 @@ def jacobi_sn_cn_dn(u, m: float):
     The argument is reduced modulo the real period 4K(m) before the AGM
     phase recursion, so accuracy does not degrade for large |u|.
     """
-    m = _check_m(m, allow_one=True)
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise EllipticDomainError("argument u must be finite")
-    if m >= _M_HYPERBOLIC:
-        sn = np.tanh(u)
+    m, u, chain = _checked(u, m, "u")
+    if chain is None:
         cn = 1.0 / np.cosh(u)
-        return sn, cn, cn.copy()
-    K = complete_K(m)
-    ured = u - 4.0 * K * np.round(u / (4.0 * K))
-    phi = _amplitude(ured, m)
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    dn = np.sqrt(1.0 - m * sn * sn)
-    return sn, cn, dn
+        return np.tanh(u), cn, cn.copy()
+    phi, _ = chain.amplitude(u)
+    sn, cn = np.sin(phi), np.cos(phi)
+    return sn, cn, np.sqrt(1.0 - m * sn * sn)
 
 
 def jacobi(u: float, m: float) -> JacobiValues:
@@ -158,18 +182,11 @@ def jacobi(u: float, m: float) -> JacobiValues:
 
 def jacobi_am(u, m: float):
     """Unwrapped amplitude function am(u, m) = integral of dn from 0 to u."""
-    m = _check_m(m, allow_one=True)
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    if not np.all(np.isfinite(u)):
-        raise EllipticDomainError("argument u must be finite")
-    if m >= _M_HYPERBOLIC:
-        out = np.arctan(np.sinh(u))
-    else:
-        K = complete_K(m)
-        n4 = np.round(u / (4.0 * K))
-        out = _amplitude(u - 4.0 * K * n4, m) + 2.0 * math.pi * n4
-    return float(out) if scalar else out
+    _, u, chain = _checked(u, m, "u")
+    if chain is None:
+        return _scalar_or_array(np.arctan(np.sinh(u)))
+    phi, n4 = chain.amplitude(u)
+    return _scalar_or_array(phi + 2.0 * math.pi * n4)
 
 
 def incomplete_F(phi, m: float):
@@ -179,31 +196,12 @@ def incomplete_F(phi, m: float):
     m < 1 quasi-periodic: F(phi + pi, m) = F(phi, m) + 2 K(m).  At m = 1 the
     domain is |phi| < pi/2 (the integral diverges at the endpoints).
     """
-    m = _check_m(m, allow_one=True)
-    phi_arr = np.asarray(phi, dtype=float)
-    scalar = phi_arr.ndim == 0
-    if m >= _M_HYPERBOLIC:
-        if np.any(np.abs(phi_arr) >= 0.5 * math.pi):
+    _, phi, chain = _checked(phi, m, "phi")
+    if chain is None:
+        if np.any(np.abs(phi) >= 0.5 * math.pi):
             raise EllipticDomainError("incomplete_F at m = 1 requires |phi| < pi/2")
-        out = np.arctanh(np.sin(phi_arr))
-        return float(out) if scalar else out
-
-    # Half-period reduction, then the ascending Landen phase recursion.
-    n = np.floor(phi_arr / math.pi + 0.5)
-    r = phi_arr - n * math.pi
-
-    a, b = 1.0, math.sqrt(1.0 - m)
-    phi_n = np.array(r, dtype=float, copy=True)
-    two_pow = 1.0
-    for _ in range(_MAX_ITER):
-        phi_n = phi_n + np.round(phi_n / math.pi) * math.pi + np.arctan((b / a) * np.tan(phi_n))
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        two_pow *= 2.0
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-    K = math.pi / (2.0 * _agm(a, b))
-    out = phi_n / (two_pow * a) + 2.0 * n * K
-    return float(out) if scalar else out
+        return _scalar_or_array(np.arctanh(np.sin(phi)))
+    return _scalar_or_array(chain.incomplete_F(phi))
 
 
 def invert_sn_cn(sn_val: float, cn_val: float, m: float) -> float:
@@ -213,7 +211,7 @@ def invert_sn_cn(sn_val: float, cn_val: float, m: float) -> float:
     1e-9 of it.  The result lies in [-2K, 2K) for m < 1.
     """
     r = math.hypot(sn_val, cn_val)
-    if abs(r - 1.0) > 1e-9:
+    if not abs(r - 1.0) <= 1e-9:
         raise EllipticDomainError(f"(sn, cn) = ({sn_val}, {cn_val}) is not on the unit circle")
     phi = math.atan2(sn_val / r, cn_val / r)
     return float(incomplete_F(phi, m))

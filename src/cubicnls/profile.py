@@ -68,7 +68,7 @@ class FinalData:
 
     def interp(self, xi: float) -> tuple[complex, complex]:
         grid = self.xi_grid
-        if xi < grid[0] or xi > grid[-1]:
+        if not grid[0] <= xi <= grid[-1]:
             raise ExtrapolationError(f"xi = {xi} outside grid [{grid[0]}, {grid[-1]}]")
         a1 = complex(
             np.interp(xi, grid, self.alpha1.real), np.interp(xi, grid, self.alpha1.imag)
@@ -127,9 +127,9 @@ def _explicit_data(name: str, coupling: float, q, fd: FinalData, t: float, x: fl
     Returns (q1, q2, q3), alpha1 and the quadratic quantities
     (rho, (D, R, I)) of the final data at xi = x / (2t).
     """
-    if coupling <= 0.0:
+    if not 0.0 < coupling < math.inf:
         raise ValueError(f"{name} must be positive")
-    if t <= 1.0:
+    if not 1.0 < t < math.inf:
         raise ValueError("the explicit formula is stated for t > 1")
     q1, q2, q3 = (float(v) for v in q)
     alpha1, alpha2 = fd.interp(x / (2.0 * t))

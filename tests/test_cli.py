@@ -248,6 +248,14 @@ class TestProfile:
         assert (code, out) == (1, "")
         assert "finite t" in err
 
+    def test_nan_x_grid_exit_1(self, capsys, finaldata_csv):
+        code, out, err = run(
+            capsys, "profile", "--params", CASE1_PARAMS, "--finaldata", str(finaldata_csv),
+            "--t-list", "2", "--x-grid=nan,1,3",
+        )
+        assert (code, out) == (1, "")
+        assert "xi = nan" in err
+
     def test_sync_check(self, capsys, finaldata_csv):
         code, _, err = run(
             capsys, "profile", "--params", CASE1_PARAMS,

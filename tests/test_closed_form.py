@@ -305,6 +305,23 @@ class TestSolveCase:
             )
             assert np.max(np.abs(solve_case(p, 1.0, s0)(np.linspace(-3, 3, 7)) - s0)) < 1e-12
 
+    @pytest.mark.parametrize("eps", [0.0, 3e-13])
+    @pytest.mark.parametrize("i_frac", [0.0, 0.3])
+    def test_case11_balanced_next_to_fixed_circle(self, eps, i_frac):
+        # states a distance delta * rho off the circle D = R, at the exact
+        # ratio 1 and inside its band: rho^2 - (D + R)^2 / 2 and I0 / L
+        # cancel there unless written through c_plus
+        p, rho = std(p1=1.0, p3=1.0 + eps), 1.0
+        i0 = i_frac * rho
+        taus = np.linspace(0.0, 3.0, 13)
+        for delta in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+            total = math.sqrt(2.0 * (rho * rho - i0 * i0) - (delta * rho) ** 2)
+            s0 = np.array([0.5 * (total + delta * rho), 0.5 * (total - delta * rho), i0])
+            sol = solve_case(p, rho, s0)
+            assert np.max(np.abs(sol(0.0) - s0)) < 1e-15, delta
+            tr = integrate_quad(p, rho, s0, (0.0, 3.0), tol=1e-12)
+            assert np.max(np.abs(sol(taus) - tr.at(taus))) < 1e-10, delta
+
     def test_eval_initial_consistency(self):
         rng = np.random.default_rng(31)
         for params in (std(p3=1.0, p4=0.6), std(p1=1.0, p3=3.0), std(p2=-0.8, p4=0.5)):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,3 +221,88 @@ class TestClamping:
             j = el.jacobi(u, m)
             assert j.sn == pytest.approx(math.sin(phi), abs=1e-12)
             assert j.cn == pytest.approx(math.cos(phi), abs=1e-12)
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+M = st.floats(0.0, 1.0)
+
+# (function, strategies for a valid call, positions that also take arrays)
+CONTRACT = [
+    pytest.param(el.complete_K, (st.floats(0.0, 1.0, exclude_max=True),), (), id="complete_K"),
+    pytest.param(el.incomplete_F, (st.floats(-1.5, 1.5), M), (0,), id="incomplete_F"),
+    pytest.param(el.jacobi_sn_cn_dn, (st.floats(-50.0, 50.0), M), (0,), id="jacobi_sn_cn_dn"),
+    pytest.param(el.jacobi_am, (st.floats(-50.0, 50.0), M), (0,), id="jacobi_am"),
+    pytest.param(el.jacobi, (st.floats(-50.0, 50.0), M), (), id="jacobi"),
+    pytest.param(el.invert_sn_cn, (st.just(0.6), st.just(0.8), M), (), id="invert_sn_cn"),
+    pytest.param(el.arcsin_clamped, (st.floats(-1.0, 1.0),), (0,), id="arcsin_clamped"),
+    pytest.param(el.arccos_clamped, (st.floats(-1.0, 1.0),), (0,), id="arccos_clamped"),
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("fn,valid,array_args", CONTRACT)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nonfinite_argument_raises(self, fn, valid, array_args, data):
+        args = [data.draw(arg) for arg in valid]
+        i = data.draw(st.integers(0, len(args) - 1))
+        bad = data.draw(NONFINITE)
+        if i in array_args and data.draw(st.booleans()):
+            args[i] = np.full(3, args[i])
+            args[i][data.draw(st.integers(0, 2))] = bad
+        else:
+            args[i] = bad
+        with pytest.raises(el.EllipticDomainError):
+            fn(*args)
+
+    def test_m_range_message(self):
+        with pytest.raises(el.EllipticDomainError, match=r"outside \[0, 1\]$"):
+            el.jacobi_am(0.3, 1.5)
+        with pytest.raises(el.EllipticDomainError, match=r"outside \[0, 1\)$"):
+            el.complete_K(1.0)
+
+
+class TestMpmathReference:
+    """sn, cn, dn (absolute error) and am, F, K (relative error) against mpmath
+    at 30 digits, for m in [0, 1 - 1e-6], |u| <= 8K and |phi| <= 3 pi.  The
+    separatrix band above 1 - 1e-6 is not covered here."""
+
+    TOL = 1e-13
+
+    @staticmethod
+    def _ms(rng):
+        spread = rng.uniform(0.0, 1.0 - 1e-6, 32)
+        near_one = 1.0 - 10.0 ** -rng.uniform(0.0, 6.0, 32)
+        return [0.0, 1e-300, 1e-16, 0.5, 1.0 - 1e-6, *spread, *near_one]
+
+    def test_complete_K(self):
+        with mp.workdps(30):
+            for m in self._ms(np.random.default_rng(11)):
+                ref = mp.ellipk(m)
+                assert abs(el.complete_K(m) - ref) <= self.TOL * ref, m
+
+    def test_sn_cn_dn_am_long_arguments(self):
+        rng = np.random.default_rng(12)
+        with mp.workdps(30):
+            for m in self._ms(rng):
+                k_ref = mp.ellipk(m)
+                us = rng.uniform(-8.0, 8.0, 8) * float(k_ref)
+                sn, cn, dn = el.jacobi_sn_cn_dn(us, m)
+                am = el.jacobi_am(us, m)
+                for i, u in enumerate(us):
+                    s, c, d = (mp.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
+                    assert max(abs(sn[i] - s), abs(cn[i] - c), abs(dn[i] - d)) <= self.TOL, (u, m)
+                    # am is the branch of atan2(sn, cn) within pi/2 of pi u / (2K).
+                    ref = mp.atan2(s, c)
+                    ref += 2 * mp.pi * mp.nint((mp.pi * u / (2 * k_ref) - ref) / (2 * mp.pi))
+                    assert abs(am[i] - ref) <= self.TOL * abs(ref), (u, m)
+
+    def test_incomplete_F(self):
+        rng = np.random.default_rng(13)
+        with mp.workdps(30):
+            for m in self._ms(rng):
+                phis = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, 8)
+                F = el.incomplete_F(phis, m)
+                for i, phi in enumerate(phis):
+                    ref = mp.ellipf(phi, m)
+                    assert abs(F[i] - ref) <= self.TOL * abs(ref), (phi, m)

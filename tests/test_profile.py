@@ -48,6 +48,10 @@ class TestFinalData:
         with pytest.raises(ExtrapolationError):
             fd.interp(5.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ExtrapolationError):
+            make_fd().interp(math.nan)
+
     def test_decay_envelope(self):
         fd = make_fd()
         c = fd.decay_constant()
@@ -146,6 +150,16 @@ class TestSpecializedProfiles:
     def test_case1_requires_t_above_one(self):
         with pytest.raises(ValueError):
             case1_profile(1.0, (0, 0, 0), make_fd(), 0.5, 0.1)
+
+    @pytest.mark.parametrize("profile,coupling", [(case1_profile, 1.0), (case3_profile, 1.3)])
+    @pytest.mark.parametrize(
+        "bad", [{"coupling": math.nan}, {"coupling": math.inf}, {"t": math.nan}, {"t": math.inf},
+                {"x": math.nan}],
+    )
+    def test_nonfinite_input_rejected(self, profile, coupling, bad):
+        args = {"coupling": coupling, "t": 2.0, "x": 0.4} | bad
+        with pytest.raises(ValueError):
+            profile(args["coupling"], (0, 0, 0), make_fd("elliptic"), args["t"], args["x"])
 
     def test_case1_synchronized_combination_decays(self):
         fd = make_fd()
