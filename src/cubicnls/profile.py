@@ -58,10 +58,12 @@ class FinalData:
         xi = np.asarray(self.xi_grid, dtype=float)
         a1 = np.asarray(self.alpha1, dtype=complex)
         a2 = np.asarray(self.alpha2, dtype=complex)
-        if xi.ndim != 1 or len(xi) < 2 or np.any(np.diff(xi) <= 0):
-            raise ValueError("xi grid must be strictly increasing with >= 2 nodes")
+        if xi.ndim != 1 or len(xi) < 2 or not np.all(np.diff(xi) > 0) or not np.all(np.isfinite(xi)):
+            raise ValueError("xi grid must be finite and strictly increasing with >= 2 nodes")
         if a1.shape != xi.shape or a2.shape != xi.shape:
             raise ValueError("alpha arrays must match the grid")
+        if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
+            raise ValueError("alpha arrays must be finite")
         object.__setattr__(self, "xi_grid", xi)
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
@@ -132,6 +134,8 @@ def _explicit_data(name: str, coupling: float, q, fd: FinalData, t: float, x: fl
     if not 1.0 < t < math.inf:
         raise ValueError("the explicit formula is stated for t > 1")
     q1, q2, q3 = (float(v) for v in q)
+    if not all(math.isfinite(v) for v in (q1, q2, q3)):
+        raise ValueError(f"q must be finite, got {(q1, q2, q3)}")
     alpha1, alpha2 = fd.interp(x / (2.0 * t))
     if alpha1 == 0:
         raise ValueError("the formula needs alpha1(xi) != 0")

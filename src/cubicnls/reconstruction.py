@@ -14,19 +14,31 @@ isolated removable singularity of the integrand and a sign flip.
 
 Since rho + D = 2|A1|^2 >= 0, its zeros are tangential touches, not sign
 crossings; they are located as refined local minima of the anchored weight.
+A minimum measurably above zero is a near miss instead: the phase turns by
+pi across it continuously, and the integral carries that turn.
+
+The phase integral is taken between those zeros on G7-K15 Gauss-Kronrod
+panels at most 0.25 wide in tau.  All pending panels of one refinement
+level are evaluated in a single array call of the source; panels are
+bisected until the estimates |K15 - G7| sum to at most 1e-11 absolute.
+A non-finite integrand value, or a rule that does not get there within a
+fixed number of levels and panels, raises PhaseIntegralError.  Each
+``reconstruct`` logs the zeros, panels, levels and summed error estimate
+at debug level on the ``cubicnls.reconstruction`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .quadratic_flow import Trajectory, amplitudes_to_quad, full_ode_rhs, qqq_rhs
 
 __all__ = [
+    "PhaseIntegralError",
     "SingularAnchorError",
     "phase_rate_N1",
     "phase_rate_N2",
@@ -38,48 +50,100 @@ __all__ = [
 
 _ANCHOR_FLOOR = 1e-12  # relative floor below which an anchor is singular
 _ZERO_VALUE_TOL = 1e-10  # a refined minimum below this (times rho) counts as a zero
+_TOUCH_TOL = 1e-15  # a zero at most this (times rho) is a touch (see _touch_times)
 # Relative dip that triggers refinement of a candidate zero.  Generous on
 # purpose: a true zero sampled half a grid cell away can sit well above the
 # eventual acceptance level, and refining a shallow dip is cheap.
 _GRAZE_TOL = 5e-2
 _N_SCAN = 512  # cells of the uniform grid the zero scan samples
 
+# The phase integral's rule: G7-K15 panels (Piessens et al., QUADPACK, 1983,
+# qk15), at most _PANEL_WIDTH wide in tau, bisected until the summed
+# estimates |K15 - G7| are within _PHASE_TOL absolute (see _phase_integral).
+_PANEL_WIDTH = 0.25
+_PHASE_TOL = 1e-11
+_MAX_LEVELS = 40  # refinement levels before PhaseIntegralError
+_MAX_PANELS = 4096  # pending panels in one level before PhaseIntegralError
+# qk15 abscissae x_1 > ... > x_7 > 0 (the even-numbered ones are the Gauss
+# nodes besides 0) and the weights of the Kronrod (8, the last at 0) and
+# Gauss (4, the last at 0) rules on them
+_XGK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+# the 15 nodes on [-1, 1] in increasing order and both rules' weights there
+_GK_X = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
+_K15_W = np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_W = np.zeros(15)
+_G7_W[1::2] = np.concatenate([_WG, _WG[-2::-1]])
+
+log = logging.getLogger(__name__)
+
 
 class SingularAnchorError(ZeroDivisionError):
     """The anchored component vanishes where the formula needs it."""
 
 
+class PhaseIntegralError(ValueError):
+    """The phase integral met a non-finite integrand or missed its tolerance."""
+
+
 def v_rate(params, rho: float, s) -> float:
-    """The conserved quadratic potential along the flow, as a function of the state."""
-    d, r, _ = s
+    """The conserved quadratic potential along the flow, as a function of the
+    state (one state, or an (n, 3) array of states)."""
+    s = np.asarray(s, dtype=float)
+    d, r = s[..., 0], s[..., 1]
     return 0.5 * (params.q1 + params.q3) * rho + 0.5 * (params.q1 - params.q3) * d + params.q2 * r
 
 
-def _phase_rate(params, rho: float, s, sign: float) -> float:
-    """N1 (sign=+1) or N2 (sign=-1), evaluated stably on the sphere.
+def _phase_rate(params, rho: float, s, sign: float):
+    """N1 (sign=+1) or N2 (sign=-1), evaluated stably on the sphere, for one
+    state (a float) or an (n, 3) array of states (an array).
 
-    Near a zero of rho + sign*D the reciprocal 1/(rho + sign*D) is replaced
-    by the on-sphere identity (rho - sign*D)/(R^2 + I^2), whose limit at the
-    zero stays finite.
+    Where rho + sign*D <= rho/2 the reciprocal 1/(rho + sign*D) is replaced
+    by the on-sphere identity (rho - sign*D)/(R^2 + I^2), whose limit at a
+    zero of the weight stays finite.
     """
-    d, r, i = (float(x) for x in s)
+    s = np.asarray(s, dtype=float)
+    d, r, i = s[..., 0], s[..., 1], s[..., 2]
     sd = sign * d
     w = rho + sd
-    if w > 0.5 * rho:
-        inv = 1.0 / w
-    else:
-        den = r * r + i * i
-        if den == 0.0:
-            return 0.0  # isolated zero point; any finite value integrates to nothing
-        inv = (rho - sd) / den
-    n = (
-        sign * params.p1 * rho * r * inv
-        + params.p2 * (-3.0 * rho + i * i * inv)
-        + params.p3 * (-sign * d + r * r * inv)
-        - sign * params.p4 * w
-        + params.p5 * (-r - rho * r * inv)
-    )
-    return n
+    direct = w > 0.5 * rho
+    den = r * r + i * i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(direct, 1.0 / w, (rho - sd) / den)
+        n = (
+            sign * params.p1 * rho * r * inv
+            + params.p2 * (-3.0 * rho + i * i * inv)
+            + params.p3 * (-sign * d + r * r * inv)
+            - sign * params.p4 * w
+            + params.p5 * (-r - rho * r * inv)
+        )
+    # an isolated zero point (den == 0 off the direct branch): any finite
+    # value integrates to nothing
+    n = np.where(~direct & (den == 0.0), 0.0, n)
+    return float(n) if n.ndim == 0 else n
 
 
 def phase_rate_N1(params, rho: float, s) -> float:
@@ -128,15 +192,86 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     return sorted(zeros, key=abs)
 
 
+def _touch_times(params, rho: float, quad_src, tau: float, sign: float):
+    """The zeros of ``zero_times`` at which the anchored weight is 0 to
+    rounding (at most _TOUCH_TOL rho): the touches, each of which splits
+    the phase integral and flips the sign.
+
+    A zero above that level is a near miss.  The phase turns by pi across
+    it continuously, within a time of about sqrt(weight), and the phase
+    integral resolves that turn; splitting and flipping there as well
+    would count the turn twice.
+    """
+    zs = zero_times(params, rho, quad_src, tau, sign)
+    if not zs:
+        return zs
+    w = rho + sign * np.asarray(quad_src(np.array(zs)), dtype=float)[:, 0]
+    return [z for z, wz in zip(zs, w) if wz <= _TOUCH_TOL * rho]
+
+
+def _phase_integral(params, rho: float, quad_src, nodes, sign: float):
+    """The integral of N - V from nodes[0] to nodes[-1], split at the nodes.
+
+    Each interval between consecutive nodes (zeros of the anchored weight,
+    where the integrand has kinks) is cut into G7-K15 panels no wider than
+    _PANEL_WIDTH.  Every refinement level evaluates the 15 nodes of all its
+    pending panels in one ``quad_src`` call.  The level ends the integral
+    when the estimates |K15 - G7| of all panels, accepted and pending, sum
+    to at most _PHASE_TOL; otherwise it accepts each panel whose estimate
+    is within its width's share of _PHASE_TOL and bisects the others.
+
+    Returns (integral, summed error estimate, panels, levels).  Raises
+    PhaseIntegralError on a non-finite integrand value, after _MAX_LEVELS
+    levels, or when more than _MAX_PANELS panels would be pending.
+    """
+    centers, halves = [], []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        edges = np.linspace(a, b, max(1, math.ceil(abs(b - a) / _PANEL_WIDTH)) + 1)
+        centers.append(0.5 * (edges[1:] + edges[:-1]))
+        halves.append(0.5 * (edges[1:] - edges[:-1]))
+    center, half = np.concatenate(centers), np.concatenate(halves)
+    share = _PHASE_TOL / abs(nodes[-1] - nodes[0])
+    total = err = 0.0
+    panels = 0
+    for level in range(1, _MAX_LEVELS + 1):
+        taus = center[:, None] + half[:, None] * _GK_X
+        s = np.asarray(quad_src(taus.ravel()), dtype=float)
+        f = (_phase_rate(params, rho, s, sign) - v_rate(params, rho, s)).reshape(taus.shape)
+        if not np.all(np.isfinite(f)):
+            raise PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(f)][0])!r}")
+        kronrod = half * (f @ _K15_W)
+        diff = np.abs(kronrod - half * (f @ _G7_W))
+        if err + float(np.sum(diff)) <= _PHASE_TOL:
+            ok = np.full(len(diff), True)
+        else:
+            ok = diff <= share * 2.0 * np.abs(half)
+        total += float(np.sum(kronrod[ok]))
+        err += float(np.sum(diff[ok]))
+        panels += int(np.count_nonzero(ok))
+        if ok.all():
+            return total, err, panels, level
+        center, half = center[~ok], 0.5 * half[~ok]
+        if 2 * len(center) > _MAX_PANELS:
+            break
+        center, half = np.concatenate([center - half, center + half]), np.tile(half, 2)
+    raise PhaseIntegralError(
+        f"phase integral not within {_PHASE_TOL:g} after {level} levels ({len(center)} panels unresolved)"
+    )
+
+
 def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None = None):
     """Amplitude pair at time tau from the quadratic-quantity source.
 
     ``quad_src`` maps tau -> (D, R, I) (vectorized over arrays) and must be
     consistent with the quadratic quantities of ``a0`` at tau = 0 within
     1e-8.  The anchor is the larger component of a0 (overridable with
-    ``anchor`` in {1, 2}); the phase integral is evaluated by adaptive
-    quadrature on the subintervals between detected zeros of the anchored
-    weight, and each zero flips the overall sign.
+    ``anchor`` in {1, 2}).  The phase integral is split at the zeros of
+    the anchored weight (refined minima at most 1e-15 rho), each of which
+    flips the overall sign, and evaluated on G7-K15 Gauss-Kronrod panels of width <= 0.25 in tau, one
+    array call of ``quad_src`` per refinement level, bisected until the
+    estimates |K15 - G7| sum to at most 1e-11 absolute.  Raises
+    PhaseIntegralError on a non-finite integrand value or when the rule
+    misses that target within its level and panel caps.
     """
     a1_0, a2_0 = complex(a0[0]), complex(a0[1])
     if a1_0 == 0 and a2_0 == 0:
@@ -159,20 +294,13 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     if tau == 0.0:
         return a1_0, a2_0
 
-    zs = zero_times(params, rho, quad_src, tau, sign)
+    zs = _touch_times(params, rho, quad_src, tau, sign)
     k = len(zs)
-
-    def integrand(t):
-        s = quad_src(float(t))
-        return _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
-
-    nodes = [0.0] + zs + [tau]
-    phase = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        # full_output keeps QUADPACK quiet when its extrapolation stalls at
-        # roundoff level around the removable kinks at the interval ends
-        out = quad(integrand, a, b, epsabs=1e-11, epsrel=1e-11, limit=200, full_output=1)
-        phase += out[0]
+    phase, err, panels, levels = _phase_integral(params, rho, quad_src, [0.0] + zs + [tau], sign)
+    log.debug(
+        "reconstruct tau=%.17g anchor=%d zeros=%s panels=%d levels=%d error_estimate=%.3g",
+        tau, 1 if anchor_first else 2, zs, panels, levels, err,
+    )
 
     s_tau = np.asarray(quad_src(float(tau)), dtype=float)
     d, r, i = s_tau

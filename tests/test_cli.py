@@ -215,6 +215,28 @@ class TestProfile:
             pref = np.exp(1j * x * x / 4) / np.sqrt(2j)
             assert abs(complex(re1, im1) - pref * a1) < 1e-12
 
+    def test_debug_log_leaves_csv_unchanged(self, finaldata_csv):
+        # subprocesses, because logging is configured once per process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "profile", "--params",
+            '{"p": [1, 0, 3, 0, 0], "q": [0.1, -0.2, 0.05]}', "--finaldata", str(finaldata_csv),
+            "--t-list", "10,1e8", "--x-grid=-2,2,3",
+        ]
+        runs = {}
+        for level in (None, "debug"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("NLS_ASY_LOG", None)
+            if level:
+                env["NLS_ASY_LOG"] = level
+            runs[level] = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert runs[level].returncode == 0
+        assert runs[None].stdout == runs["debug"].stdout
+        assert runs[None].stderr == b""
+        lines = [l for l in runs["debug"].stderr.decode().splitlines() if "reconstruct tau=" in l]
+        assert len(lines) == 6
+        assert all("error_estimate=" in l and "levels=" in l for l in lines)
+
     def test_special_cross_check(self, capsys, finaldata_csv):
         code, _, err = run(
             capsys, "profile", "--params", CASE1_PARAMS,

@@ -52,6 +52,21 @@ class TestFinalData:
         with pytest.raises(ExtrapolationError):
             make_fd().interp(math.nan)
 
+    def test_nonfinite_grid_rejected(self):
+        # NaN compares False, so a grid test written as "no step <= 0" passes it
+        with pytest.raises(ValueError):
+            FinalData([0.0, math.nan, 1.0], np.ones(3, complex), np.ones(3, complex))
+        with pytest.raises(ValueError):
+            FinalData([0.0, 0.5, math.inf], np.ones(3, complex), np.ones(3, complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_nonfinite_alpha_rejected(self, bad, which):
+        alphas = [np.ones(3, complex), np.ones(3, complex)]
+        alphas[which - 1][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FinalData([0.0, 0.5, 1.0], *alphas)
+
     def test_decay_envelope(self):
         fd = make_fd()
         c = fd.decay_constant()
@@ -160,6 +175,12 @@ class TestSpecializedProfiles:
         args = {"coupling": coupling, "t": 2.0, "x": 0.4} | bad
         with pytest.raises(ValueError):
             profile(args["coupling"], (0, 0, 0), make_fd("elliptic"), args["t"], args["x"])
+
+    @pytest.mark.parametrize("profile,coupling", [(case1_profile, 1.0), (case3_profile, 1.3)])
+    @pytest.mark.parametrize("q", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf)])
+    def test_nonfinite_q_rejected(self, profile, coupling, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            profile(coupling, q, make_fd("elliptic"), 2.0, 0.4)
 
     def test_case1_synchronized_combination_decays(self):
         fd = make_fd()

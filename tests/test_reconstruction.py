@@ -1,14 +1,21 @@
 """Phase rates, amplitude reconstruction, parity splice, residual observable."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cubicnls.closed_form import solve_case
 from cubicnls.quadratic_flow import amplitudes_to_quad, integrate_full, random_sphere_states
 from cubicnls.reconstruction import (
+    PhaseIntegralError,
     SingularAnchorError,
+    _phase_integral,
+    _phase_rate,
+    _touch_times,
     phase_rate_N1,
     phase_rate_N2,
     reconstruct,
@@ -239,6 +246,159 @@ class TestReconstruct:
                     assert got == loop_zero_times(p, rho, sol.eval, tau, sign)
                     found += len(got)
         assert found > 0
+
+
+FAMILIES = {
+    "p1": std(p1=1.0, q=(0.2, -0.1, 0.15)),
+    "p3": std(p3=1.3, q=(-0.25, 0.1, 0.05)),
+    "p1/p3=1/3": std(p1=1.0, p3=3.0, q=(0.1, 0.2, -0.3)),
+    "case15": std(p1=0.6, p2=0.8, p3=1.0, p4=0.6, p5=0.2, q=(0.3, -0.2, 0.1)),
+}
+TAUS = (1.0, 4.0, 0.5 * math.log(1e8))
+
+
+def _anchored_pair(s, rho, sign, turn):
+    """An amplitude pair with quadratic quantities s, built on the component
+    that ``sign`` anchors (its weight rho + sign*D must be positive)."""
+    d, r, i = s
+    lead = math.sqrt((rho + sign * d) / 2.0)
+    other = complex(r, sign * i) / math.sqrt(2.0 * (rho + sign * d))
+    pair = (lead, other) if sign > 0 else (other, lead)
+    return tuple(complex(a) * complex(math.cos(turn), math.sin(turn)) for a in pair)
+
+
+def _reference_phase(params, rho, src, tau, sign):
+    """The phase integral by scalar QUADPACK at 1e-13 on the same split at
+    the touches of the anchored weight, and the number of touches."""
+    zs = _touch_times(params, rho, src, tau, sign)
+    nodes = [0.0] + zs + [tau]
+
+    def rate(t):
+        s = src(float(t))
+        return _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
+
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            total += quad(rate, a, b, epsabs=1e-13, epsrel=1e-13, limit=1000)[0]
+    return total, len(zs)
+
+
+def _phase_error(params, a0, tau, anchor):
+    """|reconstructed phase - reference phase| (mod 2 pi) of the anchored
+    component, and the number of touches the split used."""
+    rho, s0 = amplitudes_to_quad(*a0)
+    sol = solve_case(params, rho, s0)
+    sign = 1.0 if anchor == 1 else -1.0
+    got = reconstruct(params, a0, sol.eval, rho, tau, anchor=anchor)[anchor - 1]
+    phase, k = _reference_phase(params, rho, sol.eval, tau, sign)
+    unit = a0[anchor - 1] / abs(a0[anchor - 1])
+    return abs(np.angle(got / ((-1.0) ** k * unit * np.exp(1j * phase)))), k
+
+
+class TestPhaseIntegral:
+    def test_matches_scalar_quadpack(self):
+        rng = np.random.default_rng(61)
+        for name, p in FAMILIES.items():
+            for rho in (0.6, 1.4):
+                for s0 in random_sphere_states(rho, 2, seed=int(rng.integers(2**31))):
+                    a0 = _anchored_pair(s0, rho, 1.0 if s0[0] >= 0 else -1.0, rng.uniform(0, 6))
+                    for tau in TAUS:
+                        for anchor in (1, 2):
+                            err, _ = _phase_error(p, a0, tau, anchor)
+                            assert err <= 1e-11, (name, rho, tuple(s0), tau, anchor, err)
+
+    def test_zero_split_matches_scalar_quadpack(self):
+        # states flowed back from a pole of the anchored weight, so that
+        # rho +- D touches zero at tau = 1.3 (pure p3 is left out: its poles
+        # are fixed points, reached by no orbit).  A touch the rule cannot
+        # certify (the integrand's rounding noise next to the zero exceeds
+        # the target) must raise instead of returning a phase.
+        split = {}
+        for name, p in FAMILIES.items():
+            if name == "p3":
+                continue
+            for rho in (0.6, 1.4):
+                for anchor in (1, 2):
+                    sign = 1.0 if anchor == 1 else -1.0
+                    back = solve_case(p, rho, np.array([-sign * rho, 0.0, 0.0]))(-1.3)
+                    a0 = _anchored_pair(rho * back / np.linalg.norm(back), rho, sign, 0.3)
+                    for tau in TAUS:
+                        try:
+                            err, k = _phase_error(p, a0, tau, anchor)
+                        except PhaseIntegralError:
+                            continue
+                        assert err <= 1e-11, (name, rho, anchor, tau, err)
+                        split[name] = split.get(name, 0) + (k > 0)
+        assert len(split) == 3 and min(split.values()) >= 4, split
+
+    @pytest.mark.parametrize("name", ["p1", "case15"])
+    def test_near_miss_matches_full_flow(self, name):
+        # the anchored weight dips to 5e-11 rho, below zero_times' level but
+        # measurably above 0: the phase turns by pi across the dip within
+        # about 1e-5 in tau, and that turn must be counted exactly once
+        p = FAMILIES[name]
+        matched = 0
+        for rho in (0.4, 1.3):
+            for anchor in (1, 2):
+                sign = 1.0 if anchor == 1 else -1.0
+                near = np.array([-sign * rho, 1e-5 * rho, 0.5e-5 * rho])
+                back = solve_case(p, rho, rho * near / np.linalg.norm(near))(-1.3)
+                a0 = _anchored_pair(rho * back / np.linalg.norm(back), rho, sign, 0.3)
+                r, s0 = amplitudes_to_quad(*a0)
+                sol = solve_case(p, r, s0)
+                assert zero_times(p, r, sol.eval, 4.0, sign)  # the dip counts as a zero there
+                ref = integrate_full(p, a0, (0.0, 4.0), tol=1e-11).at(4.0)
+                try:
+                    got = reconstruct(p, a0, sol.eval, r, 4.0, anchor=anchor)
+                except PhaseIntegralError:
+                    continue
+                assert abs(got[0] - ref[0]) < 1e-8 and abs(got[1] - ref[1]) < 1e-8
+                matched += 1
+        assert matched >= 2
+
+    def test_one_array_call_per_level(self):
+        tau, rho = 0.5 * math.log(1e8), 1.1
+        for p in FAMILIES.values():
+            for s0 in random_sphere_states(rho, 3, seed=17):
+                sol = solve_case(p, rho, s0)
+                calls = []
+
+                def src(t):
+                    calls.append(np.shape(t))
+                    return sol(t)
+
+                sign = 1.0 if s0[0] >= 0 else -1.0
+                nodes = [0.0] + _touch_times(p, rho, sol.eval, tau, sign) + [tau]
+                _phase_integral(p, rho, src, nodes, sign)
+                assert len(calls) <= 10
+                assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in calls)
+
+    def test_nonfinite_source_raises(self):
+        p = FAMILIES["case15"]
+        a0 = (0.7 + 0.2j, -0.3 + 0.4j)
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+
+        def src(t):
+            out = sol(t)
+            return np.where(np.asarray(t)[..., None] > 0.0, np.nan, out)
+
+        with pytest.raises(PhaseIntegralError, match="non-finite"):
+            reconstruct(p, a0, src, rho, 2.0)
+
+    def test_debug_log_line(self, caplog):
+        p = FAMILIES["p1/p3=1/3"]
+        a0 = (0.6 - 0.3j, 0.4 + 0.5j)
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
+            reconstruct(p, a0, sol.eval, rho, 3.0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.reconstruction"]
+        assert len(lines) == 1
+        for key in ("zeros=", "panels=", "levels=", "error_estimate="):
+            assert key in lines[0]
 
 
 class TestResidual:
