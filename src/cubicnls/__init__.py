@@ -10,7 +10,7 @@ quadratic_flow  The quadratic flow of (D, R, I) on the sphere: numerical
 closed_form     Exact solutions of the quadratic flow for the catalogued
                 parameter families, built on three elliptic ODE lemmas.
 reconstruction  Rebuilding the complex amplitude pair from its quadratic
-                quantities (amplitude + phase quadrature + parity sign).
+                quantities (amplitude + two-chart phase quadrature).
 profile         Large-time space-time profiles, specialized closed profiles,
                 and the synchronization decay observable.
 cli             Command-line interface (``cubicnls``).

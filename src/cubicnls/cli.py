@@ -7,9 +7,9 @@ solve          sample a trajectory of the quadratic flow to CSV
 fixed-points   fixed points with stability reports, as JSON
 profile        sample the space-time profile to CSV
 
-Exit codes: 0 success, 1 malformed input, 2 no coercive conserved form,
-3 parameters outside the closed-form catalogue in closed mode, or outside
-the pure-p1 family for profile --special.
+Exit codes: 0 success, 1 malformed input (usage errors included), 2 no
+coercive conserved form, 3 parameters outside the closed-form catalogue in
+closed mode, or outside the pure-p1 family for profile --special.
 
 All CSV output uses 17 significant digits, '.' decimals and LF endings, so
 identical inputs give byte-identical files.  The environment
@@ -103,12 +103,13 @@ def cmd_standardize(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
+def _parse_floats(text: str, n: int | None, what: str) -> list[float]:
+    """The comma-separated floats of text, exactly n of them unless n is None."""
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise _CliError(EXIT_BAD_INPUT, f"cannot parse {what}: {text!r}") from exc
-    if len(vals) != n:
+    if n is not None and len(vals) != n:
         raise _CliError(EXIT_BAD_INPUT, f"{what} needs {n} comma-separated values")
     return vals
 
@@ -118,6 +119,8 @@ def cmd_solve(args) -> int:
     s0 = np.array(_parse_floats(args.init, 3, "--init"))
     a, b = _parse_floats(args.span, 2, "--span")
     _check_span((a, b))
+    if args.samples < 1:
+        raise _CliError(EXIT_BAD_INPUT, f"cannot parse --samples: needs at least 1, got {args.samples}")
     taus = np.linspace(a, b, args.samples)
 
     closed = oracle = None
@@ -204,8 +207,10 @@ def cmd_profile(args) -> int:
             f"p = (p1, 0, 0, 0, 0)); these parameters are case {case}",
         )
     fd = _parse("final data CSV", _finaldata, args.finaldata)
-    t_list = [float(v) for v in args.t_list.split(",")]
+    t_list = _parse_floats(args.t_list, None, "--t-list")
     xa, xb, xn = _parse_floats(args.x_grid, 3, "--x-grid")
+    if not (xn.is_integer() and xn >= 1):
+        raise _CliError(EXIT_BAD_INPUT, f"cannot parse --x-grid: n must be a whole number >= 1, got {xn!r}")
     xs = np.linspace(xa, xb, int(xn))
 
     rows = []
@@ -237,8 +242,18 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (malformed input)
+    instead of argparse's 2, which this CLI reserves for a non-coercive
+    system."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubicnls",
         description="Standard-form reduction, quadratic-flow solutions and "
         "large-time profiles of two-component cubic systems.",

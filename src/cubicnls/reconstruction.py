@@ -1,30 +1,28 @@
 """Rebuild the complex amplitude pair from its quadratic quantities.
 
 Given D, R, I as functions of time (closed form or dense numerical output),
-the amplitudes are recovered as
+the amplitudes are recovered on two charts, one per component:
 
-    |A1| = sqrt((rho + D)/2),     A2 = (R + i I) / sqrt(2 (rho + D)) * phase
-    phase = (-1)^k(tau) * unit(A1(0)) * exp(i * int_0^tau (N1 - V))
+    |A1| = sqrt((rho + D)/2),     A2 = (R + i I) / sqrt(2 (rho + D)) * e^(i theta1)
+    |A2| = sqrt((rho - D)/2),     A1 = (R - i I) / sqrt(2 (rho - D)) * e^(i theta2)
 
-anchored on the first component, with the mirrored formula anchored on the
-second.  N1 and N2 are explicit rational functions of the state, V is the
-conserved quadratic potential along the flow, and k counts the zeros of
-rho +- D in [0, tau]: each zero of the anchored amplitude contributes an
-isolated removable singularity of the integrand and a sign flip.
+with theta1 = arg A1 and theta2 = arg A2 advancing at N1 - V and N2 - V.
+N1 and N2 are explicit rational functions of the state and V is the
+conserved quadratic potential along the flow.  Neither phase is defined on
+every orbit (A1 vanishes at D = -rho, A2 at D = +rho), so the phase
+integral follows theta1 where D >= 0 and theta2 where D < 0, where the
+chart's weight rho +- D is at least rho, and converts between them by
+theta2 = theta1 + arg(R + i I), which holds wherever both are nonzero.
 
-Since rho + D = 2|A1|^2 >= 0, its zeros are tangential touches, not sign
-crossings; they are located as refined local minima of the anchored weight.
-A minimum measurably above zero is a near miss instead: the phase turns by
-pi across it continuously, and the integral carries that turn.
-
-The phase integral is taken between those zeros on G7-K15 Gauss-Kronrod
-panels at most 0.25 wide in tau.  All pending panels of one refinement
-level are evaluated in a single array call of the source; panels are
-bisected until the estimates |K15 - G7| sum to at most 1e-11 absolute.
-A non-finite integrand value, or a rule that does not get there within a
+The phase integral is taken on G7-K15 Gauss-Kronrod panels at most 0.25
+wide in tau.  All pending panels of one refinement level are evaluated in
+a single array call of the source; a panel is bisected while its chart's
+weight falls below rho/2 at one of its nodes, and panels are bisected
+until the estimates |K15 - G7| sum to at most 1e-11 absolute.  A
+non-finite integrand value, or a rule that does not get there within a
 fixed number of levels and panels, raises PhaseIntegralError.  Each
-``reconstruct`` logs the zeros, panels, levels and summed error estimate
-at debug level on the ``cubicnls.reconstruction`` logger.
+``reconstruct`` logs the chart switches, panels, levels and summed error
+estimate at debug level on the ``cubicnls.reconstruction`` logger.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ __all__ = [
 
 _ANCHOR_FLOOR = 1e-12  # relative floor below which an anchor is singular
 _ZERO_VALUE_TOL = 1e-10  # a refined minimum below this (times rho) counts as a zero
-_TOUCH_TOL = 1e-15  # a zero at most this (times rho) is a touch (see _touch_times)
 # Relative dip that triggers refinement of a candidate zero.  Generous on
 # purpose: a true zero sampled half a grid cell away can sit well above the
 # eventual acceptance level, and refining a shallow dip is cheap.
@@ -192,71 +189,66 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     return sorted(zeros, key=abs)
 
 
-def _touch_times(params, rho: float, quad_src, tau: float, sign: float):
-    """The zeros of ``zero_times`` at which the anchored weight is 0 to
-    rounding (at most _TOUCH_TOL rho): the touches, each of which splits
-    the phase integral and flips the sign.
+def _phase_integral(params, rho: float, quad_src, tau: float):
+    """The phase gained from 0 to tau, on two charts.
 
-    A zero above that level is a near miss.  The phase turns by pi across
-    it continuously, within a time of about sqrt(weight), and the phase
-    integral resolves that turn; splitting and flipping there as well
-    would count the turn twice.
-    """
-    zs = zero_times(params, rho, quad_src, tau, sign)
-    if not zs:
-        return zs
-    w = rho + sign * np.asarray(quad_src(np.array(zs)), dtype=float)[:, 0]
-    return [z for z, wz in zip(zs, w) if wz <= _TOUCH_TOL * rho]
-
-
-def _phase_integral(params, rho: float, quad_src, nodes, sign: float):
-    """The integral of N - V from nodes[0] to nodes[-1], split at the nodes.
-
-    Each interval between consecutive nodes (zeros of the anchored weight,
-    where the integrand has kinks) is cut into G7-K15 panels no wider than
-    _PANEL_WIDTH.  Every refinement level evaluates the 15 nodes of all its
+    [0, tau] is cut into G7-K15 panels no wider than _PANEL_WIDTH.  Each
+    panel integrates N1 - V if D >= 0 at its centre node and N2 - V
+    otherwise, so its chart's weight rho +- D is at least rho there; a
+    panel is bisected unless that weight is at least rho/2 at all 15
+    nodes.  Every refinement level evaluates the 15 nodes of all its
     pending panels in one ``quad_src`` call.  The level ends the integral
-    when the estimates |K15 - G7| of all panels, accepted and pending, sum
-    to at most _PHASE_TOL; otherwise it accepts each panel whose estimate
-    is within its width's share of _PHASE_TOL and bisects the others.
+    when every pending panel keeps its weight and the estimates |K15 - G7|
+    of all panels, accepted and pending, sum to at most _PHASE_TOL;
+    otherwise it accepts each panel that keeps its weight and whose
+    estimate is within its width's share of _PHASE_TOL, and bisects the
+    others.
 
-    Returns (integral, summed error estimate, panels, levels).  Raises
+    Returns (integral, charts, switches, summed error estimate, panels,
+    levels): the sum of the panels' integrals, each on its own chart, the
+    chart signs (+1 for N1, -1 for N2) of the runs of adjacent panels from
+    0 to tau, and the times between consecutive runs.  Raises
     PhaseIntegralError on a non-finite integrand value, after _MAX_LEVELS
     levels, or when more than _MAX_PANELS panels would be pending.
     """
-    centers, halves = [], []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        edges = np.linspace(a, b, max(1, math.ceil(abs(b - a) / _PANEL_WIDTH)) + 1)
-        centers.append(0.5 * (edges[1:] + edges[:-1]))
-        halves.append(0.5 * (edges[1:] - edges[:-1]))
-    center, half = np.concatenate(centers), np.concatenate(halves)
-    share = _PHASE_TOL / abs(nodes[-1] - nodes[0])
+    edges = np.linspace(0.0, tau, max(1, math.ceil(abs(tau) / _PANEL_WIDTH)) + 1)
+    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    share = _PHASE_TOL / abs(tau)
+    done_far, done_sign = [], []
     total = err = 0.0
-    panels = 0
     for level in range(1, _MAX_LEVELS + 1):
         taus = center[:, None] + half[:, None] * _GK_X
-        s = np.asarray(quad_src(taus.ravel()), dtype=float)
-        f = (_phase_rate(params, rho, s, sign) - v_rate(params, rho, s)).reshape(taus.shape)
+        s = np.asarray(quad_src(taus.ravel()), dtype=float).reshape(*taus.shape, 3)
+        sign = np.where(s[:, 7:8, 0] >= 0.0, 1.0, -1.0)  # node 7 is the centre
+        f = _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
         if not np.all(np.isfinite(f)):
             raise PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(f)][0])!r}")
+        kept = np.all(rho + sign * s[..., 0] >= 0.5 * rho, axis=1)
         kronrod = half * (f @ _K15_W)
         diff = np.abs(kronrod - half * (f @ _G7_W))
-        if err + float(np.sum(diff)) <= _PHASE_TOL:
-            ok = np.full(len(diff), True)
+        if kept.all() and err + float(np.sum(diff)) <= _PHASE_TOL:
+            ok = kept
         else:
-            ok = diff <= share * 2.0 * np.abs(half)
+            ok = kept & (diff <= share * 2.0 * np.abs(half))
         total += float(np.sum(kronrod[ok]))
         err += float(np.sum(diff[ok]))
-        panels += int(np.count_nonzero(ok))
+        done_far.append((center + half)[ok])
+        done_sign.append(sign[ok, 0])
         if ok.all():
-            return total, err, panels, level
+            break
         center, half = center[~ok], 0.5 * half[~ok]
         if 2 * len(center) > _MAX_PANELS:
             break
         center, half = np.concatenate([center - half, center + half]), np.tile(half, 2)
-    raise PhaseIntegralError(
-        f"phase integral not within {_PHASE_TOL:g} after {level} levels ({len(center)} panels unresolved)"
-    )
+    if not ok.all():
+        raise PhaseIntegralError(
+            f"phase integral not within {_PHASE_TOL:g} after {level} levels ({len(center)} panels unresolved)"
+        )
+    far, sign = np.concatenate(done_far), np.concatenate(done_sign)
+    order = np.argsort(np.abs(far))
+    far, sign = far[order], sign[order]
+    switch = np.flatnonzero(sign[1:] != sign[:-1])
+    return total, sign[np.concatenate([[0], switch + 1])], far[switch], err, len(far), level
 
 
 def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None = None):
@@ -264,59 +256,59 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
 
     ``quad_src`` maps tau -> (D, R, I) (vectorized over arrays) and must be
     consistent with the quadratic quantities of ``a0`` at tau = 0 within
-    1e-8.  The anchor is the larger component of a0 (overridable with
-    ``anchor`` in {1, 2}).  The phase integral is split at the zeros of
-    the anchored weight (refined minima at most 1e-15 rho), each of which
-    flips the overall sign, and evaluated on G7-K15 Gauss-Kronrod panels of width <= 0.25 in tau, one
-    array call of ``quad_src`` per refinement level, bisected until the
-    estimates |K15 - G7| sum to at most 1e-11 absolute.  Raises
-    PhaseIntegralError on a non-finite integrand value or when the rule
-    misses that target within its level and panel caps.
+    1e-8.  The phase of the anchor, the larger component of a0
+    (overridable with ``anchor`` in {1, 2}), seeds the phase integral.
+    That integral runs on two charts, the phase of the first component
+    where D >= 0 and of the second where D < 0, and converts between them
+    by arg A2 = arg A1 + arg(R + i I) at each switch, at tau = 0 and at
+    tau.  The pair at tau is built on its larger component.  The integral
+    is evaluated on G7-K15 Gauss-Kronrod panels of width <= 0.25 in tau,
+    one array call of ``quad_src`` per refinement level, bisected until
+    the estimates |K15 - G7| sum to at most 1e-11 absolute.  Raises
+    ValueError for a non-finite tau, and PhaseIntegralError when |tau|
+    needs more than 4096 panels, on a non-finite integrand value, or when
+    the rule misses its target within its level and panel caps.
     """
     a1_0, a2_0 = complex(a0[0]), complex(a0[1])
     if a1_0 == 0 and a2_0 == 0:
         raise ValueError("reconstruction needs a nontrivial amplitude pair")
+    if not math.isfinite(tau):
+        raise ValueError(f"reconstruction needs a finite tau, got {tau!r}")
+    if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
+        raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
     rho0, s_init = amplitudes_to_quad(a1_0, a2_0)
     s0 = np.asarray(quad_src(0.0), dtype=float)
     if abs(rho0 - rho) > 1e-8 * max(1.0, rho) or np.max(np.abs(s_init - s0)) > 1e-8 * max(1.0, rho):
         raise ValueError("quadratic source is inconsistent with the initial amplitudes")
 
     if anchor is None:
-        anchor_first = abs(a1_0) >= abs(a2_0)
-    elif anchor in (1, 2):
-        anchor_first = anchor == 1
-        if (a1_0 if anchor_first else a2_0) == 0:
-            raise SingularAnchorError("requested anchor component vanishes at tau = 0")
-    else:
+        anchor = 1 if abs(a1_0) >= abs(a2_0) else 2
+    elif anchor not in (1, 2):
         raise ValueError("anchor must be 1, 2 or None")
-    sign = 1.0 if anchor_first else -1.0
-    unit = (a1_0 if anchor_first else a2_0) / abs(a1_0 if anchor_first else a2_0)
+    seed = a1_0 if anchor == 1 else a2_0
+    if seed == 0:
+        raise SingularAnchorError("requested anchor component vanishes at tau = 0")
     if tau == 0.0:
         return a1_0, a2_0
 
-    zs = _touch_times(params, rho, quad_src, tau, sign)
-    k = len(zs)
-    phase, err, panels, levels = _phase_integral(params, rho, quad_src, [0.0] + zs + [tau], sign)
+    phase, charts, switches, err, panels, levels = _phase_integral(params, rho, quad_src, tau)
+    s = np.asarray(quad_src(np.concatenate([[0.0], switches, [tau]])), dtype=float)
+    d, r, i = s[-1]
+    out = 1.0 if d >= 0.0 else -1.0
+    signs = np.concatenate([[1.0 if anchor == 1 else -1.0], charts, [out]])
+    # from chart +1 to -1 the phase gains arg(R + i I), back it loses it
+    turn = 0.5 * (signs[:-1] - signs[1:])
+    phase += float(np.sum(turn * np.arctan2(s[:, 2], s[:, 1])))
     log.debug(
-        "reconstruct tau=%.17g anchor=%d zeros=%s panels=%d levels=%d error_estimate=%.3g",
-        tau, 1 if anchor_first else 2, zs, panels, levels, err,
+        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
+        tau, anchor, np.count_nonzero(turn), panels, levels, err,
     )
 
-    s_tau = np.asarray(quad_src(float(tau)), dtype=float)
-    d, r, i = s_tau
-    w = rho + sign * d
-    amp = math.sqrt(max(w, 0.0) / 2.0)
-    cross = complex(r, sign * i)
-    if w > 0.5 * rho:
-        comp = cross / math.sqrt(2.0 * w)
-    else:
-        # stable companion: modulus from the sphere identity, direction from R + i I
-        mag = math.sqrt(max(rho - sign * d, 0.0) / 2.0)
-        comp = mag * cross / abs(cross) if abs(cross) > 0.0 else complex(mag, 0.0)
-    factor = (-1.0) ** k * unit * complex(math.cos(phase), math.sin(phase))
-    if anchor_first:
-        return amp * factor, comp * factor
-    return comp * factor, amp * factor
+    w = rho + out * d
+    factor = seed / abs(seed) * complex(math.cos(phase), math.sin(phase))
+    amp = math.sqrt(w / 2.0) * factor
+    comp = complex(r, out * i) / math.sqrt(2.0 * w) * factor
+    return (amp, comp) if out > 0 else (comp, amp)
 
 
 def residual(params, path: Trajectory) -> float:

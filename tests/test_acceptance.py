@@ -211,7 +211,7 @@ def test_criterion_4_reconstruction():
             checked += 1
     assert checked >= 20
 
-    # parity splice across an anchored-amplitude zero (p1 != p5 coupling)
+    # reconstruction across an anchored-amplitude zero (p1 != p5 coupling)
     params = std(p2=-0.7, p3=0.7, p5=0.4, q=(0.1, 0.0, -0.2))
     a0 = (0.8 + 0j, 0.35j)
     rho, s0 = amplitudes_to_quad(*a0)

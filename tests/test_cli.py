@@ -153,6 +153,25 @@ class TestSolve:
         assert "finite" in err
 
 
+    def test_usage_error_exit_1(self, capsys):
+        # argparse's own exit 2 would read as "no coercive conserved form"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--params", CASE1_PARAMS, "--rho", "1", "--init", "1,0,0", "--span", "-1,1"])
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-h"])
+        assert exc.value.code == 0
+
+    def test_zero_samples_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--params", CASE1_PARAMS, "--rho", "1", "--init=1,0,0",
+            "--span=0,1", "--samples", "0",
+        )
+        assert (code, out) == (1, "")
+        assert "cannot parse --samples" in err
+
+
 class TestFixedPoints:
     def test_case1(self, capsys):
         code, out, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "1")
@@ -236,6 +255,23 @@ class TestProfile:
         lines = [l for l in runs["debug"].stderr.decode().splitlines() if "reconstruct tau=" in l]
         assert len(lines) == 6
         assert all("error_estimate=" in l and "levels=" in l for l in lines)
+
+    @pytest.mark.parametrize(
+        "flag,what",
+        [
+            ("--x-grid=-2,2,inf", "--x-grid"),
+            ("--x-grid=-2,2,nan", "--x-grid"),
+            ("--x-grid=-2,2,2.7", "--x-grid"),
+            ("--x-grid=-2,2,0", "--x-grid"),
+            ("--t-list=2,x", "--t-list"),
+        ],
+    )
+    def test_bad_count_or_time_exit_1(self, capsys, finaldata_csv, flag, what):
+        argv = ["profile", "--params", CASE1_PARAMS, "--finaldata", str(finaldata_csv)]
+        argv += [flag, "--t-list=2"] if flag.startswith("--x-grid") else [flag, "--x-grid=-2,2,3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"cannot parse {what}" in err
 
     def test_special_cross_check(self, capsys, finaldata_csv):
         code, _, err = run(

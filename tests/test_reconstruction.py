@@ -1,4 +1,4 @@
-"""Phase rates, amplitude reconstruction, parity splice, residual observable."""
+"""Phase rates, two-chart amplitude reconstruction, residual observable."""
 
 import logging
 import math
@@ -6,16 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from cubicnls.closed_form import solve_case
-from cubicnls.quadratic_flow import amplitudes_to_quad, integrate_full, random_sphere_states
+from cubicnls.quadratic_flow import amplitudes_to_quad, full_ode_rhs, integrate_full, random_sphere_states
 from cubicnls.reconstruction import (
     PhaseIntegralError,
     SingularAnchorError,
     _phase_integral,
     _phase_rate,
-    _touch_times,
     phase_rate_N1,
     phase_rate_N2,
     reconstruct,
@@ -194,8 +194,8 @@ class TestReconstruct:
             assert np.max(np.abs(s_rec - sol(tau))) < 1e-8
 
     def test_zero_splice(self):
-        # a coupling driving the anchored amplitude through zero: the parity
-        # factor must track each grazing zero
+        # a coupling driving the anchored amplitude through zero: the chart
+        # switches must carry the phase across each grazing zero
         p = std(p2=-0.7, p3=0.7, p5=0.4, q=(0.1, 0.0, -0.2))
         x, y = 0.8, 0.35
         a0 = (complex(x), 1j * y)  # R0 = 0: the orbit is a full great circle
@@ -267,34 +267,46 @@ def _anchored_pair(s, rho, sign, turn):
     return tuple(complex(a) * complex(math.cos(turn), math.sin(turn)) for a in pair)
 
 
-def _reference_phase(params, rho, src, tau, sign):
-    """The phase integral by scalar QUADPACK at 1e-13 on the same split at
-    the touches of the anchored weight, and the number of touches."""
-    zs = _touch_times(params, rho, src, tau, sign)
-    nodes = [0.0] + zs + [tau]
-
-    def rate(t):
-        s = src(float(t))
-        return _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
-
-    total = 0.0
+def _reference_phase(params, rho, src, tau, anchor):
+    """The phase at tau of the component larger there, seeded by the
+    anchor's phase at tau = 0, by an independent two-chart rule: the sign
+    changes of D on a 2048-cell grid refined by brentq, scalar QUADPACK at
+    1e-13 on each chart (N1 - V where D >= 0, N2 - V where D < 0) and
+    arg A2 = arg A1 + arg(R + i I) at 0, at each switch and at tau.  Also
+    returns the index of that component and the number of conversions."""
+    ts = np.linspace(0.0, tau, 2049)
+    d = np.asarray(src(ts))[:, 0]
+    cuts = [brentq(lambda t: src(float(t))[0], a, b, xtol=1e-15)
+            for a, b, da, db in zip(ts[:-1], ts[1:], d[:-1], d[1:]) if da * db < 0.0]
+    nodes = [0.0] + cuts + [tau]
+    charts = [1.0 if src(0.5 * (a + b))[0] >= 0.0 else -1.0 for a, b in zip(nodes[:-1], nodes[1:])]
+    out = 1.0 if src(float(tau))[0] >= 0.0 else -1.0
+    signs = [1.0 if anchor == 1 else -1.0] + charts + [out]
+    total, turns = 0.0, 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for a, b in zip(nodes[:-1], nodes[1:]):
+        for a, b, sign in zip(nodes[:-1], nodes[1:], charts):
+            def rate(t, sign=sign):
+                s = src(float(t))
+                return _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
+
             total += quad(rate, a, b, epsabs=1e-13, epsrel=1e-13, limit=1000)[0]
-    return total, len(zs)
+    for t, before, after in zip(nodes, signs[:-1], signs[1:]):
+        _, r, i = src(float(t))
+        total += 0.5 * (before - after) * math.atan2(i, r)
+        turns += before != after
+    return total, (0 if out > 0 else 1), turns
 
 
 def _phase_error(params, a0, tau, anchor):
-    """|reconstructed phase - reference phase| (mod 2 pi) of the anchored
-    component, and the number of touches the split used."""
+    """|reconstructed phase - reference phase| (mod 2 pi) of the component
+    larger at tau, and the number of conversions the reference made."""
     rho, s0 = amplitudes_to_quad(*a0)
     sol = solve_case(params, rho, s0)
-    sign = 1.0 if anchor == 1 else -1.0
-    got = reconstruct(params, a0, sol.eval, rho, tau, anchor=anchor)[anchor - 1]
-    phase, k = _reference_phase(params, rho, sol.eval, tau, sign)
+    got = reconstruct(params, a0, sol.eval, rho, tau, anchor=anchor)
+    phase, j, k = _reference_phase(params, rho, sol.eval, tau, anchor)
     unit = a0[anchor - 1] / abs(a0[anchor - 1])
-    return abs(np.angle(got / ((-1.0) ** k * unit * np.exp(1j * phase)))), k
+    return abs(np.angle(got[j] / (unit * np.exp(1j * phase)))), k
 
 
 class TestPhaseIntegral:
@@ -312,9 +324,8 @@ class TestPhaseIntegral:
     def test_zero_split_matches_scalar_quadpack(self):
         # states flowed back from a pole of the anchored weight, so that
         # rho +- D touches zero at tau = 1.3 (pure p3 is left out: its poles
-        # are fixed points, reached by no orbit).  A touch the rule cannot
-        # certify (the integrand's rounding noise next to the zero exceeds
-        # the target) must raise instead of returning a phase.
+        # are fixed points, reached by no orbit); the two-chart rule never
+        # integrates next to that zero, so every result is certified
         split = {}
         for name, p in FAMILIES.items():
             if name == "p3":
@@ -325,10 +336,7 @@ class TestPhaseIntegral:
                     back = solve_case(p, rho, np.array([-sign * rho, 0.0, 0.0]))(-1.3)
                     a0 = _anchored_pair(rho * back / np.linalg.norm(back), rho, sign, 0.3)
                     for tau in TAUS:
-                        try:
-                            err, k = _phase_error(p, a0, tau, anchor)
-                        except PhaseIntegralError:
-                            continue
+                        err, k = _phase_error(p, a0, tau, anchor)
                         assert err <= 1e-11, (name, rho, anchor, tau, err)
                         split[name] = split.get(name, 0) + (k > 0)
         assert len(split) == 3 and min(split.values()) >= 4, split
@@ -369,11 +377,28 @@ class TestPhaseIntegral:
                     calls.append(np.shape(t))
                     return sol(t)
 
-                sign = 1.0 if s0[0] >= 0 else -1.0
-                nodes = [0.0] + _touch_times(p, rho, sol.eval, tau, sign) + [tau]
-                _phase_integral(p, rho, src, nodes, sign)
+                _phase_integral(p, rho, src, tau)
                 assert len(calls) <= 10
                 assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in calls)
+
+    def test_chart_weight_bisects(self):
+        # with every coupling and potential zero the rate N - V vanishes and
+        # |K15 - G7| accepts every panel at once; on a source sweeping the
+        # great circle (rho cos wt, rho sin wt, 0) only the rule that a
+        # chart's weight rho +- D stays >= rho/2 at the nodes bisects, until
+        # a switch sits at each of the 6 sign changes of D in (0, 1)
+        rho, w = 1.3, 20.0
+
+        def src(t):
+            t = np.asarray(t, dtype=float)
+            return rho * np.stack([np.cos(w * t), np.sin(w * t), np.zeros_like(t)], axis=-1)
+
+        total, charts, switches, err, panels, _ = _phase_integral(_Raw(0, 0, 0, 0, 0), rho, src, 1.0)
+        assert (total, err) == (0.0, 0.0)
+        assert panels > 4
+        assert list(charts) == [1.0, -1.0] * 3 + [1.0]
+        assert len(switches) == 6
+        assert np.all(np.abs(src(switches)[:, 0]) <= 0.55 * rho)
 
     def test_nonfinite_source_raises(self):
         p = FAMILIES["case15"]
@@ -397,8 +422,73 @@ class TestPhaseIntegral:
             reconstruct(p, a0, sol.eval, rho, 3.0)
         lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.reconstruction"]
         assert len(lines) == 1
-        for key in ("zeros=", "panels=", "levels=", "error_estimate="):
+        for key in ("switches=", "panels=", "levels=", "error_estimate="):
             assert key in lines[0]
+
+
+    def test_nonfinite_tau_rejected(self):
+        p = FAMILIES["p1"]
+        a0 = (0.7 + 0.2j, -0.3 + 0.4j)
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+        for tau in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite tau"):
+                reconstruct(p, a0, sol.eval, rho, tau)
+
+    def test_first_level_panel_cap(self):
+        # tau = 2000 needs 8000 panels of 0.25 at its first level, over the
+        # 4096 cap: the rule must refuse before it evaluates the source
+        p = FAMILIES["p1"]
+        a0 = (0.7 + 0.2j, -0.3 + 0.4j)
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+        calls = []
+
+        def src(t):
+            calls.append(np.shape(t))
+            return sol(t)
+
+        for tau in (2000.0, -2000.0):
+            with pytest.raises(PhaseIntegralError, match="4096 panels"):
+                reconstruct(p, a0, src, rho, tau)
+        assert calls == []
+
+
+POLE_EPS = (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+POLE_FAMILIES = {
+    "p1": std(p1=1.0, q=(0.2, -0.1, 0.15)),
+    "p1/p3=1/3": std(p1=1.0, p3=3.0, q=(0.2, -0.1, 0.15)),
+    "case15": std(p1=0.6, p2=0.8, p3=1.0, p4=0.6, p5=0.2, q=(0.2, -0.1, 0.15)),
+}
+
+
+class TestPoleGrid:
+    @pytest.mark.parametrize("name", list(POLE_FAMILIES))
+    def test_pole_passages_match_dop853(self, name):
+        # orbits from the pole (-s rho, 0, 0) of the anchored weight moved
+        # by (0, eps, eps/2) rho, renormalized and flowed back by 1.3, so the
+        # anchored amplitude passes zero or misses it by about eps; 80
+        # results a family (10 eps, 2 radii, both anchors, 2 taus), each
+        # against one DOP853 run of the full flow at rtol 1e-13
+        p = POLE_FAMILIES[name]
+        taus = (4.0, 0.5 * math.log(1e8))
+        for eps in POLE_EPS:
+            for rho in (0.4, 1.3):
+                for anchor in (1, 2):
+                    sign = 1.0 if anchor == 1 else -1.0
+                    near = np.array([-sign * rho, eps * rho, 0.5 * eps * rho])
+                    back = solve_case(p, rho, rho * near / np.linalg.norm(near))(-1.3)
+                    a0 = _anchored_pair(rho * back / np.linalg.norm(back), rho, sign, 0.3)
+                    r, s0 = amplitudes_to_quad(*a0)
+                    sol = solve_case(p, r, s0)
+                    ref = solve_ivp(
+                        lambda t, a: full_ode_rhs(p, a), (0.0, taus[-1]), np.array(a0),
+                        method="DOP853", rtol=1e-13, atol=1e-13 * r, t_eval=taus,
+                    )
+                    for k, tau in enumerate(taus):
+                        got = reconstruct(p, a0, sol.eval, r, tau, anchor=anchor)
+                        err = max(abs(got[0] - ref.y[0, k]), abs(got[1] - ref.y[1, k]))
+                        assert err < 1e-10, (eps, rho, anchor, tau, err)
 
 
 class TestResidual:
