@@ -195,6 +195,27 @@ class TestFixedPoints:
         assert len(doc["circles"][0]["samples"]) == 16
         assert doc["synchronization"] is None
 
+    def test_debug_log_leaves_json_unchanged(self):
+        # subprocesses, because logging is configured once per process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "fixed-points", "--params",
+            '{"p": [1, 0, 0, 0.4, 0], "q": [0, 0, 0]}', "--rho", "0.6",
+        ]
+        runs = {}
+        for level in (None, "debug"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("NLS_ASY_LOG", None)
+            if level:
+                env["NLS_ASY_LOG"] = level
+            runs[level] = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert runs[level].returncode == 0
+        assert runs[None].stdout == runs["debug"].stdout
+        assert runs[None].stderr == b""
+        lines = [l for l in runs["debug"].stderr.decode().splitlines() if "detect_sync candidate=" in l]
+        assert len(lines) == 1 and lines[0].endswith("outcome=sync")
+        assert json.loads(runs["debug"].stdout)["synchronization"] is not None
+
     def test_bad_rho_exit_1(self, capsys):
         code, _, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "-1")
         assert code == 1

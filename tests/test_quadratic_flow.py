@@ -1,19 +1,24 @@
 """Flow right-hand sides, integrators, fixed points, stability, synchronization."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import UnsupportedCaseError, solve_case
 from cubicnls.quadratic_flow import (
     ASYMPTOTICALLY_STABLE,
     INCONCLUSIVE,
+    StiffnessError,
     Trajectory,
     amplitudes_to_quad,
     detect_sync,
+    fibonacci_sphere,
     fixed_points,
     full_ode_rhs,
     gamma_pair,
@@ -26,6 +31,9 @@ from cubicnls.quadratic_flow import (
 from cubicnls.standard_form import StandardParams
 
 CASE1 = StandardParams(1, 0, 0, 0, 0)
+# four isolated fixed points, one passing the sufficient test, and a lattice
+# start that does not reach it
+LATTICE_REJECTED = StandardParams(0.75, -0.89, 0.03, 0.69, 0.59)
 
 
 def rand_params(rng):
@@ -78,6 +86,17 @@ class TestRhs:
             got = np.array([ddot, 2 * cross.real, 2 * cross.imag])
             scale = max(1.0, rho) ** 2 * max(1, *np.abs(p.p), *np.abs(p.q))
             assert np.max(np.abs(got - qqq_rhs(p, rho, s))) < 1e-10 * scale
+
+    def test_columns_of_a_state_array(self):
+        # the batched oracle evaluates a (3, N) array of states in one call;
+        # it must give each column exactly its single-state value
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            p = rand_params(rng)
+            rho = rng.uniform(0.3, 2.0)
+            states = random_sphere_states(rho, 17, rng.integers(2**31))
+            columns = np.column_stack([qqq_rhs(p, rho, s) for s in states])
+            assert np.array_equal(qqq_rhs(p, rho, states.T), columns)
 
 
 class TestIntegrators:
@@ -320,7 +339,7 @@ class TestSync:
     def test_lattice_rejects_single_stable_candidate(self):
         # four isolated fixed points and exactly one passes the sufficient
         # test, so only the trajectory lattice can reject the candidate
-        p = StandardParams(0.75, -0.89, 0.03, 0.69, 0.59)
+        p = LATTICE_REJECTED
         fps = fixed_points(p, 1.0)
         assert fps.circles == [] and len(fps.points) == 4
         verdicts = [stability(p, 1.0, s).classification for s in fps.points]
@@ -330,6 +349,65 @@ class TestSync:
     def test_gamma_of_first_pole(self):
         g1, g2 = gamma_pair((1.0, 0.0, 0.0), 1.0)
         assert g1 == 0.0 and abs(g2) == pytest.approx(math.sqrt(2.0))
+
+    @pytest.mark.parametrize(
+        "p,outcome", [(CASE1, "sync"), (LATTICE_REJECTED, "rejected")], ids=["case1", "rejected"]
+    )
+    def test_debug_log_line(self, caplog, p, outcome):
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
+            detect_sync(p, 1.0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
+        assert len(lines) == 1
+        # no lattice start sits on a fixed point of these systems
+        assert "starts=64 " in lines[0]
+        for key in ("candidate=", "loops=", "rejected=", "max_distance="):
+            assert key in lines[0]
+        assert lines[0].endswith(f"outcome={outcome}")
+
+
+class TestBatchedOracle:
+    """The private array integrator behind detect_sync's lattice."""
+
+    @pytest.mark.parametrize(
+        "p,rho",
+        [
+            (CASE1, 0.5),
+            (CASE1, 2.0),
+            (StandardParams(1, 0, 0, 0.4, 0), 0.5),
+            (StandardParams(1, 0, 0, 0.4, 0), 2.0),
+            (LATTICE_REJECTED, 1.0),
+        ],
+    )
+    def test_matches_scipy_rk45_per_start(self, p, rho):
+        # the same Dormand-Prince pair under the same step controller, so the
+        # end states agree with one solve_ivp run per start up to rounding
+        starts = fibonacci_sphere(64, rho)
+        horizon = 20.0 / (rho * p.p1)
+        ends, _, _ = qf._dp5_end(lambda y: qqq_rhs(p, rho, y), starts.T, horizon, 1e-9)
+        for s, end in zip(starts, ends.T):
+            sol = solve_ivp(
+                lambda t, y: qqq_rhs(p, rho, y), (0.0, horizon), s,
+                method="RK45", rtol=1e-9, atol=1e-9,
+            )
+            assert sol.success
+            assert np.max(np.abs(end - sol.y[:, -1])) <= 1e-11 * rho
+
+    def test_nan_column_raises(self):
+        starts = fibonacci_sphere(8, 1.0).T
+
+        def rhs(y):
+            # NaN for the column still sitting at the first start
+            out = qqq_rhs(CASE1, 1.0, y)
+            out[:, np.all(y == starts[:, :1], axis=0)] = np.nan
+            return out
+
+        with pytest.raises(StiffnessError, match="step size"):
+            qf._dp5_end(rhs, starts, 20.0, 1e-9)
+
+    def test_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(qf, "_DP5_MAX_LOOPS", 3)
+        with pytest.raises(StiffnessError, match="3 steps"):
+            detect_sync(CASE1, 1.0)
 
 
 # ---------------------------------------------------------------------------
