@@ -9,7 +9,9 @@ profile        sample the space-time profile to CSV
 
 Exit codes: 0 success, 1 malformed input (usage errors included), 2 no
 coercive conserved form, 3 parameters outside the closed-form catalogue in
-closed mode, or outside the pure-p1 family for profile --special.
+closed mode, or outside the pure-p1 family for profile --special, 4 the
+numerical integrator could not advance (an oracle or the synchronization
+lattice whose step underflowed or ran out of steps).
 
 All CSV output uses 17 significant digits, '.' decimals and LF endings, so
 identical inputs give byte-identical files.  The environment
@@ -28,7 +30,15 @@ import numpy as np
 
 from .closed_form import UnsupportedCaseError, classify, solve_case
 from .profile import FinalData, case1_profile, sync_decay, uapp
-from .quadratic_flow import _check_span, _csv, detect_sync, fixed_points, integrate_quad, stability
+from .quadratic_flow import (
+    StiffnessError,
+    _check_span,
+    _csv,
+    detect_sync,
+    fixed_points,
+    integrate_quad,
+    stability,
+)
 from .standard_form import GeneralCubic, NonCoerciveError, StandardParams, reduce_to_standard
 
 log = logging.getLogger("cubicnls")
@@ -37,6 +47,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_NON_COERCIVE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_NO_PROGRESS = 4
 
 
 class _CliError(Exception):
@@ -308,6 +319,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
+    except StiffnessError as exc:
+        sys.stderr.write(f"error: the numerical integrator could not advance: {exc}\n")
+        return EXIT_NO_PROGRESS
 
 
 if __name__ == "__main__":

@@ -12,16 +12,23 @@ rho.  This module provides the polynomial right-hand sides, adaptive
 Runge-Kutta oracles with dense output for both flows, fixed points with
 their stability classification, and an empirical detector for the
 synchronization scenario (a single attracting fixed point).
+
+The oracles are one Dormand-Prince 5(4) loop on Python floats under scipy
+RK45's step controller, with the pair's quartic continuous extension as
+dense output (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
+ODEs I, II.4-II.6); detect_sync's lattice runs the same tableau and
+controller over a (3, N) array.  Each oracle run is logged at debug level
+on the ``cubicnls.quadratic_flow`` logger.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import root
 
 from .standard_form import nonlinearity
@@ -73,13 +80,16 @@ def qqq_rhs(params, rho: float, s) -> np.ndarray:
     is the differential form of rho-conservation.
     """
     d, r, i = np.asarray(s, dtype=float)
-    p1, p2, p3, p4, p5 = params.p1, params.p2, params.p3, params.p4, params.p5
-    return np.array(
-        [
-            2.0 * i * (p1 * d + (p2 - p3) * r) + 2.0 * rho * p5 * i,
-            2.0 * i * (-(p2 + p3) * d + p1 * r) - 2.0 * rho * p4 * i,
-            -2.0 * p1 * (d * d + r * r) + 4.0 * p3 * d * r + 2.0 * rho * (-p5 * d + p4 * r),
-        ]
+    return np.array(_qqq(params.p1, params.p2, params.p3, params.p4, params.p5, rho, d, r, i))
+
+
+def _qqq(p1, p2, p3, p4, p5, rho, d, r, i) -> tuple:
+    """The components of qqq_rhs, for floats (the oracle's path) or for
+    arrays of one shape (qqq_rhs's path)."""
+    return (
+        2.0 * i * (p1 * d + (p2 - p3) * r) + 2.0 * rho * p5 * i,
+        2.0 * i * (-(p2 + p3) * d + p1 * r) - 2.0 * rho * p4 * i,
+        -2.0 * p1 * (d * d + r * r) + 4.0 * p3 * d * r + 2.0 * rho * (-p5 * d + p4 * r),
     )
 
 
@@ -198,17 +208,8 @@ def _check_span(span) -> None:
         raise ValueError(f"span ends must be finite, got {tuple(float(t) for t in span)}")
 
 
-def _run_ivp(fun, span, y0, tol):
-    _check_span(span)
-    tol = _check_tol(tol)
-    sol = solve_ivp(fun, span, y0, method="RK45", rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise StiffnessError(sol.message)
-    return sol
-
-
-# Dormand-Prince 5(4) tableau, as in scipy's RK45 (Hairer, Norsett & Wanner,
-# Solving ODEs I, II.4-5)
+# Dormand-Prince 5(4) tableau, controller and continuous extension, as in
+# scipy's RK45 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6)
 _DP5_A = np.array([
     [0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0],
@@ -219,6 +220,20 @@ _DP5_A = np.array([
 ])
 _DP5_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP5_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# the quartic dense output y(t + x h) = y + h (K^T P) (x, x^2, x^3, x^4) with
+# the c6-optimal coefficients (Shampine, Math. Comp. 46, 1986)
+_DP5_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+# step factor: SAFETY * err^EXPONENT, clipped to [MIN_FACTOR, MAX_FACTOR]
+_DP5_SAFETY, _DP5_MIN_FACTOR, _DP5_MAX_FACTOR, _DP5_EXPONENT = 0.9, 0.2, 10.0, -0.2
+_STEP_UNDERFLOW = "Required step size is less than spacing between numbers."
 # trial steps of the whole batch before _dp5_end gives up; the lattices of
 # detect_sync take a few hundred
 _DP5_MAX_LOOPS = 100_000
@@ -272,7 +287,7 @@ def _dp5_end(f, y0, t_end: float, tol: float):
             # a NaN initial step); a retried one below it fails
             h = np.where(rejected, h, np.fmax(h, min_step))
             if np.any(h < min_step):
-                raise StiffnessError("Required step size is less than spacing between numbers.")
+                raise StiffnessError(_STEP_UNDERFLOW)
             t_new = np.minimum(t + h, t_end)
             h = t_new - t
             k[0] = fy
@@ -283,9 +298,10 @@ def _dp5_end(f, y0, t_end: float, tol: float):
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             err = _rms((_DP5_E @ kf).reshape(y.shape) * h / scale)
             ok = err < 1.0
-            grow = np.where(err == 0.0, 10.0, np.minimum(10.0, 0.9 * err**-0.2))
+            factor = _DP5_SAFETY * err**_DP5_EXPONENT
+            grow = np.where(err == 0.0, _DP5_MAX_FACTOR, np.minimum(_DP5_MAX_FACTOR, factor))
             grow = np.where(rejected, np.minimum(1.0, grow), grow)
-            h = h * np.where(ok, grow, np.fmax(0.2, 0.9 * err**-0.2))
+            h = h * np.where(ok, grow, np.fmax(_DP5_MIN_FACTOR, factor))
             rejected = ~ok
             rejections += int(np.count_nonzero(rejected))
             t = np.where(ok, t_new, t)
@@ -301,31 +317,185 @@ def _dp5_end(f, y0, t_end: float, tol: float):
     return out, loops, rejections
 
 
+def _dp5_path(f, t0: float, t1: float, y: list, tol: float):
+    """Dormand-Prince 5(4) run of y' = f(y) from the state y (a list of
+    floats) at t0 to t1, on Python floats.
+
+    f(*y) returns the derivative as a tuple of floats.  The step sequence
+    is scipy RK45's at rtol = atol = tol: its initial step, RMS error norm
+    with scale tol + max(|y|, |y_new|) tol, step factors, no growth right
+    after a rejection and the last step clipped to t1.  Raises
+    StiffnessError when a step falls below 10 ulps of its time.  Returns
+    (node times, node states, the 7 stage derivatives of each accepted step
+    concatenated, rejected steps, right-hand-side evaluations); a zero-length
+    span has the nodes t0, t1 and no step.
+    """
+    if t1 == t0:
+        return [t0, t1], [y, y], [], 0, 0
+    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
+        row[:s] for s, row in enumerate(_DP5_A.tolist())
+    )
+    b1, _, b3, b4, b5, b6 = _DP5_B.tolist()
+    e1, _, e3, e4, e5, e6, e7 = _DP5_E.tolist()
+    root_n = math.sqrt(len(y))
+    direction = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
+
+    # initial step (Hairer, Norsett & Wanner II.4)
+    fy = f(*y)
+    scale = [tol + abs(v) * tol for v in y]
+    d0 = math.hypot(*[v / c for v, c in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[g / c for g, c in zip(fy, scale)]) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    hd = h0 * direction
+    f1 = f(*[v + hd * g for v, g in zip(y, fy)])
+    d2 = math.hypot(*[(u - g) / c for u, g, c in zip(f1, fy, scale)]) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, span)
+
+    t = t0
+    times, states, stages = [t], [y], []
+    rejected, nfev = 0, 2
+    while t != t1:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if not h_abs >= min_step:  # also replaces a NaN step
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(_STEP_UNDERFLOW)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0.0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = fy
+            k2 = f(*[v + (a21 * p) * h for v, p in zip(y, k1)])
+            k3 = f(*[v + (a31 * p + a32 * q) * h for v, p, q in zip(y, k1, k2)])
+            k4 = f(*[v + (a41 * p + a42 * q + a43 * r) * h for v, p, q, r in zip(y, k1, k2, k3)])
+            k5 = f(*[
+                v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = f(*[
+                v + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+                for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = f(*y_new)
+            nfev += 6
+            err = math.hypot(*[
+                (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+                / (tol + max(abs(v), abs(vn)) * tol)
+                for p, r, s, u, w, z, v, vn in zip(k1, k3, k4, k5, k6, k7, y, y_new)
+            ]) / root_n
+            if err < 1.0:
+                if err == 0.0:
+                    factor = _DP5_MAX_FACTOR
+                else:
+                    factor = min(_DP5_MAX_FACTOR, _DP5_SAFETY * err**_DP5_EXPONENT)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_DP5_MIN_FACTOR, _DP5_SAFETY * err**_DP5_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        stages.append(k1 + k2 + k3 + k4 + k5 + k6 + k7)
+        t, y, fy = t_new, y_new, k7
+        times.append(t)
+        states.append(y)
+    return times, states, stages, rejected, nfev
+
+
+class _DenseDP5:
+    """The quartic continuous extension of a _dp5_path run, evaluated at an
+    array of times in one pass.
+
+    Each time takes the step whose closed interval holds it (the earlier
+    step at a node, as scipy's OdeSolution chooses); times outside the span
+    extrapolate the first or last step's quartic.
+    """
+
+    def __init__(self, times, states, stages):
+        self.t = np.asarray(times, dtype=float)
+        self.y = np.asarray(states, dtype=float)
+        self._stages = stages
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        """Q = K^T P of every step, (steps, dim, 4); built at the first call,
+        which a caller reading only the nodes never makes."""
+        k = np.asarray(self._stages, dtype=float).reshape(len(self._stages), 7, self.y.shape[1])
+        return np.swapaxes(k, 1, 2) @ _DP5_P
+
+    def __call__(self, taus) -> np.ndarray:
+        """(dim, n) states at the n times taus."""
+        taus = np.asarray(taus, dtype=float)
+        steps = len(self.q)
+        if steps == 0:  # zero-length span: the constant initial state
+            return np.repeat(self.y[0][:, None], taus.size, axis=1)
+        if self.t[-1] >= self.t[0]:
+            seg = np.clip(np.searchsorted(self.t, taus, side="left") - 1, 0, steps - 1)
+        else:
+            ind = np.searchsorted(self.t[::-1], taus, side="right") - 1
+            seg = steps - 1 - np.clip(ind, 0, steps - 1)
+        h = self.t[seg + 1] - self.t[seg]
+        x = (taus - self.t[seg]) / h
+        powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+        y = h[:, None] * (self.q[seg] @ powers[:, :, None])[:, :, 0] + self.y[seg]
+        return y.T
+
+
+def _oracle(flow: str, f, span, y0: list, tol: float):
+    """Node times, node states (rows) and dense output of the Dormand-Prince
+    run of f over span from y0, logged at debug level as flow."""
+    _check_span(span)
+    tol = _check_tol(tol)
+    t0, t1 = float(span[0]), float(span[1])
+    times, states, stages, rejected, nfev = _dp5_path(f, t0, t1, y0, tol)
+    log.debug(
+        "oracle flow=%s span=(%.17g, %.17g) tol=%.3g accepted=%d rejected=%d rhs_evals=%d",
+        flow, t0, t1, tol, len(stages), rejected, nfev,
+    )
+    times, states = np.array(times), np.array(states)
+    return times, states, _DenseDP5(times, states, stages)
+
+
 def integrate_quad(params, rho: float, s0, span, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK45 oracle of the quadratic flow, with dense output.
 
-    The state is not renormalized onto the sphere: conservation of rho is an
+    A Dormand-Prince 5(4) run on floats with scipy RK45's step controller at
+    rtol = atol = tol, evaluating qqq_rhs's formula; the dense output is the
+    pair's quartic continuous extension, exact at the stored nodes.  The
+    state is not renormalized onto the sphere: conservation of rho is an
     observable of the test suite, not enforced by the integrator.  s0 is the
-    state at span[0].
+    state at span[0].  Raises StiffnessError when a step underflows.
     """
     s0 = _check_sphere(rho, s0)
-    sol = _run_ivp(lambda t, y: qqq_rhs(params, rho, y), span, s0, tol)
-    return Trajectory(sol.t, sol.y.T, "quad", sol.sol)
+    f = functools.partial(_qqq, params.p1, params.p2, params.p3, params.p4, params.p5, float(rho))
+    times, states, dense = _oracle("quad", f, span, s0.tolist(), tol)
+    return Trajectory(times, states, "quad", dense)
 
 
 def integrate_full(params, a0, span, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK45 oracle of the full complex flow (same contract as
-    :func:`integrate_quad`, over C^2)."""
-    a0 = np.asarray(a0, dtype=complex)
-    y0 = np.array([a0[0].real, a0[0].imag, a0[1].real, a0[1].imag])
+    :func:`integrate_quad`, over C^2 as four reals)."""
+    y0 = [float(v) for z in np.asarray(a0, dtype=complex) for v in (z.real, z.imag)]
 
-    def fun(t, y):
-        da = full_ode_rhs(params, (y[0] + 1j * y[1], y[2] + 1j * y[3]))
-        return [da[0].real, da[0].imag, da[1].real, da[1].imag]
+    def f(x1, y1, x2, y2):
+        # (-i F1, -i F2) as real and imaginary parts
+        f1, f2 = nonlinearity(params, complex(x1, y1), complex(x2, y2))
+        return f1.imag, -f1.real, f2.imag, -f2.real
 
-    sol = _run_ivp(fun, span, y0, tol)
-    states = sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]
-    return Trajectory(sol.t, np.stack(states, axis=-1), "amplitude", sol.sol)
+    times, states, dense = _oracle("full", f, span, y0, tol)
+    return Trajectory(times, states[:, 0::2] + 1j * states[:, 1::2], "amplitude", dense)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cubicnls.quadratic_flow as qf
 from cubicnls.cli import main
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
@@ -171,6 +172,40 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert "cannot parse --samples" in err
 
+    def test_step_underflow_exit_4(self, capsys, monkeypatch):
+        # a right-hand side that turns NaN drives the oracle's step below
+        # 10 ulps of its time
+        monkeypatch.setattr(qf, "_qqq", lambda *args: (math.nan, math.nan, math.nan))
+        code, out, err = run(
+            capsys, "solve", "--params", CASE1_PARAMS, "--rho", "1", "--init", "0.6,0,0.8",
+            "--span", "0,1", "--samples", "5", "--mode", "oracle",
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the numerical integrator could not advance")
+        assert "Traceback" not in err
+
+    def test_debug_log_leaves_csv_unchanged(self):
+        # subprocesses, because logging is configured once per process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "solve", "--params", CASE1_PARAMS, "--rho", "1",
+            "--init", "0.6,0,0.8", "--span=-1,2", "--samples", "17", "--mode", "both",
+        ]
+        runs = {}
+        for level in (None, "debug"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("NLS_ASY_LOG", None)
+            if level:
+                env["NLS_ASY_LOG"] = level
+            runs[level] = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert runs[level].returncode == 0
+        assert runs[None].stdout == runs["debug"].stdout
+        assert runs[None].stderr == b""
+        # one oracle run forward to tau = 2 and one backward to tau = -1
+        lines = [l for l in runs["debug"].stderr.decode().splitlines() if "oracle flow=quad" in l]
+        assert [l.split("span=")[1].split(" tol=")[0] for l in lines] == ["(0, 2)", "(0, -1)"]
+        assert all("accepted=" in l and "rejected=" in l and "rhs_evals=" in l for l in lines)
+
 
 class TestFixedPoints:
     def test_case1(self, capsys):
@@ -183,6 +218,13 @@ class TestFixedPoints:
         assert doc["synchronization"]["gamma"][0] == [1.0, 0.0]
         g2 = doc["synchronization"]["gamma"][1]
         assert abs(g2[0]) < 1e-12 and g2[1] == pytest.approx(-1.0)
+
+    def test_step_budget_exit_4(self, capsys, monkeypatch):
+        # detect_sync's lattice gives up after _DP5_MAX_LOOPS trial steps
+        monkeypatch.setattr(qf, "_DP5_MAX_LOOPS", 3)
+        code, out, err = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "1")
+        assert (code, out) == (4, "")
+        assert err == "error: the numerical integrator could not advance: no end state within 3 steps\n"
 
     def test_case2_circle(self, capsys):
         code, out, _ = run(

@@ -410,6 +410,139 @@ class TestBatchedOracle:
             detect_sync(CASE1, 1.0)
 
 
+# the fifteen catalogue members of the benchmark's solve-sweep workload
+FAMILY_MEMBERS = [
+    (1.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, -0.8, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.1, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.9, 0.0),
+    (1.0, 0.7, 0.0, 0.0, 0.0),
+    (1.0, 0.0, 0.0, 0.4, 0.0),
+    (0.0, 0.4, 1.0, 0.0, 0.0),
+    (0.0, 0.8, 0.0, 0.5, 0.0),
+    (0.0, 0.0, 1.0, 0.7, 0.0),
+    (0.0, 0.0, 1.0, 0.0, 0.4),
+    (1.0, 0.0, 3.0, 0.0, 0.0),
+    (0.0, 0.7, 0.7, 0.4, 0.0),
+    (0.0, -0.7, 0.7, 0.0, 0.4),
+    (0.6, 0.8, 1.0, 0.0, 0.0),
+    (0.6, 0.8, 1.0, 0.6, 0.2),
+]
+
+
+def scipy_rk45(fun, span, y0, tol):
+    sol = solve_ivp(lambda t, y: fun(y), span, y0, method="RK45", rtol=tol, atol=tol, dense_output=True)
+    assert sol.success
+    return sol
+
+
+class TestLeanOracle:
+    """integrate_quad and integrate_full against scipy's RK45 at the same
+    tolerance: the same pair under the same controller, so the two agree up
+    to rounding, at the stored nodes and in between."""
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", FAMILY_MEMBERS, ids=[f"family{k}" for k in range(1, 16)])
+    def test_quad_matches_scipy_rk45(self, p, rho):
+        params = StandardParams(*p)
+        s0 = random_sphere_states(rho, 1, 11)[0]
+        span = 1.5 / (rho * max(np.abs(p)))
+        for t0, t1 in ((0.0, span), (0.0, -span), (0.7, 0.7 + span)):
+            tr = integrate_quad(params, rho, s0, (t0, t1), tol=1e-10)
+            sol = scipy_rk45(lambda y: qqq_rhs(params, rho, y), (t0, t1), s0, 1e-10)
+            assert tr.times[0] == t0 and tr.times[-1] == t1
+            assert np.array_equal(tr.states[0], s0)
+            # the same first step (the initial-step rule); an error estimate
+            # is a difference of nearly equal stage sums, so later steps may
+            # part at rounding level amplified
+            assert tr.times[1] - t0 == pytest.approx(sol.t[1] - t0, rel=1e-9, abs=0.0)
+            taus = np.linspace(t0, t1, 201)
+            assert np.max(np.abs(tr.states - sol.sol(tr.times).T)) <= 1e-11 * rho
+            assert np.max(np.abs(tr.at(taus) - sol.sol(taus).T)) <= 1e-11 * rho
+
+    def test_full_matches_scipy_rk45(self):
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            p = rand_params(rng)
+            a0 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            rho = abs(a0[0]) ** 2 + abs(a0[1]) ** 2
+            y0 = [a0[0].real, a0[0].imag, a0[1].real, a0[1].imag]
+
+            def rhs(y):
+                da = full_ode_rhs(p, (y[0] + 1j * y[1], y[2] + 1j * y[3]))
+                return [da[0].real, da[0].imag, da[1].real, da[1].imag]
+
+            for span in ((0.0, 3.0), (0.0, -2.0), (-0.4, 1.6)):
+                tr = integrate_full(p, a0, span, tol=1e-10)
+                sol = scipy_rk45(rhs, span, y0, 1e-10)
+                taus = np.linspace(*span, 201)
+                for got, ref in ((tr.states, sol.sol(tr.times)), (tr.at(taus), sol.sol(taus))):
+                    ref = np.stack([ref[0] + 1j * ref[1], ref[2] + 1j * ref[3]], axis=-1)
+                    assert np.max(np.abs(got - ref)) <= 1e-11 * rho
+
+    def test_zero_length_span(self):
+        s0 = np.array([0.6, 0.0, 0.8])
+        tr = integrate_quad(CASE1, 1.0, s0, (0.5, 0.5))
+        sol = scipy_rk45(lambda y: qqq_rhs(CASE1, 1.0, y), (0.5, 0.5), s0, 1e-10)
+        assert np.array_equal(tr.times, sol.t)
+        assert np.array_equal(tr.states, sol.y.T)
+        taus = np.array([-1.0, 0.5, 2.0])
+        assert np.array_equal(tr.at(taus), np.tile(s0, (3, 1)))
+        amp = integrate_full(CASE1, (0.6, 0.8j), (1.0, 1.0))
+        assert np.array_equal(amp.at(taus), np.tile([0.6, 0.8j], (3, 1)))
+
+    @pytest.mark.parametrize("span", [(0.0, 2.5), (0.0, -2.5), (1.0, -0.5)])
+    def test_stored_nodes_exact(self, span):
+        s0 = random_sphere_states(1.3, 1, 13)[0]
+        p = StandardParams(0.6, 0.8, 1.0, 0.6, 0.2)
+        tr = integrate_quad(p, 1.3, s0, span, tol=1e-9)
+        assert np.array_equal(tr.at(tr.times), tr.states)
+        assert np.array_equal(tr.at(tr.times[::-1]), tr.states[::-1])
+        amp = integrate_full(p, (0.6 + 0.1j, -0.3 + 0.7j), span, tol=1e-9)
+        assert np.array_equal(amp.at(amp.times), amp.states)
+
+    @pytest.mark.parametrize("span", [(math.nan, 1.0), (-math.inf, 0.0), (0.0, math.inf)])
+    def test_nonfinite_span_raises(self, span):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_quad(CASE1, 1.0, (1, 0, 0), span)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_full(CASE1, (0.6, 0.8j), span)
+
+    def test_step_underflow_raises(self, monkeypatch):
+        # a right-hand side that turns NaN makes every step fail its error
+        # test until the step falls below 10 ulps of its time
+        monkeypatch.setattr(qf, "_qqq", lambda *args: (math.nan, math.nan, math.nan))
+        with pytest.raises(StiffnessError, match="step size"):
+            integrate_quad(CASE1, 1.0, (0.6, 0.0, 0.8), (0.0, 1.0))
+
+    def test_float_rhs_is_qqq_rhs(self):
+        # the oracle evaluates qqq_rhs's own formula on floats
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            p = rand_params(rng)
+            rho = rng.uniform(0.3, 2.0)
+            s = random_sphere_states(rho, 1, rng.integers(2**31))[0]
+            floats = qf._qqq(p.p1, p.p2, p.p3, p.p4, p.p5, rho, *s.tolist())
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(floats, qqq_rhs(p, rho, s))
+
+    @pytest.mark.parametrize("flow", ["quad", "full"])
+    def test_debug_log_line(self, caplog, flow):
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
+            if flow == "quad":
+                tr = integrate_quad(CASE1, 1.0, (0.6, 0.0, 0.8), (0.0, -2.0), tol=1e-9)
+            else:
+                tr = integrate_full(CASE1, (0.6, 0.8j), (0.0, -2.0), tol=1e-9)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"oracle flow={flow} span=(0, -2) tol=1e-09 ")
+        fields = dict(kv.split("=") for kv in lines[0].split()[-3:])
+        assert int(fields["accepted"]) == len(tr.times) - 1
+        # two evaluations choose the first step, six more go into each trial step
+        trials = int(fields["accepted"]) + int(fields["rejected"])
+        assert int(fields["rhs_evals"]) == 2 + 6 * trials
+
+
 # ---------------------------------------------------------------------------
 # input contract of the entry points taking a radius
 
