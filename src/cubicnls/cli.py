@@ -16,6 +16,11 @@ lattice whose step underflowed or ran out of steps).
 All CSV output uses 17 significant digits, '.' decimals and LF endings, so
 identical inputs give byte-identical files.  The environment
 variable NLS_ASY_LOG in {error, info, debug} controls logging verbosity.
+
+Each call is a fresh process, so start-up is kept short: importing this
+module loads numpy but not scipy, which only fixed points outside the
+analytic sets load (on first use), and main builds only the subparser its
+first argument names (all four for --help, an unknown word or none).
 """
 
 from __future__ import annotations
@@ -145,25 +150,23 @@ def cmd_solve(args) -> int:
         closed = sol(taus)
     if args.mode in ("oracle", "both"):
         # the initial state is anchored at tau = 0 (matching the closed
-        # forms), so integrate outward to whatever the span requires
-        states = np.empty((len(taus), 3))
+        # forms), where the oracle's node is s0 itself, so integrate outward
+        # only in the directions whose samples reach beyond tau = 0
+        oracle = np.empty((len(taus), 3))
+        oracle[taus == 0.0] = s0
         for sgn in (1.0, -1.0):
-            sel = taus * sgn >= 0
-            if not np.any(sel):
-                continue
-            lim = float(np.max(sgn * taus[sel]))
-            tr = integrate_quad(params, args.rho, s0, (0.0, sgn * lim), tol=args.tol)
-            states[sel] = tr.at(taus[sel])
-        oracle = states
+            sel = taus * sgn > 0.0
+            if np.any(sel):
+                lim = float(np.max(sgn * taus[sel]))
+                tr = integrate_quad(params, args.rho, s0, (0.0, sgn * lim), tol=args.tol)
+                oracle[sel] = tr.at(taus[sel])
 
     main_states = closed if closed is not None else oracle
     if args.mode == "both":
         dev = np.max(np.abs(closed - oracle), axis=1)
-        rows = [(t, *st, d) for t, st, d in zip(taus, main_states, dev)]
-        text = _csv("tau,D,R,I,deviation", rows)
+        text = _csv("tau,D,R,I,deviation", np.column_stack((taus, main_states, dev)).tolist())
     else:
-        rows = [(t, *st) for t, st in zip(taus, main_states)]
-        text = _csv("tau,D,R,I", rows)
+        text = _csv("tau,D,R,I", np.column_stack((taus, main_states)).tolist())
     _write(args.out, text)
     return EXIT_OK
 
@@ -263,19 +266,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cubicnls",
-        description="Standard-form reduction, quadratic-flow solutions and "
-        "large-time profiles of two-component cubic systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_standardize(sub) -> None:
     p_std = sub.add_parser("standardize", help="reduce a general system to standard parameters")
     p_std.add_argument("input", help="path to, or inline, JSON {\"lambda\": [12 numbers]}")
     p_std.add_argument("--out", default=None)
     p_std.set_defaults(func=cmd_standardize)
 
+
+def _add_solve(sub) -> None:
     p_solve = sub.add_parser("solve", help="sample a quadratic-flow trajectory to CSV")
     p_solve.add_argument("--params", required=True, help="path or inline JSON {\"p\": [...], \"q\": [...]}")
     p_solve.add_argument("--rho", type=float, required=True)
@@ -287,12 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
+
+def _add_fixed_points(sub) -> None:
     p_fp = sub.add_parser("fixed-points", help="fixed points and stability as JSON")
     p_fp.add_argument("--params", required=True)
     p_fp.add_argument("--rho", type=float, required=True)
     p_fp.add_argument("--out", default=None)
     p_fp.set_defaults(func=cmd_fixed_points)
 
+
+def _add_profile(sub) -> None:
     p_prof = sub.add_parser("profile", help="sample the space-time profile to CSV")
     p_prof.add_argument("--params", required=True)
     p_prof.add_argument("--finaldata", required=True, help="CSV xi,re_a1,im_a1,re_a2,im_a2")
@@ -302,13 +304,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--sync-check", action="store_true", help="report the synchronization observable")
     p_prof.add_argument("--out", default=None)
     p_prof.set_defaults(func=cmd_profile)
+
+
+# each builder names its cmd_* function when it runs, so a wrapper put on
+# the module attribute is the one the parser calls
+_SUBCOMMANDS = {
+    "standardize": _add_standardize,
+    "solve": _add_solve,
+    "fixed-points": _add_fixed_points,
+    "profile": _add_profile,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only command's when it names
+    one.  The lone subcommand keeps the full usage line, so its help and
+    error messages read the same either way."""
+    parser = _Parser(
+        prog="cubicnls",
+        description="Standard-form reduction, quadratic-flow solutions and "
+        "large-time profiles of two-component cubic systems.",
+    )
+    if command in _SUBCOMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUBCOMMANDS))
+        _SUBCOMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one call runs one subcommand, so only its subparser is built
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

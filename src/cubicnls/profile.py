@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, solve_case
@@ -190,6 +189,8 @@ def case3_profile(p3: float, q, fd: FinalData, t: float, x: float) -> tuple[comp
     normalized invariants; outside it the representation needs case splits
     that are not provided here.
     """
+    from scipy.integrate import quad  # lazy: the CLI never calls this reference, so scipy stays unloaded
+
     (q1, q2, q3), alpha1, (rho, (d0, r0, i0)) = _explicit_data("p3", p3, q, fd, t, x)
     if d0 == 0.0:
         raise ValueError("the formula needs D0 != 0")

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .standard_form import nonlinearity
 
@@ -172,8 +171,10 @@ class Trajectory:
 
 def _csv(header: str, rows) -> str:
     """CSV text: the header, then one line per row of 17-significant-digit
-    values, every line ending in LF."""
-    return "".join([header + "\n"] + [",".join(f"{x:.17g}" for x in row) + "\n" for row in rows])
+    values, every line ending in LF.  One %-template, with a field per
+    header column, formats each row."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return "".join([header + "\n"] + [line % tuple(row) for row in rows])
 
 
 def _check_tol(tol: float) -> float:
@@ -566,6 +567,8 @@ def random_sphere_states(rho: float, n: int, seed: int) -> np.ndarray:
 
 def _numeric_fixed_points(params, rho: float) -> list:
     """Multi-start root finding of the flow on the sphere (64 lattice starts)."""
+    from scipy.optimize import root  # lazy: only fixed points outside the analytic sets need scipy
+
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
     found = []
 

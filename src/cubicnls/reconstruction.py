@@ -31,7 +31,6 @@ import logging
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadratic_flow import Trajectory, amplitudes_to_quad, full_ode_rhs, qqq_rhs
 
@@ -165,6 +164,8 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     root-finding on the analytic derivative of D and accepted when the
     refined value is below 1e-10 rho.
     """
+    from scipy.optimize import brentq  # lazy: no CLI path calls zero_times, so scipy stays unloaded
+
     if tau == 0.0:
         return []
     ts = np.linspace(0.0, tau, _N_SCAN + 1)

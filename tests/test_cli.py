@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import cubicnls.quadratic_flow as qf
-from cubicnls.cli import main
+from cubicnls.cli import build_parser, main
+from cubicnls.standard_form import StandardParams
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
 CASE1_PARAMS = '{"p": [1, 0, 0, 0, 0], "q": [0, 0, 0]}'
@@ -22,6 +23,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env(log_level=None):
+    """Environment of a fresh process importing cubicnls from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("NLS_ASY_LOG", None)
+    if log_level:
+        env["NLS_ASY_LOG"] = log_level
+    return env
+
+
+def write_finaldata(path) -> None:
+    """A smooth final-data CSV on xi in [-1.5, 1.5]."""
+    xi = np.linspace(-1.5, 1.5, 25)
+    env = 1.0 / (1.0 + xi**2)
+    a1 = env * (0.9 + 0.1 * np.cos(xi))
+    a2 = env * 0.4 * np.sin(xi + 0.3)
+    lines = ["xi,re_a1,im_a1,re_a2,im_a2"]
+    for row in zip(xi, a1, 0.1 * a1, a2, -0.2 * a2):
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestStandardize:
@@ -56,12 +79,9 @@ class TestStandardize:
     def test_error_reported_once(self):
         # a subprocess, because under pytest the log capture handler would
         # hide a second copy of the message written through logging
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.pop("NLS_ASY_LOG", None)
         proc = subprocess.run(
             [sys.executable, "-m", "cubicnls.cli", "standardize", '{"lambda": [0,1,0,0,0,0,0,0,0,0,0,0]}'],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=fresh_env(), timeout=60,
         )
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: no coercive conserved quadratic form; cannot reduce"]
@@ -186,18 +206,13 @@ class TestSolve:
 
     def test_debug_log_leaves_csv_unchanged(self):
         # subprocesses, because logging is configured once per process
-        src = str(Path(__file__).resolve().parents[1] / "src")
         argv = [
             sys.executable, "-m", "cubicnls.cli", "solve", "--params", CASE1_PARAMS, "--rho", "1",
             "--init", "0.6,0,0.8", "--span=-1,2", "--samples", "17", "--mode", "both",
         ]
         runs = {}
         for level in (None, "debug"):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            env.pop("NLS_ASY_LOG", None)
-            if level:
-                env["NLS_ASY_LOG"] = level
-            runs[level] = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            runs[level] = subprocess.run(argv, capture_output=True, env=fresh_env(level), timeout=120)
             assert runs[level].returncode == 0
         assert runs[None].stdout == runs["debug"].stdout
         assert runs[None].stderr == b""
@@ -205,6 +220,26 @@ class TestSolve:
         lines = [l for l in runs["debug"].stderr.decode().splitlines() if "oracle flow=quad" in l]
         assert [l.split("span=")[1].split(" tol=")[0] for l in lines] == ["(0, 2)", "(0, -1)"]
         assert all("accepted=" in l and "rejected=" in l and "rhs_evals=" in l for l in lines)
+
+    @pytest.mark.parametrize("span,end", [("0,2", 2.0), ("-2,0", -2.0)])
+    def test_span_from_or_to_zero_runs_one_oracle(self, span, end):
+        # tau = 0 is the initial state itself, so only the direction reaching
+        # beyond it is integrated; a subprocess, because logging is
+        # configured once per process
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "solve", "--params", UNCATALOGUED_PARAMS, "--rho", "1",
+            "--init", "0.6,0,0.8", f"--span={span}", "--samples", "41", "--mode", "oracle",
+        ]
+        proc = subprocess.run(argv, capture_output=True, env=fresh_env("debug"), timeout=120)
+        assert proc.returncode == 0
+        lines = [l for l in proc.stderr.decode().splitlines() if "oracle flow=" in l]
+        assert len(lines) == 1 and f"oracle flow=quad span=(0, {end:g}) " in lines[0]
+        tr = qf.integrate_quad(StandardParams(0.3, 0.5, 0.7, 0.2, 0.1), 1.0, (0.6, 0.0, 0.8), (0.0, end))
+        taus = np.linspace(min(0.0, end), max(0.0, end), 41)
+        expected = "tau,D,R,I\n" + "".join(
+            ",".join(f"{x:.17g}" for x in (t, *st)) + "\n" for t, st in zip(taus, tr.at(taus))
+        )
+        assert proc.stdout.decode() == expected
 
 
 class TestFixedPoints:
@@ -239,18 +274,13 @@ class TestFixedPoints:
 
     def test_debug_log_leaves_json_unchanged(self):
         # subprocesses, because logging is configured once per process
-        src = str(Path(__file__).resolve().parents[1] / "src")
         argv = [
             sys.executable, "-m", "cubicnls.cli", "fixed-points", "--params",
             '{"p": [1, 0, 0, 0.4, 0], "q": [0, 0, 0]}', "--rho", "0.6",
         ]
         runs = {}
         for level in (None, "debug"):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            env.pop("NLS_ASY_LOG", None)
-            if level:
-                env["NLS_ASY_LOG"] = level
-            runs[level] = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            runs[level] = subprocess.run(argv, capture_output=True, env=fresh_env(level), timeout=120)
             assert runs[level].returncode == 0
         assert runs[None].stdout == runs["debug"].stdout
         assert runs[None].stderr == b""
@@ -271,15 +301,8 @@ class TestFixedPoints:
 class TestProfile:
     @pytest.fixture()
     def finaldata_csv(self, tmp_path):
-        xi = np.linspace(-1.5, 1.5, 25)
-        env = 1.0 / (1.0 + xi**2)
-        a1 = env * (0.9 + 0.1 * np.cos(xi))
-        a2 = env * 0.4 * np.sin(xi + 0.3)
-        lines = ["xi,re_a1,im_a1,re_a2,im_a2"]
-        for row in zip(xi, a1, 0.1 * a1, a2, -0.2 * a2):
-            lines.append(",".join(f"{v:.17g}" for v in row))
         path = tmp_path / "fd.csv"
-        path.write_text("\n".join(lines) + "\n")
+        write_finaldata(path)
         return path
 
     def test_t_one_rows_reproduce_data(self, capsys, finaldata_csv):
@@ -299,7 +322,6 @@ class TestProfile:
 
     def test_debug_log_leaves_csv_unchanged(self, finaldata_csv):
         # subprocesses, because logging is configured once per process
-        src = str(Path(__file__).resolve().parents[1] / "src")
         argv = [
             sys.executable, "-m", "cubicnls.cli", "profile", "--params",
             '{"p": [1, 0, 3, 0, 0], "q": [0.1, -0.2, 0.05]}', "--finaldata", str(finaldata_csv),
@@ -307,11 +329,7 @@ class TestProfile:
         ]
         runs = {}
         for level in (None, "debug"):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            env.pop("NLS_ASY_LOG", None)
-            if level:
-                env["NLS_ASY_LOG"] = level
-            runs[level] = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            runs[level] = subprocess.run(argv, capture_output=True, env=fresh_env(level), timeout=120)
             assert runs[level].returncode == 0
         assert runs[None].stdout == runs["debug"].stdout
         assert runs[None].stderr == b""
@@ -385,3 +403,79 @@ class TestProfile:
         )
         assert code == 0
         assert "sync observable" in err
+
+
+class TestParser:
+    """main builds only the subparser its first word names; nothing it
+    prints or returns may tell."""
+
+    @staticmethod
+    def exit_of(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"], ["solve", "--help"], ["profile", "-h"], ["standardize", "--help"],
+            [], ["bogus"], ["solve"], ["fixed-points", "--rho", "x"],
+            ["solve", "--params", "{}", "--rho", "1", "--init", "1,0,0", "--span", "0,1", "extra"],
+        ],
+    )
+    def test_same_text_as_full_parser(self, capsys, argv):
+        full = self.exit_of(capsys, build_parser().parse_args, argv)
+        assert self.exit_of(capsys, main, argv) == full
+
+    def test_unknown_subcommand_exit_1(self, capsys):
+        code, out, err = self.exit_of(capsys, main, ["bogus"])
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'bogus'" in err
+
+
+COLD_START_CHILD = """
+import contextlib, io, json, sys
+from cubicnls import cli
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+setup_calls, fixed_points_call = json.loads(sys.argv[1])
+for argv in setup_calls:
+    call(argv)
+after_setup = scipy_modules()
+fixed_points = call(fixed_points_call)
+print(json.dumps({"after_setup": after_setup, "fixed_points": fixed_points, "after": scipy_modules()}))
+"""
+
+
+def test_cold_start_leaves_scipy_unloaded(tmp_path, capsys):
+    # the benchmark's fresh-process set-up calls (perfbench/setup_child.py)
+    # need no scipy; fixed points outside the analytic sets load it on demand
+    finaldata = tmp_path / "fd.csv"
+    write_finaldata(finaldata)
+    setup_calls = [
+        ["solve", "--params", '{"p": [0, 0, 1.1, 0, 0]}', "--rho", "1", "--init=0.6,0.0,0.8",
+         "--span=-1,1", "--samples", "11", "--mode", "both"],
+        ["fixed-points", "--params", '{"p": [0, 0, 1.1, 0, 0]}', "--rho", "1"],
+        ["profile", "--params", '{"p": [0, 0, 1.3, 0, 0]}', "--finaldata", str(finaldata),
+         "--t-list", "10", "--x-grid=-20,20,2"],
+        ["standardize", V_SYSTEM_JSON],
+    ]
+    fixed_points_call = ["fixed-points", "--params", UNCATALOGUED_PARAMS, "--rho", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_CHILD, json.dumps([setup_calls, fixed_points_call])],
+        capture_output=True, env=fresh_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(proc.stdout)
+    assert doc["after_setup"] == []
+    assert "scipy.optimize" in doc["after"]
+    assert run(capsys, *fixed_points_call)[:2] == (0, doc["fixed_points"])

@@ -200,6 +200,19 @@ class TestIntegrators:
         for line, t, (a1, a2) in zip(lines[1:], tr.times, tr.states):
             assert line == ",".join(f"{v:.17g}" for v in (t, a1.real, a1.imag, a2.real, a2.imag))
 
+    def test_csv_template_matches_per_value_format(self):
+        # the one-template writer against formatting each value on its own
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                    1.7976931348623157e308, math.nan, math.inf, -math.inf, 1 / 3, -2.5, 1e-5, 123456789.0]
+        rng = np.random.default_rng(10)
+        rows = [(np.float64(v), v, np.float64(-v), float(w)) for v, w in zip(specials, rng.standard_normal(15))]
+        rows += (rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-300, 300, (9, 4))).tolist()
+        expected = "a,b,c,d\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        assert qf._csv("a,b,c,d", rows) == expected
+        assert qf._csv("a,b,c,d", iter(rows)) == expected
+        assert qf._csv("a,b,c,d", []) == "a,b,c,d\n"
+        assert qf._csv("only", [(math.nan,), (np.float64(-0.0),)]) == "only\nnan\n-0\n"
+
 
 class TestFixedPoints:
     def test_case1(self):
