@@ -18,9 +18,9 @@ identical inputs give byte-identical files.  The environment
 variable NLS_ASY_LOG in {error, info, debug} controls logging verbosity.
 
 Each call is a fresh process, so start-up is kept short: importing this
-module loads numpy but not scipy, which only fixed points outside the
-analytic sets load (on first use), and main builds only the subparser its
-first argument names (all four for --help, an unknown word or none).
+module loads numpy but not scipy, which no subcommand loads, and main
+builds only the subparser its first argument names (all four for --help,
+an unknown word or none).
 """
 
 from __future__ import annotations

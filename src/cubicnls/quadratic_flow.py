@@ -10,8 +10,8 @@ For an amplitude pair (A1, A2) the quadratic quantities are
 with D^2 + R^2 + I^2 = rho^2, so (D, R, I) lives on the sphere of radius
 rho.  This module provides the polynomial right-hand sides, adaptive
 Runge-Kutta oracles with dense output for both flows, fixed points with
-their stability classification, and an empirical detector for the
-synchronization scenario (a single attracting fixed point).
+their stability classification, and a detector for the synchronization
+scenario (a single attracting fixed point).
 
 The oracles are one Dormand-Prince 5(4) loop on Python floats under scipy
 RK45's step controller, with the pair's quartic continuous extension as
@@ -565,37 +565,30 @@ def random_sphere_states(rho: float, n: int, seed: int) -> np.ndarray:
     return rho * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _numeric_fixed_points(params, rho: float) -> list:
-    """Multi-start root finding of the flow on the sphere (64 lattice starts)."""
-    from scipy.optimize import root  # lazy: only fixed points outside the analytic sets need scipy
+def _planar(params, rho: float):
+    """Planar form X' = 2 I (A X + b), I' = -2 X.(A X + b) of the flow, where
+    X = (D, R), A = [[p1, p2 - p3], [-(p2 + p3), p1]] and b = rho (p5, -p4).
 
-    pscale = max(float(np.max(np.abs(params.p))), 1e-300)
-    found = []
-
-    def on_sphere(ang):
-        th, ph = ang
-        return rho * np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-
-    def tangential(ang):
-        s = on_sphere(ang)
-        f = qqq_rhs(params, rho, s)
-        n_hat = s / rho
-        e1 = np.array([-math.sin(ang[1]), math.cos(ang[1]), 0.0])
-        e2 = np.cross(n_hat, e1)
-        return [f @ e1, f @ e2]
-
-    for start in fibonacci_sphere(64, rho):
-        th0 = math.acos(np.clip(start[2] / rho, -1.0, 1.0))
-        ph0 = math.atan2(start[1], start[0])
-        res = root(tangential, [th0, ph0], method="hybr", tol=1e-12)
-        if not res.success:
-            continue
-        s = on_sphere(res.x)
-        if np.linalg.norm(qqq_rhs(params, rho, s)) <= 1e-9 * rho * rho * pscale:
-            found.append(s)
-    return _dedup(found, 1e-6 * rho)
+    With p scaled to max|p| = 1, returns det A, X* = -A^-1 b (None if
+    det A = 0) and the equator angles: on X = rho (cos t, sin t),
+    I' = 2 rho^2 g(t), g = -p1 + p3 sin 2t + p4 sin t - p5 cos t, and
+    2i z^2 g is p3 z^4 + (p4 - i p5) z^3 - 2i p1 z^2 - (p4 + i p5) z - p3 in
+    z = e^(it).  The angles are its roots within 1e-6 of |z| = 1 (terms
+    under 1e-14 of the largest trimmed) after 4 Newton steps on g; a nearly
+    tangent pair off the circle stays, so fixed points need a flow check.
+    """
+    _check_sphere(rho)
+    p1, p2, p3, p4, p5 = params.p / max(abs(params.p))
+    det = p1 * p1 + p2 * p2 - p3 * p3
+    x_star = None if det == 0.0 else -rho / det * np.array([p1 * p5 + (p2 - p3) * p4, (p2 + p3) * p5 - p1 * p4])
+    c = np.array([p3, p4 - 1j * p5, -2j * p1, -(p4 + 1j * p5), -p3])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.roots(np.where(np.abs(c) > 1e-14 * np.abs(c).max(), c, 0.0))
+        t = np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-6])
+        for _ in range(4):
+            g = -p1 + p3 * np.sin(2.0 * t) + p4 * np.sin(t) - p5 * np.cos(t)
+            t = t - g / (2.0 * p3 * np.cos(2.0 * t) + p4 * np.cos(t) + p5 * np.sin(t))
+    return det, x_star, t
 
 
 def _pair(rho: float, k: int, c: float, j: int) -> list:
@@ -621,10 +614,10 @@ def fixed_points(params, rho: float) -> FixedPointSet:
     """Fixed points of the quadratic flow on the sphere of radius rho.
 
     For the catalogued parameter families the analytic sets are returned
-    (continua as Circle descriptors); for families 14 and 15 the circle is
-    analytic and the isolated points off it are found numerically.  Anything
-    else falls back to seeded multi-start numerical root finding, which
-    returns isolated points only.
+    (continua as Circle descriptors).  For families 14 and 15 the circle is
+    analytic and the isolated points off it, like every fixed point of
+    parameters outside the catalogue, are algebraic: the equator roots of
+    the quartic of _planar and the pair (X*, +-I*) where A X* + b = 0.
     """
     from .closed_form import classify  # local import to avoid a cycle
 
@@ -687,9 +680,15 @@ def fixed_points(params, rho: float) -> FixedPointSet:
         offset = -rho * p5 / np.linalg.norm(normal)
         if abs(offset) < rho:
             circles = [Circle(tuple(offset * axis), tuple(axis), math.sqrt(rho * rho - offset * offset))]
-        pts = [s for s in _numeric_fixed_points(params, rho) if abs(s @ axis - offset) > 1e-6 * rho]
-    elif case == 0:
-        pts = _numeric_fixed_points(params, rho)
+    if case in (0, 14, 15):
+        _, x_star, t = _planar(params, rho)
+        pts = list(rho * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1))
+        if x_star is not None and x_star @ x_star <= rho * rho:
+            pts += [np.append(x_star, sgn * math.sqrt(rho * rho - x_star @ x_star)) for sgn in (1.0, -1.0)]
+        # a flow of p / max|p| above 5e-13 rho^2 drops a near-tangent equator pair and X* of a near-singular A
+        flow = np.linalg.norm(_qqq(*params.p / max(abs(params.p)), rho, *np.reshape(pts, (-1, 3)).T), axis=0)
+        pts = [s for s, f in zip(pts, flow) if f <= 5e-13 * rho * rho]
+        pts = [s for s in pts if case == 0 or abs(s @ axis - offset) > 1e-6 * rho]
 
     return FixedPointSet(_dedup(pts, 1e-6 * rho), circles)
 
@@ -745,16 +744,32 @@ def gamma_pair(p_inf, rho: float) -> tuple[complex, complex]:
 
 
 def detect_sync(params, rho: float):
-    """Empirical synchronization detector.
+    """Synchronization detector: a planar certificate, else a lattice.
 
-    Requires a finite fixed-point set with exactly one point passing the
-    sufficient stability condition, then integrates a lattice of 64 starts
-    to the horizon 20 / (rho p1) in one batched Dormand-Prince run with
-    per-start step control (tolerance 1e-9) and accepts only if every
-    non-equilibrium start lands within 1e-3 rho of the candidate.  A
-    successful detection is evidence, not a proof.  Each lattice is logged
-    at debug level on the ``cubicnls.quadratic_flow`` logger.
+    The certificate (A, X*, g as in _planar): if p1 > 1e-12 max|p| (outside
+    classify's p1 = 0 band), det A > 0 (so A's eigenvalues have positive
+    real parts), |X*| < rho and g < 0 on the equator (g(0) < 0, no root),
+    orbits cross I = 0 downward only and, in s = int 2 I dtau, follow
+    X' = A X + b away from X* while I > 0 and into it while I < 0: all but
+    the repeller (X*, +I*) tend to (X*, -I*), I* = sqrt(rho^2 - |X*|^2),
+    which is returned without integration.
+
+    Otherwise exactly one of finitely many fixed points must pass the
+    sufficient stability test, and every other start of a 64-start lattice,
+    one batched Dormand-Prince run (tolerance 1e-9) to the horizon
+    20 / (rho p1), must land within 1e-3 rho of it: evidence, not a proof.
+    Each call logs one debug line on the ``cubicnls.quadratic_flow`` logger.
     """
+    if params.p1 > 1e-12 * np.max(np.abs(params.p)):
+        det, x_star, t = _planar(params, rho)
+        if det > 0.0 and x_star @ x_star < rho * rho and -params.p1 - params.p5 < 0.0 and t.size == 0:
+            point = np.append(x_star, -math.sqrt(rho * rho - x_star @ x_star))
+            log.debug(
+                "detect_sync candidate=(%.17g, %.17g, %.17g) certificate trace_A=%.17g det_A=%.17g "
+                "x_star_over_rho=%.3g outcome=sync",
+                *point, 2.0 * params.p1, det * max(abs(params.p)) ** 2, math.sqrt(x_star @ x_star) / rho,
+            )
+            return SyncResult(point, gamma_pair(point, rho))
     fps = fixed_points(params, rho)
     if any(c.radius > 1e-12 * rho for c in fps.circles):
         return None

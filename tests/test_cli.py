@@ -16,6 +16,8 @@ from cubicnls.standard_form import StandardParams
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
 CASE1_PARAMS = '{"p": [1, 0, 0, 0, 0], "q": [0, 0, 0]}'
+# the planar certificate is inconclusive, so detect_sync runs its lattice
+LATTICE_REJECTED_PARAMS = '{"p": [0.75, -0.89, 0.03, 0.69, 0.59], "q": [0, 0, 0]}'
 UNCATALOGUED_PARAMS = '{"p": [0.3, 0.5, 0.7, 0.2, 0.1], "q": [0, 0, 0]}'
 
 
@@ -257,7 +259,7 @@ class TestFixedPoints:
     def test_step_budget_exit_4(self, capsys, monkeypatch):
         # detect_sync's lattice gives up after _DP5_MAX_LOOPS trial steps
         monkeypatch.setattr(qf, "_DP5_MAX_LOOPS", 3)
-        code, out, err = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "1")
+        code, out, err = run(capsys, "fixed-points", "--params", LATTICE_REJECTED_PARAMS, "--rho", "1")
         assert (code, out) == (4, "")
         assert err == "error: the numerical integrator could not advance: no end state within 3 steps\n"
 
@@ -458,7 +460,7 @@ print(json.dumps({"after_setup": after_setup, "fixed_points": fixed_points, "aft
 
 def test_cold_start_leaves_scipy_unloaded(tmp_path, capsys):
     # the benchmark's fresh-process set-up calls (perfbench/setup_child.py)
-    # need no scipy; fixed points outside the analytic sets load it on demand
+    # need no scipy, and neither do fixed points outside the analytic sets
     finaldata = tmp_path / "fd.csv"
     write_finaldata(finaldata)
     setup_calls = [
@@ -477,5 +479,5 @@ def test_cold_start_leaves_scipy_unloaded(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr.decode()
     doc = json.loads(proc.stdout)
     assert doc["after_setup"] == []
-    assert "scipy.optimize" in doc["after"]
+    assert doc["after"] == []
     assert run(capsys, *fixed_points_call)[:2] == (0, doc["fixed_points"])

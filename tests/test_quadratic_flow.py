@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import cubicnls.quadratic_flow as qf
-from cubicnls.closed_form import UnsupportedCaseError, solve_case
+from cubicnls.closed_form import UnsupportedCaseError, classify, solve_case
 from cubicnls.quadratic_flow import (
     ASYMPTOTICALLY_STABLE,
     INCONCLUSIVE,
@@ -34,6 +34,9 @@ CASE1 = StandardParams(1, 0, 0, 0, 0)
 # four isolated fixed points, one passing the sufficient test, and a lattice
 # start that does not reach it
 LATTICE_REJECTED = StandardParams(0.75, -0.89, 0.03, 0.69, 0.59)
+# equator fixed points, so the planar certificate is inconclusive, and a
+# lattice that synchronizes
+LATTICE_SYNC = StandardParams(1.4, 1.0, 0.7, 1.3, 0.8)
 
 
 def rand_params(rng):
@@ -281,7 +284,7 @@ class TestFixedPoints:
         assert [p.tolist() for p in fps.points] == [[0.0, 2.0, 0.0]]
 
     def test_numeric_fallback(self):
-        # uncatalogued parameters: multi-start root finding on the sphere
+        # uncatalogued parameters: the algebraic fixed points of the planar flow
         p = StandardParams(0.8, 0.3, 0.5, 0.2, 0.1)
         fps = fixed_points(p, 1.0)
         assert fps.points, "fallback found no equilibria"
@@ -291,6 +294,65 @@ class TestFixedPoints:
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             fixed_points(CASE1, 0.0)
+
+    def test_equator_point_a_lattice_search_missed(self):
+        # a 64-start root search on this uncatalogued system found three of
+        # the four equator points; the quartic has all four
+        p, rho = StandardParams(0.0708, -0.4004, 1.4191, 0.4467, 1.6987), 1.9031
+        pts = fixed_points(p, rho).points
+        assert min(np.linalg.norm(s - [-0.6964, 1.7711, 0.0]) for s in pts) < 1e-4 * rho
+        assert len(pts) == 6
+        for s in pts:
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho * np.max(np.abs(p.p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(
+            st.floats(0, 2), st.floats(-2, 2), st.floats(0, 2), st.floats(-2, 2), st.floats(0, 2)
+        ).filter(any),
+        st.floats(0.2, 3.0),
+    )
+    def test_every_point_is_fixed(self, p, rho):
+        # the algebraic points: outside the catalogue and off the circle of
+        # families 14 and 15 (a catalogue member's points are exact only for
+        # parameters exactly in its family, not within classify's 1e-12 band)
+        p = StandardParams(*p)
+        assume(classify(p).case in (0, 14, 15))
+        for s in fixed_points(p, rho).points:
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho * np.max(np.abs(p.p))
+
+    def test_newton_scan_finds_no_other_point(self):
+        # 500 Fibonacci starts of scipy's hybrid Newton method in spherical
+        # angles, on each of 20 seeded uncatalogued systems: every fixed
+        # point it reaches is one of the returned points
+        from scipy.optimize import root
+
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p, rho = rand_params(rng), rng.uniform(0.3, 2.0)
+            assert classify(p).case == 0
+            pts = fixed_points(p, rho).points
+            pscale = np.max(np.abs(p.p))
+
+            def on_sphere(angles):
+                th, ph = angles
+                return rho * np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
+
+            def tangential(angles):
+                th, ph = angles
+                st_, ct, sp, cp = math.sin(th), math.cos(th), math.sin(ph), math.cos(ph)
+                fd, fr, fi = qf._qqq(*p.p.tolist(), rho, rho * st_ * cp, rho * st_ * sp, rho * ct)
+                # the flow along e_phi and e_theta
+                return [-sp * fd + cp * fr, ct * cp * fd + ct * sp * fr - st_ * fi]
+
+            reached = 0
+            for s0 in fibonacci_sphere(500, rho):
+                res = root(tangential, [math.acos(s0[2] / rho), math.atan2(s0[1], s0[0])], method="hybr", tol=1e-12)
+                s = on_sphere(res.x)
+                if res.success and np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-9 * rho * rho * pscale:
+                    reached += 1
+                    assert min(np.linalg.norm(s - q) for q in pts) <= 1e-6 * rho
+            assert reached >= 100
 
     @pytest.mark.parametrize(
         "p", [StandardParams(0.6, 0.8, 1.0, 0, 0), StandardParams(0.6, 0.8, 1.0, 0.6, 0.2)]
@@ -364,7 +426,7 @@ class TestSync:
         assert g1 == 0.0 and abs(g2) == pytest.approx(math.sqrt(2.0))
 
     @pytest.mark.parametrize(
-        "p,outcome", [(CASE1, "sync"), (LATTICE_REJECTED, "rejected")], ids=["case1", "rejected"]
+        "p,outcome", [(LATTICE_SYNC, "sync"), (LATTICE_REJECTED, "rejected")], ids=["lattice_sync", "rejected"]
     )
     def test_debug_log_line(self, caplog, p, outcome):
         with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
@@ -376,6 +438,65 @@ class TestSync:
         for key in ("candidate=", "loops=", "rejected=", "max_distance="):
             assert key in lines[0]
         assert lines[0].endswith(f"outcome={outcome}")
+
+    def test_certificate_debug_line(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
+            detect_sync(CASE1, 1.0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
+        assert lines == [
+            "detect_sync candidate=(-0, -0, -1) certificate trace_A=2 det_A=1 x_star_over_rho=0 outcome=sync"
+        ]
+
+    def test_certificate_where_the_lattice_missed(self):
+        # the 64-start lattice at the horizon 20 / (rho p1) reported no
+        # synchronization here: the contraction is slower than that horizon
+        # assumes, but ten times longer every start reaches the point
+        p, rho = StandardParams(1.073, 0.413, 0.954, 0.442, 0.523), 1.6003
+        point = certified_point(p, rho)
+        res = detect_sync(p, rho)
+        assert np.allclose(res.point, point, rtol=0, atol=1e-12 * rho)
+        assert long_lattice_distance(p, rho, point) <= 1e-6 * rho
+
+    def test_certificate_agrees_with_long_lattice(self):
+        rng = np.random.default_rng(40)
+        checked = 0
+        while checked < 40:
+            p, rho = rand_params(rng), rng.uniform(0.3, 2.0)
+            p = StandardParams(p.p1 + 1.0, *p.p[1:], *p.q)
+            point = certified_point(p, rho)
+            if point is None:
+                continue
+            checked += 1
+            res = detect_sync(p, rho)
+            assert np.allclose(res.point, point, rtol=0, atol=1e-12 * rho)
+            assert long_lattice_distance(p, rho, point) <= 1e-6 * rho
+
+
+def certified_point(p, rho):
+    """(X*, -I*) when the planar certificate's conditions hold with a margin,
+    checked without _planar (g sampled at 4096 angles), else None."""
+    a = np.array([[p.p1, p.p2 - p.p3], [-(p.p2 + p.p3), p.p1]])
+    if not (p.p1 > 0.0 and np.linalg.det(a) > 0.0):
+        return None
+    x = np.linalg.solve(a, -rho * np.array([p.p5, -p.p4]))
+    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    g = -p.p1 + p.p3 * np.sin(2.0 * t) + p.p4 * np.sin(t) - p.p5 * np.cos(t)
+    if x @ x >= rho * rho or g.max() >= -1e-3 * np.max(np.abs(p.p)):
+        return None
+    return np.append(x, -math.sqrt(rho * rho - x @ x))
+
+
+def long_lattice_distance(p, rho, point):
+    """Largest distance to point after a batched Dormand-Prince run (tol
+    1e-10) from the 64 lattice starts off the two fixed points to ten times
+    detect_sync's horizon."""
+    repeller = point * [1.0, 1.0, -1.0]
+    starts = [
+        s for s in fibonacci_sphere(64, rho)
+        if min(np.linalg.norm(s - point), np.linalg.norm(s - repeller)) >= 1e-6 * rho
+    ]
+    ends, _, _ = qf._dp5_end(lambda y: qqq_rhs(p, rho, y), np.transpose(starts), 200.0 / (rho * p.p1), 1e-10)
+    return np.max(np.linalg.norm(ends - point[:, None], axis=0))
 
 
 class TestBatchedOracle:
@@ -420,7 +541,7 @@ class TestBatchedOracle:
     def test_step_budget_raises(self, monkeypatch):
         monkeypatch.setattr(qf, "_DP5_MAX_LOOPS", 3)
         with pytest.raises(StiffnessError, match="3 steps"):
-            detect_sync(CASE1, 1.0)
+            detect_sync(LATTICE_REJECTED, 1.0)
 
 
 # the fifteen catalogue members of the benchmark's solve-sweep workload
