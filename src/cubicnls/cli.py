@@ -10,8 +10,7 @@ profile        sample the space-time profile to CSV
 Exit codes: 0 success, 1 malformed input (usage errors included), 2 no
 coercive conserved form, 3 parameters outside the closed-form catalogue in
 closed mode, or outside the pure-p1 family for profile --special, 4 the
-numerical integrator could not advance (an oracle or the synchronization
-lattice whose step underflowed or ran out of steps).
+numerical integrator could not advance (an oracle whose step underflowed).
 
 All CSV output uses 17 significant digits, '.' decimals and LF endings, so
 identical inputs give byte-identical files.  The environment

@@ -10,15 +10,14 @@ For an amplitude pair (A1, A2) the quadratic quantities are
 with D^2 + R^2 + I^2 = rho^2, so (D, R, I) lives on the sphere of radius
 rho.  This module provides the polynomial right-hand sides, adaptive
 Runge-Kutta oracles with dense output for both flows, fixed points with
-their stability classification, and a detector for the synchronization
+their stability classification, and a certificate for the synchronization
 scenario (a single attracting fixed point).
 
 The oracles are one Dormand-Prince 5(4) loop on Python floats under scipy
 RK45's step controller, with the pair's quartic continuous extension as
 dense output (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-II.6); detect_sync's lattice runs the same tableau and
-controller over a (3, N) array.  Each oracle run is logged at debug level
-on the ``cubicnls.quadratic_flow`` logger.
+ODEs I, II.4-II.6).  Each oracle run and each detect_sync call is logged at
+debug level on the ``cubicnls.quadratic_flow`` logger.
 """
 
 from __future__ import annotations
@@ -234,88 +233,6 @@ _DP5_P = np.array([
 ])
 # step factor: SAFETY * err^EXPONENT, clipped to [MIN_FACTOR, MAX_FACTOR]
 _DP5_SAFETY, _DP5_MIN_FACTOR, _DP5_MAX_FACTOR, _DP5_EXPONENT = 0.9, 0.2, 10.0, -0.2
-_STEP_UNDERFLOW = "Required step size is less than spacing between numbers."
-# trial steps of the whole batch before _dp5_end gives up; the lattices of
-# detect_sync take a few hundred
-_DP5_MAX_LOOPS = 100_000
-
-
-def _rms(x: np.ndarray) -> np.ndarray:
-    """RMS norm of each column."""
-    return np.sqrt(np.sum(x * x, axis=0) / x.shape[0])
-
-
-def _dp5_end(f, y0, t_end: float, tol: float):
-    """End states at t_end > 0 of the autonomous flow y' = f(y) from each
-    column of the (dim, N) array y0 at t = 0.
-
-    One Dormand-Prince 5(4) step is tried on all unfinished columns at once;
-    each column keeps its own time, step and rejected-step flag under scipy
-    RK45's controller (initial step, RMS error norm, safety 0.9, factors 0.2
-    and 10, no growth right after a rejection) with rtol = atol = tol.
-    f maps a (dim, M) array to its (dim, M) derivative.  Raises
-    StiffnessError when a column's step falls below 10 ulps of its time or
-    after _DP5_MAX_LOOPS trial steps.  Returns (end states, trial steps,
-    rejected column steps).
-    """
-    y = np.array(y0, dtype=float)
-    out = np.empty_like(y)
-    cols = np.arange(y.shape[1])
-    loops = rejections = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fy = f(y)
-        scale = tol + np.abs(y) * tol
-        d0, d1 = _rms(y / scale), _rms(fy / scale)
-        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_end)
-        d2 = _rms((f(y + h0 * fy) - fy) / scale) / h0
-        h1 = np.where(
-            (d1 <= 1e-15) & (d2 <= 1e-15),
-            np.maximum(1e-6, h0 * 1e-3),
-            (0.01 / np.maximum(d1, d2)) ** 0.2,
-        )
-        h = np.minimum(np.minimum(100.0 * h0, h1), t_end)
-        t = np.zeros_like(h)
-        rejected = np.zeros(h.shape, dtype=bool)
-        k = np.empty((7,) + y.shape)
-        while cols.size:
-            if loops == _DP5_MAX_LOOPS:
-                raise StiffnessError(f"no end state within {_DP5_MAX_LOOPS} steps")
-            loops += 1
-            # stages as rows, so that each combination is one product
-            kf = k.reshape(7, -1)
-            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-            # a fresh step starts at least min_step long (fmax also replaces
-            # a NaN initial step); a retried one below it fails
-            h = np.where(rejected, h, np.fmax(h, min_step))
-            if np.any(h < min_step):
-                raise StiffnessError(_STEP_UNDERFLOW)
-            t_new = np.minimum(t + h, t_end)
-            h = t_new - t
-            k[0] = fy
-            for s in range(1, 6):
-                k[s] = f(y + (_DP5_A[s, :s] @ kf[:s]).reshape(y.shape) * h)
-            y_new = y + h * (_DP5_B @ kf[:6]).reshape(y.shape)
-            k[6] = f_new = f(y_new)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err = _rms((_DP5_E @ kf).reshape(y.shape) * h / scale)
-            ok = err < 1.0
-            factor = _DP5_SAFETY * err**_DP5_EXPONENT
-            grow = np.where(err == 0.0, _DP5_MAX_FACTOR, np.minimum(_DP5_MAX_FACTOR, factor))
-            grow = np.where(rejected, np.minimum(1.0, grow), grow)
-            h = h * np.where(ok, grow, np.fmax(_DP5_MIN_FACTOR, factor))
-            rejected = ~ok
-            rejections += int(np.count_nonzero(rejected))
-            t = np.where(ok, t_new, t)
-            y = np.where(ok, y_new, y)
-            fy = np.where(ok, f_new, fy)
-            done = ok & (t_new == t_end)
-            if done.any():
-                out[:, cols[done]] = y[:, done]
-                keep = ~done
-                cols, t, h, rejected = cols[keep], t[keep], h[keep], rejected[keep]
-                y, fy = y[:, keep], fy[:, keep]
-                k = np.empty((7,) + y.shape)
-    return out, loops, rejections
 
 
 def _dp5_path(f, t0: float, t1: float, y: list, tol: float):
@@ -367,7 +284,7 @@ def _dp5_path(f, t0: float, t1: float, y: list, tol: float):
         step_rejected = False
         while True:
             if h_abs < min_step:
-                raise StiffnessError(_STEP_UNDERFLOW)
+                raise StiffnessError("Required step size is less than spacing between numbers.")
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0.0:
                 t_new = t1
@@ -675,9 +592,9 @@ def fixed_points(params, rho: float) -> FixedPointSet:
     elif case in (14, 15):
         # p1^2 + p2^2 = p3^2 makes the flow vanish on the whole plane
         # p1 D + (p2 - p3) R + rho p5 = 0; its other fixed points are isolated
-        normal = np.array([p1, p2 - p3, 0.0])
-        axis = normal / np.linalg.norm(normal)
-        offset = -rho * p5 / np.linalg.norm(normal)
+        norm = math.hypot(p1, p2 - p3)  # no underflow for tiny p
+        axis = np.array([p1 / norm, (p2 - p3) / norm, 0.0])
+        offset = -rho * p5 / norm
         if abs(offset) < rho:
             circles = [Circle(tuple(offset * axis), tuple(axis), math.sqrt(rho * rho - offset * offset))]
     if case in (0, 14, 15):
@@ -744,9 +661,9 @@ def gamma_pair(p_inf, rho: float) -> tuple[complex, complex]:
 
 
 def detect_sync(params, rho: float):
-    """Synchronization detector: a planar certificate, else a lattice.
+    """Synchronization detector: the planar certificate, exact both ways.
 
-    The certificate (A, X*, g as in _planar): if p1 > 1e-12 max|p| (outside
+    With A, X* and g as in _planar: if p1 > 1e-12 max|p| (outside
     classify's p1 = 0 band), det A > 0 (so A's eigenvalues have positive
     real parts), |X*| < rho and g < 0 on the equator (g(0) < 0, no root),
     orbits cross I = 0 downward only and, in s = int 2 I dtau, follow
@@ -754,46 +671,28 @@ def detect_sync(params, rho: float):
     the repeller (X*, +I*) tend to (X*, -I*), I* = sqrt(rho^2 - |X*|^2),
     which is returned without integration.
 
-    Otherwise exactly one of finitely many fixed points must pass the
-    sufficient stability test, and every other start of a 64-start lattice,
-    one batched Dormand-Prince run (tolerance 1e-9) to the horizon
-    20 / (rho p1), must land within 1e-3 rho of it: evidence, not a proof.
-    Each call logs one debug line on the ``cubicnls.quadratic_flow`` logger.
+    Otherwise None: g < 0 on the equator forces the other conditions, so
+    g >= 0 somewhere, up to the p1 band and _planar's 1e-6 root band.  Where
+    g > 0 on an arc, each curve of X' = A X + b entering the disk there is
+    traced forward while I > 0 and back while I < 0: periodic orbits filling
+    an open set.  Each call logs one debug line on the
+    ``cubicnls.quadratic_flow`` logger.
     """
-    if params.p1 > 1e-12 * np.max(np.abs(params.p)):
-        det, x_star, t = _planar(params, rho)
-        if det > 0.0 and x_star @ x_star < rho * rho and -params.p1 - params.p5 < 0.0 and t.size == 0:
-            point = np.append(x_star, -math.sqrt(rho * rho - x_star @ x_star))
-            log.debug(
-                "detect_sync candidate=(%.17g, %.17g, %.17g) certificate trace_A=%.17g det_A=%.17g "
-                "x_star_over_rho=%.3g outcome=sync",
-                *point, 2.0 * params.p1, det * max(abs(params.p)) ** 2, math.sqrt(x_star @ x_star) / rho,
-            )
-            return SyncResult(point, gamma_pair(point, rho))
-    fps = fixed_points(params, rho)
-    if any(c.radius > 1e-12 * rho for c in fps.circles):
-        return None
-    stable = [
-        p for p in fps.points
-        if stability(params, rho, p).classification == ASYMPTOTICALLY_STABLE
-    ]
-    if len(stable) != 1:
-        return None
-    candidate = stable[0]
-    horizon = 20.0 / (rho * max(params.p1, 1e-12))
-    starts = [
-        s for s in fibonacci_sphere(64, rho)
-        if all(np.linalg.norm(s - q) >= 1e-6 * rho for q in fps.points)
-    ]
-    ends, loops, rejections = _dp5_end(
-        lambda y: qqq_rhs(params, rho, y), np.transpose(starts), horizon, 1e-9
-    )
-    dist = np.linalg.norm(ends - candidate[:, None], axis=0) / rho
-    synced = bool(np.all(dist <= 1e-3))
+    det, x_star, t = _planar(params, rho)
+    scale = max(abs(params.p))
+    source_inside = params.p1 > 1e-12 * scale and det > 0.0 and x_star @ x_star < rho * rho
+    if source_inside and -params.p1 - params.p5 < 0.0 and t.size == 0:
+        point = np.append(x_star, -math.sqrt(rho * rho - x_star @ x_star))
+        log.debug(
+            "detect_sync candidate=(%.17g, %.17g, %.17g) certificate trace_A=%.17g det_A=%.17g "
+            "x_star_over_rho=%.3g outcome=sync",
+            *point, 2.0 * params.p1, det * scale**2, math.sqrt(x_star @ x_star) / rho,
+        )
+        return SyncResult(point, gamma_pair(point, rho))
     log.debug(
-        "detect_sync candidate=(%.17g, %.17g, %.17g) starts=%d loops=%d rejected=%d "
-        "max_distance=%.3g outcome=%s",
-        *candidate, len(starts), loops, rejections, dist.max(),
-        "sync" if synced else "rejected",
+        "detect_sync certificate trace_A=%.17g det_A=%.17g x_star_over_rho=%s equator_roots=[%s] outcome=none",
+        2.0 * params.p1, det * scale**2,
+        "none" if x_star is None else "%.3g" % (math.sqrt(x_star @ x_star) / rho),
+        ", ".join("%.6g" % v for v in np.sort(t)),
     )
-    return SyncResult(candidate, gamma_pair(candidate, rho)) if synced else None
+    return None

@@ -16,8 +16,6 @@ from cubicnls.standard_form import StandardParams
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
 CASE1_PARAMS = '{"p": [1, 0, 0, 0, 0], "q": [0, 0, 0]}'
-# the planar certificate is inconclusive, so detect_sync runs its lattice
-LATTICE_REJECTED_PARAMS = '{"p": [0.75, -0.89, 0.03, 0.69, 0.59], "q": [0, 0, 0]}'
 UNCATALOGUED_PARAMS = '{"p": [0.3, 0.5, 0.7, 0.2, 0.1], "q": [0, 0, 0]}'
 
 
@@ -255,13 +253,6 @@ class TestFixedPoints:
         assert doc["synchronization"]["gamma"][0] == [1.0, 0.0]
         g2 = doc["synchronization"]["gamma"][1]
         assert abs(g2[0]) < 1e-12 and g2[1] == pytest.approx(-1.0)
-
-    def test_step_budget_exit_4(self, capsys, monkeypatch):
-        # detect_sync's lattice gives up after _DP5_MAX_LOOPS trial steps
-        monkeypatch.setattr(qf, "_DP5_MAX_LOOPS", 3)
-        code, out, err = run(capsys, "fixed-points", "--params", LATTICE_REJECTED_PARAMS, "--rho", "1")
-        assert (code, out) == (4, "")
-        assert err == "error: the numerical integrator could not advance: no end state within 3 steps\n"
 
     def test_case2_circle(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ from cubicnls.quadratic_flow import (
 from cubicnls.standard_form import StandardParams
 
 CASE1 = StandardParams(1, 0, 0, 0, 0)
-# four isolated fixed points, one passing the sufficient test, and a lattice
-# start that does not reach it
+# four isolated fixed points, one passing the sufficient test, and g > 0 on
+# an arc of the equator: a 64-start lattice rejected its candidate
 LATTICE_REJECTED = StandardParams(0.75, -0.89, 0.03, 0.69, 0.59)
-# equator fixed points, so the planar certificate is inconclusive, and a
-# lattice that synchronizes
+# p1 > 0, det A > 0 and |X*| < rho, but g > 0 on the thin equator arc
+# [1.2437, 1.2927]: a 64-start lattice reported synchronization here, and
+# the orbits through that arc are periodic
 LATTICE_SYNC = StandardParams(1.4, 1.0, 0.7, 1.3, 0.8)
 
 
@@ -295,6 +297,15 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             fixed_points(CASE1, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_case14_circle_at_tiny_scale(self):
+        # p1^2 + (p2 - p3)^2 = 4e-401 underflows to 0, the norm of the
+        # circle's plane normal (p1, p2 - p3) must not
+        fps = fixed_points(StandardParams(0.6e-200, 0.8e-200, 1e-200, 0, 0), 1.3)
+        (circle,) = fps.circles
+        assert circle.axis == pytest.approx((0.6 / math.sqrt(0.4), -0.2 / math.sqrt(0.4), 0.0), rel=1e-15)
+        assert circle.radius == 1.3 and circle.center == (0.0, 0.0, 0.0)
+
     def test_equator_point_a_lattice_search_missed(self):
         # a 64-start root search on this uncatalogued system found three of
         # the four equator points; the quartic has all four
@@ -413,7 +424,7 @@ class TestSync:
 
     def test_lattice_rejects_single_stable_candidate(self):
         # four isolated fixed points and exactly one passes the sufficient
-        # test, so only the trajectory lattice can reject the candidate
+        # test, but g > 0 on an arc of the equator, so the certificate refuses
         p = LATTICE_REJECTED
         fps = fixed_points(p, 1.0)
         assert fps.circles == [] and len(fps.points) == 4
@@ -426,18 +437,33 @@ class TestSync:
         assert g1 == 0.0 and abs(g2) == pytest.approx(math.sqrt(2.0))
 
     @pytest.mark.parametrize(
-        "p,outcome", [(LATTICE_SYNC, "sync"), (LATTICE_REJECTED, "rejected")], ids=["lattice_sync", "rejected"]
+        "p,x_star_over_rho,roots",
+        [
+            (LATTICE_SYNC, "0.639", [1.2437, 1.2927]),
+            (LATTICE_REJECTED, "0.77", [1.6941, 2.843]),
+            (StandardParams(0.6, 0.8, 1.0, 0, 0), "none", [-2.8198, -1.8925, 0.32175, 1.249]),
+            (StandardParams(0, 1, 0, 0, 0), "0", []),
+        ],
+        ids=["lattice_sync", "rejected", "singular", "p1_band"],
     )
-    def test_debug_log_line(self, caplog, p, outcome):
+    def test_debug_log_line(self, caplog, p, x_star_over_rho, roots):
+        # a refusal reports A, |X*| / rho ("none" when det A = 0) and the
+        # sorted equator roots of g
         with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
-            detect_sync(p, 1.0)
+            assert detect_sync(p, 1.0) is None
         lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
         assert len(lines) == 1
-        # no lattice start sits on a fixed point of these systems
-        assert "starts=64 " in lines[0]
-        for key in ("candidate=", "loops=", "rejected=", "max_distance="):
-            assert key in lines[0]
-        assert lines[0].endswith(f"outcome={outcome}")
+        m = re.fullmatch(
+            r"detect_sync certificate trace_A=(\S+) det_A=(\S+) x_star_over_rho=(\S+) "
+            r"equator_roots=\[(.*)\] outcome=none",
+            lines[0],
+        )
+        assert m is not None, lines[0]
+        assert float(m[1]) == 2.0 * p.p1
+        assert float(m[2]) == pytest.approx(p.p1**2 + p.p2**2 - p.p3**2, rel=1e-12, abs=1e-15)
+        assert m[3] == x_star_over_rho
+        got = [float(v) for v in m[4].split(", ")] if m[4] else []
+        assert got == pytest.approx(roots, abs=1e-4)
 
     def test_certificate_debug_line(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
@@ -457,6 +483,26 @@ class TestSync:
         assert np.allclose(res.point, point, rtol=0, atol=1e-12 * rho)
         assert long_lattice_distance(p, rho, point) <= 1e-6 * rho
 
+    def test_periodic_band_is_not_synchronization(self):
+        # the lattice's false positive: an orbit from the arc where g > 0
+        # keeps its distance from the candidate (X*, -I*) for good
+        assert detect_sync(LATTICE_SYNC, 1.0) is None
+        assert candidate_distance(LATTICE_SYNC, 1.0) >= 0.1
+
+    def test_refusals_keep_off_the_candidate(self):
+        # refused systems whose candidate exists (p1 > 0, det A > 0,
+        # |X*| < rho): g > 0 somewhere, and an orbit from there stays away
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 10:
+            p, rho = rand_params(rng), rng.uniform(0.3, 2.0)
+            p = StandardParams(p.p1 + 0.3, *p.p[1:], *p.q)
+            if planar_candidate(p, rho) is None or detect_sync(p, rho) is not None:
+                continue
+            checked += 1
+            assert equator_g(p, 20000)[1].max() > 0.0
+            assert candidate_distance(p, rho) >= 0.1 * rho
+
     def test_certificate_agrees_with_long_lattice(self):
         rng = np.random.default_rng(40)
         checked = 0
@@ -472,76 +518,65 @@ class TestSync:
             assert long_lattice_distance(p, rho, point) <= 1e-6 * rho
 
 
-def certified_point(p, rho):
-    """(X*, -I*) when the planar certificate's conditions hold with a margin,
-    checked without _planar (g sampled at 4096 angles), else None."""
+def planar_candidate(p, rho):
+    """(X*, -I*) when p1 > 0, det A > 0 and |X*| < rho, computed without
+    _planar, else None."""
     a = np.array([[p.p1, p.p2 - p.p3], [-(p.p2 + p.p3), p.p1]])
     if not (p.p1 > 0.0 and np.linalg.det(a) > 0.0):
         return None
     x = np.linalg.solve(a, -rho * np.array([p.p5, -p.p4]))
-    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    g = -p.p1 + p.p3 * np.sin(2.0 * t) + p.p4 * np.sin(t) - p.p5 * np.cos(t)
-    if x @ x >= rho * rho or g.max() >= -1e-3 * np.max(np.abs(p.p)):
+    if x @ x >= rho * rho:
         return None
     return np.append(x, -math.sqrt(rho * rho - x @ x))
 
 
+def equator_g(p, n):
+    """n equally spaced equator angles t and g(t) = I' / (2 rho^2) there."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return t, -p.p1 + p.p3 * np.sin(2.0 * t) + p.p4 * np.sin(t) - p.p5 * np.cos(t)
+
+
+def certified_point(p, rho):
+    """(X*, -I*) when the planar certificate's conditions hold with a margin,
+    checked without _planar (g sampled at 4096 angles), else None."""
+    point = planar_candidate(p, rho)
+    if point is None or equator_g(p, 4096)[1].max() >= -1e-3 * np.max(np.abs(p.p)):
+        return None
+    return point
+
+
 def long_lattice_distance(p, rho, point):
-    """Largest distance to point after a batched Dormand-Prince run (tol
-    1e-10) from the 64 lattice starts off the two fixed points to ten times
-    detect_sync's horizon."""
+    """Largest distance to point after one scipy DOP853 run (rtol = atol =
+    1e-10) of the 64 lattice starts off the two fixed points, stacked into
+    one system of 3 N equations, to 200 / (rho p1)."""
     repeller = point * [1.0, 1.0, -1.0]
-    starts = [
+    starts = np.transpose([
         s for s in fibonacci_sphere(64, rho)
         if min(np.linalg.norm(s - point), np.linalg.norm(s - repeller)) >= 1e-6 * rho
-    ]
-    ends, _, _ = qf._dp5_end(lambda y: qqq_rhs(p, rho, y), np.transpose(starts), 200.0 / (rho * p.p1), 1e-10)
+    ])
+    sol = solve_ivp(
+        lambda t, y: qqq_rhs(p, rho, y.reshape(3, -1)).ravel(), (0.0, 200.0 / (rho * p.p1)),
+        starts.ravel(), method="DOP853", rtol=1e-10, atol=1e-10,
+    )
+    assert sol.success
+    ends = sol.y[:, -1].reshape(3, -1)
     return np.max(np.linalg.norm(ends - point[:, None], axis=0))
 
 
-class TestBatchedOracle:
-    """The private array integrator behind detect_sync's lattice."""
-
-    @pytest.mark.parametrize(
-        "p,rho",
-        [
-            (CASE1, 0.5),
-            (CASE1, 2.0),
-            (StandardParams(1, 0, 0, 0.4, 0), 0.5),
-            (StandardParams(1, 0, 0, 0.4, 0), 2.0),
-            (LATTICE_REJECTED, 1.0),
-        ],
+def candidate_distance(p, rho):
+    """Smallest distance to the candidate (X*, -I*) over tau in
+    [50, 100] / (rho p1) of a scipy DOP853 run (rtol = atol = 1e-12) from
+    I = 1e-3 rho above the equator angle where g is largest."""
+    t, g = equator_g(p, 20000)
+    top, i0 = t[np.argmax(g)], 1e-3 * rho
+    w = math.sqrt(rho * rho - i0 * i0)
+    window = np.linspace(50.0, 100.0, 2001) / (rho * p.p1)
+    sol = solve_ivp(
+        lambda tau, y: qqq_rhs(p, rho, y), (0.0, window[-1]), [w * math.cos(top), w * math.sin(top), i0],
+        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=window,
     )
-    def test_matches_scipy_rk45_per_start(self, p, rho):
-        # the same Dormand-Prince pair under the same step controller, so the
-        # end states agree with one solve_ivp run per start up to rounding
-        starts = fibonacci_sphere(64, rho)
-        horizon = 20.0 / (rho * p.p1)
-        ends, _, _ = qf._dp5_end(lambda y: qqq_rhs(p, rho, y), starts.T, horizon, 1e-9)
-        for s, end in zip(starts, ends.T):
-            sol = solve_ivp(
-                lambda t, y: qqq_rhs(p, rho, y), (0.0, horizon), s,
-                method="RK45", rtol=1e-9, atol=1e-9,
-            )
-            assert sol.success
-            assert np.max(np.abs(end - sol.y[:, -1])) <= 1e-11 * rho
-
-    def test_nan_column_raises(self):
-        starts = fibonacci_sphere(8, 1.0).T
-
-        def rhs(y):
-            # NaN for the column still sitting at the first start
-            out = qqq_rhs(CASE1, 1.0, y)
-            out[:, np.all(y == starts[:, :1], axis=0)] = np.nan
-            return out
-
-        with pytest.raises(StiffnessError, match="step size"):
-            qf._dp5_end(rhs, starts, 20.0, 1e-9)
-
-    def test_step_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(qf, "_DP5_MAX_LOOPS", 3)
-        with pytest.raises(StiffnessError, match="3 steps"):
-            detect_sync(LATTICE_REJECTED, 1.0)
+    assert sol.success
+    return np.min(np.linalg.norm(sol.y - planar_candidate(p, rho)[:, None], axis=0))
 
 
 # the fifteen catalogue members of the benchmark's solve-sweep workload
