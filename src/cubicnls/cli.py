@@ -207,8 +207,17 @@ def cmd_fixed_points(args) -> int:
 
 
 def _finaldata(path: str) -> FinalData:
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    return FinalData(raw["xi"], raw["re_a1"] + 1j * raw["im_a1"], raw["re_a2"] + 1j * raw["im_a2"])
+    """Final data from a CSV whose header names the columns xi, re_a1, im_a1,
+    re_a2 and im_a2, in any order; '#' starts a comment and blank lines are
+    skipped.  A missing column or a bad field raises ValueError."""
+    with open(path) as fh:
+        lines = [line.split("#", 1)[0] for line in fh]
+    header, *body = [line.split(",") for line in lines if line.strip()]
+    header = [name.strip() for name in header]
+    cols = [header.index(name) for name in ("xi", "re_a1", "im_a1", "re_a2", "im_a2")]
+    # float() takes the blanks around a field
+    xi, re1, im1, re2, im2 = np.array([[float(row[c]) for c in cols] for row in body]).reshape(-1, 5).T
+    return FinalData(xi, re1 + 1j * im1, re2 + 1j * im2)
 
 
 def cmd_profile(args) -> int:

@@ -7,7 +7,11 @@ The approximate solution at time t and position x is
 where A solves the amplitude flow with final data (alpha1, alpha2) sampled
 on a grid of the similarity variable xi = x / (2 t).  The generic pipeline
 evaluates the flow through the closed forms plus reconstruction when the
-parameters are catalogued, and through the numerical oracle otherwise.
+parameters are catalogued, and through the sigma-reduction otherwise: the
+planar orbit in closed form, time as a quadrature over it and the phase by
+reconstruction's rule (quadratic_flow._SigmaOrbit,
+reconstruction._orbit_pair).  Points the reduction declines go to the
+numerical oracle of the full flow.
 
 Two specialized, fully explicit profile formulas are provided for the pure
 p1 family (synchronizing) and the pure p3 family (elliptic), and the
@@ -25,8 +29,8 @@ import numpy as np
 
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, solve_case
-from .quadratic_flow import amplitudes_to_quad, integrate_full
-from .reconstruction import reconstruct
+from .quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, integrate_full
+from .reconstruction import _orbit_pair, reconstruct
 
 __all__ = [
     "ExtrapolationError",
@@ -91,16 +95,21 @@ def _prefactor(t: float, x: float) -> complex:
 
 def _flow(params, a0: tuple[complex, complex], tau: float) -> tuple[complex, complex]:
     """Amplitude pair advanced by tau: closed form + reconstruction when the
-    parameters are catalogued, numerical oracle otherwise."""
+    parameters are catalogued, the sigma-reduction otherwise, and the RK45
+    oracle of the full flow where the reduction declines (a separatrix, or
+    a time rule short of its target; logged at debug level with the reason)."""
     if tau == 0.0 or (a0[0] == 0 and a0[1] == 0):
         return a0
     rho, s0 = amplitudes_to_quad(*a0)
     try:
         cf = solve_case(params, rho, s0)
     except UnsupportedCaseError:
-        # the last stored node is the state at tau itself
-        end = integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]
-        return complex(end[0]), complex(end[1])
+        try:
+            return _orbit_pair(params, a0, rho, _SigmaOrbit(params, rho, s0, tau))
+        except _Decline:
+            # the last stored node is the state at tau itself
+            end = integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]
+            return complex(end[0]), complex(end[1])
     return reconstruct(params, a0, cf.eval, rho, tau)
 
 

@@ -190,7 +190,7 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     return sorted(zeros, key=abs)
 
 
-def _phase_integral(params, rho: float, quad_src, tau: float):
+def _phase_integral(params, rho: float, quad_src, tau: float, weighted=False):
     """The phase gained from 0 to tau, on two charts.
 
     [0, tau] is cut into G7-K15 panels no wider than _PANEL_WIDTH.  Each
@@ -204,6 +204,10 @@ def _phase_integral(params, rho: float, quad_src, tau: float):
     otherwise it accepts each panel that keeps its weight and whose
     estimate is within its width's share of _PHASE_TOL, and bisects the
     others.
+
+    With ``weighted``, the variable is an orbit parameter u rather than the
+    time, and quad_src returns dtau/du as a fourth column, which weights
+    the integrand.
 
     Returns (integral, charts, switches, summed error estimate, panels,
     levels): the sum of the panels' integrals, each on its own chart, the
@@ -219,9 +223,11 @@ def _phase_integral(params, rho: float, quad_src, tau: float):
     total = err = 0.0
     for level in range(1, _MAX_LEVELS + 1):
         taus = center[:, None] + half[:, None] * _GK_X
-        s = np.asarray(quad_src(taus.ravel()), dtype=float).reshape(*taus.shape, 3)
+        s = np.asarray(quad_src(taus.ravel()), dtype=float).reshape(*taus.shape, -1)
         sign = np.where(s[:, 7:8, 0] >= 0.0, 1.0, -1.0)  # node 7 is the centre
         f = _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
+        if weighted:
+            f = f * s[..., 3]
         if not np.all(np.isfinite(f)):
             raise PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(f)][0])!r}")
         kept = np.all(rho + sign * s[..., 0] >= 0.5 * rho, axis=1)
@@ -292,24 +298,52 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     if tau == 0.0:
         return a1_0, a2_0
 
-    phase, charts, switches, err, panels, levels = _phase_integral(params, rho, quad_src, tau)
-    s = np.asarray(quad_src(np.concatenate([[0.0], switches, [tau]])), dtype=float)
-    d, r, i = s[-1]
-    out = 1.0 if d >= 0.0 else -1.0
-    signs = np.concatenate([[1.0 if anchor == 1 else -1.0], charts, [out]])
+    phase, out, s, (switches, panels, levels, err) = _chart_phase(
+        params, rho, quad_src, tau, 1.0 if anchor == 1 else -1.0
+    )
+    log.debug(
+        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
+        tau, anchor, switches, panels, levels, err,
+    )
+    return _pair(rho, seed, phase, out, s)
+
+
+def _chart_phase(params, rho: float, src, span: float, start: float, end=None, weighted=False):
+    """The phase integral from 0 to span (see _phase_integral), from chart
+    ``start`` into chart ``end`` (by default D's sign at span): (phase, end
+    chart, state at span, (switches, panels, levels, error estimate))."""
+    phase, charts, switches, err, panels, levels = _phase_integral(params, rho, src, span, weighted)
+    s = np.asarray(src(np.concatenate([[0.0], switches, [span]])), dtype=float)
+    out = (1.0 if s[-1, 0] >= 0.0 else -1.0) if end is None else end
+    signs = np.concatenate([[start], charts, [out]])
     # from chart +1 to -1 the phase gains arg(R + i I), back it loses it
     turn = 0.5 * (signs[:-1] - signs[1:])
     phase += float(np.sum(turn * np.arctan2(s[:, 2], s[:, 1])))
-    log.debug(
-        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
-        tau, anchor, np.count_nonzero(turn), panels, levels, err,
-    )
+    return phase, out, s[-1, :3], (np.count_nonzero(turn), panels, levels, err)
 
+
+def _pair(rho: float, seed: complex, phase: float, out: float, s):
+    """The pair with quadratic quantities s = (D, R, I), built on the
+    component of chart ``out``, whose phase is arg(seed) + phase."""
+    d, r, i = s
     w = rho + out * d
     factor = seed / abs(seed) * complex(math.cos(phase), math.sin(phase))
     amp = math.sqrt(w / 2.0) * factor
     comp = complex(r, out * i) / math.sqrt(2.0 * w) * factor
     return (amp, comp) if out > 0 else (comp, amp)
+
+
+def _orbit_pair(params, a0, rho: float, orbit):
+    """The pair at the end of a sigma-reduced orbit (quadratic_flow._SigmaOrbit):
+    the phase integral over phi weighted by dtau/dphi, plus that of each
+    whole period, anchored on the larger component of a0."""
+    seed, start = (a0[0], 1.0) if abs(a0[0]) >= abs(a0[1]) else (a0[1], -1.0)
+    src, weighted = (lambda u: orbit.states(orbit.phi0 + u)), orbit.kind != "fixed"
+    phase, out, s, _ = _chart_phase(params, rho, src, orbit.span, start, weighted=weighted)
+    if orbit.periods:
+        turn = math.copysign(2.0 * math.pi, orbit.periods)
+        phase += abs(orbit.periods) * _chart_phase(params, rho, src, turn, start, start, weighted)[0]
+    return _pair(rho, complex(seed), phase, out, s)
 
 
 def residual(params, path: Trajectory) -> float:

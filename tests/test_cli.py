@@ -330,6 +330,63 @@ class TestProfile:
         assert len(lines) == 6
         assert all("error_estimate=" in l and "levels=" in l for l in lines)
 
+    def test_uncatalogued_debug_line(self, finaldata_csv):
+        # one sigma line per point on stderr; the CSV stays byte for byte the same
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "profile", "--params", UNCATALOGUED_PARAMS,
+            "--finaldata", str(finaldata_csv), "--t-list", "10,1e8", "--x-grid=-2,2,3",
+        ]
+        runs = {level: subprocess.run(argv, capture_output=True, env=fresh_env(level), timeout=120)
+                for level in (None, "debug")}
+        assert runs[None].returncode == runs["debug"].returncode == 0
+        assert runs[None].stdout == runs["debug"].stdout
+        lines = [l for l in runs["debug"].stderr.decode().splitlines() if "sigma kind=" in l]
+        assert len(lines) == 6
+        assert all("interval=(" in l and "period=" in l and "nodes=" in l and "estimate=" in l for l in lines)
+        assert "oracle flow=" not in runs["debug"].stderr.decode()
+
+    def test_finaldata_columns_by_name(self, capsys, tmp_path, finaldata_csv):
+        # reordered columns, an extra column, comments and blank lines: the same CSV
+        argv = ["profile", "--params", UNCATALOGUED_PARAMS, "--t-list", "2,1e4", "--x-grid=-2,2,5"]
+        code, ref, _ = run(capsys, *argv, "--finaldata", str(finaldata_csv))
+        assert code == 0
+        header, *rows = finaldata_csv.read_text().splitlines()
+        order = [3, 0, 4, 2, 1]
+        names = header.split(",")
+        lines = ["# final data, columns reordered", ",".join([names[k] for k in order] + ["note"]), ""]
+        for row in rows:
+            vals = row.split(",")
+            lines.append(",".join([vals[k] for k in order] + ["7"]) + "  # a row")
+            lines.append("   ")
+        moved = tmp_path / "moved.csv"
+        moved.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, *argv, "--finaldata", str(moved))
+        assert (code, out) == (0, ref)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h, rows: (h.replace("im_a2", "im_b2"), rows),  # a missing column
+            lambda h, rows: (h, [rows[0].replace(rows[0].split(",")[2], "")] + rows[1:]),  # an empty field
+            lambda h, rows: (h, [rows[0].rsplit(",", 1)[0]] + rows[1:]),  # a short row
+            lambda h, rows: (h, [rows[0].replace(rows[0].split(",")[1], "1.2.3")] + rows[1:]),  # a bad number
+            lambda h, rows: (h, [rows[0].replace(rows[0].split(",")[1], "nan")] + rows[1:]),  # not finite
+            lambda h, rows: (h, [rows[0].replace(rows[0].split(",")[0], "inf")] + rows[1:]),  # not finite
+            lambda h, rows: ("", []),  # no header
+        ],
+        ids=["missing-column", "empty-field", "short-row", "bad-number", "nan", "inf", "empty"],
+    )
+    def test_malformed_finaldata_exit_1(self, capsys, tmp_path, finaldata_csv, edit):
+        header, *rows = finaldata_csv.read_text().splitlines()
+        header, rows = edit(header, rows)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        code, out, err = run(
+            capsys, "profile", "--params", CASE1_PARAMS, "--finaldata", str(bad), "--t-list", "2", "--x-grid=-1,1,3",
+        )
+        assert (code, out) == (1, "")
+        assert "error:" in err
+
     @pytest.mark.parametrize(
         "flag,what",
         [

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cubicnls.profile import (
     ExtrapolationError,
@@ -15,6 +16,7 @@ from cubicnls.profile import (
     uapp,
 )
 from cubicnls.quadratic_flow import amplitudes_to_quad, detect_sync
+from cubicnls.standard_form import nonlinearity
 
 from helpers import std
 
@@ -119,10 +121,23 @@ class TestUapp:
             assert abs(total - ref) < 0.01 * ref
 
     def test_uncatalogued_falls_back_to_oracle(self):
+        # no closed form: the sigma-reduction of the flow, held to DOP853
         fd = make_fd()
-        p = std(p5=1.0)  # no closed form: numerical flow
-        u1, u2 = uapp(p, fd, 3.0, 1.2)
-        assert np.isfinite([u1.real, u1.imag, u2.real, u2.imag]).all()
+        for p in (std(p5=1.0), std(p1=0.3, p2=0.5, p3=0.7, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3))):
+            for t, x in ((3.0, 1.2), (1e-3, 1e-3), (1e8, -1e8)):
+                a1, a2 = fd.interp(x / (2 * t))
+
+                def rhs(_, y):
+                    f1, f2 = nonlinearity(p, complex(y[0], y[1]), complex(y[2], y[3]))
+                    return [f1.imag, -f1.real, f2.imag, -f2.real]
+
+                tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
+                y = solve_ivp(rhs, (0.0, tau), [a1.real, a1.imag, a2.real, a2.imag], method="DOP853",
+                              rtol=1e-13, atol=1e-13).y[:, -1]
+                pref = cmath.exp(1j * x * x / (4 * t)) / cmath.sqrt(2j * t)
+                want = pref * np.array([complex(y[0], y[1]), complex(y[2], y[3])])
+                got = np.array(uapp(p, fd, t, x))
+                assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_case4_log_phase(self):
         # decoupled family: the first component picks up the standard

@@ -400,6 +400,17 @@ class TestStability:
         with pytest.raises(ValueError):
             stability(CASE1, 1.0, (1, 0, 0))
 
+    @pytest.mark.parametrize("p1", [1e-12, 1e-9, 1.0, 1e6])
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 1e3])
+    def test_verdict_independent_of_scale(self, p1, rho):
+        # the threshold scales with the Jacobian, rho max|p|: the attracting
+        # pole of pure p1 is stable at every scale, as detect_sync says
+        params = StandardParams(p1, 0, 0, 0, 0)
+        rep = stability(params, rho, (0, 0, -rho))
+        assert rep.classification == ASYMPTOTICALLY_STABLE
+        assert stability(params, rho, (0, 0, rho)).classification == INCONCLUSIVE
+        assert detect_sync(params, rho) is not None
+
 
 class TestSync:
     def test_case1_detects(self):
