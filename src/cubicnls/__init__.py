@@ -1,12 +1,13 @@
 """Large-time machinery for two-component cubic Schrodinger-type systems.
 
-Subpackages
------------
+Modules
+-------
 elliptic        Jacobi elliptic functions and first-kind integrals (AGM based).
 standard_form   General cubic systems, conserved mass forms, reduction to the
                 standard eight-parameter family, and its nonlinearity.
 quadratic_flow  The quadratic flow of (D, R, I) on the sphere: numerical
-                integrators, fixed points, stability, synchronization.
+                integrators, the sigma-reduction of uncatalogued orbits,
+                fixed points, stability, synchronization.
 closed_form     Exact solutions of the quadratic flow for the catalogued
                 parameter families, built on three elliptic ODE lemmas.
 reconstruction  Rebuilding the complex amplitude pair from its quadratic

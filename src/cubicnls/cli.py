@@ -14,7 +14,7 @@ numerical integrator could not advance (an oracle whose step underflowed).
 
 All CSV output uses 17 significant digits, '.' decimals and LF endings, so
 identical inputs give byte-identical files.  The environment
-variable NLS_ASY_LOG in {error, info, debug} controls logging verbosity.
+variable NLS_ASY_LOG in {error, debug} controls logging verbosity.
 
 Each call is a fresh process, so start-up is kept short: importing this
 module loads numpy but not scipy, which no subcommand loads, and main
@@ -62,7 +62,7 @@ class _CliError(Exception):
 
 def _setup_logging() -> None:
     level = os.environ.get("NLS_ASY_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    levels = {"error": logging.ERROR, "debug": logging.DEBUG}
     logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(levelname)s %(message)s")
 
 
@@ -333,6 +333,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Standard-form reduction, quadratic-flow solutions and "
         "large-time profiles of two-component cubic systems.",
     )
+    # one add_subparsers call for both would print the metavar instead of
+    # "required: command" when no subcommand is given
     if command in _SUBCOMMANDS:
         sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUBCOMMANDS))
         _SUBCOMMANDS[command](sub)

@@ -3,11 +3,12 @@
 All of them read one arithmetic-geometric mean chain (the descending Landen
 transformation from a_0 = 1, b_0 = sqrt(1 - m)), which converges
 quadratically and is close to machine precision uniformly in the parameter
-``m = k**2``, ``0 <= m <= 1``.  At ``m = 0`` the functions degenerate to
-trigonometric ones; the Jacobi functions and F take the exact ``m = 1``
-hyperbolic forms for all ``m >= 1 - 1e-10``, a switch made in
-:func:`_checked`.  Every public function raises EllipticDomainError for a
-parameter outside its range and for a NaN or infinite argument.
+``m = k**2``, for every ``0 <= m < 1`` up to ``1 - m`` of one ulp (dn =
+sqrt(1 - m sn**2) loses digits to cancellation as m -> 1).  At ``m = 0``
+the functions degenerate to trigonometric ones; only ``m = 1`` itself takes
+the exact hyperbolic forms (tanh, sech, the Gudermannian and its inverse).
+Every public function raises EllipticDomainError for a parameter outside
+its range and for a NaN or infinite argument.
 
 The amplitude ``am(u, m)`` is returned *unwrapped*: it is the globally
 monotone inverse of the incomplete integral, not a principal value, so
@@ -36,9 +37,6 @@ __all__ = [
 
 _AGM_TOL = 1e-15
 _MAX_ITER = 64
-# Above this the co-modulus is below ~1e-5 and the AGM loses accuracy;
-# switch to the exact m = 1 hyperbolic forms.
-_M_HYPERBOLIC = 1.0 - 1e-10
 _CLAMP_TOL = 1e-12
 
 
@@ -115,16 +113,16 @@ class _AGMChain:
 
 
 def _checked(x, m: float, name: str):
-    """Input contract and hyperbolic switch of the Jacobi functions and F.
+    """Input contract of the Jacobi functions and F.
 
     Returns m, x as an array and the AGM chain of m, or None in place of the
-    chain for m >= 1 - 1e-10, where the m = 1 forms are used.
+    chain for m = 1, where the hyperbolic forms are used.
     """
     m = _check_m(m, allow_one=True)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise EllipticDomainError(f"argument {name} must be finite")
-    return m, x, (None if m >= _M_HYPERBOLIC else _AGMChain(m))
+    return m, x, (None if m == 1.0 else _AGMChain(m))
 
 
 def _clamped(fn, name: str, x):

@@ -190,7 +190,7 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     return sorted(zeros, key=abs)
 
 
-def _phase_integral(params, rho: float, quad_src, tau: float, weighted=False):
+def _phase_integral(params, rho: float, quad_src, tau: float):
     """The phase gained from 0 to tau, on two charts.
 
     [0, tau] is cut into G7-K15 panels no wider than _PANEL_WIDTH.  Each
@@ -205,9 +205,9 @@ def _phase_integral(params, rho: float, quad_src, tau: float, weighted=False):
     estimate is within its width's share of _PHASE_TOL, and bisects the
     others.
 
-    With ``weighted``, the variable is an orbit parameter u rather than the
-    time, and quad_src returns dtau/du as a fourth column, which weights
-    the integrand.
+    When quad_src returns a fourth column, the variable is an orbit
+    parameter u rather than the time, and that column, dtau/du, weights the
+    integrand.
 
     Returns (integral, charts, switches, summed error estimate, panels,
     levels): the sum of the panels' integrals, each on its own chart, the
@@ -226,7 +226,7 @@ def _phase_integral(params, rho: float, quad_src, tau: float, weighted=False):
         s = np.asarray(quad_src(taus.ravel()), dtype=float).reshape(*taus.shape, -1)
         sign = np.where(s[:, 7:8, 0] >= 0.0, 1.0, -1.0)  # node 7 is the centre
         f = _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
-        if weighted:
+        if s.shape[-1] == 4:
             f = f * s[..., 3]
         if not np.all(np.isfinite(f)):
             raise PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(f)][0])!r}")
@@ -308,11 +308,11 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     return _pair(rho, seed, phase, out, s)
 
 
-def _chart_phase(params, rho: float, src, span: float, start: float, end=None, weighted=False):
+def _chart_phase(params, rho: float, src, span: float, start: float, end=None):
     """The phase integral from 0 to span (see _phase_integral), from chart
     ``start`` into chart ``end`` (by default D's sign at span): (phase, end
     chart, state at span, (switches, panels, levels, error estimate))."""
-    phase, charts, switches, err, panels, levels = _phase_integral(params, rho, src, span, weighted)
+    phase, charts, switches, err, panels, levels = _phase_integral(params, rho, src, span)
     s = np.asarray(src(np.concatenate([[0.0], switches, [span]])), dtype=float)
     out = (1.0 if s[-1, 0] >= 0.0 else -1.0) if end is None else end
     signs = np.concatenate([[start], charts, [out]])
@@ -338,11 +338,11 @@ def _orbit_pair(params, a0, rho: float, orbit):
     the phase integral over phi weighted by dtau/dphi, plus that of each
     whole period, anchored on the larger component of a0."""
     seed, start = (a0[0], 1.0) if abs(a0[0]) >= abs(a0[1]) else (a0[1], -1.0)
-    src, weighted = (lambda u: orbit.states(orbit.phi0 + u)), orbit.kind != "fixed"
-    phase, out, s, _ = _chart_phase(params, rho, src, orbit.span, start, weighted=weighted)
+    src = lambda u: orbit.states(orbit.phi0 + u)
+    phase, out, s, _ = _chart_phase(params, rho, src, orbit.span, start)
     if orbit.periods:
         turn = math.copysign(2.0 * math.pi, orbit.periods)
-        phase += abs(orbit.periods) * _chart_phase(params, rho, src, turn, start, start, weighted)[0]
+        phase += abs(orbit.periods) * _chart_phase(params, rho, src, turn, start, start)[0]
     return _pair(rho, complex(seed), phase, out, s)
 
 

@@ -16,7 +16,7 @@ from cubicnls.closed_form import (
     solve_lemma2,
     solve_lemma3,
 )
-from cubicnls.quadratic_flow import integrate_quad, random_sphere_states
+from cubicnls.quadratic_flow import integrate_quad, qqq_rhs, random_sphere_states
 from cubicnls.standard_form import StandardParams, TrivialSystemError
 
 from helpers import closed_vs_oracle, std
@@ -336,3 +336,18 @@ class TestSolveCase:
         sol = solve_case(p, 1.0, s0)
         v = sol(np.array([1e5, -3e5, 7e5]))
         assert np.max(np.abs(np.sum(v * v, axis=1) - 1.0)) < 1e-6
+
+    def test_near_one_elliptic_parameter(self):
+        # lemma 2's cn branch at 1 - m = 4e-11, outside its own threshold band:
+        # the AGM chain evaluates F at |phi| >= pi/2, and the solution stays on
+        # the orbit against DOP853 over 20 time units
+        params, rho = StandardParams(0.0, 1.0, 0.0, 0.5, 0.0), 1.0
+        s0 = (-0.9974999999799999, 0.049937461288096154, 0.05)
+        sol = solve_case(params, rho, s0)
+        for sgn in (1.0, -1.0):
+            taus = sgn * np.linspace(0.0, 20.0, 201)
+            ref = solve_ivp(
+                lambda _, s: qqq_rhs(params, rho, s), (0.0, sgn * 20.0), s0,
+                method="DOP853", rtol=1e-13, atol=1e-13, t_eval=taus,
+            ).y.T
+            assert np.max(np.abs(sol(taus) - ref)) < 1e-6

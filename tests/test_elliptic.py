@@ -306,3 +306,35 @@ class TestMpmathReference:
                 for i, phi in enumerate(phis):
                     ref = mp.ellipf(phi, m)
                     assert abs(F[i] - ref) <= self.TOL * abs(ref), (phi, m)
+
+
+class TestMpmathNearOne:
+    """The AGM chain for 1 - m down to one ulp: sn and cn (absolute error) and
+    am, F and K (relative error) against mpmath at 30 digits, |u| <= 8K and
+    |phi| <= 3 pi, with 1 - m log-uniform in each band.  dn = sqrt(1 - m sn^2)
+    cancels here, so TestMpmathReference alone covers it."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol", [(1e-12, 1e-6, 1e-13), (2.0**-53, 1e-12, 1e-12)], ids=["to-1e-12", "to-one-ulp"]
+    )
+    def test_sn_cn_am_F_K(self, lo, hi, tol):
+        rng = np.random.default_rng(14)
+        m1s = [lo, hi, *np.exp(rng.uniform(math.log(lo), math.log(hi), 16))]
+        with mp.workdps(30):
+            for m in (1.0 - m1 for m1 in m1s):
+                k_ref = mp.ellipk(m)
+                assert abs(el.complete_K(m) - k_ref) <= tol * k_ref, m
+                us = rng.uniform(-8.0, 8.0, 8) * float(k_ref)
+                sn, cn, _ = el.jacobi_sn_cn_dn(us, m)
+                am = el.jacobi_am(us, m)
+                for i, u in enumerate(us):
+                    s, c = mp.ellipfun("sn", u, m=m), mp.ellipfun("cn", u, m=m)
+                    assert max(abs(sn[i] - s), abs(cn[i] - c)) <= tol, (u, m)
+                    ref = mp.atan2(s, c)
+                    ref += 2 * mp.pi * mp.nint((mp.pi * u / (2 * k_ref) - ref) / (2 * mp.pi))
+                    assert abs(am[i] - ref) <= tol * abs(ref), (u, m)
+                phis = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, 8)
+                F = el.incomplete_F(phis, m)
+                for i, phi in enumerate(phis):
+                    ref = mp.ellipf(phi, m)
+                    assert abs(F[i] - ref) <= tol * abs(ref), (phi, m)

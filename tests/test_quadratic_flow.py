@@ -243,6 +243,18 @@ class TestFixedPoints:
         got = {tuple(np.round(q, 12)) for q in fps.points}
         assert got == {tuple(np.round(e, 12)) for e in expect}
 
+    def test_case6_p1_below_p4(self):
+        # p1 < p4: the two points (+-rho sqrt(1 - c^2), c rho, 0), c = p1 / p4,
+        # on the equator, where _planar's quartic finds them too
+        p, rho = StandardParams(0.6, 0, 0, 1.0, 0), 1.3
+        fps = fixed_points(p, rho)
+        assert len(fps.points) == 2 and fps.circles == []
+        for s in fps.points:
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) < 1e-14
+        t = qf._planar(p, rho)[2]
+        equator = rho * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+        assert sorted(map(tuple, np.round(fps.points, 12))) == sorted(map(tuple, np.round(equator, 12)))
+
     def test_case9_families_and_merge(self):
         p = StandardParams(0, 0, 1.0, 0.5, 0)
         fps = fixed_points(p, 1.0)

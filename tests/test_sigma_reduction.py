@@ -179,6 +179,47 @@ class TestPitfalls:
             assert err < 1e-10
         assert len(orbit.pieces[0]) > 2  # cut at least once
 
+    def test_near_touch_hides_a_zero(self):
+        # F dips below 0 between two bases and comes back: the vertex of the
+        # parabola through three bases finds the first of the two zeros,
+        # which the stepping out from s0 passed over
+        params, rho = StandardParams(0.0, 0.8, 0.3, 0.2, 0.1, *Q), 1.0
+        s0 = (-0.03648682568338322, -0.9513412663903341, -0.30597141437458797)
+        a0, tau = pair_of(rho, s0), 3.1966952541818348
+        orbit, err = orbit_and_error(params, a0, tau)
+        assert orbit.kind == "periodic" and orbit.k * orbit.step > -orbit.lo
+        assert err < 1e-11
+
+
+class TestFixedKind:
+    """A start at a fixed point of the quadratic flow: the orbit is of kind
+    fixed, its states are constant, and each amplitude only turns, by
+    A_j(tau) = A_j(0) exp(-i lambda_j tau) with lambda_j = F_j(A(0)) / A_j(0).
+    RK45 is no reference here: the points are unstable, and integrate_full
+    at tol 1e-12 drifts 1e-11 and 9e-11 off them by tau = 9.21."""
+
+    @pytest.mark.parametrize(
+        "p, a0",
+        [
+            ((0.3, 0.5, 0.7, 0.0, 0.0), (math.sqrt(0.5), 1j * math.sqrt(0.5))),  # (D, R, I) = (0, 0, rho)
+            ((0.0, 0.5, 0.7, 0.3, 0.0), (0.6 + 0.8j, 0.0)),  # (rho, 0, 0)
+        ],
+        ids=["pole", "equator"],
+    )
+    def test_rotation(self, p, a0):
+        params = StandardParams(*p, *Q)
+        assert classify(params).case == 0
+        rho, s0 = amplitudes_to_quad(*a0)
+        assert np.count_nonzero(s0) == 1
+        lam = [f / a if a else 0.0 for f, a in zip(nonlinearity(params, *a0), a0)]
+        for t in TIMES:
+            for tau in (tau_of(t), -tau_of(t)):
+                orbit = _SigmaOrbit(params, rho, s0, tau)
+                assert orbit.kind == "fixed"
+                got = np.array(_orbit_pair(params, a0, rho, orbit))
+                ref = np.array([a * np.exp(-1j * l * tau) for a, l in zip(a0, lam)])
+                assert np.max(np.abs(got - ref)) < 1e-13
+
 
 class TestDecline:
     def test_declined_point_falls_back_to_the_oracle(self, monkeypatch, caplog):
