@@ -12,11 +12,14 @@ cover the elliptic cores:
 
 Every branch constant is resolved from the initial state, and every
 evaluator is validated against the adaptive Runge-Kutta oracle in the test
-suite.
+suite.  Lemmas 1 and 2 hand the elliptic kernel 1 - m computed without
+cancellation, so their separatrix is the kernel's m1 = 0; lemma 3 and
+cases 6, 11 (p1/p3 = 1/3) and 14/15 keep threshold bands (_BRANCH_TOL).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -38,8 +41,10 @@ __all__ = [
     "solve_lemma3",
 ]
 
+log = logging.getLogger(__name__)
+
 _RTOL = 1e-12  # relative tolerance for the special parameter relations
-_BRANCH_TOL = 1e-10  # relative width of the threshold-formula band
+_BRANCH_TOL = 1e-10  # relative width of the threshold bands of lemma 3, cases 6, 11, 14/15
 
 SUPPORTED_RATIOS = (1.0 / 3.0, 1.0, 3.0)
 
@@ -180,38 +185,31 @@ def _mapped(sol, back):
 def solve_lemma1(f0: float, g0: float, h0: float):
     """Closed solution of f' = gh, g' = -fh, h' = -fg through (f0, g0, h0).
 
-    f^2 + g^2 and f^2 + h^2 are conserved; the branch is decided by which
-    radius dominates (the smaller-radius pair oscillates as sn/cn while the
-    larger one follows dn, degenerating to tanh/sech at equal radii).
+    f^2 + g^2 and f^2 + h^2 are conserved; (f, g) oscillates as sn/cn and h
+    follows dn, with 1 - m = (h0^2 - g0^2)/(f0^2 + h0^2) (g and h swap roles
+    when it is negative); at equal radii sn, cn, dn are tanh, sech, sech.
     """
-    r_fg = math.hypot(f0, g0)
-    r_fh = math.hypot(f0, h0)
-    if r_fh < r_fg:
-        return _mapped(solve_lemma1(f0, h0, g0), lambda f, h, g: (f, g, h))
+    return _lemma1(f0, g0, h0, (abs(h0) - abs(g0)) * (abs(h0) + abs(g0)))
 
-    if r_fg == 0.0:
-        return _constant(0.0, 0.0, h0)
-    if r_fh - r_fg <= _BRANCH_TOL * r_fh:
-        if g0 == 0.0 and h0 == 0.0:
-            return _constant(f0, 0.0, 0.0)
-        # equal radii: |g0| = |h0| > 0
-        sig = math.copysign(1.0, g0 * h0)
-        t0 = math.atanh(min(1.0 - 1e-16, max(-1.0 + 1e-16, f0 / r_fh)))
-        sg, sh = math.copysign(1.0, g0), math.copysign(1.0, h0)
 
-        def hyperbolic(t):
-            arg = sig * r_fh * np.asarray(t, dtype=float) + t0
-            sech = 1.0 / np.cosh(arg)
-            return r_fh * np.tanh(arg), sg * r_fh * sech, sh * r_fh * sech
+def _lemma1(f0: float, g0: float, h0: float, gap: float):
+    """solve_lemma1 with gap = h0^2 - g0^2 from a caller who knows it without
+    cancellation; its sign decides the swap, so 1 - m is never negative."""
+    if gap < 0.0:
+        return _mapped(_lemma1(f0, h0, g0, -gap), lambda f, h, g: (f, g, h))
+    if g0 == 0.0 and f0 * h0 == 0.0:  # the rest points, as |h0| >= |g0|
+        return _constant(f0, g0, h0)
+    if gap == 0.0 and g0 < 0.0:
+        # cn = sech > 0 at m = 1: reach g0 < 0 by (f, g, h) -> (f, -g, -h)
+        return _mapped(_lemma1(f0, -g0, -h0, gap), lambda f, g, h: (f, -g, -h))
 
-        return hyperbolic
-
-    m = (r_fg / r_fh) ** 2
-    sig = math.copysign(1.0, h0)  # h0 != 0 since r_fh > r_fg
-    t0 = el.invert_sn_cn(f0 / r_fg, g0 / r_fg, m)
+    r_fg, r_fh = math.hypot(f0, g0), math.hypot(f0, h0)
+    m, m1 = min((r_fg / r_fh) ** 2, 1.0), gap / (r_fh * r_fh)
+    sig = math.copysign(1.0, h0)
+    t0 = el.invert_sn_cn(f0 / r_fg, g0 / r_fg, m, m1=m1)
 
     def elliptic_branch(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(sig * r_fh * np.asarray(t, dtype=float) + t0, m)
+        sn, cn, dn = el.jacobi_sn_cn_dn(sig * r_fh * np.asarray(t, dtype=float) + t0, m, m1=m1)
         return r_fg * sn, r_fg * cn, sig * r_fh * dn
 
     return elliptic_branch
@@ -220,61 +218,47 @@ def solve_lemma1(f0: float, g0: float, h0: float):
 def solve_lemma2(f0: float, g0: float, h0: float):
     """Closed solution of f' = gh, g' = -fh, h' = -f through (f0, g0, h0).
 
-    Here f = -h' and g = (h^2 - h0^2)/2 + g0; h itself is cn, sech or dn
-    depending on the sign of h0^2 - 2(sqrt(f0^2 + g0^2) + g0).
+    Here f = -h' and g = (h^2 - h0^2)/2 + g0; h is cn for disc = h0^2 -
+    2(sqrt(f0^2 + g0^2) + g0) < 0 and dn otherwise, with 1 - m = |disc| / 4
+    over the larger of sqrt(f0^2 + g0^2) and P^2 (a sech pulse at disc = 0).
     """
-    if f0 == 0.0 and h0 == 0.0:
-        return _constant(0.0, g0, 0.0)
-    if f0 == 0.0 and g0 == 0.0:
-        return _constant(0.0, 0.0, h0)
+    if f0 == 0.0 and g0 * h0 == 0.0:  # the rest points
+        return _constant(f0, g0, h0)
 
     rfg_sq = math.hypot(f0, g0)  # the conserved radius; the rate constant is its sqrt
     rate = math.sqrt(rfg_sq)
-    p_sq = 0.5 * (rfg_sq - g0) + 0.25 * h0 * h0
+    # r + g0 and r - g0, the smaller as f0^2 over the larger: no cancellation
+    r_plus, r_minus = rfg_sq + g0, rfg_sq - g0
+    r_plus, r_minus = (f0 * f0 / r_minus, r_minus) if g0 < 0.0 else (r_plus, f0 * f0 / r_plus)
+    p_sq = 0.5 * r_minus + 0.25 * h0 * h0
     p = math.sqrt(p_sq)
-    disc = h0 * h0 - 2.0 * (rfg_sq + g0)
-    scale = max(h0 * h0, rfg_sq, p_sq)
+    disc = h0 * h0 - 2.0 * r_plus
 
     def g_of(h):
         return 0.5 * (h * h - h0 * h0) + g0
 
-    if abs(disc) <= _BRANCH_TOL * scale:
-        # threshold: h0 = +-2P and the pulse is a sech
-        sig = math.copysign(1.0, h0)
-        t0 = math.copysign(1.0, f0 * h0) * _acosh_clamped(2.0 * p / abs(h0))
-
-        def sech_branch(t):
-            arg = p * np.asarray(t, dtype=float) + t0
-            ch = np.cosh(arg)
-            h = sig * 2.0 * p / ch
-            return sig * 2.0 * p_sq * np.tanh(arg) / ch, g_of(h), h
-
-        return sech_branch
-
     if disc < 0.0:
-        m = p_sq / rfg_sq
-        phi = el.arccos_clamped(h0 / (2.0 * p))
-        if f0 < 0.0:
-            phi = -phi
-        t0 = el.incomplete_F(phi, m)
+        m, m1 = min(p_sq / rfg_sq, 1.0), -disc / (4.0 * rfg_sq)
+        # at the start cn = h0 / 2P and |sn| = sqrt(2 (r - g0)) / 2P
+        sn0 = math.sqrt(2.0 * r_minus) / (2.0 * p)
+        t0 = el.invert_sn_cn(-sn0 if f0 < 0.0 else sn0, h0 / (2.0 * p), m, m1=m1)
 
         def cn_branch(t):
-            sn, cn, dn = el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + t0, m)
+            sn, cn, dn = el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + t0, m, m1=m1)
             h = 2.0 * p * cn
             return 2.0 * p * rate * sn * dn, g_of(h), h
 
         return cn_branch
 
-    m = rfg_sq / p_sq
+    m, m1 = min(rfg_sq / p_sq, 1.0), disc / (4.0 * p_sq)
     sig = math.copysign(1.0, h0)
-    sn_sq = (1.0 - (h0 / (2.0 * p)) ** 2) / m
-    phi = el.arcsin_clamped(math.sqrt(min(max(sn_sq, 0.0), 1.0)))
-    t0 = el.incomplete_F(phi, m)
+    # at the start sn^2 = (r - g0) / 2r and cn^2 = (r + g0) / 2r
+    t0 = el.invert_sn_cn(math.sqrt(r_minus / (2.0 * rfg_sq)), math.sqrt(r_plus / (2.0 * rfg_sq)), m, m1=m1)
     if f0 < 0.0:
         t0 = -t0
 
     def dn_branch(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(sig * p * np.asarray(t, dtype=float) + t0, m)
+        sn, cn, dn = el.jacobi_sn_cn_dn(sig * p * np.asarray(t, dtype=float) + t0, m, m1=m1)
         h = sig * 2.0 * p * dn
         return 2.0 * p_sq * m * sn * cn, g_of(h), h
 
@@ -520,10 +504,13 @@ def solve_case(params, rho: float, s0) -> ClosedFormSolution:
 
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
     if np.linalg.norm(qqq_rhs(params, rho, s0)) <= 1e-13 * rho * rho * pscale:
-        return ClosedFormSolution(case_id, "fixed-point", {}, rho, s0, _constant(*s0))
-
-    builder = _CASE_BUILDERS[case_id.case]
-    branch, constants, fn = builder(params, rho, s0, case_id)
+        branch, constants, fn = "fixed-point", {}, _constant(*s0)
+    else:
+        branch, constants, fn = _CASE_BUILDERS[case_id.case](params, rho, s0, case_id)
+    if log.isEnabledFor(logging.DEBUG):
+        consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
+        log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
+                  case_id.case, case_id.subcase or "-", branch, consts)
     return ClosedFormSolution(case_id, branch, constants, rho, s0, fn)
 
 
@@ -579,7 +566,8 @@ def _case3(params, rho, s0, case_id):
     p3 = params.p3
     d0, r0, i0 = s0
     k = math.sqrt(8.0) * p3
-    sol = solve_lemma1(2.0 * p3 * i0, k * r0, k * d0)
+    gap = 8.0 * p3 * p3 * (abs(d0) - abs(r0)) * (abs(d0) + abs(r0))
+    sol = _lemma1(2.0 * p3 * i0, k * r0, k * d0, gap)
     return "lemma1", {}, _mapped(sol, lambda f, g, h: (h / k, g / k, f / (2.0 * p3)))
 
 

@@ -1,14 +1,15 @@
 """Jacobi elliptic functions and first-kind elliptic integrals.
 
 All of them read one arithmetic-geometric mean chain (the descending Landen
-transformation from a_0 = 1, b_0 = sqrt(1 - m)), which converges
-quadratically and is close to machine precision uniformly in the parameter
-``m = k**2``, for every ``0 <= m < 1`` up to ``1 - m`` of one ulp (dn =
-sqrt(1 - m sn**2) loses digits to cancellation as m -> 1).  At ``m = 0``
-the functions degenerate to trigonometric ones; only ``m = 1`` itself takes
-the exact hyperbolic forms (tanh, sech, the Gudermannian and its inverse).
-Every public function raises EllipticDomainError for a parameter outside
-its range and for a NaN or infinite argument.
+transformation from a_0 = 1, b_0 = sqrt(m1)), close to machine precision
+for every ``0 <= m < 1`` up to ``m1 = 1 - m`` of one ulp.  Near m = 1 the
+period K ~ log(4 / sqrt(m1)) rests on digits of m1 that m has lost, so
+``jacobi_sn_cn_dn``, ``incomplete_F`` and ``invert_sn_cn`` take m1 as a
+keyword (1 - m by default), and dn = sqrt(m1 + m cn**2) does not cancel.
+At ``m = 0`` the functions are trigonometric; only ``m1 = 0`` takes the
+hyperbolic forms (tanh, sech, the Gudermannian and its inverse).  Every
+public function raises EllipticDomainError for a parameter outside its
+range, an m1 more than a few ulps off 1 - m, and a non-finite argument.
 
 The amplitude ``am(u, m)`` is returned *unwrapped*: it is the globally
 monotone inverse of the incomplete integral, not a principal value, so
@@ -38,6 +39,7 @@ __all__ = [
 _AGM_TOL = 1e-15
 _MAX_ITER = 64
 _CLAMP_TOL = 1e-12
+_M1_TOL = 8.0 * 2.0**-52  # how far m1 may stray from the rounded 1 - m
 
 
 class EllipticDomainError(ValueError):
@@ -60,23 +62,27 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _check_m(m: float, *, allow_one: bool) -> float:
+def _check_m(m: float, m1=None, *, allow_one: bool = True):
+    """m and its complement m1 (1 - m when None), within 8 ulps of 1 - m."""
     m = float(m)
     if not (0.0 <= m < 1.0 or (allow_one and m == 1.0)):
         raise EllipticDomainError(f"parameter m={m} outside [0, {'1]' if allow_one else '1)'}")
-    return m
+    m1 = 1.0 - m if m1 is None else float(m1)
+    if not (0.0 <= m1 <= 1.0 and abs(m1 - (1.0 - m)) <= _M1_TOL):
+        raise EllipticDomainError(f"complementary parameter m1={m1} is not 1 - m for m={m}")
+    return m, m1
 
 
 class _AGMChain:
-    """The AGM levels a_n, b_n, c_n (c_0 = sqrt(m)) for one 0 <= m < 1.
+    """The AGM levels a_n, b_n, c_n (b_0 = sqrt(m1), c_0 = sqrt(m)) for m1 > 0.
 
     K stops at the first level with |a_n - b_n| <= tol a_n, F's Landen
     recursion at the first such level past 0 and the phase recursion at the
     first with c_n <= tol: one shared level would change the last bits.
     """
 
-    def __init__(self, m: float):
-        an, bn, cn = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    def __init__(self, m: float, m1: float):
+        an, bn, cn = 1.0, math.sqrt(m1), math.sqrt(m)
         self.a, self.b, self.c = [an], [bn], [cn]
         self.k_top = self.phase_top = None
         for n in range(_MAX_ITER):
@@ -112,17 +118,17 @@ class _AGMChain:
         return phi / ((2.0**top) * a[top]) + 2.0 * n * (math.pi / (2.0 * a[top]))
 
 
-def _checked(x, m: float, name: str):
+def _checked(x, m: float, m1, name: str):
     """Input contract of the Jacobi functions and F.
 
-    Returns m, x as an array and the AGM chain of m, or None in place of the
-    chain for m = 1, where the hyperbolic forms are used.
+    Returns m, m1, x as an array and the AGM chain, or None in place of the
+    chain for m1 = 0, where the hyperbolic forms are used.
     """
-    m = _check_m(m, allow_one=True)
+    m, m1 = _check_m(m, m1)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise EllipticDomainError(f"argument {name} must be finite")
-    return m, x, (None if m == 1.0 else _AGMChain(m))
+    return m, m1, x, (None if m1 == 0.0 else _AGMChain(m, m1))
 
 
 def _clamped(fn, name: str, x):
@@ -153,22 +159,23 @@ def complete_K(m: float) -> float:
     increasing in m with K(0) = pi/2; the limit m -> 1 diverges, so m = 1 is
     rejected.
     """
-    return _AGMChain(_check_m(m, allow_one=False)).K
+    return _AGMChain(*_check_m(m, allow_one=False)).K
 
 
-def jacobi_sn_cn_dn(u, m: float):
+def jacobi_sn_cn_dn(u, m: float, *, m1: float | None = None):
     """Vectorized (sn, cn, dn) at real u for parameter 0 <= m <= 1.
 
     The argument is reduced modulo the real period 4K(m) before the AGM
-    phase recursion, so accuracy does not degrade for large |u|.
+    phase recursion, so accuracy does not degrade for large |u|.  m1 is
+    1 - m without the rounding of m (by default 1 - m).
     """
-    m, u, chain = _checked(u, m, "u")
+    m, m1, u, chain = _checked(u, m, m1, "u")
     if chain is None:
         cn = 1.0 / np.cosh(u)
         return np.tanh(u), cn, cn.copy()
     phi, _ = chain.amplitude(u)
-    sn, cn = np.sin(phi), np.cos(phi)
-    return sn, cn, np.sqrt(1.0 - m * sn * sn)
+    cn = np.cos(phi)
+    return np.sin(phi), cn, np.sqrt(m1 + m * cn * cn)
 
 
 def jacobi(u: float, m: float) -> JacobiValues:
@@ -180,36 +187,38 @@ def jacobi(u: float, m: float) -> JacobiValues:
 
 def jacobi_am(u, m: float):
     """Unwrapped amplitude function am(u, m) = integral of dn from 0 to u."""
-    _, u, chain = _checked(u, m, "u")
+    _, _, u, chain = _checked(u, m, None, "u")
     if chain is None:
         return _scalar_or_array(np.arctan(np.sinh(u)))
     phi, n4 = chain.amplitude(u)
     return _scalar_or_array(phi + 2.0 * math.pi * n4)
 
 
-def incomplete_F(phi, m: float):
+def incomplete_F(phi, m: float, *, m1: float | None = None):
     """Incomplete elliptic integral of the first kind, F(phi, m).
 
     Inverse of the amplitude: am(F(phi, m), m) = phi.  Odd in phi, and for
     m < 1 quasi-periodic: F(phi + pi, m) = F(phi, m) + 2 K(m).  At m = 1 the
-    domain is |phi| < pi/2 (the integral diverges at the endpoints).
+    domain is |phi| < pi/2 (the integral diverges at the endpoints), and
+    m1 = 0 selects it (m1 is as in :func:`jacobi_sn_cn_dn`).
     """
-    _, phi, chain = _checked(phi, m, "phi")
+    _, _, phi, chain = _checked(phi, m, m1, "phi")
     if chain is None:
         if np.any(np.abs(phi) >= 0.5 * math.pi):
             raise EllipticDomainError("incomplete_F at m = 1 requires |phi| < pi/2")
-        return _scalar_or_array(np.arctanh(np.sin(phi)))
+        return _scalar_or_array(np.arcsinh(np.tan(phi)))
     return _scalar_or_array(chain.incomplete_F(phi))
 
 
-def invert_sn_cn(sn_val: float, cn_val: float, m: float) -> float:
+def invert_sn_cn(sn_val: float, cn_val: float, m: float, *, m1: float | None = None) -> float:
     """Return u with (sn, cn)(u, m) matching the given pair.
 
     The pair is normalized onto the unit circle first; it must be within
-    1e-9 of it.  The result lies in [-2K, 2K) for m < 1.
+    1e-9 of it.  The result lies in [-2K, 2K) for m < 1.  m1 is as in
+    :func:`jacobi_sn_cn_dn`.
     """
     r = math.hypot(sn_val, cn_val)
     if not abs(r - 1.0) <= 1e-9:
         raise EllipticDomainError(f"(sn, cn) = ({sn_val}, {cn_val}) is not on the unit circle")
     phi = math.atan2(sn_val / r, cn_val / r)
-    return float(incomplete_F(phi, m))
+    return float(incomplete_F(phi, m, m1=m1))

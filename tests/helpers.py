@@ -48,6 +48,10 @@ def is_fixed_point(params, rho, s) -> bool:
 
 # ---------------------------------------------------------------------------
 # branch keys
+#
+# Lemmas 1 and 2 have no threshold formula: their "equal-radii" and "sech"
+# keys label the states within 1e-10 of the separatrix, which the elliptic
+# form serves at 1 - m near 0.
 
 
 def _lemma1_key(f0, g0, h0) -> str:

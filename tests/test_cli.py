@@ -221,6 +221,22 @@ class TestSolve:
         assert [l.split("span=")[1].split(" tol=")[0] for l in lines] == ["(0, 2)", "(0, -1)"]
         assert all("accepted=" in l and "rejected=" in l and "rhs_evals=" in l for l in lines)
 
+    def test_closed_form_debug_line_leaves_csv_unchanged(self):
+        # solve_case reports its case, subcase, branch and constants; a
+        # subprocess, because logging is configured once per process
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "solve", "--params", '{"p": [1, 0, 0, 0.5, 0], "q": [0, 0, 0]}',
+            "--rho", "1", "--init", "0.6,0,0.8", "--span=-3,3", "--samples", "13", "--mode", "closed",
+        ]
+        runs = {level: subprocess.run(argv, capture_output=True, env=fresh_env(level), timeout=120)
+                for level in (None, "debug")}
+        assert runs[None].returncode == runs["debug"].returncode == 0
+        assert runs[None].stdout == runs["debug"].stdout
+        assert runs[None].stderr == b""
+        lines = [l for l in runs["debug"].stderr.decode().splitlines() if "solve_case" in l]
+        assert lines == ["DEBUG solve_case case=6 subcase=p1>p4 branch=p1>p4 "
+                         "constants={C1=0.60999999999999999, C2=0.5, C3=0.75}"]
+
     @pytest.mark.parametrize("span,end", [("0,2", 2.0), ("-2,0", -2.0)])
     def test_span_from_or_to_zero_runs_one_oracle(self, span, end):
         # tau = 0 is the initial state itself, so only the direction reaching

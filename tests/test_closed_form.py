@@ -1,7 +1,9 @@
 """Classification, the three lemma solvers, and per-case closed forms vs oracle."""
 
+import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -338,9 +340,9 @@ class TestSolveCase:
         assert np.max(np.abs(np.sum(v * v, axis=1) - 1.0)) < 1e-6
 
     def test_near_one_elliptic_parameter(self):
-        # lemma 2's cn branch at 1 - m = 4e-11, outside its own threshold band:
-        # the AGM chain evaluates F at |phi| >= pi/2, and the solution stays on
-        # the orbit against DOP853 over 20 time units
+        # lemma 2's cn branch at 1 - m = 4e-11: the AGM chain evaluates F at
+        # |phi| >= pi/2, and the solution stays on the orbit against DOP853
+        # over 20 time units
         params, rho = StandardParams(0.0, 1.0, 0.0, 0.5, 0.0), 1.0
         s0 = (-0.9974999999799999, 0.049937461288096154, 0.05)
         sol = solve_case(params, rho, s0)
@@ -351,3 +353,137 @@ class TestSolveCase:
                 method="DOP853", rtol=1e-13, atol=1e-13, t_eval=taus,
             ).y.T
             assert np.max(np.abs(sol(taus) - ref)) < 1e-6
+
+    def test_debug_line(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.closed_form"):
+            solve_case(std(p1=1.0, p2=0.3), 1.0, (0.6, 0.0, 0.8))
+            solve_case(std(p1=1.0, p4=0.5), 1.0, (0.6, 0.0, 0.8))
+            solve_case(std(p3=1.1), 1.0, (0.6, 0.0, 0.8))
+            solve_case(std(p1=1.0), 1.0, (0.0, 0.0, 1.0))
+        lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.closed_form"]
+        assert lines == [
+            "solve_case case=5 subcase=- branch=rotating-collapse "
+            "constants={tau0=1.0986122886681098, phase0=0}",
+            "solve_case case=6 subcase=p1>p4 branch=p1>p4 constants={C1=0.60999999999999999, C2=0.5, C3=0.75}",
+            "solve_case case=3 subcase=- branch=lemma1 constants={}",
+            "solve_case case=1 subcase=- branch=fixed-point constants={}",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# near the separatrices of lemmas 1 and 2, against mpmath
+
+
+def _lemma1_mp(p3, s0, taus):
+    """Pure p3 (case 3) through the float state s0, evaluated by mpmath: the
+    lemma-1 solution of (f, g, h) = (2 p3 I, sqrt8 p3 R, sqrt8 p3 D)."""
+    d0, r0, i0 = (mp.mpf(float(x)) for x in s0)
+    k = mp.sqrt(8) * p3
+    f0, g0, h0 = 2 * p3 * i0, k * r0, k * d0
+    swap = abs(h0) < abs(g0)
+    if swap:
+        g0, h0 = h0, g0
+    r_fg, r_fh = mp.hypot(f0, g0), mp.hypot(f0, h0)
+    sg, sh = mp.sign(g0), mp.sign(h0)
+    out = []
+    for tau in taus:
+        if r_fg == r_fh:
+            u = sg * sh * r_fh * tau + mp.atanh(f0 / r_fh)
+            f, g, h = r_fh * mp.tanh(u), sg * r_fh * mp.sech(u), sh * r_fh * mp.sech(u)
+        else:
+            m = (r_fg / r_fh) ** 2
+            u = sh * r_fh * tau + mp.ellipf(mp.atan2(f0, g0), m)
+            sn, cn, dn = (mp.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
+            f, g, h = r_fg * sn, r_fg * cn, sh * r_fh * dn
+        if swap:
+            g, h = h, g
+        out.append([h / k, g / k, f / (2 * p3)])
+    return np.array(out, dtype=float)
+
+
+def _lemma2_mp(p2, p4, rho, s0, taus):
+    """Case 8 through the float state s0, evaluated by mpmath: the lemma-2
+    solution of (4 p2 p4 rho R, 4 p4 rho (p2 D + p4 rho), -2 p2 I)."""
+    d0, r0, i0 = (mp.mpf(float(x)) for x in s0)
+    f0, g0, h0 = 4 * p2 * p4 * rho * r0, 4 * p4 * rho * (p2 * d0 + p4 * rho), -2 * p2 * i0
+    r = mp.hypot(f0, g0)
+    p_sq = (r - g0) / 2 + h0 * h0 / 4
+    p = mp.sqrt(p_sq)
+    cn_side = h0 * h0 - 2 * (r + g0) < 0
+    out = []
+    for tau in taus:
+        if cn_side:
+            m = p_sq / r
+            u = mp.sqrt(r) * tau + mp.sign(f0) * mp.ellipf(mp.acos(h0 / (2 * p)), m)
+            sn, cn, dn = (mp.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
+            f, h = 2 * p * mp.sqrt(r) * sn * dn, 2 * p * cn
+        else:
+            m = r / p_sq
+            phi = mp.asin(mp.sqrt((1 - (h0 / (2 * p)) ** 2) / m))
+            u = mp.sign(h0) * p * tau + mp.sign(f0) * mp.ellipf(phi, m)
+            sn, cn, dn = (mp.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
+            f, h = 2 * p_sq * m * sn * cn, mp.sign(h0) * 2 * p * dn
+        g = (h * h - h0 * h0) / 2 + g0
+        out.append([(g / (4 * p4 * rho) - p4 * rho) / p2, f / (4 * p2 * p4 * rho), -h / (2 * p2)])
+    return np.array(out, dtype=float)
+
+
+class TestNearSeparatrix:
+    """Lemma 1 (pure p3) and lemma 2 (case 8) next to and on their separatrix
+    1 - m = 0, against an mpmath evaluation (40 digits) of the exact solution
+    through the same float state.  The solvers had threshold bands here that
+    put the separatrix limit in place of the periodic solution: 2.0 off on
+    the lemma-1 slice, up to 2.4e-3 on the lemma-2 curve."""
+
+    P3 = 1.1
+
+    @pytest.mark.parametrize("i0", [0.3, 0.6])
+    @pytest.mark.parametrize("delta", [1e-12, 3e-11, 1e-10, 1e-9])
+    def test_lemma1_slice(self, i0, delta):
+        # the benchmark's slice: |D| - |R| = delta |R|, over at least 10 K
+        r = math.sqrt((1.0 - i0 * i0) / (1.0 + (1.0 + delta) ** 2))
+        s0 = np.array([r * (1.0 + delta), r, i0])
+        s0 /= np.linalg.norm(s0)
+        r_fh = math.hypot(2.0 * self.P3 * s0[2], math.sqrt(8.0) * self.P3 * s0[0])
+        m1 = 8.0 * self.P3**2 * (s0[0] - s0[1]) * (s0[0] + s0[1]) / r_fh**2
+        span = math.ceil(10.0 * math.log(4.0 / math.sqrt(m1)) / r_fh)
+        taus = np.linspace(-span, span, 9)
+        with mp.workdps(40):
+            ref = _lemma1_mp(self.P3, s0, taus)
+        assert np.max(np.abs(solve_case(std(p3=self.P3), 1.0, s0)(taus) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("i0", [0.3, -0.6])
+    @pytest.mark.parametrize("sd, sr", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_lemma1_on_the_separatrix(self, i0, sd, sr):
+        # D = +-R exactly: 1 - m = 0, the tanh/sech orbit
+        c = math.sqrt((1.0 - i0 * i0) / 2.0)
+        s0 = np.array([sd * c, sr * c, i0])
+        taus = np.linspace(-30.0, 30.0, 13)
+        with mp.workdps(40):
+            ref = _lemma1_mp(self.P3, s0, taus)
+        assert np.max(np.abs(solve_case(std(p3=self.P3), 1.0, s0)(taus) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("disc", [-1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8])
+    @pytest.mark.parametrize("sr", [1.0, -1.0])
+    def test_lemma2_curve(self, disc, sr):
+        # p = (0, 1, 0, 0.5, 0), rho = 1, I0 = 0.9: the lemma's disc is
+        # -8 (D + 0.19) to first order, and D = -0.19 gives disc = 0.0 exactly
+        d0 = -0.19 - disc / 8.0
+        s0 = np.array([d0, sr * math.sqrt(0.19 - d0 * d0), 0.9])
+        taus = np.linspace(-20.0, 20.0, 17)
+        with mp.workdps(40):
+            ref = _lemma2_mp(1, 0.5, 1, s0, taus)
+        got = solve_case(std(p2=1.0, p4=0.5), 1.0, s0)(taus)
+        assert np.max(np.abs(got - ref)) <= 1e-7
+
+    @pytest.mark.parametrize("r0", [1e-9, 1e-7, 1e-5])
+    @pytest.mark.parametrize("i0", [0.0, 1e-9, -3e-8])
+    def test_lemma2_next_to_the_saddle(self, r0, i0):
+        # next to the fixed point (-rho, 0, 0) the lemma's r + g0 cancels; it
+        # used to give the saddle itself, up to 1.0 off
+        s0 = np.array([-math.sqrt(1.0 - r0 * r0 - i0 * i0), r0, i0])
+        taus = np.linspace(-20.0, 20.0, 9)
+        with mp.workdps(40):
+            ref = _lemma2_mp(1, 0.5, 1, s0, taus)
+        got = solve_case(std(p2=1.0, p4=0.5), 1.0, s0)(taus)
+        assert np.max(np.abs(got - ref)) <= 1e-7

@@ -308,15 +308,17 @@ class TestMpmathReference:
                     assert abs(F[i] - ref) <= self.TOL * abs(ref), (phi, m)
 
 
-class TestMpmathNearOne:
-    """The AGM chain for 1 - m down to one ulp: sn and cn (absolute error) and
-    am, F and K (relative error) against mpmath at 30 digits, |u| <= 8K and
-    |phi| <= 3 pi, with 1 - m log-uniform in each band.  dn = sqrt(1 - m sn^2)
-    cancels here, so TestMpmathReference alone covers it."""
+NEAR_ONE = pytest.mark.parametrize(
+    "lo, hi, tol", [(1e-12, 1e-6, 1e-13), (2.0**-53, 1e-12, 1e-12)], ids=["to-1e-12", "to-one-ulp"]
+)
 
-    @pytest.mark.parametrize(
-        "lo, hi, tol", [(1e-12, 1e-6, 1e-13), (2.0**-53, 1e-12, 1e-12)], ids=["to-1e-12", "to-one-ulp"]
-    )
+
+class TestMpmathNearOne:
+    """The AGM chain for 1 - m down to one ulp: sn, cn and dn (absolute error)
+    and am, F and K (relative error) against mpmath at 30 digits, |u| <= 8K
+    and |phi| <= 3 pi, with 1 - m log-uniform in each band."""
+
+    @NEAR_ONE
     def test_sn_cn_am_F_K(self, lo, hi, tol):
         rng = np.random.default_rng(14)
         m1s = [lo, hi, *np.exp(rng.uniform(math.log(lo), math.log(hi), 16))]
@@ -338,3 +340,70 @@ class TestMpmathNearOne:
                 for i, phi in enumerate(phis):
                     ref = mp.ellipf(phi, m)
                     assert abs(F[i] - ref) <= tol * abs(ref), (phi, m)
+
+    @NEAR_ONE
+    def test_exact_m1(self, lo, hi, tol):
+        """With m1 passed exactly the reference parameter is 1 - m1, which the
+        rounded m = 1 - m1 cannot carry; dn = sqrt(m1 + m cn^2) does not
+        cancel (sqrt(1 - m sn^2) was 2.4e-11 and 1.7e-9 off here)."""
+        rng = np.random.default_rng(15)
+        m1s = [lo, hi, *np.exp(rng.uniform(math.log(lo), math.log(hi), 16))]
+        with mp.workdps(30):
+            for m1 in m1s:
+                m_ref = 1 - mp.mpf(m1)
+                k_ref = mp.ellipk(m_ref)
+                us = rng.uniform(-8.0, 8.0, 8) * float(k_ref)
+                got = el.jacobi_sn_cn_dn(us, 1.0 - m1, m1=m1)
+                for i, u in enumerate(us):
+                    for kind, val in zip(("sn", "cn", "dn"), got):
+                        assert abs(val[i] - mp.ellipfun(kind, u, m=m_ref)) <= tol, (kind, u, m1)
+                phis = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, 8)
+                F = el.incomplete_F(phis, 1.0 - m1, m1=m1)
+                for i, phi in enumerate(phis):
+                    ref = mp.ellipf(phi, m_ref)
+                    assert abs(F[i] - ref) <= tol * abs(ref), (phi, m1)
+                u = el.invert_sn_cn(math.sin(phis[0]), math.cos(phis[0]), 1.0 - m1, m1=m1)
+                assert abs(u - mp.ellipf(math.atan2(math.sin(phis[0]), math.cos(phis[0])), m_ref)) <= tol * abs(u)
+
+    def test_m1_zero_is_the_hyperbolic_limit(self):
+        u = np.linspace(-30.0, 30.0, 13)
+        sn, cn, dn = el.jacobi_sn_cn_dn(u, 1.0 - 2.0**-53, m1=0.0)
+        np.testing.assert_array_equal(sn, np.tanh(u))
+        np.testing.assert_array_equal(cn, 1.0 / np.cosh(u))
+        np.testing.assert_array_equal(dn, cn)
+        assert el.incomplete_F(1.2, 1.0, m1=0.0) == math.asinh(math.tan(1.2))
+        # the inverse Gudermannian stays finite up to the last float below pi/2
+        with mp.workdps(30):
+            for phi in (0.5 * math.pi - 1e-9, math.nextafter(0.5 * math.pi, 0.0)):
+                assert abs(el.incomplete_F(phi, 1.0) - mp.asinh(mp.tan(phi))) <= 1e-15 * mp.asinh(mp.tan(phi))
+
+
+class TestComplementaryParameter:
+    """m1 must be 1 - m to within a few ulps, in [0, 1] and not NaN."""
+
+    CALLS = {
+        "jacobi_sn_cn_dn": lambda m, m1: el.jacobi_sn_cn_dn(0.7, m, m1=m1),
+        "incomplete_F": lambda m, m1: el.incomplete_F(0.7, m, m1=m1),
+        "invert_sn_cn": lambda m, m1: el.invert_sn_cn(0.6, 0.8, m, m1=m1),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize(
+        "m, m1",
+        [(1.0, -1e-300), (1.0, -2.0**-60), (0.0, 1.0 + 2.0**-52), (0.5, math.nan), (0.5, 0.5 + 1e-13),
+         (0.9, 0.2), (1.0 - 1e-10, 1e-10 + 1e-14), (0.3, math.inf)],
+    )
+    def test_rejected(self, call, m, m1):
+        with pytest.raises(el.EllipticDomainError, match="complementary parameter"):
+            call(m, m1)
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("m, m1", [(1.0, 2.0**-60), (1.0 - 1e-10, 1e-10), (0.3, 0.7 + 2.0**-52), (0.0, 1.0)])
+    def test_accepted(self, call, m, m1):
+        call(m, m1)
+
+    def test_default_is_one_minus_m(self):
+        u = np.linspace(-9.0, 9.0, 19)
+        for m in (0.0, 0.3, 1.0 - 1e-9, 1.0):
+            for a, b in zip(el.jacobi_sn_cn_dn(u, m), el.jacobi_sn_cn_dn(u, m, m1=1.0 - m)):
+                np.testing.assert_array_equal(a, b)
