@@ -13,8 +13,11 @@ cover the elliptic cores:
 Every branch constant is resolved from the initial state, and every
 evaluator is validated against the adaptive Runge-Kutta oracle in the test
 suite.  Lemmas 1 and 2 hand the elliptic kernel 1 - m computed without
-cancellation, so their separatrix is the kernel's m1 = 0; lemma 3 and
-cases 6, 11 (p1/p3 = 1/3) and 14/15 keep threshold bands (_BRANCH_TOL).
+cancellation, so their separatrix is the kernel's m1 = 0.  The elementary
+thresholds (case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's
+K = 0 plane at R = eta) share one formula in functions entire in the
+threshold parameter (_ent).  Threshold bands (_BRANCH_TOL) remain for
+lemma 3's K = 0 and R = eta +- sqrt(-K) and the p1/p3 = 1/3 planes D = +-R.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RTOL = 1e-12  # relative tolerance for the special parameter relations
-_BRANCH_TOL = 1e-10  # relative width of the threshold bands of lemma 3, cases 6, 11, 14/15
+_BRANCH_TOL = 1e-10  # relative width of lemma 3's K, R = eta +- kappa and the 1/3 plane bands
 
 SUPPORTED_RATIOS = (1.0 / 3.0, 1.0, 3.0)
 
@@ -71,8 +74,9 @@ class ClosedFormSolution:
     """Evaluable closed-form trajectory tau -> (D, R, I).
 
     ``constants`` records the resolved branch constants; ``branch`` names
-    the formula family actually used (it is recomputable from the
-    parameters, radius and initial state alone).
+    the formula family actually used, or for cases 6, 14 and 15 the side of
+    the threshold the state is on (it is recomputable from the parameters,
+    radius and initial state alone).
     """
 
     case_id: CaseId
@@ -182,6 +186,32 @@ def _mapped(sol, back):
     return lambda t: back(*sol(t))
 
 
+def _ent(c: float, x, a: float, b_sq: float):
+    """(e, j) = (1/q, -q'/q) for q(x) = (ch - a sh)^2 + b_sq sh^2.
+
+    Here ch = cosh(sqrt(c) x / 2) and sh = sinh(sqrt(c) x / 2) / sqrt(c),
+    so (e, j) solves e' = e j, j' = j^2 - c - (a^2 + b_sq - c) e / 2 from
+    (1, a).  ch and sh are entire in c (cos and sin / sqrt(-c) for c < 0,
+    1 and x / 2 at c = 0): one formula serves both sides of the threshold
+    c = 0.  Written as a sum of squares, q does not cancel next to the
+    saddles, where the expanded form in cosh and sinh of sqrt(c) x loses a
+    further factor 1 / distance.
+    """
+    if c > 0.0:
+        w = math.sqrt(c)
+        y = 0.5 * w * x
+        ch, sh = np.cosh(y), np.sinh(y) / w
+    elif c < 0.0:
+        w = math.sqrt(-c)
+        y = 0.5 * w * x
+        ch, sh = np.cos(y), np.sin(y) / w
+    else:
+        ch, sh = np.ones_like(x), 0.5 * x
+    u, bsh = ch - a * sh, b_sq * sh
+    q = u * u + bsh * sh
+    return 1.0 / q, (u * (a * ch - c * sh) - bsh * ch) / q
+
+
 def solve_lemma1(f0: float, g0: float, h0: float):
     """Closed solution of f' = gh, g' = -fh, h' = -fg through (f0, g0, h0).
 
@@ -265,14 +295,6 @@ def solve_lemma2(f0: float, g0: float, h0: float):
     return dn_branch
 
 
-def _acosh_clamped(x: float) -> float:
-    if x < 1.0:
-        if x < 1.0 - 1e-9:
-            raise el.EllipticDomainError(f"arccosh argument {x} below 1")
-        x = 1.0
-    return math.acosh(x)
-
-
 def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
     """Closed solution of f' = -gh, g' = fh, h' = -(f + eta) g, eta > 0.
 
@@ -318,53 +340,17 @@ def _lemma3_k_positive(eta, f0, g0, h0, r0, k0):
 
 
 def _lemma3_k_zero(eta, f0, g0, h0, r0):
-    # the invariant surface splits into the two planes h = +-(f + eta)
-    if f0 + eta > 0.0:
-        if abs(r0 - eta) <= _BRANCH_TOL * max(r0, eta):
-            t0 = g0 / h0
+    # the invariant surface splits into the two planes h = s (f + eta), s = +-1;
+    # on each, u = 1/h solves u'' = (r0^2 - eta^2) u + s eta
+    s = 1.0 if f0 + eta > 0.0 else -1.0
+    c = (r0 - eta) * (r0 + eta)
 
-            def rational(t):
-                lin = eta * np.asarray(t, dtype=float) + t0
-                den = 1.0 + lin * lin
-                h = 2.0 * eta / den
-                return h - eta, 2.0 * eta * lin / den, h
+    def fgh(t):
+        e, j = _ent(c, np.asarray(t, dtype=float), -s * g0, h0 * h0)
+        h = h0 * e
+        return s * h - eta, -s * j, h
 
-            return rational
-        if r0 < eta:
-            om = math.sqrt(eta * eta - r0 * r0)
-            cos0 = (eta - om * om / h0) / r0
-            sin0 = g0 * om / (h0 * r0)
-            t0 = math.atan2(sin0, cos0)
-
-            def trig(t):
-                arg = om * np.asarray(t, dtype=float) + t0
-                den = eta - r0 * np.cos(arg)
-                h = om * om / den
-                return h - eta, r0 * om * np.sin(arg) / den, h
-
-            return trig
-        om = math.sqrt(r0 * r0 - eta * eta)
-        t0 = math.copysign(1.0, g0) * _acosh_clamped((om * om / h0 + eta) / r0)
-
-        def hyp(t):
-            arg = om * np.asarray(t, dtype=float) + t0
-            den = r0 * np.cosh(arg) - eta
-            h = om * om / den
-            return h - eta, r0 * om * np.sinh(arg) / den, h
-
-        return hyp
-
-    # f0 + eta < 0 forces r0 > eta; here h = -(f + eta)
-    om = math.sqrt(r0 * r0 - eta * eta)
-    t0 = -math.copysign(1.0, g0) * _acosh_clamped((om * om / h0 - eta) / r0)
-
-    def hyp_neg(t):
-        arg = om * np.asarray(t, dtype=float) + t0
-        den = r0 * np.cosh(arg) + eta
-        h = om * om / den
-        return -eta - h, -r0 * om * np.sinh(arg) / den, h
-
-    return hyp_neg
+    return fgh
 
 
 def _sn_start(sn_sq, sn_sign, cn_sign, m):
@@ -399,7 +385,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
     if abs(r0 - (eta - kap)) <= tol:
         om = math.sqrt(r0 * (eta - r0))
         cosh_sq = r0 * (f0 + 2.0 * eta - r0) / (eta * (f0 + r0))
-        t0 = math.copysign(1.0, g0) * _acosh_clamped(math.sqrt(max(cosh_sq, 1.0)))
+        t0 = math.copysign(1.0, g0) * math.acosh(math.sqrt(max(cosh_sq, 1.0)))
         cg = 2.0 * r0 * math.sqrt(eta * (eta - r0))
         ch = 2.0 * (eta - r0) * math.sqrt(eta * r0)
 
@@ -577,49 +563,14 @@ def _case6(params, rho, s0, case_id):
     mu = p4 / p1
     c1 = d0 * d0 + (r0 - mu * rho) ** 2
     c2 = -2.0 * rho * mu * (r0 - mu * rho)
-    c3 = (1.0 - mu * mu) * rho * rho
-    consts = {"C1": c1, "C2": c2, "C3": c3}
+    c3 = (p1 - p4) * (p1 + p4) * rho * rho / (p1 * p1)
+    branch = "p1>p4" if c3 > 0.0 else "p1<p4" if c3 < 0.0 else "p1=p4"
 
-    if abs(c3) <= _BRANCH_TOL * rho * rho:
-        # threshold p1 = p4: rational collapse onto (0, rho, 0).  Within
-        # classify's band p4 != p1, so (0, rho, 0) is not caught as a fixed
-        # point, and the formula would divide 0/0 there
-        c2t = 2.0 * rho * (rho - r0)
-        if c2t == 0.0:
-            return "fixed-point", {}, _constant(*s0)
+    def fn(t):
+        e, i = _ent(c3, 2.0 * p1 * t, i0, c1)
+        return e * d0, e * (r0 - mu * rho) + mu * rho, i
 
-        def fn_rat(t):
-            lin = c2t * p1 * t - i0
-            den = lin * lin + c2t - i0 * i0
-            e = c2t / den
-            return e * d0, e * (r0 - rho) + rho, -c2t * lin / den
-
-        return "p1=p4", consts, fn_rat
-
-    if c3 > 0.0:
-        w = math.sqrt(c2 * c2 + 4.0 * c1 * c3)
-        tau0 = math.copysign(1.0, i0) * _acosh_clamped((2.0 * c3 + c2) / w)
-        rt = math.sqrt(c3)
-
-        def fn_cosh(t):
-            arg = 2.0 * p1 * rt * t - tau0
-            den = w * np.cosh(arg) - c2
-            e = 2.0 * c3 / den
-            return e * d0, e * (r0 - mu * rho) + mu * rho, -rt * w * np.sinh(arg) / den
-
-        return "p1>p4", consts, fn_cosh
-
-    w = math.sqrt(c2 * c2 + 4.0 * c1 * c3)
-    rt = math.sqrt(-c3)
-    tau0 = -math.copysign(1.0, i0) * el.arccos_clamped((c2 + 2.0 * c3) / w)
-
-    def fn_cos(t):
-        arg = 2.0 * p1 * rt * t + tau0
-        den = c2 - w * np.cos(arg)
-        e = -2.0 * c3 / den
-        return e * d0, e * (r0 - mu * rho) + mu * rho, -rt * w * np.sin(arg) / den
-
-    return "p1<p4", consts, fn_cos
+    return branch, {"C1": c1, "C2": c2, "C3": c3}, fn
 
 
 def _case7(params, rho, s0, case_id):
@@ -808,48 +759,14 @@ def _case14_15(params, rho, s0, case_id):
     y0 = -d0 / (2.0 * sin_t) + r0 / (2.0 * cos_t) - cy * rho
     cap = (1.0 - (p4 / (2.0 * p3 * cos_t)) ** 2) * rho * rho if with_p4 else rho * rho
     disc = cap - x0 * x0
-    consts = {"Theta": theta_ang, "X": x0, "Y": y0, "threshold": cap}
-
-    # e_i(t) gives the factor e(t) = Y(t)/Y0 and I(t) of the branch
-    if abs(disc) <= _BRANCH_TOL * rho * rho:
-        branch = "|X| at threshold"
-        c0 = i0 * i0 + y0 * y0
-
-        def e_i(t):
-            lin = 2.0 * p1 * t * c0 - i0
-            den = lin * lin + y0 * y0
-            return c0 / den, -c0 * lin / den
-
-    elif disc > 0.0:
-        branch = "|X| below threshold"
-        r_c = math.sqrt(disc)
-        ap = (r_c - i0) ** 2 + y0 * y0
-        am = (r_c + i0) ** 2 + y0 * y0
-        c0 = -2.0 * i0 * i0 - 2.0 * y0 * y0 + 2.0 * r_c * r_c
-
-        def e_i(t):
-            ex = np.exp(4.0 * p1 * r_c * t)
-            den = ap * ex + am / ex + c0
-            return 4.0 * r_c * r_c / den, -r_c * (ap * ex - am / ex) / den
-
-    else:
-        branch = "|X| above threshold"
-        r_c = math.sqrt(-disc)
-        c_sum = i0 * i0 + y0 * y0 + r_c * r_c
-        c_dif = i0 * i0 + y0 * y0 - r_c * r_c
-
-        def e_i(t):
-            ang = 4.0 * p1 * r_c * t
-            sin, cos = np.sin(ang), np.cos(ang)
-            den = c_sum - 2.0 * r_c * i0 * sin - c_dif * cos
-            return 2.0 * r_c * r_c / den, r_c * (2.0 * r_c * i0 * cos - c_dif * sin) / den
+    side = "below" if disc > 0.0 else "above" if disc < 0.0 else "at"
 
     def fn(t):
-        e, i = e_i(t)
+        e, i = _ent(disc, 4.0 * p1 * t, i0, y0 * y0)
         y = y0 * e
         return sin_t * (x0 - y - (cx + cy) * rho), cos_t * (x0 + y - (cx - cy) * rho), i
 
-    return branch, consts, fn
+    return f"|X| {side} threshold", {"Theta": theta_ang, "X": x0, "Y": y0, "threshold": cap}, fn
 
 
 _CASE_BUILDERS = {

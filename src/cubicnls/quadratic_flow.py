@@ -854,8 +854,8 @@ def fixed_points(params, rho: float) -> FixedPointSet:
     if case == 2:
         circles = [Circle((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), rho)]
     elif case == 6:
-        # the subcase is classify's (p1 = p4 within 1e-12); _case6's rational
-        # band, |1 - (p4/p1)^2| <= 1e-10, is wider, so the two can disagree
+        # the ladder follows classify's subcase (p1 = p4 within 1e-12), not
+        # the sign of _case6's C3 that names its branch
         if case_id.subcase == "p1=p4":
             pts = [rho * np.eye(3)[1]]
         elif case_id.subcase == "p1>p4":

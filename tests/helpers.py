@@ -51,7 +51,10 @@ def is_fixed_point(params, rho, s) -> bool:
 #
 # Lemmas 1 and 2 have no threshold formula: their "equal-radii" and "sech"
 # keys label the states within 1e-10 of the separatrix, which the elliptic
-# form serves at 1 - m near 0.
+# form serves at 1 - m near 0.  Nor have case 6, cases 14/15 and lemma 3's
+# K = 0 plane: their "p1=p4", "X threshold" and "K0 R=eta" keys label the
+# states next to a threshold, which one entire-function formula serves on
+# both sides, and no longer name a formula.
 
 
 def _lemma1_key(f0, g0, h0) -> str:

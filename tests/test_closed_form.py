@@ -292,9 +292,12 @@ class TestSolveCase:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_case6_band_start_at_fixed_point(self, eps, rho):
         # p1 = p4 within classify's band: (0, rho, 0) is not fixed for these
-        # parameters, and the rational formula would divide 0/0 there
-        sol = solve_case(std(p1=1.0, p4=1.0 + eps), rho, (0.0, rho, 0.0))
-        assert np.array_equal(sol(np.linspace(-3, 3, 7)), np.tile([0.0, rho, 0.0], (7, 1)))
+        # parameters but drifts by about 1e-13 rho^2 a unit of tau, which the
+        # closed form follows without dividing 0/0
+        params, s0 = std(p1=1.0, p4=1.0 + eps), np.array([0.0, rho, 0.0])
+        taus = np.linspace(-3, 3, 7)
+        ref = _dop853(lambda y: qqq_rhs(params, rho, y), s0, taus)
+        assert np.max(np.abs(solve_case(params, rho, s0)(taus) - ref)) <= 1e-15
 
     @pytest.mark.parametrize("eps", [3e-13, -3e-13])
     def test_case11_band_fixed_circle(self, eps):
@@ -487,3 +490,101 @@ class TestNearSeparatrix:
             ref = _lemma2_mp(1, 0.5, 1, s0, taus)
         got = solve_case(std(p2=1.0, p4=0.5), 1.0, s0)(taus)
         assert np.max(np.abs(got - ref)) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# across the elementary thresholds, against DOP853
+
+
+def _dop853(rhs, y0, taus):
+    """DOP853 (rtol = atol = 1e-13) through y0 at taus, forward and backward."""
+    out = np.empty((len(taus), 3))
+    for sgn in (1.0, -1.0):
+        sel = taus * sgn >= 0.0
+        if np.any(taus[sel] != 0.0):
+            end = float(np.max(np.abs(taus[sel])))
+            out[sel] = solve_ivp(
+                lambda _, y: rhs(y), (0.0, sgn * end), y0, method="DOP853",
+                rtol=1e-13, atol=1e-13, dense_output=True,
+            ).sol(taus[sel]).T
+        else:
+            out[sel] = y0
+    return out
+
+
+def _lemma3_rhs(eta):
+    return lambda y: np.array([-y[1] * y[2], y[0] * y[2], -(y[0] + eta) * y[1]])
+
+
+def _case14_15_start(case, delta):
+    """A state with disc = cap - X^2 = delta rho^2 (rho = 1), built as the
+    acceptance sweep's family14: X = +sqrt(cap - delta) along a curve of
+    constant X, I > 0."""
+    p4 = 0.5 if case == 15 else 0.0
+    params = std(p1=0.6, p2=0.8, p3=1.0, p4=p4, p5=p4 * 0.6 / 1.8)
+    theta = math.atan2(params.p1, params.p2 + params.p3)
+    cx = params.p2 * p4 / (2 * params.p1 * params.p3 * math.cos(theta))
+    cap = 1.0 - (p4 / (2 * params.p3 * math.cos(theta))) ** 2
+    d = 0.5 if case == 14 else 0.4
+    r = 2 * math.cos(theta) * (math.sqrt(cap - delta) - cx - d / (2 * math.sin(theta)))
+    return params, np.array([d, r, math.sqrt(1.0 - d * d - r * r)])
+
+
+class TestElementaryThresholds:
+    """Case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap) and lemma 3's K = 0
+    plane at R = eta: one entire-function formula on both sides of each
+    threshold and on it, against DOP853 over |tau| <= 9.21 (t <= 1e8)."""
+
+    DELTAS = [1e-2, -1e-2, 1e-6, -1e-6, 1e-9, -1e-9, 1e-10, -1e-10, 1e-12, -1e-12, 1e-16, -1e-16, 0.0]
+    TAUS = np.linspace(-9.21, 9.21, 41)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("i_sign", [1.0, -1.0])
+    def test_case6(self, delta, i_sign):
+        params = std(p1=1.0, p4=1.0 + delta)
+        s0 = np.array([0.3, 0.1, i_sign * math.sqrt(0.9)])
+        ref = _dop853(lambda y: qqq_rhs(params, 1.0, y), s0, self.TAUS)
+        assert np.max(np.abs(solve_case(params, 1.0, s0)(self.TAUS) - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("case", [14, 15])
+    def test_case14_15(self, case, delta):
+        params, s0 = _case14_15_start(case, delta)
+        ref = _dop853(lambda y: qqq_rhs(params, 1.0, y), s0, self.TAUS)
+        assert np.max(np.abs(solve_case(params, 1.0, s0)(self.TAUS) - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_lemma3_k_zero(self, delta):
+        # the plane h = f + eta with R = eta (1 + delta)
+        eta, r0 = 1.0, 1.0 + delta
+        f0, g0 = r0 * math.cos(0.7), r0 * math.sin(0.7)
+        ref = _dop853(_lemma3_rhs(eta), np.array([f0, g0, f0 + eta]), self.TAUS)
+        got = np.stack(solve_lemma3(eta, f0, g0, f0 + eta)(self.TAUS), axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-9, 1e-10, 1e-12, 0.5])
+    @pytest.mark.parametrize("g_sign", [1.0, -1.0])
+    def test_lemma3_k_zero_negative_plane(self, delta, g_sign):
+        # the plane h = -(f + eta), which needs R > eta: f0 halfway between
+        # -R and -eta
+        eta, r0 = 1.0, 1.0 + delta
+        f0 = -0.5 * (eta + r0)
+        g0 = g_sign * math.sqrt((r0 - f0) * (r0 + f0))
+        ref = _dop853(_lemma3_rhs(eta), np.array([f0, g0, -(f0 + eta)]), self.TAUS)
+        got = np.stack(solve_lemma3(eta, f0, g0, -(f0 + eta))(self.TAUS), axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-11
+
+    def test_large_argument_is_finite(self):
+        # sqrt(|c|) |x| = 600 on the hyperbolic side of each threshold, where
+        # cosh and sinh reach 1e260 but do not overflow
+        for params, s0, rate in (
+            (std(p1=1.0, p4=0.5), np.array([0.3, 0.1, math.sqrt(0.9)]), 2.0 * math.sqrt(0.75)),
+            (*_case14_15_start(14, 0.25), 4.0 * 0.6 * 0.5),
+        ):
+            taus = np.array([-600.0, 600.0]) / rate
+            got = solve_case(params, 1.0, s0)(taus)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(np.sum(got * got, axis=1) - 1.0)) <= 1e-12
+        f0, g0 = 3.0 * math.cos(0.7), 3.0 * math.sin(0.7)
+        taus = np.array([-600.0, 600.0]) / math.sqrt(8.0)
+        assert np.all(np.isfinite(solve_lemma3(1.0, f0, g0, f0 + 1.0)(taus)))
