@@ -12,12 +12,13 @@ cover the elliptic cores:
 
 Every branch constant is resolved from the initial state, and every
 evaluator is validated against the adaptive Runge-Kutta oracle in the test
-suite.  Lemmas 1 and 2 hand the elliptic kernel 1 - m computed without
-cancellation, so their separatrix is the kernel's m1 = 0.  The elementary
-thresholds (case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's
-K = 0 plane at R = eta) share one formula in functions entire in the
-threshold parameter (_ent).  Threshold bands (_BRANCH_TOL) remain for
-lemma 3's K = 0 and R = eta +- sqrt(-K) and the p1/p3 = 1/3 planes D = +-R.
+suite.  Lemmas 1 and 2 and the p1/p3 = 1/3 family hand the elliptic kernel
+1 - m computed without cancellation, so their separatrices (for 1/3 the
+planes D = +-R) are the kernel's m1 = 0.  The elementary thresholds (case 6
+at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's K = 0 plane at
+R = eta) share one formula in functions entire in the threshold parameter
+(_ent).  Threshold bands (_BRANCH_TOL) remain for lemma 3's K = 0 and
+R = eta - sqrt(-K) only.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RTOL = 1e-12  # relative tolerance for the special parameter relations
-_BRANCH_TOL = 1e-10  # relative width of lemma 3's K, R = eta +- kappa and the 1/3 plane bands
+_BRANCH_TOL = 1e-10  # relative width of lemma 3's K and R = eta - kappa bands
 
 SUPPORTED_RATIOS = (1.0 / 3.0, 1.0, 3.0)
 
@@ -363,26 +364,7 @@ def _sn_start(sn_sq, sn_sign, cn_sign, m):
 
 def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
     kap = math.sqrt(-k0)
-    tol = _BRANCH_TOL * scale
-
-    if abs(r0 - (eta + kap)) <= tol:
-        om = math.sqrt(r0 * (r0 - eta))
-        sin_sq = (r0 - eta) * (r0 - f0) / (eta * (r0 + f0))
-        sin0 = math.copysign(math.sqrt(min(max(sin_sq, 0.0), 1.0)), g0)
-        cos0 = math.copysign(math.sqrt(max(0.0, 1.0 - sin0 * sin0)), h0)
-        t0 = math.atan2(sin0, cos0)
-        cg = 2.0 * r0 * math.sqrt(eta * (r0 - eta))
-        ch = 2.0 * (r0 - eta) * math.sqrt(r0 * eta)
-
-        def tangent_branch(t):
-            arg = om * np.asarray(t, dtype=float) + t0
-            s, c = np.sin(arg), np.cos(arg)
-            den = r0 - eta * c * c
-            return r0 - 2.0 * r0 * eta * s * s / den, cg * s / den, ch * c / den
-
-        return tangent_branch
-
-    if abs(r0 - (eta - kap)) <= tol:
+    if abs(r0 - (eta - kap)) <= _BRANCH_TOL * scale:
         om = math.sqrt(r0 * (eta - r0))
         cosh_sq = r0 * (f0 + 2.0 * eta - r0) / (eta * (f0 + r0))
         t0 = math.copysign(1.0, g0) * math.acosh(math.sqrt(max(cosh_sq, 1.0)))
@@ -397,24 +379,31 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
 
         return pulse_branch
 
+    if f0 + eta < 0.0:
+        # the component f <= -(eta + kap) (R >= eta + kap): b = R - eta - kap from
+        # (R - eta)^2 - kap^2 = h0^2 + (R - f0 - 2 eta)(R + f0) does not cancel
+        a = r0 + eta + kap
+        r_plus_f = g0 * g0 / (r0 - f0)
+        b = (h0 * h0 + (r0 - f0 - 2.0 * eta) * r_plus_f) / (r0 - eta + kap)
+        theta = 0.5 * math.sqrt((r0 + kap) ** 2 - eta * eta)
+        m0 = b * (r0 - kap + eta) / ((r0 + kap) ** 2 - eta * eta)
+        t0 = _sn_start(a * r_plus_f / (b * (r0 - f0)), g0, h0, m0)
+        cg = 2.0 * r0 * math.sqrt(a * b)
+        ch = a * math.sqrt(b * (r0 - eta + kap))
+
+        def outer_minus(t):
+            # this component is traversed against the sn-parametrization
+            sn, cn, dn = el.jacobi_sn_cn_dn(-theta * np.asarray(t, dtype=float) + t0, m0)
+            den = a + b * sn * sn
+            return r0 * (-a + b * sn * sn) / den, cg * sn / den, ch * cn * dn / den
+
+        return outer_minus
+
     if r0 > eta + kap:
         a = r0 + eta + kap
         theta = 0.5 * math.sqrt((r0 + kap) ** 2 - eta * eta)
-        m0 = ((r0 - kap) ** 2 - eta * eta) / ((r0 + kap) ** 2 - eta * eta)
-        if f0 + eta < 0.0:
-            # component with f <= -(eta + kap)
-            b = r0 - eta - kap
-            t0 = _sn_start(a * (f0 + r0) / (b * (r0 - f0)), g0, h0, m0)
-            cg = 2.0 * r0 * math.sqrt(a * b)
-            ch = a * math.sqrt((r0 - eta) ** 2 + k0)
-
-            def outer_minus(t):
-                # this component is traversed against the sn-parametrization
-                sn, cn, dn = el.jacobi_sn_cn_dn(-theta * np.asarray(t, dtype=float) + t0, m0)
-                den = a + b * sn * sn
-                return r0 * (-a + b * sn * sn) / den, cg * sn / den, ch * cn * dn / den
-
-            return outer_minus
+        # m0 -> 0 at the tangent R = eta + kap, where it may round below 0
+        m0 = max(((r0 - kap) ** 2 - eta * eta) / ((r0 + kap) ** 2 - eta * eta), 0.0)
         b2 = r0 + eta - kap
         t0 = _sn_start(a * (f0 + eta - kap) / (b2 * (f0 + eta + kap)), h0, -g0, m0)
         cg = a * math.sqrt(r0 * r0 - (eta - kap) ** 2)
@@ -430,7 +419,7 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
 
     if r0 > eta - kap:
         theta = math.sqrt(r0 * kap)
-        m0 = (eta * eta - (r0 - kap) ** 2) / (4.0 * r0 * kap)
+        m0 = max((eta * eta - (r0 - kap) ** 2) / (4.0 * r0 * kap), 0.0)
         b = r0 + eta - kap
         den0 = 2.0 * r0 * (r0 - eta + kap) / (f0 + r0)
         t0 = _sn_start((2.0 * r0 - den0) / b, -h0, g0, m0)
@@ -677,73 +666,55 @@ def _case11_dominant(params, rho, s0):
 def _case11_recessive(params, rho, s0):
     p3 = 3.0 * params.p1
     d0, r0, i0 = s0
-    c_plus = 0.5 * (d0 - r0) ** 2
+    # in X = D + R, Y = D - R (eigenvectors of the flow) X^2 Y is conserved and
+    # v = |Y| / sqrt2 solves I^2 v = -(v - a)(v - b)(v - g) for b <= v <= g
     c_minus = 0.5 * (d0 + r0) ** 2
-    mean = 0.5 * (d0 + r0)
-    half = 0.5 * (d0 - r0)
-    scale = rho * rho
-
-    diag = c_plus <= _BRANCH_TOL * scale
-    if diag or c_minus <= _BRANCH_TOL * scale:
-        # d0 = +-r0: collapse onto the upper (lower) pole along the diagonal
-        # (anti-diagonal); s = -1 flips R, I and tau0, at twice the rate
-        s, rate = (1.0, 4.0 / 3.0) if diag else (-1.0, 8.0 / 3.0)
+    if c_minus == 0.0:
+        # the invariant plane D = -R: collapse onto the lower pole
         tau0 = math.atanh(i0 / rho)
-        sig = math.copysign(1.0, d0)
 
         def fn_diag(t):
-            arg = rate * p3 * rho * t + s * tau0
-            d = sig * rho / (math.sqrt(2.0) * np.cosh(arg))
-            return d, s * d, s * rho * np.tanh(arg)
+            arg = (8.0 / 3.0) * p3 * rho * t - tau0
+            d = math.copysign(1.0, d0) * rho / (math.sqrt(2.0) * np.cosh(arg))
+            return d, -d, -rho * np.tanh(arg)
 
-        return ("ratio=1/3 diag+" if diag else "ratio=1/3 diag-"), {"tau0": tau0}, fn_diag
+        return "ratio=1/3 diag-", {"tau0": tau0}, fn_diag
 
-    alpha, beta, gamma = _depressed_cubic_roots(c_plus, rho * rho, c_minus)
-    m0 = (gamma - beta) * (-alpha) / (gamma * (beta - alpha))
-    theta = (4.0 / 3.0) * p3 * math.sqrt(c_plus * gamma * (beta - alpha))
-    sn_sq = gamma * (1.0 - beta) / (gamma - beta)
-    sn_sq = min(max(sn_sq, 0.0), 1.0)
-    if i0 == 0.0:
-        t0 = el.complete_K(m0) if sn_sq > 0.5 else 0.0
+    # a < 0 <= b <= g solve v^3 - rho^2 v + c- sigma = 0: a and g by the
+    # trigonometric method with a Newton step each, b by Vieta (no cancellation
+    # next to either plane D = +-R, where it and 1 - m go to 0)
+    sigma = abs(d0 - r0) / math.sqrt(2.0)
+    r = 2.0 * rho / math.sqrt(3.0)
+    phi = math.acos(max(-1.0, -3.0 * c_minus * sigma / (rho * rho * r)))
+
+    def newton(v):
+        df = 3.0 * v * v - rho * rho
+        return v - (v**3 - rho * rho * v + c_minus * sigma) / df if df != 0.0 else v
+
+    a, g = newton(r * math.cos((phi + 2.0 * math.pi) / 3.0)), newton(r * math.cos(phi / 3.0))
+    b = -c_minus * sigma / (a * g)
+    beta, nu = -c_minus / (a * g), b / g  # b / sigma and b / g
+    m, m1 = (g - b) * -a / (g * (b - a)), b * (g - a) / (g * (b - a))
+    rate = math.sqrt(g * (b - a))
+    theta = (4.0 / 3.0) * p3 * rate
+    # sn0^2 : cn0^2 = 1 - beta : beta - nu, the smaller of g - sigma and sigma - b
+    # taken from the larger through (sigma - a)(sigma - b)(g - sigma) = sigma I0^2
+    if g - sigma >= sigma - b:
+        sn0, cn0 = abs(i0) / math.sqrt(sigma - a), (g - sigma) * math.sqrt(beta / g)
     else:
-        t0 = math.copysign(1.0, i0) * el.incomplete_F(el.arcsin_clamped(math.sqrt(sn_sq)), m0)
-    rate_i = math.sqrt(c_plus * gamma * (beta - alpha))
+        sn0, cn0 = sigma - b, sigma * abs(i0) * math.sqrt(beta / (g * (sigma - a)))
+    norm = math.hypot(sn0, cn0)
+    t0 = el.invert_sn_cn(math.copysign(sn0 / norm, i0), cn0 / norm, m, m1=m1)
+    amp_x = math.copysign(math.sqrt(0.5 * (rho - b) * (rho + b)), d0 + r0)
+    half_y = 0.5 * (d0 - r0) * beta
 
-    def fn_gen(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(theta * t + t0, m0)
-        den = gamma - (gamma - beta) * sn * sn
-        w = beta * gamma / den
-        i_val = rate_i * (gamma - beta) * sn * cn * dn / den
-        return mean / np.sqrt(w) + half * w, mean / np.sqrt(w) - half * w, i_val
+    def fn(t):
+        sn, cn, dn = el.jacobi_sn_cn_dn(theta * t + t0, m, m1=m1)
+        q = cn * cn + nu * sn * sn
+        x, y = amp_x * np.sqrt(q), half_y / q
+        return x + y, x - y, rate * (1.0 - nu) * sn * cn * dn / q
 
-    return (
-        "ratio=1/3 general",
-        {"alpha": alpha, "beta": beta, "gamma": gamma, "m0": m0, "t0": t0},
-        fn_gen,
-    )
-
-
-def _depressed_cubic_roots(c_plus: float, rho_sq: float, c_minus: float):
-    """Roots alpha < 0 < beta <= 1 <= gamma of -c+ w^3 + rho^2 w - c- = 0.
-
-    Solved by the trigonometric method for three real roots, with one Newton
-    polish step per root.
-    """
-    # w^3 - (rho^2/c+) w + c-/c+ = 0, depressed with p = -rho^2/c+, q = c-/c+
-    p = -rho_sq / c_plus
-    q = c_minus / c_plus
-    r = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * r)
-    phi = math.acos(min(1.0, max(-1.0, arg)))
-    roots = sorted(r * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3))
-
-    def polish(w):
-        f = -c_plus * w**3 + rho_sq * w - c_minus
-        df = -3.0 * c_plus * w * w + rho_sq
-        return w - f / df if df != 0.0 else w
-
-    alpha, beta, gamma = (polish(w) for w in roots)
-    return alpha, beta, gamma
+    return "ratio=1/3 general", {"a": a, "b": b, "g": g, "m": m, "m1": m1, "t0": t0}, fn
 
 
 def _case14_15(params, rho, s0, case_id):

@@ -7,9 +7,13 @@ period K ~ log(4 / sqrt(m1)) rests on digits of m1 that m has lost, so
 ``jacobi_sn_cn_dn``, ``incomplete_F`` and ``invert_sn_cn`` take m1 as a
 keyword (1 - m by default), and dn = sqrt(m1 + m cn**2) does not cancel.
 At ``m = 0`` the functions are trigonometric; only ``m1 = 0`` takes the
-hyperbolic forms (tanh, sech, the Gudermannian and its inverse).  Every
-public function raises EllipticDomainError for a parameter outside its
-range, an m1 more than a few ulps off 1 - m, and a non-finite argument.
+hyperbolic forms (tanh, sech, the Gudermannian and its inverse).  Within
+K/2 of an odd multiple of K, ``jacobi_sn_cn_dn`` and ``invert_sn_cn`` work
+at the offset x from it (sn(K + x) = cd x, cn(K + x) = -k' sd x, dn(K + x) =
+k' nd x; DLMF 22.4(iii)), so cn and dn keep relative accuracy next to the
+zeros of cn.  Every public function raises EllipticDomainError for a
+parameter outside its range, an m1 more than a few ulps off 1 - m, and a
+non-finite argument.
 
 The amplitude ``am(u, m)`` is returned *unwrapped*: it is the globally
 monotone inverse of the incomplete integral, not a principal value, so
@@ -98,15 +102,18 @@ class _AGMChain:
             self.c.append(cn)
         self.K = math.pi / (2.0 * self.a[self.k_top])
 
-    def amplitude(self, u: np.ndarray):
-        """am(u, m) of u reduced modulo 4K, by the descending phase
-        recursion, and the number of periods 4K removed."""
-        a, c, top = self.a, self.c, self.phase_top
+    def reduced(self, u: np.ndarray):
+        """u reduced modulo 4K into [-2K, 2K], and the number of periods removed."""
         n4 = np.round(u / (4.0 * self.K))
-        phi = (2.0**top) * a[top] * (u - 4.0 * self.K * n4)
+        return u - 4.0 * self.K * n4, n4
+
+    def amplitude(self, t: np.ndarray):
+        """am(t, m) for t in [-2K, 2K], by the descending phase recursion."""
+        a, c, top = self.a, self.c, self.phase_top
+        phi = (2.0**top) * a[top] * t
         for n in range(top, 0, -1):
             phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
-        return phi, n4
+        return phi
 
     def incomplete_F(self, phi: np.ndarray) -> np.ndarray:
         """F(phi, m): half-period reduction, then the ascending Landen phase recursion."""
@@ -173,9 +180,22 @@ def jacobi_sn_cn_dn(u, m: float, *, m1: float | None = None):
     if chain is None:
         cn = 1.0 / np.cosh(u)
         return np.tanh(u), cn, cn.copy()
-    phi, _ = chain.amplitude(u)
-    cn = np.cos(phi)
-    return np.sin(phi), cn, np.sqrt(m1 + m * cn * cn)
+    t, _ = chain.reduced(u)
+    x = np.abs(t) - chain.K  # the offset of |t| from K
+    near = np.abs(x) <= 0.5 * chain.K
+    n_near = np.count_nonzero(near)
+    phi = chain.amplitude(t if n_near == 0 else x if n_near == near.size else np.where(near, x, t))
+    sn, cn = np.sin(phi), np.cos(phi)
+    dn = np.sqrt(m1 + m * cn * cn)
+    if n_near == 0:
+        return sn, cn, dn
+    kp = math.sqrt(m1)  # sn(K + x) = cd x, cn(K + x) = -k' sd x, dn(K + x) = k' nd x
+    out = np.copysign(cn / dn, t), -kp * sn / dn, kp / dn
+    if n_near == near.size:
+        return out
+    for far, reflected in zip((sn, cn, dn), out):
+        np.putmask(far, near, reflected)
+    return sn, cn, dn
 
 
 def jacobi(u: float, m: float) -> JacobiValues:
@@ -190,8 +210,8 @@ def jacobi_am(u, m: float):
     _, _, u, chain = _checked(u, m, None, "u")
     if chain is None:
         return _scalar_or_array(np.arctan(np.sinh(u)))
-    phi, n4 = chain.amplitude(u)
-    return _scalar_or_array(phi + 2.0 * math.pi * n4)
+    t, n4 = chain.reduced(u)
+    return _scalar_or_array(chain.amplitude(t) + 2.0 * math.pi * n4)
 
 
 def incomplete_F(phi, m: float, *, m1: float | None = None):
@@ -220,5 +240,13 @@ def invert_sn_cn(sn_val: float, cn_val: float, m: float, *, m1: float | None = N
     r = math.hypot(sn_val, cn_val)
     if not abs(r - 1.0) <= 1e-9:
         raise EllipticDomainError(f"(sn, cn) = ({sn_val}, {cn_val}) is not on the unit circle")
+    m, m1 = _check_m(m, m1)
+    kp = math.sqrt(m1)
+    if abs(cn_val) < math.sqrt(kp) * abs(sn_val):
+        # u within K/2 of +-K, where cn / sn = k' sd x / cd x = k' sc x at
+        # u = +-(K -+ x): x = F(atan2(|cn|, k' |sn|)) keeps cn's digits
+        chain = _AGMChain(m, m1)
+        x = float(chain.incomplete_F(math.atan2(abs(cn_val), kp * abs(sn_val))))
+        return math.copysign(chain.K - x if cn_val >= 0.0 else chain.K + x, sn_val)
     phi = math.atan2(sn_val / r, cn_val / r)
     return float(incomplete_F(phi, m, m1=m1))

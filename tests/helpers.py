@@ -54,7 +54,10 @@ def is_fixed_point(params, rho, s) -> bool:
 # form serves at 1 - m near 0.  Nor have case 6, cases 14/15 and lemma 3's
 # K = 0 plane: their "p1=p4", "X threshold" and "K0 R=eta" keys label the
 # states next to a threshold, which one entire-function formula serves on
-# both sides, and no longer name a formula.
+# both sides, and no longer name a formula.  The same holds for the
+# p1/p3 = 1/3 keys "1/3 diag+" and "1/3 diag-" (one elliptic formula, 1 - m
+# near 0 next to the planes D = +-R; only the plane D = -R itself has its
+# own) and lemma 3's "K- R=eta+k" (the outer and middle elliptic forms).
 
 
 def _lemma1_key(f0, g0, h0) -> str:

@@ -574,6 +574,34 @@ class TestElementaryThresholds:
         got = np.stack(solve_lemma3(eta, f0, g0, -(f0 + eta))(self.TAUS), axis=-1)
         assert np.max(np.abs(got - ref)) <= 1e-11
 
+    TANGENT = [1e-2, -1e-2, 1e-9, -1e-9, 3e-11, -3e-11, 1e-12, -1e-12, 1e-16, -1e-16, 0.0]
+
+    @pytest.mark.parametrize("delta", TANGENT)
+    @pytest.mark.parametrize("kap", [0.2, 0.5, 1.3])
+    def test_lemma3_tangent(self, kap, delta):
+        # K = -kap^2 with R = eta + kap + delta on the component f + eta > 0:
+        # the outer (delta > 0) and middle (delta <= 0) elliptic forms meet at
+        # m = 0 here, with no band between them
+        eta, r0, f0 = 1.0, 1.0 + kap + delta, kap
+        y0 = np.array([f0, math.sqrt((r0 - f0) * (r0 + f0)), math.sqrt(eta * (eta + 2.0 * kap))])
+        ref = _dop853(_lemma3_rhs(eta), y0, self.TAUS)
+        got = np.stack(solve_lemma3(eta, *y0)(self.TAUS), axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("delta", [d for d in TANGENT if d >= 0.0])
+    @pytest.mark.parametrize("kap", [0.2, 0.5, 1.3])
+    def test_lemma3_tangent_negative_side(self, kap, delta):
+        # the component f + eta < 0 exists for R >= eta + kap only: at
+        # R = eta + kap + delta it is a loop of width delta around the rest
+        # point (-R, 0, 0), started halfway across it
+        eta, r0 = 1.0, 1.0 + kap + delta
+        f0 = -(eta + kap) - 0.5 * delta
+        h0 = math.sqrt(0.5 * delta * (2.0 * kap + 0.5 * delta))
+        y0 = np.array([f0, math.sqrt(max((r0 - f0) * (r0 + f0), 0.0)), h0])
+        ref = _dop853(_lemma3_rhs(eta), y0, self.TAUS)
+        got = np.stack(solve_lemma3(eta, *y0)(self.TAUS), axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-11
+
     def test_large_argument_is_finite(self):
         # sqrt(|c|) |x| = 600 on the hyperbolic side of each threshold, where
         # cosh and sinh reach 1e260 but do not overflow
@@ -588,3 +616,71 @@ class TestElementaryThresholds:
         f0, g0 = 3.0 * math.cos(0.7), 3.0 * math.sin(0.7)
         taus = np.array([-600.0, 600.0]) / math.sqrt(8.0)
         assert np.all(np.isfinite(solve_lemma3(1.0, f0, g0, f0 + 1.0)(taus)))
+
+
+# ---------------------------------------------------------------------------
+# p1/p3 = 1/3 next to the planes D = +-R, against an mpmath Taylor integration
+
+
+def _one_third_mp(p3, s0, taus, order=30):
+    """The flow of p = (p3 / 3, 0, p3, 0, 0) from the float state s0 at taus,
+    by a Taylor integration in mpmath at the working precision.  In X = D + R
+    and Y = D - R it reads X' = -(4/3) p3 I X, Y' = (8/3) p3 I Y and
+    I' = (2/3) p3 X^2 - (4/3) p3 Y^2; each step is as long as the last two
+    series coefficients allow at a tolerance 8 digits below the precision."""
+    p3 = mp.mpf(float(p3))
+    kx, ky, cx, cy = -4 * p3 / 3, 8 * p3 / 3, 2 * p3 / 3, -4 * p3 / 3
+    tol = mp.mpf(10) ** (8 - mp.mp.dps)
+    d0, r0, i0 = (mp.mpf(float(v)) for v in s0)
+    out = {}
+    for sgn in (1, -1):
+        y, t = [d0 + r0, d0 - r0, i0], mp.mpf(0)
+        for tau in sorted((float(v) for v in taus if v * sgn >= 0), key=abs):
+            target = mp.mpf(tau)
+            while t != target:
+                x, w, i = [y[0]], [y[1]], [y[2]]
+                for k in range(order):
+                    def conv(a, b):
+                        return mp.fdot(a[: k + 1], b[k::-1])
+
+                    x.append(kx * conv(i, x) / (k + 1))
+                    w.append(ky * conv(i, w) / (k + 1))
+                    i.append((cx * conv(x, x) + cy * conv(w, w)) / (k + 1))
+                h = min((tol / max(abs(c[k]) for c in (x, w, i))) ** (mp.mpf(1) / k) for k in (order - 1, order))
+                if h >= abs(target - t):
+                    h, t = abs(target - t), target
+                else:
+                    t += sgn * h
+                y = [mp.polyval(c[::-1], sgn * h) for c in (x, w, i)]
+            out[tau] = [float((y[0] + y[1]) / 2), float((y[0] - y[1]) / 2), float(y[2])]
+    return np.array([out[float(v)] for v in taus])
+
+
+_PLANE_ROWS = [(plane, d) for plane in ("D=R", "D=-R") for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)]
+_PLANE_ROWS.append(("D=R", 0.0))
+
+
+class TestOneThirdPlanes:
+    """p1/p3 = 1/3 at |D -+ R| = delta rho from the planes D = +-R (the
+    eigenvectors of the flow's quadratic form) and on D = R: one elliptic
+    formula with 1 - m from the middle root, which goes to 0 on both planes,
+    against a 30-digit Taylor integration from the same float state."""
+
+    TAUS = np.array([-5.0, -1.0, 1.0, 5.0])
+
+    @staticmethod
+    def _state(plane, delta, i0):
+        # rho = 1: |D - R| = delta on "D=R", |D + R| = delta on "D=-R"
+        far = math.sqrt(2.0 * (1.0 - i0 * i0) - delta * delta)
+        x, y = (far, delta) if plane == "D=R" else (delta, far)
+        return np.array([0.5 * (x + y), 0.5 * (x - y), i0])
+
+    @pytest.mark.parametrize("i0", [0.5, -0.3])
+    @pytest.mark.parametrize("plane, delta", _PLANE_ROWS)
+    def test_next_to_the_plane(self, plane, delta, i0):
+        s0 = self._state(plane, delta, i0)
+        sol = solve_case(std(p1=1.0, p3=3.0), 1.0, s0)
+        assert sol.branch == "ratio=1/3 general"
+        with mp.workdps(30):
+            ref = _one_third_mp(3.0, s0, self.TAUS)
+        assert np.max(np.abs(sol(self.TAUS) - ref)) <= (1e-10 if delta == 1e-14 else 1e-12)

@@ -407,3 +407,50 @@ class TestComplementaryParameter:
         for m in (0.0, 0.3, 1.0 - 1e-9, 1.0):
             for a, b in zip(el.jacobi_sn_cn_dn(u, m), el.jacobi_sn_cn_dn(u, m, m1=1.0 - m)):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestQuarterPeriodReflection:
+    """Within K/2 of an odd multiple of K the kernel evaluates sn(K + x) = cd x,
+    cn(K + x) = -k' sd x and dn(K + x) = k' nd x (DLMF 22.4(iii)), and
+    invert_sn_cn inverts through x: cn and dn keep relative accuracy next to
+    m = 1, where cos of an amplitude near pi/2 kept only absolute accuracy."""
+
+    @pytest.mark.parametrize("m1", [1e-6, 1e-12])
+    def test_cn_dn_relative_error(self, m1):
+        # |u| <= 3K on a grid K/40 apart that stays K/80 off the zeros of cn
+        with mp.workdps(40):
+            m_ref = 1 - mp.mpf(m1)
+            k = float(mp.ellipk(m_ref))
+            us = (np.arange(-120, 120) + 0.5) * (k / 40.0)
+            _, cn, dn = el.jacobi_sn_cn_dn(us, 1.0 - m1, m1=m1)
+            for i, u in enumerate(us):
+                for kind, val in (("cn", cn[i]), ("dn", dn[i])):
+                    ref = mp.ellipfun(kind, u, m=m_ref)
+                    assert abs(val - ref) <= 1e-10 * abs(ref), (kind, u, m1)
+
+    def test_scalar_and_array_agree(self):
+        k = el.complete_K(1.0 - 1e-12)
+        us = np.array([0.2 * k, 0.9 * k, -1.3 * k, 2.0 * k, 2.6 * k])
+        arrays = el.jacobi_sn_cn_dn(us, 1.0 - 1e-12, m1=1e-12)
+        for i, u in enumerate(us):
+            for got, want in zip(el.jacobi_sn_cn_dn(u, 1.0 - 1e-12, m1=1e-12), arrays):
+                assert got == want[i]
+
+    @pytest.mark.parametrize("sn_sign, cn_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_invert_next_to_the_quarter_period(self, sn_sign, cn_sign):
+        # |cn| = 1e-12 at m1 = 1e-12: u lies 1e-6 from +-K.  The float spacing
+        # of u there (1.8e-15) alone moves cn by up to 9e-10 relative, so the
+        # check is on u, against mpmath's F(atan2(sn, cn)) at 50 digits: it
+        # must be within an ulp (the amplitude next to pi/2 put it 4e4 ulps off)
+        m1 = 1e-12
+        cn = cn_sign * 1e-12
+        sn = sn_sign * math.sqrt((1.0 - cn) * (1.0 + cn))
+        u = el.invert_sn_cn(sn, cn, 1.0 - m1, m1=m1)
+        with mp.workdps(50):
+            m_ref = 1 - mp.mpf(m1)
+            exact = mp.ellipf(mp.atan2(sn, cn), m_ref)
+            assert abs(u - exact) <= math.ulp(u)
+            # cn comes back to relative 1e-10 beyond what one ulp of u moves it
+            _, cn_back, _ = el.jacobi_sn_cn_dn(u, 1.0 - m1, m1=m1)
+            slope = abs(mp.ellipfun("sn", exact, m=m_ref) * mp.ellipfun("dn", exact, m=m_ref))
+            assert abs(cn_back - cn) <= 1e-10 * abs(cn) + float(slope) * math.ulp(u)

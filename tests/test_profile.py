@@ -15,7 +15,7 @@ from cubicnls.profile import (
     sync_decay,
     uapp,
 )
-from cubicnls.quadratic_flow import amplitudes_to_quad, detect_sync
+from cubicnls.quadratic_flow import amplitudes_to_quad, detect_sync, full_ode_rhs
 from cubicnls.standard_form import nonlinearity
 
 from helpers import std
@@ -119,6 +119,23 @@ class TestUapp:
                 dens.append(abs(u1) ** 2 + abs(u2) ** 2)
             total = np.trapezoid(dens, xs)
             assert abs(total - ref) < 0.01 * ref
+
+    def test_one_third_next_to_the_anti_diagonal(self):
+        # final data 1e-5 rho from the invariant plane D = -R of p1/p3 = 1/3:
+        # the profile follows the full amplitude flow there
+        p = std(p1=1.0, p3=3.0)
+        d_plus_r, i0 = 1e-5, 0.5
+        far = math.sqrt(2.0 * (1.0 - i0 * i0) - d_plus_r**2)
+        d, r = 0.5 * (d_plus_r + far), 0.5 * (d_plus_r - far)
+        lead = math.sqrt((1.0 + d) / 2.0)
+        a0 = (complex(lead), complex(r, i0) / (2.0 * lead))
+        fd = FinalData(np.array([-1.0, 1.0]), np.array([a0[0]] * 2), np.array([a0[1]] * 2))
+        for t in (10.0, 1e4):
+            u = np.array(uapp(p, fd, t, 0.0)) * math.sqrt(2.0 * t)
+            tau = 0.5 * math.log(t)
+            ref = solve_ivp(lambda _, a: full_ode_rhs(p, a), (0.0, tau), np.array(a0), method="DOP853",
+                            rtol=1e-13, atol=1e-13).y[:, -1]
+            assert np.max(np.abs(amplitudes_to_quad(*u)[1] - amplitudes_to_quad(*ref)[1])) <= 1e-9
 
     def test_uncatalogued_falls_back_to_oracle(self):
         # no closed form: the sigma-reduction of the flow, held to DOP853

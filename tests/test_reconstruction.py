@@ -341,6 +341,22 @@ class TestPhaseIntegral:
                         split[name] = split.get(name, 0) + (k > 0)
         assert len(split) == 3 and min(split.values()) >= 4, split
 
+    @pytest.mark.parametrize("gap", [2e-3, 1e-5, 1e-8])
+    def test_one_third_next_to_the_anti_diagonal(self, gap):
+        # p1/p3 = 1/3 states |D + R| = gap rho off the invariant plane D = -R,
+        # where one elliptic formula replaced a band that returned an orbit
+        # of the plane (reconstruct rejected those sources as inconsistent)
+        p, rho = FAMILIES["p1/p3=1/3"], 1.0
+        for i0 in (0.5, -0.3):
+            far = math.sqrt(2.0 * (rho * rho - i0 * i0) - (gap * rho) ** 2)
+            s0 = np.array([0.5 * (gap * rho + far), 0.5 * (gap * rho - far), i0])
+            for sign in (1.0, -1.0):
+                a0 = _anchored_pair(s0, rho, sign, 0.3)
+                for tau in TAUS:
+                    for anchor in (1, 2):
+                        err, _ = _phase_error(p, a0, tau, anchor)
+                        assert err <= 1e-11, (gap, i0, sign, tau, anchor, err)
+
     @pytest.mark.parametrize("name", ["p1", "case15"])
     def test_near_miss_matches_full_flow(self, name):
         # the anchored weight dips to 5e-11 rho, below zero_times' level but
