@@ -111,8 +111,9 @@ class _AGMChain:
         """am(t, m) for t in [-2K, 2K], by the descending phase recursion."""
         a, c, top = self.a, self.c, self.phase_top
         phi = (2.0**top) * a[top] * t
-        for n in range(top, 0, -1):
-            phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
+        for n in range(top, 0, -1):  # minimum(maximum()) clips in half np.clip's time
+            s = np.minimum(np.maximum(c[n] / a[n] * np.sin(phi), -1.0), 1.0)
+            phi = 0.5 * (phi + np.arcsin(s))
         return phi
 
     def incomplete_F(self, phi: np.ndarray) -> np.ndarray:
@@ -183,19 +184,11 @@ def jacobi_sn_cn_dn(u, m: float, *, m1: float | None = None):
     t, _ = chain.reduced(u)
     x = np.abs(t) - chain.K  # the offset of |t| from K
     near = np.abs(x) <= 0.5 * chain.K
-    n_near = np.count_nonzero(near)
-    phi = chain.amplitude(t if n_near == 0 else x if n_near == near.size else np.where(near, x, t))
+    phi = chain.amplitude(np.where(near, x, t))
     sn, cn = np.sin(phi), np.cos(phi)
     dn = np.sqrt(m1 + m * cn * cn)
-    if n_near == 0:
-        return sn, cn, dn
     kp = math.sqrt(m1)  # sn(K + x) = cd x, cn(K + x) = -k' sd x, dn(K + x) = k' nd x
-    out = np.copysign(cn / dn, t), -kp * sn / dn, kp / dn
-    if n_near == near.size:
-        return out
-    for far, reflected in zip((sn, cn, dn), out):
-        np.putmask(far, near, reflected)
-    return sn, cn, dn
+    return tuple(np.where(near, (np.copysign(cn / dn, t), -kp * sn / dn, kp / dn), (sn, cn, dn)))
 
 
 def jacobi(u: float, m: float) -> JacobiValues:
@@ -241,12 +234,13 @@ def invert_sn_cn(sn_val: float, cn_val: float, m: float, *, m1: float | None = N
     if not abs(r - 1.0) <= 1e-9:
         raise EllipticDomainError(f"(sn, cn) = ({sn_val}, {cn_val}) is not on the unit circle")
     m, m1 = _check_m(m, m1)
-    kp = math.sqrt(m1)
+    phi = math.atan2(sn_val / r, cn_val / r)
+    if m1 == 0.0:
+        return float(incomplete_F(phi, m, m1=m1))
+    chain, kp = _AGMChain(m, m1), math.sqrt(m1)
     if abs(cn_val) < math.sqrt(kp) * abs(sn_val):
         # u within K/2 of +-K, where cn / sn = k' sd x / cd x = k' sc x at
         # u = +-(K -+ x): x = F(atan2(|cn|, k' |sn|)) keeps cn's digits
-        chain = _AGMChain(m, m1)
         x = float(chain.incomplete_F(math.atan2(abs(cn_val), kp * abs(sn_val))))
         return math.copysign(chain.K - x if cn_val >= 0.0 else chain.K + x, sn_val)
-    phi = math.atan2(sn_val / r, cn_val / r)
-    return float(incomplete_F(phi, m, m1=m1))
+    return float(chain.incomplete_F(phi))
