@@ -12,13 +12,14 @@ cover the elliptic cores:
 
 Every branch constant is resolved from the initial state, and every
 evaluator is validated against the adaptive Runge-Kutta oracle in the test
-suite.  Lemmas 1 and 2 and the p1/p3 = 1/3 family hand the elliptic kernel
-1 - m computed without cancellation, so their separatrices (for 1/3 the
-planes D = +-R) are the kernel's m1 = 0.  The elementary thresholds (case 6
-at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's K = 0 plane at
-R = eta) share one formula in functions entire in the threshold parameter
-(_ent).  Threshold bands (_BRANCH_TOL) remain for lemma 3's K = 0 and
-R = eta - sqrt(-K) only.
+suite.  The three lemmas and the p1/p3 = 1/3 family hand the elliptic
+kernel 1 - m computed without cancellation, so their separatrices (for 1/3
+the planes D = +-R, for lemma 3 K = 0 and R = eta - sqrt(-K)) are the
+kernel's m1 = 0; lemma 3's forms on both sides of R = eta - sqrt(-K) are
+written from a quarter period, so they stay finite on it.  The elementary
+thresholds (case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's
+plane K = 0) share one formula in functions entire in the threshold
+parameter (_ent).  No threshold is served by a band.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,7 +50,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RTOL = 1e-12  # relative tolerance for the special parameter relations
-_BRANCH_TOL = 1e-10  # relative width of lemma 3's K and R = eta - kappa bands
 
 SUPPORTED_RATIOS = (1.0 / 3.0, 1.0, 3.0)
 
@@ -313,29 +314,56 @@ def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
         return _mapped(solve_lemma3(eta, f0, -g0, -h0), lambda f, g, h: (f, -g, -h))
 
     r0 = math.hypot(f0, g0)
-    k0 = h0 * h0 - (f0 + eta) ** 2
-    scale = max(r0, eta, abs(h0), abs(f0 + eta))
-
-    if abs(k0) <= _BRANCH_TOL * scale * scale:
+    # K and R - eta from exact rationals of the float state: every branch
+    # takes 1 - m from them, which their rounded forms would swamp next to
+    # K = 0 and R = eta
+    q_f, q_g, q_h, q_eta = (Fraction(x) for x in (f0, g0, h0, eta))
+    r_sq = q_f * q_f + q_g * q_g
+    k0 = float(q_h * q_h - (q_f + q_eta) ** 2)
+    r_eta = float(r_sq - q_eta * q_eta) / (r0 + eta)
+    # R + f0 and R - f0, the smaller as g0^2 over the larger: no cancellation
+    r_plus, r_minus = r0 + f0, r0 - f0
+    r_plus, r_minus = (g0 * g0 / r_minus, r_minus) if f0 < 0.0 else (r_plus, g0 * g0 / r_plus)
+    if k0 == 0.0:
         return _lemma3_k_zero(eta, f0, g0, h0, r0)
     if k0 > 0.0:
-        return _lemma3_k_positive(eta, f0, g0, h0, r0, k0)
-    return _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale)
+        return _lemma3_k_positive(eta, f0, g0, r0, r_eta, k0, r_plus)
+    # sep = (R - eta)^2 + K = (R - eta - kap)(R - eta + kap), which vanishes
+    # at R = eta +- kap: P - 2 eta R with P = R^2 + eta^2 + K, taken as
+    # (P^2 - 4 eta^2 R^2) / (P + 2 eta R), exact but for one rounding
+    big_p = q_h * q_h + q_g * q_g - 2 * q_eta * q_f
+    sep = float(big_p * big_p - 4 * q_eta * q_eta * r_sq) / (h0 * h0 + g0 * g0 + 2.0 * eta * r_minus)
+    return _lemma3_k_negative(eta, f0, g0, h0, r0, r_eta, math.sqrt(-k0), sep, r_plus, r_minus)
 
 
-def _lemma3_k_positive(eta, f0, g0, h0, r0, k0):
-    theta = (((r0 + eta) ** 2 + k0) * ((r0 - eta) ** 2 + k0)) ** 0.25
-    xi = 2.0 * eta * r0 / (k0 + eta * eta + r0 * r0 + theta * theta)
-    m0 = (theta * theta + r0 * r0 - k0 - eta * eta) / (2.0 * theta * theta)
-    cn0 = (f0 + xi * r0) / (r0 + xi * f0)
-    sn0 = g0 * (1.0 - xi * cn0) / (r0 * math.sqrt(1.0 - xi * xi))
-    t0 = el.invert_sn_cn(sn0, cn0, m0)
-    root = math.sqrt(1.0 - xi * xi)
+def _jacobi_orbit(rate, sn0, cn0, m1):
+    """t -> (sn, cn, dn)(rate t + u0) at 1 - m = m1, (sn, cn)(u0) along (sn0, cn0)."""
+    norm = math.hypot(sn0, cn0)
+    u0 = el.invert_sn_cn(sn0 / norm, cn0 / norm, 1.0 - m1, m1=m1)
+    return lambda t: el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + u0, 1.0 - m1, m1=m1)
+
+
+def _lemma3_k_positive(eta, f0, g0, r0, r_eta, k0, r_plus):
+    # t_gap = theta^2 - (R^2 - eta^2) from theta^4 - (R^2 - eta^2)^2 = K (2 (R^2
+    # + eta^2) + K), and 1 - xi = (K + (R - eta)^2 + theta^2) / S: 1 - m and
+    # 1 - xi without cancellation
+    d = abs(r_eta) * (r0 + eta)
+    theta_sq = math.sqrt(((r0 + eta) ** 2 + k0) * (r_eta * r_eta + k0))
+    theta = math.sqrt(theta_sq)
+    t_gap = k0 * (2.0 * (r0 * r0 + eta * eta) + k0) / (theta_sq + d) if r_eta > 0.0 else theta_sq + d
+    m1 = (t_gap + k0) / (2.0 * theta_sq)
+    s = k0 + eta * eta + r0 * r0 + theta_sq
+    xi, xi_c = 2.0 * eta * r0 / s, (k0 + r_eta * r_eta + theta_sq) / s
+    root = math.sqrt(xi_c * (1.0 + xi))
+    # at the start (sn, cn) = (g0 root, f0 + xi R) / (R + xi f0)
+    jac = _jacobi_orbit(theta, g0 * root, r_plus - xi_c * r0, m1)
 
     def fgh(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(theta * np.asarray(t, dtype=float) + t0, m0)
-        den = 1.0 - xi * cn
-        return r0 * (-xi + cn) / den, r0 * root * sn / den, theta * root * dn / den
+        sn, cn, dn = jac(t)
+        # 1 - cn as sn^2 / (1 + cn) where cn > 0 keeps 1 - xi cn and cn - xi exact
+        one_m_cn = np.where(cn > 0.0, sn * sn / (1.0 + np.abs(cn)), 1.0 - cn)
+        den = xi_c + xi * one_m_cn
+        return r0 * (xi_c - one_m_cn) / den, r0 * root * sn / den, theta * root * dn / den
 
     return fgh
 
@@ -354,102 +382,72 @@ def _lemma3_k_zero(eta, f0, g0, h0, r0):
     return fgh
 
 
-def _sn_start(sn_sq, sn_sign, cn_sign, m):
-    """Elliptic start u0 with sn(u0, m)^2 = sn_sq (clamped onto [0, 1]) and
-    the signs of sn(u0) and cn(u0) taken from sn_sign and cn_sign."""
-    sn0 = math.copysign(math.sqrt(min(max(sn_sq, 0.0), 1.0)), sn_sign)
-    cn0 = math.copysign(math.sqrt(max(0.0, 1.0 - sn0 * sn0)), cn_sign)
-    return el.invert_sn_cn(sn0, cn0, m)
-
-
-def _lemma3_k_negative(eta, f0, g0, h0, r0, k0, scale):
-    kap = math.sqrt(-k0)
-    if abs(r0 - (eta - kap)) <= _BRANCH_TOL * scale:
-        om = math.sqrt(r0 * (eta - r0))
-        cosh_sq = r0 * (f0 + 2.0 * eta - r0) / (eta * (f0 + r0))
-        t0 = math.copysign(1.0, g0) * math.acosh(math.sqrt(max(cosh_sq, 1.0)))
-        cg = 2.0 * r0 * math.sqrt(eta * (eta - r0))
-        ch = 2.0 * (eta - r0) * math.sqrt(eta * r0)
-
-        def pulse_branch(t):
-            arg = om * np.asarray(t, dtype=float) + t0
-            ch_a = np.cosh(arg)
-            den = eta * ch_a * ch_a - r0
-            return -r0 + 2.0 * r0 * (eta - r0) / den, cg * np.sinh(arg) / den, ch * ch_a / den
-
-        return pulse_branch
-
+def _lemma3_k_negative(eta, f0, g0, h0, r0, r_eta, kap, sep, r_plus, r_minus):
+    a, b = r0 + eta + kap, r0 + eta - kap
+    if f0 + eta < 0.0 or r_eta > kap:
+        # the outer components, R > eta + kap: 1 - m = 4 R kap / ((R + kap)^2 - eta^2)
+        theta = 0.5 * math.sqrt((r_eta + kap) * a)
+        m1 = min(4.0 * r0 * kap / ((r_eta + kap) * a), 1.0)
     if f0 + eta < 0.0:
-        # the component f <= -(eta + kap) (R >= eta + kap): b = R - eta - kap from
-        # (R - eta)^2 - kap^2 = h0^2 + (R - f0 - 2 eta)(R + f0) does not cancel
-        a = r0 + eta + kap
-        r_plus_f = g0 * g0 / (r0 - f0)
-        b = (h0 * h0 + (r0 - f0 - 2.0 * eta) * r_plus_f) / (r0 - eta + kap)
-        theta = 0.5 * math.sqrt((r0 + kap) ** 2 - eta * eta)
-        m0 = b * (r0 - kap + eta) / ((r0 + kap) ** 2 - eta * eta)
-        t0 = _sn_start(a * r_plus_f / (b * (r0 - f0)), g0, h0, m0)
-        cg = 2.0 * r0 * math.sqrt(a * b)
-        ch = a * math.sqrt(b * (r0 - eta + kap))
+        # the component f <= -(eta + kap); b = R - eta - kap
+        b = sep / (r_eta + kap)
+        # this component is traversed against the sn-parametrization
+        jac = _jacobi_orbit(-theta, g0 * math.sqrt(a / b) / r_minus,
+                            h0 * math.sqrt(2.0 * r0 / ((kap - f0 - eta) * b * r_minus)), m1)
+        cg, ch = 2.0 * r0 * math.sqrt(a * b), a * math.sqrt(b * (r_eta + kap))
 
         def outer_minus(t):
-            # this component is traversed against the sn-parametrization
-            sn, cn, dn = el.jacobi_sn_cn_dn(-theta * np.asarray(t, dtype=float) + t0, m0)
+            sn, cn, dn = jac(t)
             den = a + b * sn * sn
             return r0 * (-a + b * sn * sn) / den, cg * sn / den, ch * cn * dn / den
 
         return outer_minus
 
-    if r0 > eta + kap:
-        a = r0 + eta + kap
-        theta = 0.5 * math.sqrt((r0 + kap) ** 2 - eta * eta)
-        # m0 -> 0 at the tangent R = eta + kap, where it may round below 0
-        m0 = max(((r0 - kap) ** 2 - eta * eta) / ((r0 + kap) ** 2 - eta * eta), 0.0)
-        b2 = r0 + eta - kap
-        t0 = _sn_start(a * (f0 + eta - kap) / (b2 * (f0 + eta + kap)), h0, -g0, m0)
-        cg = a * math.sqrt(r0 * r0 - (eta - kap) ** 2)
-        ch = 2.0 * kap * math.sqrt(a * b2)
+    if r_eta > kap:
+        jac = _jacobi_orbit(theta, h0 * math.sqrt(a / b) / (f0 + eta + kap),
+                            -g0 * math.sqrt(2.0 * kap / (b * (f0 + eta + kap) * r_plus)), m1)
+        cg, ch = a * math.sqrt((r_eta + kap) * b), 2.0 * kap * math.sqrt(a * b)
 
         def outer_plus(t):
-            sn, cn, dn = el.jacobi_sn_cn_dn(theta * np.asarray(t, dtype=float) + t0, m0)
-            den = a - b2 * sn * sn
-            f = -eta + kap * (a + b2 * sn * sn) / den
-            return f, -cg * cn * dn / den, ch * sn / den
+            sn, cn, dn = jac(t)
+            den = a * cn * cn + 2.0 * kap * sn * sn  # a - b sn^2
+            return -eta + kap * (a + b * sn * sn) / den, -cg * cn * dn / den, ch * sn / den
 
         return outer_plus
 
-    if r0 > eta - kap:
-        theta = math.sqrt(r0 * kap)
-        m0 = max((eta * eta - (r0 - kap) ** 2) / (4.0 * r0 * kap), 0.0)
-        b = r0 + eta - kap
-        den0 = 2.0 * r0 * (r0 - eta + kap) / (f0 + r0)
-        t0 = _sn_start((2.0 * r0 - den0) / b, -h0, g0, m0)
-        cg = 2.0 * r0 * math.sqrt(r0 * r0 - (eta - kap) ** 2)
-        ch = 2.0 * theta * math.sqrt(r0 * r0 - (eta - kap) ** 2)
+    # The middle and inner forms are written in the offset x of the argument
+    # from a quarter period K, where cn^2 = (1 - m) sd^2 x and sn = cd x carry
+    # the factor R - (eta - kap) out of 1 - m: they stay finite on the
+    # separatrix R = eta - kap between them, where 1 - m = 0 and both are the
+    # pulse through the saddle (-R, 0, 0).
+    dlt = r_eta + kap if r_eta >= 0.0 else -sep / (kap - r_eta)  # R - (eta - kap)
+    if dlt > 0.0:
+        # the middle component, eta - kap < R <= eta + kap
+        theta, big_a = math.sqrt(r0 * kap), a / (2.0 * kap)
+        m1 = min(dlt * a / (4.0 * r0 * kap), 1.0)
+        jac = _jacobi_orbit(theta, math.copysign(math.sqrt(2.0 * kap * r_minus / a), g0),
+                            h0 / math.sqrt(f0 + eta + kap), m1)
+        cg, ch = math.sqrt(r0 * a * b / kap), math.sqrt(a * b)
 
         def middle(t):
-            sn, cn, dn = el.jacobi_sn_cn_dn(theta * np.asarray(t, dtype=float) + t0, m0)
-            den = 2.0 * r0 - b * sn * sn
-            return -r0 + 2.0 * r0 * (r0 - eta + kap) / den, cg * cn / den, -ch * sn * dn / den
+            sn, cn, dn = jac(t)
+            q = big_a * sn * sn + cn * cn
+            return -r0 + 2.0 * r0 * dn * dn / q, cg * sn * dn / q, ch * cn / q
 
         return middle
 
-    theta = 0.5 * math.sqrt(eta * eta - (r0 - kap) ** 2)
-    m0 = 4.0 * r0 * kap / (eta * eta - (r0 - kap) ** 2)
-    b = r0 + eta - kap
-    t0 = _sn_start((f0 + r0) * b / (2.0 * r0 * (f0 + eta - kap)), -g0, 1.0, m0)
-    cg = 2.0 * r0 * math.sqrt((eta - kap) ** 2 - r0 * r0)
-    ch = b * math.sqrt((r0 - eta) ** 2 + k0)
+    # the inner component R <= eta - kap, a rotation
+    theta, big_a = 0.5 * math.sqrt((2.0 * kap - dlt) * b), a / (2.0 * kap - dlt)
+    m1 = min(-dlt * big_a / b, 1.0)
+    jac = _jacobi_orbit(theta, math.copysign(math.sqrt(r_minus), g0), math.sqrt(big_a * r_plus), m1)
+    cg, ch = 2.0 * r0 * math.sqrt(big_a), math.sqrt(a * b)
 
-    def inner_branch(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(theta * np.asarray(t, dtype=float) + t0, m0)
-        den = b - 2.0 * r0 * sn * sn
-        return (
-            -r0 + 2.0 * r0 * (eta - kap - r0) * sn * sn / den,
-            -cg * sn * cn / den,
-            ch * dn / den,
-        )
+    def inner(t):
+        sn, cn, dn = jac(t)
+        q = big_a * sn * sn + cn * cn
+        return -r0 + 2.0 * r0 * cn * cn / q, cg * sn * cn / q, ch * dn / q
 
-    return inner_branch
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +561,21 @@ def _case6(params, rho, s0, case_id):
 
 
 def _case7(params, rho, s0, case_id):
+    # lemma 1 in (f, g, h) = (+-c_a a, c_b b, c_c c) for a permutation (a, b, c)
+    # of (D, R, I); each of D, R and I keeps its scale c in all three subcases
     p2, p3 = params.p2, params.p3
-    d0, r0, i0 = s0
-    if p2 < -p3:
-        cf = math.sqrt(8.0 * p3 * abs(p2 + p3))
-        cg = math.sqrt(8.0 * p3 * (p3 - p2))
-        ch = 2.0 * math.sqrt(p2 * p2 - p3 * p3)
-        sol = solve_lemma1(-cf * d0, cg * r0, ch * i0)
-        return "lemma1", {}, _mapped(sol, lambda f, g, h: (-f / cf, g / cg, h / ch))
-    if p2 < p3:
-        cf = 2.0 * math.sqrt(p3 * p3 - p2 * p2)
-        cg = math.sqrt(8.0 * p3 * (p3 - p2))
-        ch = math.sqrt(8.0 * p3 * (p2 + p3))
-        sol = solve_lemma1(cf * i0, cg * r0, ch * d0)
-        return "lemma1", {}, _mapped(sol, lambda f, g, h: (h / ch, g / cg, f / cf))
-    cf = math.sqrt(8.0 * p3 * (p2 - p3))
-    cg = math.sqrt(8.0 * p3 * (p2 + p3))
-    ch = 2.0 * math.sqrt(p2 * p2 - p3 * p3)
-    sol = solve_lemma1(-cf * r0, cg * d0, ch * i0)
-    return "lemma1", {}, _mapped(sol, lambda f, g, h: (g / cg, -f / cf, h / ch))
+    perm, sign = ((0, 1, 2), -1.0) if p2 < -p3 else ((2, 1, 0), 1.0) if p2 < p3 else ((1, 0, 2), -1.0)
+    q2, q3 = Fraction(p2), Fraction(p3)
+    c_sq = [8 * q3 * abs(q2 + q3), 8 * q3 * abs(q3 - q2), 4 * abs(q2 * q2 - q3 * q3)]
+    scale = [math.sqrt(float(c_sq[i])) for i in perm]
+    scale[0] *= sign
+    # lemma 1's h0^2 - g0^2 from exact rationals of the float parameters and
+    # state: rounded products lose 1 - m next to the separatrix
+    _, ga, ha = perm
+    gap = float(c_sq[ha] * Fraction(s0[ha]) ** 2 - c_sq[ga] * Fraction(s0[ga]) ** 2)
+    sol = _lemma1(*(k * s0[i] for k, i in zip(scale, perm)), gap)
+    inverse = [perm.index(i) for i in range(3)]
+    return "lemma1", {}, _mapped(sol, lambda *fgh: tuple(fgh[j] / scale[j] for j in inverse))
 
 
 def _case8(params, rho, s0, case_id):

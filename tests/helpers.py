@@ -51,13 +51,17 @@ def is_fixed_point(params, rho, s) -> bool:
 #
 # Lemmas 1 and 2 have no threshold formula: their "equal-radii" and "sech"
 # keys label the states within 1e-10 of the separatrix, which the elliptic
-# form serves at 1 - m near 0.  Nor have case 6, cases 14/15 and lemma 3's
-# K = 0 plane: their "p1=p4", "X threshold" and "K0 R=eta" keys label the
-# states next to a threshold, which one entire-function formula serves on
-# both sides, and no longer name a formula.  The same holds for the
-# p1/p3 = 1/3 keys "1/3 diag+" and "1/3 diag-" (one elliptic formula, 1 - m
-# near 0 next to the planes D = +-R; only the plane D = -R itself has its
-# own) and lemma 3's "K- R=eta+k" (the outer and middle elliptic forms).
+# form serves at 1 - m near 0.  Nor have case 6 and cases 14/15: their
+# "p1=p4" and "X threshold" keys label the states next to a threshold, which
+# one entire-function formula serves on both sides, and no longer name a
+# formula.  The same holds for the p1/p3 = 1/3 keys "1/3 diag+" and
+# "1/3 diag-" (one elliptic formula, 1 - m near 0 next to the planes
+# D = +-R; only the plane D = -R itself has its own) and for all of lemma
+# 3's threshold keys: "K0 ..." (the elliptic forms with exact 1 - m on
+# either side of K = 0; only a state exactly on the plane takes its
+# entire-function formula), "K- R=eta+k" (the outer and middle elliptic
+# forms) and "K- R=eta-k" (the middle and inner forms, which meet on the
+# separatrix) now only label states.
 
 
 def _lemma1_key(f0, g0, h0) -> str:

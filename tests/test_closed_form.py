@@ -377,12 +377,9 @@ class TestSolveCase:
 # near the separatrices of lemmas 1 and 2, against mpmath
 
 
-def _lemma1_mp(p3, s0, taus):
-    """Pure p3 (case 3) through the float state s0, evaluated by mpmath: the
-    lemma-1 solution of (f, g, h) = (2 p3 I, sqrt8 p3 R, sqrt8 p3 D)."""
-    d0, r0, i0 = (mp.mpf(float(x)) for x in s0)
-    k = mp.sqrt(8) * p3
-    f0, g0, h0 = 2 * p3 * i0, k * r0, k * d0
+def _lemma1_mp(f0, g0, h0, taus):
+    """Lemma 1's exact solution (f, g, h) through mpmath numbers (f0, g0, h0),
+    evaluated by mpmath at taus."""
     swap = abs(h0) < abs(g0)
     if swap:
         g0, h0 = h0, g0
@@ -398,9 +395,41 @@ def _lemma1_mp(p3, s0, taus):
             u = sh * r_fh * tau + mp.ellipf(mp.atan2(f0, g0), m)
             sn, cn, dn = (mp.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
             f, g, h = r_fg * sn, r_fg * cn, sh * r_fh * dn
-        if swap:
-            g, h = h, g
-        out.append([h / k, g / k, f / (2 * p3)])
+        out.append((f, h, g) if swap else (f, g, h))
+    return out
+
+
+def _case3_mp(p3, s0, taus):
+    """Pure p3 (case 3) through the float state s0, evaluated by mpmath: the
+    lemma-1 solution of (f, g, h) = (2 p3 I, sqrt8 p3 R, sqrt8 p3 D)."""
+    d0, r0, i0 = (mp.mpf(float(x)) for x in s0)
+    k = mp.sqrt(8) * p3
+    sol = _lemma1_mp(2 * p3 * i0, k * r0, k * d0, taus)
+    return np.array([[h / k, g / k, f / (2 * p3)] for f, g, h in sol], dtype=float)
+
+
+def _case7_scales(p2, p3):
+    """Squared lemma-1 scales of D, R and I in family 7 (all three subcases)."""
+    return [8 * p3 * abs(p2 + p3), 8 * p3 * abs(p3 - p2), 4 * abs(p2 * p2 - p3 * p3)]
+
+
+def _case7_axes(p2, p3):
+    """The components of (D, R, I) that _case7 maps to lemma 1's f, g, h, and
+    the sign of f."""
+    return ((0, 1, 2), -1) if p2 < -p3 else ((2, 1, 0), 1) if p2 < p3 else ((1, 0, 2), -1)
+
+
+def _case7_mp(p2, p3, s0, taus):
+    """Family 7 through the float state s0, evaluated by mpmath: the lemma-1
+    solution of (f, g, h) = (+-c_a a, c_b b, c_c c) for _case7's axes a, b, c."""
+    s = [mp.mpf(float(x)) for x in s0]
+    c = [mp.sqrt(x) for x in _case7_scales(mp.mpf(p2), mp.mpf(p3))]
+    (fa, ga, ha), sign = _case7_axes(p2, p3)
+    out = []
+    for f, g, h in _lemma1_mp(sign * c[fa] * s[fa], c[ga] * s[ga], c[ha] * s[ha], taus):
+        state = [None] * 3
+        state[fa], state[ga], state[ha] = sign * f / c[fa], g / c[ga], h / c[ha]
+        out.append(state)
     return np.array(out, dtype=float)
 
 
@@ -432,8 +461,8 @@ def _lemma2_mp(p2, p4, rho, s0, taus):
 
 
 class TestNearSeparatrix:
-    """Lemma 1 (pure p3) and lemma 2 (case 8) next to and on their separatrix
-    1 - m = 0, against an mpmath evaluation (40 digits) of the exact solution
+    """Lemma 1 (pure p3, family 7) and lemma 2 (case 8) next to and on their
+    separatrix 1 - m = 0, against an mpmath evaluation (40 digits) of the exact solution
     through the same float state.  The solvers had threshold bands here that
     put the separatrix limit in place of the periodic solution: 2.0 off on
     the lemma-1 slice, up to 2.4e-3 on the lemma-2 curve."""
@@ -452,7 +481,7 @@ class TestNearSeparatrix:
         span = math.ceil(10.0 * math.log(4.0 / math.sqrt(m1)) / r_fh)
         taus = np.linspace(-span, span, 9)
         with mp.workdps(40):
-            ref = _lemma1_mp(self.P3, s0, taus)
+            ref = _case3_mp(self.P3, s0, taus)
         assert np.max(np.abs(solve_case(std(p3=self.P3), 1.0, s0)(taus) - ref)) <= 1e-12
 
     @pytest.mark.parametrize("i0", [0.3, -0.6])
@@ -463,8 +492,28 @@ class TestNearSeparatrix:
         s0 = np.array([sd * c, sr * c, i0])
         taus = np.linspace(-30.0, 30.0, 13)
         with mp.workdps(40):
-            ref = _lemma1_mp(self.P3, s0, taus)
+            ref = _case3_mp(self.P3, s0, taus)
         assert np.max(np.abs(solve_case(std(p3=self.P3), 1.0, s0)(taus) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("p2", [-1.6, 0.4, 1.6])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8])
+    def test_case7_next_to_the_separatrix(self, p2, delta):
+        # lemma 1's |h0| = |g0| (1 + delta), with f's component at 0.3, over
+        # at least 10 K; the gap h0^2 - g0^2 from rounded products was up to
+        # 5.6e-4 off (p2 = +-1.6, delta = 1e-12)
+        sc = _case7_scales(p2, 1.0)
+        (fa, ga, ha), _ = _case7_axes(p2, 1.0)
+        w = math.sqrt(sc[ga] / sc[ha]) * (1.0 + delta)
+        s0 = np.empty(3)
+        s0[fa], s0[ga] = 0.3, math.sqrt(0.91 / (1.0 + w * w))
+        s0[ha] = w * s0[ga]
+        s0 /= np.linalg.norm(s0)
+        r_fh = math.sqrt(sc[fa] * s0[fa] ** 2 + sc[ha] * s0[ha] ** 2)
+        span = math.ceil(10.0 * math.log(4.0 / math.sqrt(2.0 * delta)) / r_fh)
+        taus = np.linspace(-span, span, 9)
+        with mp.workdps(40):
+            ref = _case7_mp(p2, 1.0, s0, taus)
+        assert np.max(np.abs(solve_case(std(p2=p2, p3=1.0), 1.0, s0)(taus) - ref)) <= 1e-12
 
     @pytest.mark.parametrize("disc", [-1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8])
     @pytest.mark.parametrize("sr", [1.0, -1.0])
@@ -512,8 +561,13 @@ def _dop853(rhs, y0, taus):
     return out
 
 
-def _lemma3_rhs(eta):
-    return lambda y: np.array([-y[1] * y[2], y[0] * y[2], -(y[0] + eta) * y[1]])
+def _lemma3_dev(eta, y0, taus):
+    """Largest deviation of solve_lemma3 through y0 from DOP853 at taus."""
+    def rhs(y):
+        return np.array([-y[1] * y[2], y[0] * y[2], -(y[0] + eta) * y[1]])
+
+    got = np.stack(solve_lemma3(eta, *y0)(taus), axis=-1)
+    return np.max(np.abs(got - _dop853(rhs, np.asarray(y0, dtype=float), taus)))
 
 
 def _case14_15_start(case, delta):
@@ -533,7 +587,9 @@ def _case14_15_start(case, delta):
 class TestElementaryThresholds:
     """Case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap) and lemma 3's K = 0
     plane at R = eta: one entire-function formula on both sides of each
-    threshold and on it, against DOP853 over |tau| <= 9.21 (t <= 1e8)."""
+    threshold and on it; lemma 3's elliptic forms next to K = 0, R = eta +-
+    kappa and the corner K = 0, R = eta.  All against DOP853 over |tau| <=
+    9.21 (t <= 1e8)."""
 
     DELTAS = [1e-2, -1e-2, 1e-6, -1e-6, 1e-9, -1e-9, 1e-10, -1e-10, 1e-12, -1e-12, 1e-16, -1e-16, 0.0]
     TAUS = np.linspace(-9.21, 9.21, 41)
@@ -558,9 +614,7 @@ class TestElementaryThresholds:
         # the plane h = f + eta with R = eta (1 + delta)
         eta, r0 = 1.0, 1.0 + delta
         f0, g0 = r0 * math.cos(0.7), r0 * math.sin(0.7)
-        ref = _dop853(_lemma3_rhs(eta), np.array([f0, g0, f0 + eta]), self.TAUS)
-        got = np.stack(solve_lemma3(eta, f0, g0, f0 + eta)(self.TAUS), axis=-1)
-        assert np.max(np.abs(got - ref)) <= 1e-11
+        assert _lemma3_dev(eta, (f0, g0, f0 + eta), self.TAUS) <= 1e-11
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-9, 1e-10, 1e-12, 0.5])
     @pytest.mark.parametrize("g_sign", [1.0, -1.0])
@@ -570,9 +624,7 @@ class TestElementaryThresholds:
         eta, r0 = 1.0, 1.0 + delta
         f0 = -0.5 * (eta + r0)
         g0 = g_sign * math.sqrt((r0 - f0) * (r0 + f0))
-        ref = _dop853(_lemma3_rhs(eta), np.array([f0, g0, -(f0 + eta)]), self.TAUS)
-        got = np.stack(solve_lemma3(eta, f0, g0, -(f0 + eta))(self.TAUS), axis=-1)
-        assert np.max(np.abs(got - ref)) <= 1e-11
+        assert _lemma3_dev(eta, (f0, g0, -(f0 + eta)), self.TAUS) <= 1e-11
 
     TANGENT = [1e-2, -1e-2, 1e-9, -1e-9, 3e-11, -3e-11, 1e-12, -1e-12, 1e-16, -1e-16, 0.0]
 
@@ -584,9 +636,7 @@ class TestElementaryThresholds:
         # m = 0 here, with no band between them
         eta, r0, f0 = 1.0, 1.0 + kap + delta, kap
         y0 = np.array([f0, math.sqrt((r0 - f0) * (r0 + f0)), math.sqrt(eta * (eta + 2.0 * kap))])
-        ref = _dop853(_lemma3_rhs(eta), y0, self.TAUS)
-        got = np.stack(solve_lemma3(eta, *y0)(self.TAUS), axis=-1)
-        assert np.max(np.abs(got - ref)) <= 1e-11
+        assert _lemma3_dev(eta, y0, self.TAUS) <= 1e-11
 
     @pytest.mark.parametrize("delta", [d for d in TANGENT if d >= 0.0])
     @pytest.mark.parametrize("kap", [0.2, 0.5, 1.3])
@@ -598,9 +648,38 @@ class TestElementaryThresholds:
         f0 = -(eta + kap) - 0.5 * delta
         h0 = math.sqrt(0.5 * delta * (2.0 * kap + 0.5 * delta))
         y0 = np.array([f0, math.sqrt(max((r0 - f0) * (r0 + f0), 0.0)), h0])
-        ref = _dop853(_lemma3_rhs(eta), y0, self.TAUS)
-        got = np.stack(solve_lemma3(eta, *y0)(self.TAUS), axis=-1)
-        assert np.max(np.abs(got - ref)) <= 1e-11
+        assert _lemma3_dev(eta, y0, self.TAUS) <= 1e-11
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("f_sign", [1.0, -1.0])
+    def test_lemma3_next_to_k_zero(self, f_sign, delta):
+        # K = delta at R = 1.5, h0 = 0.4, on either sign of f0 + eta: the
+        # elliptic forms with exact 1 - m; the K band of earlier versions put
+        # the K = 0 orbit there, 2.4e-6 off at |K| = 1e-10
+        eta, r0, h0 = 1.0, 1.5, 0.4
+        f0 = f_sign * math.sqrt(h0 * h0 - delta) - eta
+        assert _lemma3_dev(eta, (f0, math.sqrt((r0 - f0) * (r0 + f0)), h0), self.TAUS) <= 1e-11
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("r_off", [1e-6, 1e-10, -1e-10])
+    def test_lemma3_corner(self, r_off, delta):
+        # K = delta at R = eta (1 + r_off), where all of lemma 3's branches
+        # meet; R - eta enters 1 - m and is taken exactly
+        eta, r0, h0 = 1.0, 1.0 + r_off, 0.5
+        f0 = math.sqrt(h0 * h0 - delta) - eta
+        assert _lemma3_dev(eta, (f0, math.sqrt((r0 - f0) * (r0 + f0)), h0), self.TAUS) <= 1e-11
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("f0", [0.2, -0.3, 0.45])
+    @pytest.mark.parametrize("g_sign", [1.0, -1.0])
+    def test_lemma3_separatrix(self, g_sign, f0, delta):
+        # K = -kap^2 with R = eta - kap + delta: the middle (delta > 0) and
+        # inner forms meet on the separatrix in the pulse through the saddle
+        # (-R, 0, 0); the band of earlier versions was 3.7e-6 off there
+        eta, kap = 1.0, 0.5
+        r0 = eta - kap + delta
+        y0 = (f0, g_sign * math.sqrt((r0 - f0) * (r0 + f0)), math.sqrt((f0 + eta) ** 2 - kap * kap))
+        assert _lemma3_dev(eta, y0, self.TAUS) <= 1e-11
 
     def test_large_argument_is_finite(self):
         # sqrt(|c|) |x| = 600 on the hyperbolic side of each threshold, where

@@ -120,22 +120,39 @@ class TestUapp:
             total = np.trapezoid(dens, xs)
             assert abs(total - ref) < 0.01 * ref
 
-    def test_one_third_next_to_the_anti_diagonal(self):
-        # final data 1e-5 rho from the invariant plane D = -R of p1/p3 = 1/3:
-        # the profile follows the full amplitude flow there
-        p = std(p1=1.0, p3=3.0)
-        d_plus_r, i0 = 1e-5, 0.5
-        far = math.sqrt(2.0 * (1.0 - i0 * i0) - d_plus_r**2)
-        d, r = 0.5 * (d_plus_r + far), 0.5 * (d_plus_r - far)
-        lead = math.sqrt((1.0 + d) / 2.0)
-        a0 = (complex(lead), complex(r, i0) / (2.0 * lead))
+    @staticmethod
+    def _full_flow_deviation(p, s0):
+        """Largest deviation in (D, R, I) of uapp at t = 10 and 1e4 from the
+        full amplitude flow (DOP853), final data s0 (rho = 1) at xi = 0."""
+        lead = math.sqrt((1.0 + s0[0]) / 2.0)
+        a0 = (complex(lead), complex(s0[1], s0[2]) / (2.0 * lead))
         fd = FinalData(np.array([-1.0, 1.0]), np.array([a0[0]] * 2), np.array([a0[1]] * 2))
+        worst = 0.0
         for t in (10.0, 1e4):
             u = np.array(uapp(p, fd, t, 0.0)) * math.sqrt(2.0 * t)
             tau = 0.5 * math.log(t)
             ref = solve_ivp(lambda _, a: full_ode_rhs(p, a), (0.0, tau), np.array(a0), method="DOP853",
                             rtol=1e-13, atol=1e-13).y[:, -1]
-            assert np.max(np.abs(amplitudes_to_quad(*u)[1] - amplitudes_to_quad(*ref)[1])) <= 1e-9
+            worst = max(worst, np.max(np.abs(amplitudes_to_quad(*u)[1] - amplitudes_to_quad(*ref)[1])))
+        return worst
+
+    def test_one_third_next_to_the_anti_diagonal(self):
+        # final data 1e-5 rho from the invariant plane D = -R of p1/p3 = 1/3:
+        # the profile follows the full amplitude flow there
+        d_plus_r, i0 = 1e-5, 0.5
+        far = math.sqrt(2.0 * (1.0 - i0 * i0) - d_plus_r**2)
+        s0 = (0.5 * (d_plus_r + far), 0.5 * (d_plus_r - far), i0)
+        assert self._full_flow_deviation(std(p1=1.0, p3=3.0), s0) <= 1e-9
+
+    @pytest.mark.parametrize("off", [1e-10, -1e-10])
+    def test_lemma3_next_to_k_zero(self, off):
+        # family 9 with final data 1e-10 relative off lemma 3's K = 0 plane,
+        # R^2 = (D + p4 rho / p3)^2 (1 + off): the profile follows the full
+        # amplitude flow there (the K band of earlier versions was 5.1e-8 off)
+        d = 0.1
+        r = (d + 0.5) * math.sqrt(1.0 + off)
+        s0 = (d, r, math.sqrt(1.0 - d * d - r * r))
+        assert self._full_flow_deviation(std(p3=1.0, p4=0.5), s0) <= 1e-9
 
     def test_uncatalogued_falls_back_to_oracle(self):
         # no closed form: the sigma-reduction of the flow, held to DOP853
