@@ -238,8 +238,9 @@ def cmd_profile(args) -> int:
     rows = []
     worst_rel = 0.0
     for t in t_list:
-        for x in xs:
-            u1, u2 = uapp(params, fd, t, x)
+        # --special checks the explicit profile point by point, so a failure keeps its turn
+        us = (uapp(params, fd, t, x) for x in xs) if args.special else zip(*uapp(params, fd, t, xs))
+        for x, (u1, u2) in zip(xs, us):
             rows.append((t, x, u1.real, u1.imag, u2.real, u2.imag))
             if args.special:
                 s1, s2 = case1_profile(params.p1, params.q, fd, t, x)

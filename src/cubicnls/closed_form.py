@@ -221,19 +221,22 @@ def solve_lemma1(f0: float, g0: float, h0: float):
     follows dn, with 1 - m = (h0^2 - g0^2)/(f0^2 + h0^2) (g and h swap roles
     when it is negative); at equal radii sn, cn, dn are tanh, sech, sech.
     """
-    return _lemma1(f0, g0, h0, (abs(h0) - abs(g0)) * (abs(h0) + abs(g0)))
+    return _lemma1(f0, g0, h0, (abs(h0) - abs(g0)) * (abs(h0) + abs(g0)))[0]
 
 
 def _lemma1(f0: float, g0: float, h0: float, gap: float):
     """solve_lemma1 with gap = h0^2 - g0^2 from a caller who knows it without
-    cancellation; its sign decides the swap, so 1 - m is never negative."""
+    cancellation; its sign decides the swap, so 1 - m is never negative.
+    Returns the solution and its constants m, m1 and start u0 of sn."""
     if gap < 0.0:
-        return _mapped(_lemma1(f0, h0, g0, -gap), lambda f, h, g: (f, g, h))
+        sol, constants = _lemma1(f0, h0, g0, -gap)
+        return _mapped(sol, lambda f, h, g: (f, g, h)), constants
     if g0 == 0.0 and f0 * h0 == 0.0:  # the rest points, as |h0| >= |g0|
-        return _constant(f0, g0, h0)
+        return _constant(f0, g0, h0), {}
     if gap == 0.0 and g0 < 0.0:
         # cn = sech > 0 at m = 1: reach g0 < 0 by (f, g, h) -> (f, -g, -h)
-        return _mapped(_lemma1(f0, -g0, -h0, gap), lambda f, g, h: (f, -g, -h))
+        sol, constants = _lemma1(f0, -g0, -h0, gap)
+        return _mapped(sol, lambda f, g, h: (f, -g, -h)), constants
 
     r_fg, r_fh = math.hypot(f0, g0), math.hypot(f0, h0)
     m, m1 = min((r_fg / r_fh) ** 2, 1.0), gap / (r_fh * r_fh)
@@ -244,7 +247,7 @@ def _lemma1(f0: float, g0: float, h0: float, gap: float):
         sn, cn, dn = el.jacobi_sn_cn_dn(sig * r_fh * np.asarray(t, dtype=float) + t0, m, m1=m1)
         return r_fg * sn, r_fg * cn, sig * r_fh * dn
 
-    return elliptic_branch
+    return elliptic_branch, {"m": m, "m1": m1, "u0": t0}
 
 
 def solve_lemma2(f0: float, g0: float, h0: float):
@@ -254,8 +257,13 @@ def solve_lemma2(f0: float, g0: float, h0: float):
     2(sqrt(f0^2 + g0^2) + g0) < 0 and dn otherwise, with 1 - m = |disc| / 4
     over the larger of sqrt(f0^2 + g0^2) and P^2 (a sech pulse at disc = 0).
     """
+    return _lemma2(f0, g0, h0)[0]
+
+
+def _lemma2(f0: float, g0: float, h0: float):
+    """solve_lemma2, and its constants m, m1 and start u0 of sn."""
     if f0 == 0.0 and g0 * h0 == 0.0:  # the rest points
-        return _constant(f0, g0, h0)
+        return _constant(f0, g0, h0), {}
 
     rfg_sq = math.hypot(f0, g0)  # the conserved radius; the rate constant is its sqrt
     rate = math.sqrt(rfg_sq)
@@ -280,7 +288,7 @@ def solve_lemma2(f0: float, g0: float, h0: float):
             h = 2.0 * p * cn
             return 2.0 * p * rate * sn * dn, g_of(h), h
 
-        return cn_branch
+        return cn_branch, {"m": m, "m1": m1, "u0": t0}
 
     m, m1 = min(rfg_sq / p_sq, 1.0), disc / (4.0 * p_sq)
     sig = math.copysign(1.0, h0)
@@ -294,7 +302,7 @@ def solve_lemma2(f0: float, g0: float, h0: float):
         h = sig * 2.0 * p * dn
         return 2.0 * p_sq * m * sn * cn, g_of(h), h
 
-    return dn_branch
+    return dn_branch, {"m": m, "m1": m1, "u0": t0}
 
 
 def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
@@ -540,8 +548,8 @@ def _case3(params, rho, s0, case_id):
     d0, r0, i0 = s0
     k = math.sqrt(8.0) * p3
     gap = 8.0 * p3 * p3 * (abs(d0) - abs(r0)) * (abs(d0) + abs(r0))
-    sol = _lemma1(2.0 * p3 * i0, k * r0, k * d0, gap)
-    return "lemma1", {}, _mapped(sol, lambda f, g, h: (h / k, g / k, f / (2.0 * p3)))
+    sol, constants = _lemma1(2.0 * p3 * i0, k * r0, k * d0, gap)
+    return "lemma1", constants, _mapped(sol, lambda f, g, h: (h / k, g / k, f / (2.0 * p3)))
 
 
 def _case6(params, rho, s0, case_id):
@@ -573,18 +581,18 @@ def _case7(params, rho, s0, case_id):
     # state: rounded products lose 1 - m next to the separatrix
     _, ga, ha = perm
     gap = float(c_sq[ha] * Fraction(s0[ha]) ** 2 - c_sq[ga] * Fraction(s0[ga]) ** 2)
-    sol = _lemma1(*(k * s0[i] for k, i in zip(scale, perm)), gap)
+    sol, constants = _lemma1(*(k * s0[i] for k, i in zip(scale, perm)), gap)
     inverse = [perm.index(i) for i in range(3)]
-    return "lemma1", {}, _mapped(sol, lambda *fgh: tuple(fgh[j] / scale[j] for j in inverse))
+    return "lemma1", constants, _mapped(sol, lambda *fgh: tuple(fgh[j] / scale[j] for j in inverse))
 
 
 def _case8(params, rho, s0, case_id):
     p2, p4 = params.p2, params.p4
     d0, r0, i0 = s0
-    sol = solve_lemma2(
+    sol, constants = _lemma2(
         4.0 * p2 * p4 * rho * r0, 4.0 * p4 * rho * (p2 * d0 + p4 * rho), -2.0 * p2 * i0
     )
-    return "lemma2", {}, _mapped(
+    return "lemma2", constants, _mapped(
         sol, lambda f, g, h: ((g / (4.0 * p4 * rho) - p4 * rho) / p2, f / (4.0 * p2 * p4 * rho), -h / (2.0 * p2))
     )
 

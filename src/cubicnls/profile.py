@@ -10,8 +10,10 @@ evaluates the flow through the closed forms plus reconstruction when the
 parameters are catalogued, and through the sigma-reduction otherwise: the
 planar orbit in closed form, time as a quadrature over it and the phase by
 reconstruction's rule (quadratic_flow._SigmaOrbit,
-reconstruction._orbit_pair).  Points the reduction declines go to the
-numerical oracle of the full flow.
+reconstruction._orbit_jobs).  Points the reduction declines go to the
+numerical oracle of the full flow.  ``uapp`` takes a whole x-grid at one
+t: all its points' phase integrals then run in one refinement loop, with
+the same bits as one call per point.
 
 Two specialized, fully explicit profile formulas are provided for the pure
 p1 family (synchronizing) and the pure p3 family (elliptic), and the
@@ -30,7 +32,7 @@ import numpy as np
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, solve_case
 from .quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, integrate_full
-from .reconstruction import _orbit_pair, reconstruct
+from .reconstruction import _orbit_jobs, _phases, _reconstruct_jobs
 
 __all__ = [
     "ExtrapolationError",
@@ -93,38 +95,70 @@ def _prefactor(t: float, x: float) -> complex:
     return cmath.exp(1j * x * x / (4.0 * t)) / cmath.sqrt(2j * t)
 
 
+def _flow_jobs(params, a0, tau: float):
+    """The phase-integral jobs of advancing a0 by tau (see _flow) and the
+    function that builds the pair from their results."""
+    if tau == 0.0 or (a0[0] == 0 and a0[1] == 0):
+        return [], lambda _: a0
+    rho, s0 = amplitudes_to_quad(*a0)
+    try:
+        cf = solve_case(params, rho, s0)
+    except UnsupportedCaseError:
+        # the last stored node of the full flow's oracle is the state at tau itself
+        oracle = lambda: tuple(map(complex, integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]))
+        try:
+            jobs, pair = _orbit_jobs(a0, rho, _SigmaOrbit(params, rho, s0, tau))
+        except _Decline:
+            return [], lambda _: oracle()
+
+        def pair_or_oracle(results):
+            try:
+                return pair(results)
+            except _Decline:  # the orbit's source declined inside the phase integral
+                return oracle()
+
+        return jobs, pair_or_oracle
+    return _reconstruct_jobs(a0, cf.eval, rho, tau)
+
+
+def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
+    """The pairs of the iterable a0s advanced by tau as _flow gives them, all
+    phase integrals in one refinement loop; the first failing point raises
+    what _flow raises for it."""
+    points, failed = [], None
+    try:
+        for a0 in a0s:
+            points.append(_flow_jobs(params, a0, tau))
+    except Exception as exc:  # raised after the points before it
+        failed = exc
+    results = iter(_phases(params, [job for jobs, _ in points for job in jobs]))
+    pairs = [pair([next(results) for _ in jobs]) for jobs, pair in points]
+    if failed is not None:
+        raise failed
+    return pairs
+
+
 def _flow(params, a0: tuple[complex, complex], tau: float) -> tuple[complex, complex]:
     """Amplitude pair advanced by tau: closed form + reconstruction when the
     parameters are catalogued, the sigma-reduction otherwise, and the RK45
     oracle of the full flow where the reduction declines (a separatrix, or
     a time rule short of its target; logged at debug level with the reason)."""
-    if tau == 0.0 or (a0[0] == 0 and a0[1] == 0):
-        return a0
-    rho, s0 = amplitudes_to_quad(*a0)
-    try:
-        cf = solve_case(params, rho, s0)
-    except UnsupportedCaseError:
-        try:
-            return _orbit_pair(params, a0, rho, _SigmaOrbit(params, rho, s0, tau))
-        except _Decline:
-            # the last stored node is the state at tau itself
-            end = integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]
-            return complex(end[0]), complex(end[1])
-    return reconstruct(params, a0, cf.eval, rho, tau)
+    return _flows(params, [a0], tau)[0]
 
 
-def uapp(params, fd: FinalData, t: float, x: float) -> tuple[complex, complex]:
-    """The approximate solution pair at (t, x) for finite t != 0."""
+def uapp(params, fd: FinalData, t: float, x):
+    """The approximate solution pair at (t, x) for finite t != 0; for a 1-D
+    array x, two complex arrays, bit for bit the calls at each x in turn
+    (the first failing one raises), with one phase-integral loop for all."""
     if not math.isfinite(t):
         raise ValueError(f"the profile is defined for finite t, got {t}")
     if t == 0.0:
         raise ValueError("the profile is defined for t != 0")
-    xi = x / (2.0 * t)
-    a0 = fd.interp(xi)
+    xs = [x] if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
-    a1, a2 = _flow(params, a0, tau)
-    pref = _prefactor(t, x)
-    return pref * a1, pref * a2
+    pairs = _flows(params, (fd.interp(v / (2.0 * t)) for v in xs), tau)
+    u = np.array([[_prefactor(t, v) * a for a in pair] for v, pair in zip(xs, pairs)], dtype=complex).reshape(-1, 2)
+    return (complex(u[0, 0]), complex(u[0, 1])) if np.ndim(x) == 0 else (u[:, 0], u[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +304,5 @@ def sync_decay(params, fd: FinalData, gamma, t: float, region) -> float:
     sel = (fd.xi_grid >= xi_min) & (fd.xi_grid <= xi_max)
     if not np.any(sel):
         raise ValueError("region contains no grid nodes")
-    worst = 0.0
-    for xi in fd.xi_grid[sel]:
-        u1, u2 = uapp(params, fd, t, 2.0 * t * xi)
-        worst = max(worst, abs(g1 * u1 + g2 * u2))
-    return math.sqrt(t) * worst
+    u1, u2 = uapp(params, fd, t, 2.0 * t * fd.xi_grid[sel])
+    return math.sqrt(t) * max(abs(g1 * a1 + g2 * a2) for a1, a2 in zip(u1.tolist(), u2.tolist()))

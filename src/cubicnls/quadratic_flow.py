@@ -687,8 +687,8 @@ class _SigmaOrbit:
             s = new
         return s, row[:2]
 
-    def _nodes(self, phi):
-        """The states (D, R, I) as rows, at an array of phi."""
+    def states(self, phi):
+        """Rows of D, R, I and dtau/dphi at a 1-D array of phi."""
         sin, cos = np.sin(0.5 * phi), np.cos(0.5 * phi)
         to_lo, to_hi = (2.0 * self.h) * sin * sin, (2.0 * self.h) * cos * cos  # sigma - lo, hi - sigma
         i = np.minimum(np.maximum(np.rint((to_lo + self.lo) / self.step), -self.k), len(self.rows) - 1 - self.k)
@@ -714,29 +714,6 @@ class _SigmaOrbit:
         out[root == 0.0, 3] = np.where(to_lo < to_hi, *self.g_end)[root == 0.0]
         return out
 
-    def states(self, phi):
-        """Rows of D, R, I and dtau/dphi at phi (one row for a float); a few
-        (the ends of a phase integral) on floats, as _nodes makes them."""
-        phi = np.asarray(phi, dtype=float)
-        # the float path takes 19 us on 3 points, _nodes 77 us
-        if phi.size > 4:
-            return self._nodes(phi.ravel()).reshape(phi.shape + (4,))
-        out = []
-        for v in phi.ravel().tolist():
-            sin, cos = math.sin(0.5 * v), math.cos(0.5 * v)
-            to_lo, to_hi = 2.0 * self.h * sin * sin, 2.0 * self.h * cos * cos
-            i = min(max(round((to_lo + self.lo) / self.step), -self.k), len(self.rows) - 1 - self.k)
-            row, d = self.rows[i + self.k], (to_lo + self.lo) - i * self.step
-            for e, dist, near in ((0, to_lo, to_lo <= to_hi), (1, -to_hi, to_hi < to_lo)):
-                row, d = (self.ends[e], dist) if self.turning[e] and near and abs(dist) < 0.5 * self.step else (row, d)
-            x0, x1, f = self._past(row, d)
-            if f < -1e-12 * self.rho * self.rho:
-                self._decline("F < 0 inside the interval (a missed zero)")
-            root = math.sqrt(max(f, 0.0))
-            g = self.h * abs(sin * cos) / root if root > 0.0 else self.g_end[to_lo >= to_hi]
-            out.append((x0, x1, math.copysign(root, sin * cos), g))
-        return np.array(out).reshape(phi.shape + (4,))
-
     def _rule(self, cuts, tau: float, tol: float):
         """Chebyshev series of dtau/dphi (a) and of tau (t) on each piece
         between cuts from 2n + 1 Clenshaw-Curtis nodes, checked against the
@@ -748,7 +725,7 @@ class _SigmaOrbit:
         while True:
             x, _, synth = _cheb_nodes(2 * n)
             phi = (mid + 0.5 * width * x).ravel()
-            g = self._nodes(phi)[:, 3].reshape(len(mid), -1)
+            g = self.states(phi)[:, 3].reshape(len(mid), -1)
             (a, t), coarse = (self._series(v, width) for v in (g, g[:, ::2]))
             self.estimate = float(np.abs(t[:, :n + 2] - coarse[1]).sum() + np.abs(t[:, n + 2:]).sum())
             total = t.sum(axis=1)

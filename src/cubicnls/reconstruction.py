@@ -15,14 +15,17 @@ chart's weight rho +- D is at least rho, and converts between them by
 theta2 = theta1 + arg(R + i I), which holds wherever both are nonzero.
 
 The phase integral is taken on G7-K15 Gauss-Kronrod panels at most 0.25
-wide in tau.  All pending panels of one refinement level are evaluated in
-a single array call of the source; a panel is bisected while its chart's
-weight falls below rho/2 at one of its nodes, and panels are bisected
-until the estimates |K15 - G7| sum to at most 1e-11 absolute.  A
-non-finite integrand value, or a rule that does not get there within a
-fixed number of levels and panels, raises PhaseIntegralError.  Each
-``reconstruct`` logs the chart switches, panels, levels and summed error
-estimate at debug level on the ``cubicnls.reconstruction`` logger.
+wide in tau.  A panel is bisected while its chart's weight falls below
+rho/2 at one of its nodes, and panels are bisected until the estimates
+|K15 - G7| sum to at most 1e-11 absolute.  One refinement loop serves a
+list of integrals, such as those of every point of a profile grid: each
+level calls each pending integral's source once, on the nodes and far
+edges of its panels (and at the first level on its two ends), and
+evaluates the rate at all their nodes in one array pass.  A non-finite
+integrand value, or a rule that does not get there within a fixed number
+of levels and panels, raises PhaseIntegralError.  Each ``reconstruct``
+logs the chart switches, panels, levels and summed error estimate at
+debug level on the ``cubicnls.reconstruction`` logger.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ _ZERO_VALUE_TOL = 1e-10  # a refined minimum below this (times rho) counts as a 
 # eventual acceptance level, and refining a shallow dip is cheap.
 _GRAZE_TOL = 5e-2
 _N_SCAN = 512  # cells of the uniform grid the zero scan samples
+_INCONSISTENT = "quadratic source is inconsistent with the initial amplitudes"
 
 # The phase integral's rule: G7-K15 panels (Piessens et al., QUADPACK, 1983,
 # qk15), at most _PANEL_WIDTH wide in tau, bisected until the summed
-# estimates |K15 - G7| are within _PHASE_TOL absolute (see _phase_integral).
+# estimates |K15 - G7| are within _PHASE_TOL absolute (see _phases).
 _PANEL_WIDTH = 0.25
 _PHASE_TOL = 1e-11
 _MAX_LEVELS = 40  # refinement levels before PhaseIntegralError
@@ -190,72 +194,108 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
     return sorted(zeros, key=abs)
 
 
-def _phase_integral(params, rho: float, quad_src, tau: float):
-    """The phase gained from 0 to tau, on two charts.
+def _phases(params, jobs):
+    """The phase integrals of jobs (rho, src, span, s0) from 0 to span, in
+    one refinement loop (see the module docstring).
 
-    [0, tau] is cut into G7-K15 panels no wider than _PANEL_WIDTH.  Each
-    panel integrates N1 - V if D >= 0 at its centre node and N2 - V
-    otherwise, so its chart's weight rho +- D is at least rho there; a
-    panel is bisected unless that weight is at least rho/2 at all 15
-    nodes.  Every refinement level evaluates the 15 nodes of all its
-    pending panels in one ``quad_src`` call.  The level ends the integral
-    when every pending panel keeps its weight and the estimates |K15 - G7|
-    of all panels, accepted and pending, sum to at most _PHASE_TOL;
-    otherwise it accepts each panel that keeps its weight and whose
-    estimate is within its width's share of _PHASE_TOL, and bisects the
-    others.
+    Panels are at most _PANEL_WIDTH wide.  A panel integrates N1 - V if
+    D >= 0 at its centre node and N2 - V otherwise, and is bisected unless
+    that chart's weight rho +- D is at least rho/2 at all 15 nodes.  A job
+    ends when every pending panel keeps its weight and the estimates
+    |K15 - G7| of all its panels sum to at most _PHASE_TOL; otherwise the
+    level accepts each panel that keeps its weight and whose estimate is
+    within its width's share of _PHASE_TOL, and bisects the others.  Each
+    level calls each pending job's source once, on its panels' 15 nodes and
+    far edges and, at level 1, on 0 (where it must match s0 within 1e-8,
+    unless s0 is None) and span.  A fourth source column, dtau/du, weights
+    the integrand: the variable is then an orbit parameter u.
 
-    When quad_src returns a fourth column, the variable is an orbit
-    parameter u rather than the time, and that column, dtau/du, weights the
-    integrand.
-
-    Returns (integral, charts, switches, summed error estimate, panels,
-    levels): the sum of the panels' integrals, each on its own chart, the
-    chart signs (+1 for N1, -1 for N2) of the runs of adjacent panels from
-    0 to tau, and the times between consecutive runs.  Raises
-    PhaseIntegralError on a non-finite integrand value, after _MAX_LEVELS
-    levels, or when more than _MAX_PANELS panels would be pending.
+    Returns per job (integral, charts, states, summed error estimate,
+    panels, levels), with the chart signs (+1 for N1, -1 for N2) of the runs
+    of adjacent panels and the source's rows at 0, between runs and at
+    span; or the exception that ended the job: its source's, ValueError for
+    a source that misses s0, or PhaseIntegralError on a non-finite integrand
+    value, after _MAX_LEVELS levels or over _MAX_PANELS pending panels.
     """
-    edges = np.linspace(0.0, tau, max(1, math.ceil(abs(tau) / _PANEL_WIDTH)) + 1)
-    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    share = _PHASE_TOL / abs(tau)
-    done_far, done_sign = [], []
-    total = err = 0.0
+    out, pending = [None] * len(jobs), []
+    for k, (_, _, span, _) in enumerate(jobs):
+        edges = np.linspace(0.0, span, max(1, math.ceil(abs(span) / _PANEL_WIDTH)) + 1)
+        # job, pending panels' centres and half-widths, integral, error, accepted panels, end states
+        pending.append([k, 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), 0.0, 0.0, [], None])
     for level in range(1, _MAX_LEVELS + 1):
-        taus = center[:, None] + half[:, None] * _GK_X
-        s = np.asarray(quad_src(taus.ravel()), dtype=float).reshape(*taus.shape, -1)
-        sign = np.where(s[:, 7:8, 0] >= 0.0, 1.0, -1.0)  # node 7 is the centre
-        f = _phase_rate(params, rho, s, sign) - v_rate(params, rho, s)
-        if s.shape[-1] == 4:
-            f = f * s[..., 3]
-        if not np.all(np.isfinite(f)):
-            raise PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(f)][0])!r}")
-        kept = np.all(rho + sign * s[..., 0] >= 0.5 * rho, axis=1)
-        kronrod = half * (f @ _K15_W)
-        diff = np.abs(kronrod - half * (f @ _G7_W))
-        if kept.all() and err + float(np.sum(diff)) <= _PHASE_TOL:
-            ok = kept
-        else:
-            ok = kept & (diff <= share * 2.0 * np.abs(half))
-        total += float(np.sum(kronrod[ok]))
-        err += float(np.sum(diff[ok]))
-        done_far.append((center + half)[ok])
-        done_sign.append(sign[ok, 0])
-        if ok.all():
+        calls = []
+        for job in pending:
+            (rho, src, span, s0), taus = jobs[job[0]], job[1][:, None] + job[2][:, None] * _GK_X
+            try:
+                s = np.asarray(src(np.concatenate([taus.ravel(), job[1] + job[2], [0.0, span] if level == 1 else []])),
+                               dtype=float)
+                job[6] = s[-2:] if level == 1 else job[6]
+                if level == 1 and s0 is not None and np.max(np.abs(s0 - s[-2, :3])) > 1e-8 * max(1.0, rho):
+                    raise ValueError(_INCONSISTENT)
+            except Exception as exc:  # the job's failure, for its caller to raise in its turn
+                out[job[0]] = exc
+                continue
+            calls.append((job, taus, s))
+        if not calls:
             break
-        center, half = center[~ok], 0.5 * half[~ok]
-        if 2 * len(center) > _MAX_PANELS:
+        nodes = np.concatenate([s[: taus.size, :3].reshape(*taus.shape, 3) for _, taus, s in calls])
+        rho = np.repeat([jobs[job[0]][0] for job, _, _ in calls], [len(job[1]) for job, _, _ in calls])[:, None]
+        sign = np.where(nodes[:, 7:8, 0] >= 0.0, 1.0, -1.0)  # node 7 is the centre
+        f = _phase_rate(params, rho, nodes, sign) - v_rate(params, rho, nodes)
+        kept = np.all(rho + sign * nodes[..., 0] >= 0.5 * rho, axis=1)
+        pending, at = [], 0
+        for job, taus, s in calls:
+            k, center, half, total, err, done, ends = job
+            n, at = len(center), at + len(center)
+            fj, kj = f[at - n:at], kept[at - n:at]
+            if s.shape[-1] == 4:
+                fj = fj * s[: taus.size, 3].reshape(taus.shape)
+            if not np.all(np.isfinite(fj)):
+                out[k] = PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(fj)][0])!r}")
+                continue
+            # per job: a product over several jobs' stacked panels rounds differently
+            kronrod = half * (fj @ _K15_W)
+            diff = np.abs(kronrod - half * (fj @ _G7_W))
+            if kj.all() and err + float(np.sum(diff)) <= _PHASE_TOL:
+                ok = kj
+            else:
+                ok = kj & (diff <= _PHASE_TOL / abs(jobs[k][2]) * 2.0 * np.abs(half))
+            job[3], job[4] = total + float(np.sum(kronrod[ok])), err + float(np.sum(diff[ok]))
+            done.append(((center + half)[ok], sign[at - n:at, 0][ok], s[taus.size:taus.size + n][ok]))
+            if ok.all():
+                far, charts, states = (np.concatenate(c) for c in zip(*done))
+                order = np.argsort(np.abs(far))
+                charts, states = charts[order], states[order]
+                switch = np.flatnonzero(charts[1:] != charts[:-1])
+                out[k] = (job[3], charts[np.concatenate([[0], switch + 1])],
+                          np.concatenate([ends[:1], states[switch], ends[1:]]), job[4], len(far), level)
+                continue
+            center, half = center[~ok], 0.5 * half[~ok]
+            if 2 * len(center) <= _MAX_PANELS:
+                job[1:3] = center, half = np.concatenate([center - half, center + half]), np.tile(half, 2)
+                if level < _MAX_LEVELS:
+                    pending.append(job)
+                    continue
+            out[k] = PhaseIntegralError(
+                f"phase integral not within {_PHASE_TOL:g} after {level} levels ({len(center)} panels unresolved)"
+            )
+        if not pending:
             break
-        center, half = np.concatenate([center - half, center + half]), np.tile(half, 2)
-    if not ok.all():
-        raise PhaseIntegralError(
-            f"phase integral not within {_PHASE_TOL:g} after {level} levels ({len(center)} panels unresolved)"
-        )
-    far, sign = np.concatenate(done_far), np.concatenate(done_sign)
-    order = np.argsort(np.abs(far))
-    far, sign = far[order], sign[order]
-    switch = np.flatnonzero(sign[1:] != sign[:-1])
-    return total, sign[np.concatenate([[0], switch + 1])], far[switch], err, len(far), level
+    return out
+
+
+def _turned(result, start: float, end=None):
+    """A result of _phases (raised if it is an exception) converted from chart
+    ``start`` into chart ``end``, by default D's sign at span: (phase, end
+    chart, state at span, conversions)."""
+    if isinstance(result, Exception):
+        raise result
+    phase, charts, s = result[:3]
+    out = (1.0 if s[-1, 0] >= 0.0 else -1.0) if end is None else end
+    signs = np.concatenate([[start], charts, [out]])
+    # from chart +1 to -1 the phase gains arg(R + i I), back it loses it
+    turn = 0.5 * (signs[:-1] - signs[1:])
+    return phase + float(np.sum(turn * np.arctan2(s[:, 2], s[:, 1]))), out, s[-1, :3], np.count_nonzero(turn)
 
 
 def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None = None):
@@ -270,12 +310,20 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     by arg A2 = arg A1 + arg(R + i I) at each switch, at tau = 0 and at
     tau.  The pair at tau is built on its larger component.  The integral
     is evaluated on G7-K15 Gauss-Kronrod panels of width <= 0.25 in tau,
-    one array call of ``quad_src`` per refinement level, bisected until
-    the estimates |K15 - G7| sum to at most 1e-11 absolute.  Raises
-    ValueError for a non-finite tau, and PhaseIntegralError when |tau|
-    needs more than 4096 panels, on a non-finite integrand value, or when
-    the rule misses its target within its level and panel caps.
+    one array call of ``quad_src`` per refinement level (the first also
+    takes tau = 0 and tau), bisected until the estimates |K15 - G7| sum to
+    at most 1e-11 absolute.  Raises ValueError for a non-finite tau, and
+    PhaseIntegralError when |tau| needs more than 4096 panels, on a
+    non-finite integrand value, or when the rule misses its target within
+    its level and panel caps.
     """
+    jobs, pair = _reconstruct_jobs(a0, quad_src, rho, tau, anchor)
+    return pair(_phases(params, jobs))
+
+
+def _reconstruct_jobs(a0, quad_src, rho: float, tau: float, anchor=None):
+    """reconstruct's checks, then its phase-integral job (none at tau = 0)
+    and the function that builds the pair from that job's result."""
     a1_0, a2_0 = complex(a0[0]), complex(a0[1])
     if a1_0 == 0 and a2_0 == 0:
         raise ValueError("reconstruction needs a nontrivial amplitude pair")
@@ -284,9 +332,9 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
         raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
     rho0, s_init = amplitudes_to_quad(a1_0, a2_0)
-    s0 = np.asarray(quad_src(0.0), dtype=float)
-    if abs(rho0 - rho) > 1e-8 * max(1.0, rho) or np.max(np.abs(s_init - s0)) > 1e-8 * max(1.0, rho):
-        raise ValueError("quadratic source is inconsistent with the initial amplitudes")
+    tol = 1e-8 * max(1.0, rho)
+    if abs(rho0 - rho) > tol or (tau == 0.0 and np.max(np.abs(s_init - np.asarray(quad_src(0.0), dtype=float))) > tol):
+        raise ValueError(_INCONSISTENT)
 
     if anchor is None:
         anchor = 1 if abs(a1_0) >= abs(a2_0) else 2
@@ -296,30 +344,18 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     if seed == 0:
         raise SingularAnchorError("requested anchor component vanishes at tau = 0")
     if tau == 0.0:
-        return a1_0, a2_0
+        return [], lambda _: (a1_0, a2_0)
 
-    phase, out, s, (switches, panels, levels, err) = _chart_phase(
-        params, rho, quad_src, tau, 1.0 if anchor == 1 else -1.0
-    )
-    log.debug(
-        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
-        tau, anchor, switches, panels, levels, err,
-    )
-    return _pair(rho, seed, phase, out, s)
+    def pair(results):
+        phase, out, s, switches = _turned(results[0], 1.0 if anchor == 1 else -1.0)
+        _, _, _, err, panels, levels = results[0]
+        log.debug(
+            "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
+            tau, anchor, switches, panels, levels, err,
+        )
+        return _pair(rho, seed, phase, out, s)
 
-
-def _chart_phase(params, rho: float, src, span: float, start: float, end=None):
-    """The phase integral from 0 to span (see _phase_integral), from chart
-    ``start`` into chart ``end`` (by default D's sign at span): (phase, end
-    chart, state at span, (switches, panels, levels, error estimate))."""
-    phase, charts, switches, err, panels, levels = _phase_integral(params, rho, src, span)
-    s = np.asarray(src(np.concatenate([[0.0], switches, [span]])), dtype=float)
-    out = (1.0 if s[-1, 0] >= 0.0 else -1.0) if end is None else end
-    signs = np.concatenate([[start], charts, [out]])
-    # from chart +1 to -1 the phase gains arg(R + i I), back it loses it
-    turn = 0.5 * (signs[:-1] - signs[1:])
-    phase += float(np.sum(turn * np.arctan2(s[:, 2], s[:, 1])))
-    return phase, out, s[-1, :3], (np.count_nonzero(turn), panels, levels, err)
+    return [(rho, quad_src, tau, s_init)], pair
 
 
 def _pair(rho: float, seed: complex, phase: float, out: float, s):
@@ -333,17 +369,29 @@ def _pair(rho: float, seed: complex, phase: float, out: float, s):
     return (amp, comp) if out > 0 else (comp, amp)
 
 
-def _orbit_pair(params, a0, rho: float, orbit):
-    """The pair at the end of a sigma-reduced orbit (quadratic_flow._SigmaOrbit):
-    the phase integral over phi weighted by dtau/dphi, plus that of each
-    whole period, anchored on the larger component of a0."""
+def _orbit_jobs(a0, rho: float, orbit):
+    """The phase-integral jobs over phi of a sigma-reduced orbit (its span
+    and, with whole periods, one period) and the function that builds from
+    their results the pair at its end, anchored on a0's larger component."""
     seed, start = (a0[0], 1.0) if abs(a0[0]) >= abs(a0[1]) else (a0[1], -1.0)
     src = lambda u: orbit.states(orbit.phi0 + u)
-    phase, out, s, _ = _chart_phase(params, rho, src, orbit.span, start)
+    jobs = [(rho, src, orbit.span, None)]
     if orbit.periods:
-        turn = math.copysign(2.0 * math.pi, orbit.periods)
-        phase += abs(orbit.periods) * _chart_phase(params, rho, src, turn, start, start)[0]
-    return _pair(rho, complex(seed), phase, out, s)
+        jobs.append((rho, src, math.copysign(2.0 * math.pi, orbit.periods), None))
+
+    def pair(results):
+        phase, out, s, _ = _turned(results[0], start)
+        if orbit.periods:
+            phase += abs(orbit.periods) * _turned(results[1], start, start)[0]
+        return _pair(rho, complex(seed), phase, out, s)
+
+    return jobs, pair
+
+
+def _orbit_pair(params, a0, rho: float, orbit):
+    """The pair at the end of a sigma-reduced orbit (see _orbit_jobs)."""
+    jobs, pair = _orbit_jobs(a0, rho, orbit)
+    return pair(_phases(params, jobs))
 
 
 def residual(params, path: Trajectory) -> float:

@@ -237,6 +237,22 @@ class TestSolve:
         assert lines == ["DEBUG solve_case case=6 subcase=p1>p4 branch=p1>p4 "
                          "constants={C1=0.60999999999999999, C2=0.5, C3=0.75}"]
 
+    @pytest.mark.parametrize("case,p", [(3, "[0, 0, 1.1, 0, 0]"), (7, "[0, 0.4, 1, 0, 0]"), (8, "[0, 1, 0, 0.5, 0]")])
+    def test_lemma_debug_line_leaves_csv_unchanged(self, case, p):
+        # families 3, 7 and 8 report lemma 1's or 2's m, m1 and start u0; a
+        # subprocess, because logging is configured once per process
+        argv = [
+            sys.executable, "-m", "cubicnls.cli", "solve", "--params", f'{{"p": {p}, "q": [0, 0, 0]}}',
+            "--rho", "1", "--init", "0.6,0,0.8", "--span=-3,3", "--samples", "13", "--mode", "closed",
+        ]
+        runs = {level: subprocess.run(argv, capture_output=True, env=fresh_env(level), timeout=120)
+                for level in (None, "debug")}
+        assert runs[None].returncode == runs["debug"].returncode == 0
+        assert runs[None].stdout == runs["debug"].stdout
+        (line,) = [l for l in runs["debug"].stderr.decode().splitlines() if "solve_case" in l]
+        assert line.startswith(f"DEBUG solve_case case={case} ")
+        assert "branch=lemma" in line and " constants={m=" in line and ", m1=" in line and ", u0=" in line
+
     @pytest.mark.parametrize("span,end", [("0,2", 2.0), ("-2,0", -2.0)])
     def test_span_from_or_to_zero_runs_one_oracle(self, span, end):
         # tau = 0 is the initial state itself, so only the direction reaching
@@ -430,6 +446,20 @@ class TestProfile:
         assert "max relative deviation" in err
         val = float(err.strip().rsplit(" ", 1)[-1])
         assert val < 1e-6
+
+    @pytest.mark.parametrize("special,message", [
+        (False, "error: xi = 2.0 outside grid [-1.5, 1.5]\n"),
+        (True, "error: the explicit formula is stated for t > 1\n"),
+    ])
+    def test_first_failing_point_reports(self, capsys, finaldata_csv, special, message):
+        # t = 2 passes; at t = 1 the point x = 4 lies outside the data (xi = 2),
+        # and --special rejects x = 0 there already: the first failing (t, x)
+        # reports, as with one call per point
+        code, out, err = run(
+            capsys, "profile", "--params", CASE1_PARAMS, "--finaldata", str(finaldata_csv),
+            "--t-list", "2,1", "--x-grid=0,4,3", *(["--special"] if special else []),
+        )
+        assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("p", ["[0, 0, 1, 0, 0]", "[1, 0, 1, 0, 0]"])
     def test_special_outside_family1_exit_3(self, capsys, finaldata_csv, p):

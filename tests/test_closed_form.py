@@ -368,9 +368,28 @@ class TestSolveCase:
             "solve_case case=5 subcase=- branch=rotating-collapse "
             "constants={tau0=1.0986122886681098, phase0=0}",
             "solve_case case=6 subcase=p1>p4 branch=p1>p4 constants={C1=0.60999999999999999, C2=0.5, C3=0.75}",
-            "solve_case case=3 subcase=- branch=lemma1 constants={}",
+            "solve_case case=3 subcase=- branch=lemma1 "
+            "constants={m=0.4705882352941177, m1=0.52941176470588225, u0=1.8299276276516536}",
             "solve_case case=1 subcase=- branch=fixed-point constants={}",
         ]
+
+    @pytest.mark.parametrize("case,params,lemma", [
+        (3, std(p3=1.1), 1),
+        (7, std(p2=0.4, p3=1.0), 1),
+        (8, std(p2=1.0, p4=0.5), 2),
+    ])
+    def test_lemma_debug_line(self, caplog, case, params, lemma):
+        # the lemma families report the elliptic parameter m, its complement
+        # m1 and the start u0 of sn, which decide a near-separatrix answer
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.closed_form"):
+            sol = solve_case(params, 1.0, (0.6, 0.0, 0.8))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "cubicnls.closed_form"]
+        head, consts = line.split(" constants=")
+        assert head.startswith(f"solve_case case={case} ") and head.endswith(f" branch=lemma{lemma}")
+        got = dict(kv.split("=") for kv in consts.strip("{}").split(", "))
+        assert {k: float(v) for k, v in got.items()} == sol.constants
+        assert list(got) == ["m", "m1", "u0"]
+        assert 0.0 < sol.constants["m"] < 1.0 and abs(sol.constants["m"] + sol.constants["m1"] - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
+import cubicnls.profile as profile
 from cubicnls.profile import (
     ExtrapolationError,
     FinalData,
@@ -15,7 +17,7 @@ from cubicnls.profile import (
     sync_decay,
     uapp,
 )
-from cubicnls.quadratic_flow import amplitudes_to_quad, detect_sync, full_ode_rhs
+from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, detect_sync, full_ode_rhs
 from cubicnls.standard_form import nonlinearity
 
 from helpers import std
@@ -310,3 +312,111 @@ class TestSyncDecay:
         early = sync_decay(p, fd, gamma, math.e, (-1.0, 1.0))
         late = sync_decay(p, fd, gamma, math.e**8, (-1.0, 1.0))
         assert late > 0.1 * early
+
+
+# ---------------------------------------------------------------------------
+# the x-grid in one call
+
+
+GRID_FAMILIES = {
+    "p1": std(p1=1.0, q=(0.2, -0.1, 0.15)),
+    "p3": std(p3=1.1, q=(0.2, -0.1, 0.15)),
+    "p1/p3=1/3": std(p1=1.0, p3=3.0, q=(0.2, -0.1, 0.15)),
+    "case15": std(p1=0.6, p2=0.8, p3=1.0, p4=0.6, p5=0.2, q=(0.3, -0.2, 0.1)),
+}
+GRID_XI = np.linspace(-1.6, 1.6, 9)
+
+
+def grid_fd(dominant=1, xi=GRID_XI):
+    """Final data on xi whose component ``dominant`` is the larger."""
+    env = np.exp(-xi * xi / 4.0)
+    big = env * (0.8 + 0.1j) * np.exp(0.3j * xi)
+    small = env * (0.25 - 0.1j) * np.exp(-0.2j * xi)
+    return FinalData(xi, big, small) if dominant == 1 else FinalData(xi, small, big)
+
+
+def bits(values):
+    """The bit patterns of complex values."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def grid_and_points(params, fd, t, xs):
+    """uapp on the grid xs, and one uapp call per point of it."""
+    got = uapp(params, fd, t, xs)
+    want = [uapp(params, fd, t, x) for x in xs]
+    assert all(g.dtype == complex and g.shape == (len(xs),) for g in got)
+    return bits(np.stack(got)), bits(np.array(want).T)
+
+
+def oracle_calls(monkeypatch):
+    """The amplitude pairs handed to integrate_full from now on."""
+    calls, real = [], profile.integrate_full
+
+    def counted(params, a0, *args, **kwargs):
+        calls.append(a0)
+        return real(params, a0, *args, **kwargs)
+
+    monkeypatch.setattr(profile, "integrate_full", counted)
+    return calls
+
+
+class TestGrid:
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    @pytest.mark.parametrize("dominant", [1, 2])
+    @pytest.mark.parametrize("t", [10.0, 1e4, 1e8])
+    def test_grid_matches_points(self, name, dominant, t):
+        got, want = grid_and_points(GRID_FAMILIES[name], grid_fd(dominant), t, 2.0 * t * GRID_XI)
+        assert np.array_equal(got, want)
+
+    def test_decline_at_construction(self, monkeypatch):
+        # an ellipse of X' = A X + b coming within I = 1e-3 rho of the equator:
+        # the time rule of the sigma-reduction declines it at t = 10, so that
+        # point, and only that one, goes to the full-flow oracle
+        params, gap = std(p2=0.8, p3=0.3, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), 1e-3
+        a = np.array([[0.0, 0.5], [-1.1, 0.0]])
+        b = np.array([0.1, -0.2])
+        r = math.sqrt(1.0 - gap * gap)
+
+        def x_at(th):
+            return r * np.array([math.cos(th), math.sin(th)])
+
+        th = brentq(lambda th: x_at(th) @ (a @ x_at(th) + b), 1.9, 2.1)  # |X| is largest there
+        s0 = np.array([*x_at(th), gap])
+        with pytest.raises(_Decline):
+            _SigmaOrbit(params, 1.0, s0, 0.5 * math.log(10.0))
+        a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
+        a1[4] = math.sqrt((1.0 + s0[0]) / 2.0)
+        a2[4] = complex(s0[1], s0[2]) / (2.0 * a1[4])
+        fd = FinalData(GRID_XI, a1, a2)
+        calls = oracle_calls(monkeypatch)
+        got, want = grid_and_points(params, fd, 10.0, 20.0 * GRID_XI)
+        assert np.array_equal(got, want)
+        assert len(calls) == 2 and calls[0] == (a1[4], a2[4])  # the grid's, then the point's
+
+    def test_decline_in_the_phase_integral(self, monkeypatch):
+        # a source that declines for one point's orbit inside the level loop
+        params, fd = std(p1=0.3, p2=0.5, p3=0.7, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), grid_fd()
+        target = amplitudes_to_quad(*fd.interp(GRID_XI[6]))[0]
+        real = _SigmaOrbit.states
+
+        def states(orbit, phi):
+            if orbit.rho == target:
+                raise _Decline("declined for the test")
+            return real(orbit, phi)
+
+        monkeypatch.setattr(_SigmaOrbit, "states", states)
+        calls = oracle_calls(monkeypatch)
+        got, want = grid_and_points(params, fd, 1e4, 2e4 * GRID_XI)
+        assert np.array_equal(got, want)
+        assert len(calls) == 2 and calls[0] == fd.interp(GRID_XI[6])
+
+    @pytest.mark.parametrize("name", ["p1", "case15"])
+    def test_extrapolation_error(self, name):
+        # two points outside the data: the grid raises the first one's error
+        t, xs = 10.0, 20.0 * np.array([-1.0, 0.5, 2.5, 0.0, -3.0])
+        fd = grid_fd(xi=np.linspace(-2.0, 2.0, 9))
+        with pytest.raises(ExtrapolationError) as grid:
+            uapp(GRID_FAMILIES[name], fd, t, xs)
+        with pytest.raises(ExtrapolationError) as points:
+            [uapp(GRID_FAMILIES[name], fd, t, x) for x in xs]
+        assert str(grid.value) == str(points.value) and "xi = 2.5 " in str(grid.value)

@@ -9,13 +9,14 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from cubicnls.closed_form import solve_case
+from cubicnls.closed_form import ClosedFormSolution, solve_case
+from cubicnls.profile import FinalData, uapp
 from cubicnls.quadratic_flow import amplitudes_to_quad, full_ode_rhs, integrate_full, random_sphere_states
 from cubicnls.reconstruction import (
     PhaseIntegralError,
     SingularAnchorError,
-    _phase_integral,
     _phase_rate,
+    _phases,
     phase_rate_N1,
     phase_rate_N2,
     reconstruct,
@@ -134,8 +135,10 @@ class TestReconstruct:
         p = std(p1=1.0)
         a0 = (1.0 + 0j, 0j)
         wrong = solve_case(p, 1.0, (0.0, 0.6, 0.8))
-        with pytest.raises(ValueError, match="inconsistent"):
-            reconstruct(p, a0, wrong.eval, 1.0, 1.0)
+        # tau = 0 returns a0 without a phase integral, but still checks the source
+        for tau in (1.0, 0.0):
+            with pytest.raises(ValueError, match="inconsistent"):
+                reconstruct(p, a0, wrong.eval, 1.0, tau)
 
     def test_trivial_pair_rejected(self):
         p = std(p1=1.0)
@@ -382,8 +385,12 @@ class TestPhaseIntegral:
                 matched += 1
         assert matched >= 2
 
-    def test_one_array_call_per_level(self):
+    def test_one_array_call_per_level(self, caplog, monkeypatch):
+        # reconstruct calls its source once a level, on the 15 nodes and the
+        # far edge of each pending panel, and at level 1 on tau = 0 and tau
+        # besides: no separate call for either
         tau, rho = 0.5 * math.log(1e8), 1.1
+        first = 16 * math.ceil(tau / 0.25) + 2
         for p in FAMILIES.values():
             for s0 in random_sphere_states(rho, 3, seed=17):
                 sol = solve_case(p, rho, s0)
@@ -393,9 +400,33 @@ class TestPhaseIntegral:
                     calls.append(np.shape(t))
                     return sol(t)
 
-                _phase_integral(p, rho, src, tau)
-                assert len(calls) <= 10
-                assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in calls)
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
+                    reconstruct(p, _anchored_pair(s0, rho, 1.0 if s0[0] >= 0 else -1.0, 0.3), src, rho, tau)
+                (line,) = [r.getMessage() for r in caplog.records if r.name == "cubicnls.reconstruction"]
+                assert len(calls) == int(line.split("levels=")[1].split()[0]) <= 10
+                assert calls[0] == (first,)
+                # bisected panels come in pairs
+                assert all(len(shape) == 1 and shape[0] % 32 == 0 for shape in calls[1:])
+        # a 9-point profile grid: one closed-form call per point per level
+        real, calls = ClosedFormSolution.eval, {}
+
+        def counted(sol, t):
+            calls.setdefault(id(sol), []).append(np.shape(t))
+            return real(sol, t)
+
+        monkeypatch.setattr(ClosedFormSolution, "eval", counted)
+        xi = np.linspace(-1.6, 1.6, 9)
+        fd = FinalData(xi, (0.7 + 0.2j) * np.exp(-xi * xi / 4), (0.3 - 0.4j) * np.exp(-xi * xi / 3))
+        for p in FAMILIES.values():
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
+                uapp(p, fd, 1e8, 2e8 * xi)
+            levels = [int(r.getMessage().split("levels=")[1].split()[0])
+                      for r in caplog.records if r.name == "cubicnls.reconstruction"]
+            assert len(levels) == 9
+            assert [len(c) for c in calls.values()] == levels
 
     def test_chart_weight_bisects(self):
         # with every coupling and potential zero the rate N - V vanishes and
@@ -409,12 +440,13 @@ class TestPhaseIntegral:
             t = np.asarray(t, dtype=float)
             return rho * np.stack([np.cos(w * t), np.sin(w * t), np.zeros_like(t)], axis=-1)
 
-        total, charts, switches, err, panels, _ = _phase_integral(_Raw(0, 0, 0, 0, 0), rho, src, 1.0)
+        ((total, charts, s, err, panels, _),) = _phases(_Raw(0, 0, 0, 0, 0), [(rho, src, 1.0, None)])
         assert (total, err) == (0.0, 0.0)
         assert panels > 4
         assert list(charts) == [1.0, -1.0] * 3 + [1.0]
-        assert len(switches) == 6
-        assert np.all(np.abs(src(switches)[:, 0]) <= 0.55 * rho)
+        # the states at 0, at the 6 switches and at 1
+        assert len(s) == 8 and np.array_equal(s[[0, -1]], src([0.0, 1.0]))
+        assert np.all(np.abs(s[1:-1, 0]) <= 0.55 * rho)
 
     def test_nonfinite_source_raises(self):
         p = FAMILIES["case15"]
