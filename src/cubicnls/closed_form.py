@@ -12,7 +12,10 @@ cover the elliptic cores:
 
 Every branch constant is resolved from the initial state, and every
 evaluator is validated against the adaptive Runge-Kutta oracle in the test
-suite.  The three lemmas and the p1/p3 = 1/3 family hand the elliptic
+suite.  An evaluator is a module-level formula of tau and the constants
+(a lemma's, then its back-map to (D, R, I)), so the solutions of one
+formula evaluate together, one call with their constants as arrays.  The
+three lemmas and the p1/p3 = 1/3 family hand the elliptic
 kernel 1 - m computed without cancellation, so their separatrices (for 1/3
 the planes D = +-R, for lemma 3 K = 0 and R = eta - sqrt(-K)) are the
 kernel's m1 = 0; lemma 3's forms on both sides of R = eta - sqrt(-K) are
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -78,7 +81,9 @@ class ClosedFormSolution:
     ``constants`` records the resolved branch constants; ``branch`` names
     the formula family actually used, or for cases 6, 14 and 15 the side of
     the threshold the state is on (it is recomputable from the parameters,
-    radius and initial state alone).
+    radius and initial state alone).  Solutions with one chain of formula
+    functions and static arguments (``_key``, see _run) evaluate together
+    (_stacked).
     """
 
     case_id: CaseId
@@ -86,14 +91,43 @@ class ClosedFormSolution:
     constants: dict
     rho: float
     initial: np.ndarray
-    _eval: callable
+    _formula: tuple
 
     def __call__(self, tau):
         tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.stack(self._eval(tau_arr), axis=-1)
+        out = np.stack(_run(self._formula, tau_arr), axis=-1)
         return out[0] if np.ndim(tau) == 0 else out
 
     eval = __call__
+
+    @property
+    def _key(self):
+        return tuple(stage[:2] for stage in self._formula)
+
+
+def _run(formula, t):
+    """(f, g, h) at t of a chain of stages (fn, static, constants), each
+    fn(t, or the previous f, g, h, *static, *constants); constants may be
+    arrays matching t."""
+    (fn, static, consts), *rest = formula
+    out = fn(t, *static, *consts)
+    for fn, static, consts in rest:
+        out = fn(*out, *static, *consts)
+    return out
+
+
+def _stacked(sols):
+    """(index, tau) -> the rows of sols[index[k]] at tau[k], for sols of one
+    ``_key``: one call of their formula, each constant repeated over its own
+    solution's taus, bit for bit the solutions' own calls."""
+    head = sols[0]
+    consts = [np.array([sol._formula[j][2] for sol in sols], dtype=float).T.copy() for j in range(len(head._formula))]
+
+    def evaluate(index, tau):
+        formula = tuple((fn, static, c.take(index, axis=1)) for (fn, static, _), c in zip(head._formula, consts))
+        return replace(head, _formula=formula)(tau)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +207,41 @@ def classify(params) -> CaseId:
 # lemma solvers
 
 
+def _const(t, f0, g0, h0):
+    one = np.ones_like(t)
+    return f0 * one, g0 * one, h0 * one
+
+
 def _constant(f0: float, g0: float, h0: float):
-    def fgh(t):
-        t = np.asarray(t, dtype=float)
-        one = np.ones_like(t)
-        return f0 * one, g0 * one, h0 * one
-
-    return fgh
+    return ((_const, (), (f0, g0, h0)),)
 
 
-def _mapped(sol, back):
-    """The solution sol(t) = (f, g, h) mapped by back(f, g, h), e.g. a
-    lemma solution carried back to (D, R, I)."""
-    return lambda t: back(*sol(t))
+def _permute(f, g, h, i, j, k):
+    """(f, g, h) reordered, e.g. a lemma's components into (D, R, I) order."""
+    fgh = (f, g, h)
+    return fgh[i], fgh[j], fgh[k]
 
 
-def _ent(c: float, x, a: float, b_sq: float):
+def _affine(f, g, h, *abc):
+    """(f, g, h) mapped by x -> (x / a - b) / c, with (a, b, c) for each in
+    turn: a lemma's back-map (b = 0 and c = 1 leave x / a exact)."""
+    return tuple((x / a - b) / c for x, a, b, c in zip((f, g, h), abc[0::3], abc[1::3], abc[2::3]))
+
+
+def _back(order, *abc):
+    """The stages of _affine, then the reordering into (D, R, I)."""
+    return (_affine, (), abc), (_permute, order, ())
+
+
+_FLIP = (_affine, (), (1.0, 0.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0))  # (f, g, h) -> (f, -g, -h)
+
+
+def _solution(formula):
+    """The lemma solution t -> (f, g, h) of a formula."""
+    return lambda t: _run(formula, np.asarray(t, dtype=float))
+
+
+def _ent(c, x, a, b_sq):
     """(e, j) = (1/q, -q'/q) for q(x) = (ch - a sh)^2 + b_sq sh^2.
 
     Here ch = cosh(sqrt(c) x / 2) and sh = sinh(sqrt(c) x / 2) / sqrt(c),
@@ -197,18 +250,14 @@ def _ent(c: float, x, a: float, b_sq: float):
     1 and x / 2 at c = 0): one formula serves both sides of the threshold
     c = 0.  Written as a sum of squares, q does not cancel next to the
     saddles, where the expanded form in cosh and sinh of sqrt(c) x loses a
-    further factor 1 / distance.
+    further factor 1 / distance.  The parameters may be arrays matching x,
+    with c of either sign element by element.
     """
-    if c > 0.0:
-        w = math.sqrt(c)
-        y = 0.5 * w * x
-        ch, sh = np.cosh(y), np.sinh(y) / w
-    elif c < 0.0:
-        w = math.sqrt(-c)
-        y = 0.5 * w * x
-        ch, sh = np.cos(y), np.sin(y) / w
-    else:
-        ch, sh = np.ones_like(x), 0.5 * x
+    w = np.sqrt(np.abs(c))
+    y = 0.5 * w * x
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ch = np.where(c > 0.0, np.cosh(y), np.where(c < 0.0, np.cos(y), 1.0))
+        sh = np.where(c == 0.0, 0.5 * x, np.where(c > 0.0, np.sinh(y), np.sin(y)) / w)
     u, bsh = ch - a * sh, b_sq * sh
     q = u * u + bsh * sh
     return 1.0 / q, (u * (a * ch - c * sh) - bsh * ch) / q
@@ -221,33 +270,33 @@ def solve_lemma1(f0: float, g0: float, h0: float):
     follows dn, with 1 - m = (h0^2 - g0^2)/(f0^2 + h0^2) (g and h swap roles
     when it is negative); at equal radii sn, cn, dn are tanh, sech, sech.
     """
-    return _lemma1(f0, g0, h0, (abs(h0) - abs(g0)) * (abs(h0) + abs(g0)))[0]
+    return _solution(_lemma1(f0, g0, h0, (abs(h0) - abs(g0)) * (abs(h0) + abs(g0)))[0])
 
 
 def _lemma1(f0: float, g0: float, h0: float, gap: float):
     """solve_lemma1 with gap = h0^2 - g0^2 from a caller who knows it without
     cancellation; its sign decides the swap, so 1 - m is never negative.
-    Returns the solution and its constants m, m1 and start u0 of sn."""
+    Returns the formula and its constants m, m1 and start u0 of sn."""
     if gap < 0.0:
-        sol, constants = _lemma1(f0, h0, g0, -gap)
-        return _mapped(sol, lambda f, h, g: (f, g, h)), constants
+        formula, constants = _lemma1(f0, h0, g0, -gap)
+        return formula + ((_permute, (0, 2, 1), ()),), constants
     if g0 == 0.0 and f0 * h0 == 0.0:  # the rest points, as |h0| >= |g0|
         return _constant(f0, g0, h0), {}
     if gap == 0.0 and g0 < 0.0:
         # cn = sech > 0 at m = 1: reach g0 < 0 by (f, g, h) -> (f, -g, -h)
-        sol, constants = _lemma1(f0, -g0, -h0, gap)
-        return _mapped(sol, lambda f, g, h: (f, -g, -h)), constants
+        formula, constants = _lemma1(f0, -g0, -h0, gap)
+        return formula + (_FLIP,), constants
 
     r_fg, r_fh = math.hypot(f0, g0), math.hypot(f0, h0)
     m, m1 = min((r_fg / r_fh) ** 2, 1.0), gap / (r_fh * r_fh)
     sig = math.copysign(1.0, h0)
     t0 = el.invert_sn_cn(f0 / r_fg, g0 / r_fg, m, m1=m1)
+    return ((_lemma1_fgh, (), (sig * r_fh, t0, m, m1, r_fg)),), {"m": m, "m1": m1, "u0": t0}
 
-    def elliptic_branch(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(sig * r_fh * np.asarray(t, dtype=float) + t0, m, m1=m1)
-        return r_fg * sn, r_fg * cn, sig * r_fh * dn
 
-    return elliptic_branch, {"m": m, "m1": m1, "u0": t0}
+def _lemma1_fgh(t, rate, u0, m, m1, r_fg):
+    sn, cn, dn = el.jacobi_sn_cn_dn(rate * t + u0, m, m1=m1)
+    return r_fg * sn, r_fg * cn, rate * dn
 
 
 def solve_lemma2(f0: float, g0: float, h0: float):
@@ -257,11 +306,11 @@ def solve_lemma2(f0: float, g0: float, h0: float):
     2(sqrt(f0^2 + g0^2) + g0) < 0 and dn otherwise, with 1 - m = |disc| / 4
     over the larger of sqrt(f0^2 + g0^2) and P^2 (a sech pulse at disc = 0).
     """
-    return _lemma2(f0, g0, h0)[0]
+    return _solution(_lemma2(f0, g0, h0)[0])
 
 
 def _lemma2(f0: float, g0: float, h0: float):
-    """solve_lemma2, and its constants m, m1 and start u0 of sn."""
+    """solve_lemma2's formula, and its constants m, m1 and start u0 of sn."""
     if f0 == 0.0 and g0 * h0 == 0.0:  # the rest points
         return _constant(f0, g0, h0), {}
 
@@ -273,22 +322,13 @@ def _lemma2(f0: float, g0: float, h0: float):
     p_sq = 0.5 * r_minus + 0.25 * h0 * h0
     p = math.sqrt(p_sq)
     disc = h0 * h0 - 2.0 * r_plus
-
-    def g_of(h):
-        return 0.5 * (h * h - h0 * h0) + g0
-
     if disc < 0.0:
         m, m1 = min(p_sq / rfg_sq, 1.0), -disc / (4.0 * rfg_sq)
         # at the start cn = h0 / 2P and |sn| = sqrt(2 (r - g0)) / 2P
         sn0 = math.sqrt(2.0 * r_minus) / (2.0 * p)
         t0 = el.invert_sn_cn(-sn0 if f0 < 0.0 else sn0, h0 / (2.0 * p), m, m1=m1)
-
-        def cn_branch(t):
-            sn, cn, dn = el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + t0, m, m1=m1)
-            h = 2.0 * p * cn
-            return 2.0 * p * rate * sn * dn, g_of(h), h
-
-        return cn_branch, {"m": m, "m1": m1, "u0": t0}
+        consts = (rate, t0, m, m1, 2.0 * p, 2.0 * p * rate, h0 * h0, g0)
+        return ((_lemma2_fgh, (False,), consts),), {"m": m, "m1": m1, "u0": t0}
 
     m, m1 = min(rfg_sq / p_sq, 1.0), disc / (4.0 * p_sq)
     sig = math.copysign(1.0, h0)
@@ -296,13 +336,15 @@ def _lemma2(f0: float, g0: float, h0: float):
     t0 = el.invert_sn_cn(math.sqrt(r_minus / (2.0 * rfg_sq)), math.sqrt(r_plus / (2.0 * rfg_sq)), m, m1=m1)
     if f0 < 0.0:
         t0 = -t0
+    consts = (sig * p, t0, m, m1, sig * 2.0 * p, 2.0 * p_sq * m, h0 * h0, g0)
+    return ((_lemma2_fgh, (True,), consts),), {"m": m, "m1": m1, "u0": t0}
 
-    def dn_branch(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(sig * p * np.asarray(t, dtype=float) + t0, m, m1=m1)
-        h = sig * 2.0 * p * dn
-        return 2.0 * p_sq * m * sn * cn, g_of(h), h
 
-    return dn_branch, {"m": m, "m1": m1, "u0": t0}
+def _lemma2_fgh(t, dn_form, rate, u0, m, m1, two_p, amp, h0_sq, g0):
+    """h = 2P cn (f = amp sn dn) or, dn_form, h = 2P dn (f = amp sn cn); g = (h^2 - h0^2)/2 + g0."""
+    sn, cn, dn = el.jacobi_sn_cn_dn(rate * t + u0, m, m1=m1)
+    h = two_p * (dn if dn_form else cn)
+    return amp * sn * (cn if dn_form else dn), 0.5 * (h * h - h0_sq) + g0, h
 
 
 def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
@@ -314,12 +356,17 @@ def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
     short-circuit to constants, and h0 < 0 is handled through the symmetry
     (f, g, h) -> (f, -g, -h).
     """
+    return _solution(_lemma3(eta, f0, g0, h0))
+
+
+def _lemma3(eta: float, f0: float, g0: float, h0: float):
+    """solve_lemma3's formula."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     if g0 * h0 == 0.0 and f0 * h0 == 0.0 and (f0 + eta) * g0 == 0.0:
         return _constant(f0, g0, h0)
     if h0 < 0.0:
-        return _mapped(solve_lemma3(eta, f0, -g0, -h0), lambda f, g, h: (f, -g, -h))
+        return _lemma3(eta, f0, -g0, -h0) + (_FLIP,)
 
     r0 = math.hypot(f0, g0)
     # K and R - eta from exact rationals of the float state: every branch
@@ -344,11 +391,14 @@ def solve_lemma3(eta: float, f0: float, g0: float, h0: float):
     return _lemma3_k_negative(eta, f0, g0, h0, r0, r_eta, math.sqrt(-k0), sep, r_plus, r_minus)
 
 
-def _jacobi_orbit(rate, sn0, cn0, m1):
-    """t -> (sn, cn, dn)(rate t + u0) at 1 - m = m1, (sn, cn)(u0) along (sn0, cn0)."""
+def _orbit_start(sn0, cn0, m1):
+    """u0 with (sn, cn)(u0) along (sn0, cn0) at 1 - m = m1."""
     norm = math.hypot(sn0, cn0)
-    u0 = el.invert_sn_cn(sn0 / norm, cn0 / norm, 1.0 - m1, m1=m1)
-    return lambda t: el.jacobi_sn_cn_dn(rate * np.asarray(t, dtype=float) + u0, 1.0 - m1, m1=m1)
+    return el.invert_sn_cn(sn0 / norm, cn0 / norm, 1.0 - m1, m1=m1)
+
+
+def _orbit(t, rate, u0, m1):
+    return el.jacobi_sn_cn_dn(rate * t + u0, 1.0 - m1, m1=m1)
 
 
 def _lemma3_k_positive(eta, f0, g0, r0, r_eta, k0, r_plus):
@@ -364,16 +414,16 @@ def _lemma3_k_positive(eta, f0, g0, r0, r_eta, k0, r_plus):
     xi, xi_c = 2.0 * eta * r0 / s, (k0 + r_eta * r_eta + theta_sq) / s
     root = math.sqrt(xi_c * (1.0 + xi))
     # at the start (sn, cn) = (g0 root, f0 + xi R) / (R + xi f0)
-    jac = _jacobi_orbit(theta, g0 * root, r_plus - xi_c * r0, m1)
+    u0 = _orbit_start(g0 * root, r_plus - xi_c * r0, m1)
+    return ((_lemma3_k_positive_fgh, (), (theta, u0, m1, xi, xi_c, r0, r0 * root, theta * root)),)
 
-    def fgh(t):
-        sn, cn, dn = jac(t)
-        # 1 - cn as sn^2 / (1 + cn) where cn > 0 keeps 1 - xi cn and cn - xi exact
-        one_m_cn = np.where(cn > 0.0, sn * sn / (1.0 + np.abs(cn)), 1.0 - cn)
-        den = xi_c + xi * one_m_cn
-        return r0 * (xi_c - one_m_cn) / den, r0 * root * sn / den, theta * root * dn / den
 
-    return fgh
+def _lemma3_k_positive_fgh(t, rate, u0, m1, xi, xi_c, r0, c_g, c_h):
+    sn, cn, dn = _orbit(t, rate, u0, m1)
+    # 1 - cn as sn^2 / (1 + cn) where cn > 0 keeps 1 - xi cn and cn - xi exact
+    one_m_cn = np.where(cn > 0.0, sn * sn / (1.0 + np.abs(cn)), 1.0 - cn)
+    den = xi_c + xi * one_m_cn
+    return r0 * (xi_c - one_m_cn) / den, c_g * sn / den, c_h * dn / den
 
 
 def _lemma3_k_zero(eta, f0, g0, h0, r0):
@@ -381,13 +431,13 @@ def _lemma3_k_zero(eta, f0, g0, h0, r0):
     # on each, u = 1/h solves u'' = (r0^2 - eta^2) u + s eta
     s = 1.0 if f0 + eta > 0.0 else -1.0
     c = (r0 - eta) * (r0 + eta)
+    return ((_lemma3_k_zero_fgh, (), (c, -s * g0, h0 * h0, h0, s, -s, eta)),)
 
-    def fgh(t):
-        e, j = _ent(c, np.asarray(t, dtype=float), -s * g0, h0 * h0)
-        h = h0 * e
-        return s * h - eta, -s * j, h
 
-    return fgh
+def _lemma3_k_zero_fgh(t, c, a, b_sq, h0, s, neg_s, eta):
+    e, j = _ent(c, t, a, b_sq)
+    h = h0 * e
+    return s * h - eta, neg_s * j, h
 
 
 def _lemma3_k_negative(eta, f0, g0, h0, r0, r_eta, kap, sep, r_plus, r_minus):
@@ -400,28 +450,16 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, r_eta, kap, sep, r_plus, r_minus):
         # the component f <= -(eta + kap); b = R - eta - kap
         b = sep / (r_eta + kap)
         # this component is traversed against the sn-parametrization
-        jac = _jacobi_orbit(-theta, g0 * math.sqrt(a / b) / r_minus,
-                            h0 * math.sqrt(2.0 * r0 / ((kap - f0 - eta) * b * r_minus)), m1)
+        u0 = _orbit_start(g0 * math.sqrt(a / b) / r_minus,
+                          h0 * math.sqrt(2.0 * r0 / ((kap - f0 - eta) * b * r_minus)), m1)
         cg, ch = 2.0 * r0 * math.sqrt(a * b), a * math.sqrt(b * (r_eta + kap))
-
-        def outer_minus(t):
-            sn, cn, dn = jac(t)
-            den = a + b * sn * sn
-            return r0 * (-a + b * sn * sn) / den, cg * sn / den, ch * cn * dn / den
-
-        return outer_minus
+        return ((_outer_minus, (), (-theta, u0, m1, a, b, r0, cg, ch)),)
 
     if r_eta > kap:
-        jac = _jacobi_orbit(theta, h0 * math.sqrt(a / b) / (f0 + eta + kap),
-                            -g0 * math.sqrt(2.0 * kap / (b * (f0 + eta + kap) * r_plus)), m1)
+        u0 = _orbit_start(h0 * math.sqrt(a / b) / (f0 + eta + kap),
+                          -g0 * math.sqrt(2.0 * kap / (b * (f0 + eta + kap) * r_plus)), m1)
         cg, ch = a * math.sqrt((r_eta + kap) * b), 2.0 * kap * math.sqrt(a * b)
-
-        def outer_plus(t):
-            sn, cn, dn = jac(t)
-            den = a * cn * cn + 2.0 * kap * sn * sn  # a - b sn^2
-            return -eta + kap * (a + b * sn * sn) / den, -cg * cn * dn / den, ch * sn / den
-
-        return outer_plus
+        return ((_outer_plus, (), (theta, u0, m1, a, b, 2.0 * kap, kap, eta, cg, ch)),)
 
     # The middle and inner forms are written in the offset x of the argument
     # from a quarter period K, where cn^2 = (1 - m) sd^2 x and sn = cd x carry
@@ -433,29 +471,36 @@ def _lemma3_k_negative(eta, f0, g0, h0, r0, r_eta, kap, sep, r_plus, r_minus):
         # the middle component, eta - kap < R <= eta + kap
         theta, big_a = math.sqrt(r0 * kap), a / (2.0 * kap)
         m1 = min(dlt * a / (4.0 * r0 * kap), 1.0)
-        jac = _jacobi_orbit(theta, math.copysign(math.sqrt(2.0 * kap * r_minus / a), g0),
-                            h0 / math.sqrt(f0 + eta + kap), m1)
+        u0 = _orbit_start(math.copysign(math.sqrt(2.0 * kap * r_minus / a), g0), h0 / math.sqrt(f0 + eta + kap), m1)
         cg, ch = math.sqrt(r0 * a * b / kap), math.sqrt(a * b)
-
-        def middle(t):
-            sn, cn, dn = jac(t)
-            q = big_a * sn * sn + cn * cn
-            return -r0 + 2.0 * r0 * dn * dn / q, cg * sn * dn / q, ch * cn / q
-
-        return middle
+        return ((_middle_inner, (False,), (theta, u0, m1, big_a, r0, 2.0 * r0, cg, ch)),)
 
     # the inner component R <= eta - kap, a rotation
     theta, big_a = 0.5 * math.sqrt((2.0 * kap - dlt) * b), a / (2.0 * kap - dlt)
     m1 = min(-dlt * big_a / b, 1.0)
-    jac = _jacobi_orbit(theta, math.copysign(math.sqrt(r_minus), g0), math.sqrt(big_a * r_plus), m1)
+    u0 = _orbit_start(math.copysign(math.sqrt(r_minus), g0), math.sqrt(big_a * r_plus), m1)
     cg, ch = 2.0 * r0 * math.sqrt(big_a), math.sqrt(a * b)
+    return ((_middle_inner, (True,), (theta, u0, m1, big_a, r0, 2.0 * r0, cg, ch)),)
 
-    def inner(t):
-        sn, cn, dn = jac(t)
-        q = big_a * sn * sn + cn * cn
-        return -r0 + 2.0 * r0 * cn * cn / q, cg * sn * cn / q, ch * dn / q
 
-    return inner
+def _outer_minus(t, rate, u0, m1, a, b, r0, cg, ch):
+    sn, cn, dn = _orbit(t, rate, u0, m1)
+    den = a + b * sn * sn
+    return r0 * (-a + b * sn * sn) / den, cg * sn / den, ch * cn * dn / den
+
+
+def _outer_plus(t, rate, u0, m1, a, b, two_kap, kap, eta, cg, ch):
+    sn, cn, dn = _orbit(t, rate, u0, m1)
+    den = a * cn * cn + two_kap * sn * sn  # a - b sn^2
+    return -eta + kap * (a + b * sn * sn) / den, -cg * cn * dn / den, ch * sn / den
+
+
+def _middle_inner(t, inner, rate, u0, m1, big_a, r0, two_r0, cg, ch):
+    """The middle form (D from dn^2), or with inner the inner one (from cn^2)."""
+    sn, cn, dn = _orbit(t, rate, u0, m1)
+    q = big_a * sn * sn + cn * cn
+    x, y = (cn, dn) if inner else (dn, cn)
+    return -r0 + two_r0 * x * x / q, cg * sn * x / q, ch * y / q
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +530,14 @@ def solve_case(params, rho: float, s0) -> ClosedFormSolution:
 
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
     if np.linalg.norm(qqq_rhs(params, rho, s0)) <= 1e-13 * rho * rho * pscale:
-        branch, constants, fn = "fixed-point", {}, _constant(*s0)
+        branch, constants, formula = "fixed-point", {}, _constant(*s0)
     else:
-        branch, constants, fn = _CASE_BUILDERS[case_id.case](params, rho, s0, case_id)
+        branch, constants, formula = _CASE_BUILDERS[case_id.case](params, rho, s0, case_id)
     if log.isEnabledFor(logging.DEBUG):
         consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
         log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
                   case_id.case, case_id.subcase or "-", branch, consts)
-    return ClosedFormSolution(case_id, branch, constants, rho, s0, fn)
+    return ClosedFormSolution(case_id, branch, constants, rho, s0, formula)
 
 
 def _case1_5(params, rho, s0, case_id):
@@ -504,20 +549,16 @@ def _case1_5(params, rho, s0, case_id):
     phase0 = math.atan2(r0, d0)
     la, lb = math.log(rho - i0), math.log(rho + i0)
     ratio = p2 / p1
+    consts = (2.0 * p1 * rho, tau0, phase0, ratio, la, lb, math.log(2.0 * rho), rho)
+    return ("rotating-collapse" if p2 else "collapse"), {"tau0": tau0, "phase0": phase0}, \
+        ((_collapse, (ratio != 0.0,), consts),)
 
-    def fn(t):
-        arg = 2.0 * p1 * rho * t - tau0
-        sech = 1.0 / np.cosh(arg)
-        if ratio == 0.0:
-            phase = phase0
-        else:
-            phase = phase0 + ratio * (
-                np.logaddexp(la + 2.0 * p1 * rho * t, lb - 2.0 * p1 * rho * t)
-                - math.log(2.0 * rho)
-            )
-        return rho * np.cos(phase) * sech, rho * np.sin(phase) * sech, -rho * np.tanh(arg)
 
-    return ("rotating-collapse" if p2 else "collapse"), {"tau0": tau0, "phase0": phase0}, fn
+def _collapse(t, rotating, k, tau0, phase0, ratio, la, lb, log_2rho, rho):
+    arg = k * t - tau0
+    sech = 1.0 / np.cosh(arg)
+    phase = phase0 + ratio * (np.logaddexp(la + k * t, lb - k * t) - log_2rho) if rotating else phase0
+    return rho * np.cos(phase) * sech, rho * np.sin(phase) * sech, -rho * np.tanh(arg)
 
 
 def _rotation(i, j, rate):
@@ -529,18 +570,18 @@ def _rotation(i, j, rate):
 
     def build(params, rho, s0, case_id):
         w = rate(params, rho, s0)
-
-        def fn(t):
-            ang = w * t
-            c, s = np.cos(ang), np.sin(ang)
-            out = [s0[k] * np.ones_like(ang) for k in range(3)]
-            out[i] = s0[i] * c - s0[j] * s
-            out[j] = s0[i] * s + s0[j] * c
-            return tuple(out)
-
-        return "rotation", {"rate": w}, fn
+        return "rotation", {"rate": w}, ((_rotate, (i, j), (w, *s0)),)
 
     return build
+
+
+def _rotate(t, i, j, w, *s0):
+    ang = w * t
+    c, s = np.cos(ang), np.sin(ang)
+    out = [x * np.ones_like(ang) for x in s0]
+    out[i] = s0[i] * c - s0[j] * s
+    out[j] = s0[i] * s + s0[j] * c
+    return tuple(out)
 
 
 def _case3(params, rho, s0, case_id):
@@ -548,8 +589,8 @@ def _case3(params, rho, s0, case_id):
     d0, r0, i0 = s0
     k = math.sqrt(8.0) * p3
     gap = 8.0 * p3 * p3 * (abs(d0) - abs(r0)) * (abs(d0) + abs(r0))
-    sol, constants = _lemma1(2.0 * p3 * i0, k * r0, k * d0, gap)
-    return "lemma1", constants, _mapped(sol, lambda f, g, h: (h / k, g / k, f / (2.0 * p3)))
+    formula, constants = _lemma1(2.0 * p3 * i0, k * r0, k * d0, gap)
+    return "lemma1", constants, formula + _back((2, 1, 0), 2.0 * p3, 0.0, 1.0, k, 0.0, 1.0, k, 0.0, 1.0)
 
 
 def _case6(params, rho, s0, case_id):
@@ -560,12 +601,13 @@ def _case6(params, rho, s0, case_id):
     c2 = -2.0 * rho * mu * (r0 - mu * rho)
     c3 = (p1 - p4) * (p1 + p4) * rho * rho / (p1 * p1)
     branch = "p1>p4" if c3 > 0.0 else "p1<p4" if c3 < 0.0 else "p1=p4"
+    consts = (c3, 2.0 * p1, i0, c1, d0, r0 - mu * rho, mu * rho)
+    return branch, {"C1": c1, "C2": c2, "C3": c3}, ((_case6_fn, (), consts),)
 
-    def fn(t):
-        e, i = _ent(c3, 2.0 * p1 * t, i0, c1)
-        return e * d0, e * (r0 - mu * rho) + mu * rho, i
 
-    return branch, {"C1": c1, "C2": c2, "C3": c3}, fn
+def _case6_fn(t, c3, two_p1, i0, c1, d0, r_off, mu_rho):
+    e, i = _ent(c3, two_p1 * t, i0, c1)
+    return e * d0, e * r_off + mu_rho, i
 
 
 def _case7(params, rho, s0, case_id):
@@ -581,20 +623,19 @@ def _case7(params, rho, s0, case_id):
     # state: rounded products lose 1 - m next to the separatrix
     _, ga, ha = perm
     gap = float(c_sq[ha] * Fraction(s0[ha]) ** 2 - c_sq[ga] * Fraction(s0[ga]) ** 2)
-    sol, constants = _lemma1(*(k * s0[i] for k, i in zip(scale, perm)), gap)
-    inverse = [perm.index(i) for i in range(3)]
-    return "lemma1", constants, _mapped(sol, lambda *fgh: tuple(fgh[j] / scale[j] for j in inverse))
+    formula, constants = _lemma1(*(k * s0[i] for k, i in zip(scale, perm)), gap)
+    inverse = tuple(perm.index(i) for i in range(3))
+    return "lemma1", constants, formula + _back(inverse, *(v for a in scale for v in (a, 0.0, 1.0)))
 
 
 def _case8(params, rho, s0, case_id):
     p2, p4 = params.p2, params.p4
     d0, r0, i0 = s0
-    sol, constants = _lemma2(
+    formula, constants = _lemma2(
         4.0 * p2 * p4 * rho * r0, 4.0 * p4 * rho * (p2 * d0 + p4 * rho), -2.0 * p2 * i0
     )
-    return "lemma2", constants, _mapped(
-        sol, lambda f, g, h: ((g / (4.0 * p4 * rho) - p4 * rho) / p2, f / (4.0 * p2 * p4 * rho), -h / (2.0 * p2))
-    )
+    return "lemma2", constants, formula + _back(
+        (1, 0, 2), 4.0 * p2 * p4 * rho, 0.0, 1.0, 4.0 * p4 * rho, p4 * rho, p2, -2.0 * p2, 0.0, 1.0)
 
 
 def _case9(params, rho, s0, case_id):
@@ -602,10 +643,9 @@ def _case9(params, rho, s0, case_id):
     d0, r0, i0 = s0
     rt2 = math.sqrt(2.0)
     eta = rt2 * p4 * rho
-    sol = solve_lemma3(eta, 2.0 * rt2 * (p3 * d0 + 0.5 * p4 * rho), 2.0 * p3 * i0, 2.0 * rt2 * p3 * r0)
-    return "lemma3", {"eta": eta}, _mapped(
-        sol, lambda f, g, h: ((f / (2.0 * rt2) - 0.5 * p4 * rho) / p3, h / (2.0 * rt2 * p3), g / (2.0 * p3))
-    )
+    formula = _lemma3(eta, 2.0 * rt2 * (p3 * d0 + 0.5 * p4 * rho), 2.0 * p3 * i0, 2.0 * rt2 * p3 * r0)
+    return "lemma3", {"eta": eta}, formula + _back(
+        (0, 2, 1), 2.0 * rt2, 0.5 * p4 * rho, p3, 2.0 * p3, 0.0, 1.0, 2.0 * rt2 * p3, 0.0, 1.0)
 
 
 def _case10(params, rho, s0, case_id):
@@ -613,12 +653,10 @@ def _case10(params, rho, s0, case_id):
     d0, r0, i0 = s0
     rt2 = math.sqrt(2.0)
     eta = rt2 * p5 * rho
-    sol = solve_lemma3(
-        eta, -2.0 * rt2 * (p3 * r0 - 0.5 * p5 * rho), -2.0 * p3 * i0, 2.0 * rt2 * p3 * d0
-    )
-    return "lemma3", {"eta": eta}, _mapped(
-        sol, lambda f, g, h: (h / (2.0 * rt2 * p3), (0.5 * p5 * rho - f / (2.0 * rt2)) / p3, -g / (2.0 * p3))
-    )
+    formula = _lemma3(eta, -2.0 * rt2 * (p3 * r0 - 0.5 * p5 * rho), -2.0 * p3 * i0, 2.0 * rt2 * p3 * d0)
+    # x / -a - -b = b - x / a and x / -a = -x / a, bit for bit
+    return "lemma3", {"eta": eta}, formula + _back(
+        (2, 0, 1), -2.0 * rt2, -0.5 * p5 * rho, p3, -2.0 * p3, 0.0, 1.0, 2.0 * rt2 * p3, 0.0, 1.0)
 
 
 def _case11(params, rho, s0, case_id):
@@ -639,13 +677,14 @@ def _case11_balanced(params, rho, s0):
     tau0 = -math.asinh(i0 / math.sqrt(c_plus))
     amp = big_l / math.sqrt(c_plus)
     mean, half = 0.5 * (d0 + r0), 0.5 * (d0 - r0)
+    consts = (4.0 * p1 * big_l, tau0, amp, mean, half, big_l)
+    return "ratio=1", {"L": big_l, "tau0": tau0}, ((_balanced, (), consts),)
 
-    def fn(t):
-        arg = 4.0 * p1 * big_l * t + tau0
-        s = amp / np.cosh(arg)
-        return mean + half * s, mean - half * s, -big_l * np.tanh(arg)
 
-    return "ratio=1", {"L": big_l, "tau0": tau0}, fn
+def _balanced(t, w, tau0, amp, mean, half, big_l):
+    arg = w * t + tau0
+    s = amp / np.cosh(arg)
+    return mean + half * s, mean - half * s, -big_l * np.tanh(arg)
 
 
 def _case11_dominant(params, rho, s0):
@@ -654,15 +693,16 @@ def _case11_dominant(params, rho, s0):
     w_big = math.sqrt(8.0 * rho * rho * (d0 - r0) ** 2 + (d0 + r0) ** 4)
     tau0 = -math.asinh(4.0 * rho * i0 / w_big)
     mean, half = 0.5 * (d0 + r0), 0.5 * (d0 - r0)
+    consts = (8.0 * p3 * rho, tau0, w_big, (d0 + r0) ** 2, 4.0 * rho * rho, 2.0 * rho, mean, half, -rho * w_big)
+    return "ratio=3", {"W": w_big, "tau0": tau0}, ((_dominant, (), consts),)
 
-    def fn(t):
-        arg = 8.0 * p3 * rho * t + tau0
-        den = w_big * np.cosh(arg) + (d0 + r0) ** 2
-        e4 = 4.0 * rho * rho / den
-        e2 = 2.0 * rho / np.sqrt(den)
-        return mean * e2 + half * e4, mean * e2 - half * e4, -rho * w_big * np.sinh(arg) / den
 
-    return "ratio=3", {"W": w_big, "tau0": tau0}, fn
+def _dominant(t, w, tau0, w_big, x_sq, four_rho_sq, two_rho, mean, half, c_i):
+    arg = w * t + tau0
+    den = w_big * np.cosh(arg) + x_sq
+    e4 = four_rho_sq / den
+    e2 = two_rho / np.sqrt(den)
+    return mean * e2 + half * e4, mean * e2 - half * e4, c_i * np.sinh(arg) / den
 
 
 def _case11_recessive(params, rho, s0):
@@ -674,13 +714,8 @@ def _case11_recessive(params, rho, s0):
     if c_minus == 0.0:
         # the invariant plane D = -R: collapse onto the lower pole
         tau0 = math.atanh(i0 / rho)
-
-        def fn_diag(t):
-            arg = (8.0 / 3.0) * p3 * rho * t - tau0
-            d = math.copysign(1.0, d0) * rho / (math.sqrt(2.0) * np.cosh(arg))
-            return d, -d, -rho * np.tanh(arg)
-
-        return "ratio=1/3 diag-", {"tau0": tau0}, fn_diag
+        consts = ((8.0 / 3.0) * p3 * rho, tau0, math.copysign(1.0, d0) * rho, math.sqrt(2.0), rho)
+        return "ratio=1/3 diag-", {"tau0": tau0}, ((_diag, (), consts),)
 
     # a < 0 <= b <= g solve v^3 - rho^2 v + c- sigma = 0: a and g by the
     # trigonometric method with a Newton step each, b by Vieta (no cancellation
@@ -709,14 +744,21 @@ def _case11_recessive(params, rho, s0):
     t0 = el.invert_sn_cn(math.copysign(sn0 / norm, i0), cn0 / norm, m, m1=m1)
     amp_x = math.copysign(math.sqrt(0.5 * (rho - b) * (rho + b)), d0 + r0)
     half_y = 0.5 * (d0 - r0) * beta
+    consts = (theta, t0, m, m1, nu, amp_x, half_y, rate * (1.0 - nu))
+    return "ratio=1/3 general", {"a": a, "b": b, "g": g, "m": m, "m1": m1, "t0": t0}, ((_recessive, (), consts),)
 
-    def fn(t):
-        sn, cn, dn = el.jacobi_sn_cn_dn(theta * t + t0, m, m1=m1)
-        q = cn * cn + nu * sn * sn
-        x, y = amp_x * np.sqrt(q), half_y / q
-        return x + y, x - y, rate * (1.0 - nu) * sn * cn * dn / q
 
-    return "ratio=1/3 general", {"a": a, "b": b, "g": g, "m": m, "m1": m1, "t0": t0}, fn
+def _diag(t, w, tau0, amp, rt2, rho):
+    arg = w * t - tau0
+    d = amp / (rt2 * np.cosh(arg))
+    return d, -d, -rho * np.tanh(arg)
+
+
+def _recessive(t, rate, u0, m, m1, nu, amp_x, half_y, c_i):
+    sn, cn, dn = el.jacobi_sn_cn_dn(rate * t + u0, m, m1=m1)
+    q = cn * cn + nu * sn * sn
+    x, y = amp_x * np.sqrt(q), half_y / q
+    return x + y, x - y, c_i * sn * cn * dn / q
 
 
 def _case14_15(params, rho, s0, case_id):
@@ -733,13 +775,15 @@ def _case14_15(params, rho, s0, case_id):
     cap = (1.0 - (p4 / (2.0 * p3 * cos_t)) ** 2) * rho * rho if with_p4 else rho * rho
     disc = cap - x0 * x0
     side = "below" if disc > 0.0 else "above" if disc < 0.0 else "at"
+    consts = (disc, 4.0 * p1, i0, y0 * y0, y0, sin_t, cos_t, x0, (cx + cy) * rho, (cx - cy) * rho)
+    return f"|X| {side} threshold", {"Theta": theta_ang, "X": x0, "Y": y0, "threshold": cap}, \
+        ((_case14_15_fn, (), consts),)
 
-    def fn(t):
-        e, i = _ent(disc, 4.0 * p1 * t, i0, y0 * y0)
-        y = y0 * e
-        return sin_t * (x0 - y - (cx + cy) * rho), cos_t * (x0 + y - (cx - cy) * rho), i
 
-    return f"|X| {side} threshold", {"Theta": theta_ang, "X": x0, "Y": y0, "threshold": cap}, fn
+def _case14_15_fn(t, disc, four_p1, i0, y0_sq, y0, sin_t, cos_t, x0, c_d, c_r):
+    e, i = _ent(disc, four_p1 * t, i0, y0_sq)
+    y = y0 * e
+    return sin_t * (x0 - y - c_d), cos_t * (x0 + y - c_r), i
 
 
 _CASE_BUILDERS = {

@@ -6,6 +6,8 @@ for every ``0 <= m < 1`` up to ``m1 = 1 - m`` of one ulp.  Near m = 1 the
 period K ~ log(4 / sqrt(m1)) rests on digits of m1 that m has lost, so
 ``jacobi_sn_cn_dn``, ``incomplete_F`` and ``invert_sn_cn`` take m1 as a
 keyword (1 - m by default), and dn = sqrt(m1 + m cn**2) does not cancel.
+``jacobi_sn_cn_dn`` also takes arrays of m and m1, each element reading the
+chain of its own pair.
 At ``m = 0`` the functions are trigonometric; only ``m1 = 0`` takes the
 hyperbolic forms (tanh, sech, the Gudermannian and its inverse).  Within
 K/2 of an odd multiple of K, ``jacobi_sn_cn_dn`` and ``invert_sn_cn`` work
@@ -22,6 +24,7 @@ monotone inverse of the incomplete integral, not a principal value, so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +104,10 @@ class _AGMChain:
             self.b.append(bn)
             self.c.append(cn)
         self.K = math.pi / (2.0 * self.a[self.k_top])
+        # the phase recursion's start and ratios, and the elements' top levels
+        self.scale = (2.0**self.phase_top) * self.a[self.phase_top]
+        self.ratio = [c / a for a, c in zip(self.a, self.c)]
+        self.tops = (self.phase_top, self.phase_top)
 
     def reduced(self, u: np.ndarray):
         """u reduced modulo 4K into [-2K, 2K], and the number of periods removed."""
@@ -109,11 +116,11 @@ class _AGMChain:
 
     def amplitude(self, t: np.ndarray):
         """am(t, m) for t in [-2K, 2K], by the descending phase recursion."""
-        a, c, top = self.a, self.c, self.phase_top
-        phi = (2.0**top) * a[top] * t
-        for n in range(top, 0, -1):  # minimum(maximum()) clips in half np.clip's time
-            s = np.minimum(np.maximum(c[n] / a[n] * np.sin(phi), -1.0), 1.0)
-            phi = 0.5 * (phi + np.arcsin(s))
+        phi, (lowest, highest) = self.scale * t, self.tops
+        for n in range(highest, 0, -1):  # minimum(maximum()) clips in half np.clip's time
+            s = np.minimum(np.maximum(self.ratio[n] * np.sin(phi), -1.0), 1.0)
+            step = 0.5 * (phi + np.arcsin(s))
+            phi = step if n <= lowest else np.where(n <= self.phase_top, step, phi)
         return phi
 
     def incomplete_F(self, phi: np.ndarray) -> np.ndarray:
@@ -126,17 +133,52 @@ class _AGMChain:
         return phi / ((2.0**top) * a[top]) + 2.0 * n * (math.pi / (2.0 * a[top]))
 
 
-def _checked(x, m: float, m1, name: str):
+# one chain per parameter pair: a closed form's points meet the same pair in
+# the inversion of their start and in every evaluation
+_chain = functools.lru_cache(maxsize=4096)(_AGMChain)
+
+
+class _Chains(_AGMChain):
+    """The AGM chains of arrays of (m, m1): K, the phase recursion's start,
+    ratios and top level are arrays, each element's from the chain of its
+    own pair.  Each run of equal pairs is checked by _check_m and reads one
+    chain; pairs with m1 = 0 (``hyperbolic``) read m = 0's as a placeholder."""
+
+    def __init__(self, m: np.ndarray, m1: np.ndarray):
+        flat, flat1 = m.ravel(), m1.ravel()
+        new = np.flatnonzero(np.concatenate([[True], (flat[1:] != flat[:-1]) | (flat1[1:] != flat1[:-1])]))
+        pairs = [_check_m(a, b) for a, b in zip(flat[new].tolist(), flat1[new].tolist())]
+        self.hyperbolic = [b == 0.0 for _, b in pairs]
+        chains = [_chain(0.0, 1.0) if hyp else _chain(*pair) for pair, hyp in zip(pairs, self.hyperbolic)]
+        self.tops = (min(ch.phase_top for ch in chains), max(ch.phase_top for ch in chains))
+        # one row per attribute and level, spread over the elements of each run
+        table = np.repeat([[ch.K for ch in chains], [ch.scale for ch in chains], [ch.phase_top for ch in chains]]
+                          + [[ch.ratio[n] if n < len(ch.ratio) else 0.0 for ch in chains]
+                             for n in range(1, self.tops[1] + 1)], np.diff(np.append(new, flat.size)), axis=1)
+        self.K, self.scale, self.phase_top, *ratio = table.reshape(-1, *m.shape)
+        self.ratio = [None, *ratio]
+
+
+def _checked(x, m: float, m1, name: str, per_element: bool = False):
     """Input contract of the Jacobi functions and F.
 
     Returns m, m1, x as an array and the AGM chain, or None in place of the
-    chain for m1 = 0, where the hyperbolic forms are used.
+    chain for m1 = 0, where the hyperbolic forms are used.  With
+    per_element, m and m1 may be arrays: they are broadcast against x, the
+    first pair that fails raises its own error, and the chain is _Chains.
     """
-    m, m1 = _check_m(m, m1)
     x = np.asarray(x, dtype=float)
+    if per_element and (np.ndim(m) or np.ndim(m1)):
+        m = np.asarray(m, dtype=float)
+        x, m, m1 = np.broadcast_arrays(x, m, 1.0 - m if m1 is None else np.asarray(m1, dtype=float))
+        chain = _Chains(m, m1)
+        chain = None if all(chain.hyperbolic) else chain
+    else:
+        m, m1 = _check_m(m, m1)
+        chain = None if m1 == 0.0 else _chain(m, m1)
     if not np.isfinite(x).all():
         raise EllipticDomainError(f"argument {name} must be finite")
-    return m, m1, x, (None if m1 == 0.0 else _AGMChain(m, m1))
+    return m, m1, x, chain
 
 
 def _clamped(fn, name: str, x):
@@ -167,7 +209,7 @@ def complete_K(m: float) -> float:
     increasing in m with K(0) = pi/2; the limit m -> 1 diverges, so m = 1 is
     rejected.
     """
-    return _AGMChain(*_check_m(m, allow_one=False)).K
+    return _chain(*_check_m(m, allow_one=False)).K
 
 
 def jacobi_sn_cn_dn(u, m: float, *, m1: float | None = None):
@@ -175,9 +217,11 @@ def jacobi_sn_cn_dn(u, m: float, *, m1: float | None = None):
 
     The argument is reduced modulo the real period 4K(m) before the AGM
     phase recursion, so accuracy does not degrade for large |u|.  m1 is
-    1 - m without the rounding of m (by default 1 - m).
+    1 - m without the rounding of m (by default 1 - m).  m and m1 may be
+    arrays broadcast against u: each element gets the bits of a call with
+    its own (m, m1), hyperbolic forms included, so one call serves many.
     """
-    m, m1, u, chain = _checked(u, m, m1, "u")
+    m, m1, u, chain = _checked(u, m, m1, "u", per_element=True)
     if chain is None:
         cn = 1.0 / np.cosh(u)
         return np.tanh(u), cn, cn.copy()
@@ -187,8 +231,12 @@ def jacobi_sn_cn_dn(u, m: float, *, m1: float | None = None):
     phi = chain.amplitude(np.where(near, x, t))
     sn, cn = np.sin(phi), np.cos(phi)
     dn = np.sqrt(m1 + m * cn * cn)
-    kp = math.sqrt(m1)  # sn(K + x) = cd x, cn(K + x) = -k' sd x, dn(K + x) = k' nd x
-    return tuple(np.where(near, (np.copysign(cn / dn, t), -kp * sn / dn, kp / dn), (sn, cn, dn)))
+    kp = np.sqrt(m1)  # sn(K + x) = cd x, cn(K + x) = -k' sd x, dn(K + x) = k' nd x
+    out = np.where(near, (np.copysign(cn / dn, t), -kp * sn / dn, kp / dn), (sn, cn, dn))
+    if np.ndim(m1) and any(chain.hyperbolic):  # the elements with m1 = 0
+        cn = 1.0 / np.cosh(u)
+        out = np.where(m1 == 0.0, (np.tanh(u), cn, cn), out)
+    return tuple(out)
 
 
 def jacobi(u: float, m: float) -> JacobiValues:
@@ -237,7 +285,7 @@ def invert_sn_cn(sn_val: float, cn_val: float, m: float, *, m1: float | None = N
     phi = math.atan2(sn_val / r, cn_val / r)
     if m1 == 0.0:
         return float(incomplete_F(phi, m, m1=m1))
-    chain, kp = _AGMChain(m, m1), math.sqrt(m1)
+    chain, kp = _chain(m, m1), math.sqrt(m1)
     if abs(cn_val) < math.sqrt(kp) * abs(sn_val):
         # u within K/2 of +-K, where cn / sn = k' sd x / cd x = k' sc x at
         # u = +-(K -+ x): x = F(atan2(|cn|, k' |sn|)) keeps cn's digits

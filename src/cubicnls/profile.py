@@ -96,7 +96,7 @@ def _prefactor(t: float, x: float) -> complex:
 
 
 def _flow_jobs(params, a0, tau: float):
-    """The phase-integral jobs of advancing a0 by tau (see _flow) and the
+    """The phase-integral jobs of advancing a0 by tau (see _flows) and the
     function that builds the pair from their results."""
     if tau == 0.0 or (a0[0] == 0 and a0[1] == 0):
         return [], lambda _: a0
@@ -118,13 +118,16 @@ def _flow_jobs(params, a0, tau: float):
                 return oracle()
 
         return jobs, pair_or_oracle
-    return _reconstruct_jobs(a0, cf.eval, rho, tau)
+    return _reconstruct_jobs(a0, cf, rho, tau)
 
 
 def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
-    """The pairs of the iterable a0s advanced by tau as _flow gives them, all
-    phase integrals in one refinement loop; the first failing point raises
-    what _flow raises for it."""
+    """The amplitude pairs of the iterable a0s advanced by tau, all phase
+    integrals in one refinement loop: closed form + reconstruction when the
+    parameters are catalogued, the sigma-reduction otherwise, and the RK45
+    oracle of the full flow where the reduction declines (a separatrix, or
+    a time rule short of its target; logged at debug level with the
+    reason).  The first failing point raises its own error."""
     points, failed = [], None
     try:
         for a0 in a0s:
@@ -139,21 +142,22 @@ def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
 
 
 def _flow(params, a0: tuple[complex, complex], tau: float) -> tuple[complex, complex]:
-    """Amplitude pair advanced by tau: closed form + reconstruction when the
-    parameters are catalogued, the sigma-reduction otherwise, and the RK45
-    oracle of the full flow where the reduction declines (a separatrix, or
-    a time rule short of its target; logged at debug level with the reason)."""
+    """Amplitude pair advanced by tau (see _flows)."""
     return _flows(params, [a0], tau)[0]
 
 
 def uapp(params, fd: FinalData, t: float, x):
     """The approximate solution pair at (t, x) for finite t != 0; for a 1-D
     array x, two complex arrays, bit for bit the calls at each x in turn
-    (the first failing one raises), with one phase-integral loop for all."""
+    (the first failing one raises), with one phase-integral loop for all,
+    and one source call a level for the points of one closed-form formula.
+    An x of more dimensions raises ValueError."""
     if not math.isfinite(t):
         raise ValueError(f"the profile is defined for finite t, got {t}")
     if t == 0.0:
         raise ValueError("the profile is defined for t != 0")
+    if np.ndim(x) > 1:
+        raise ValueError(f"the profile takes a number or a 1-D array x, got an array of shape {np.shape(x)}")
     xs = [x] if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
     pairs = _flows(params, (fd.interp(v / (2.0 * t)) for v in xs), tau)

@@ -19,9 +19,10 @@ wide in tau.  A panel is bisected while its chart's weight falls below
 rho/2 at one of its nodes, and panels are bisected until the estimates
 |K15 - G7| sum to at most 1e-11 absolute.  One refinement loop serves a
 list of integrals, such as those of every point of a profile grid: each
-level calls each pending integral's source once, on the nodes and far
-edges of its panels (and at the first level on its two ends), and
-evaluates the rate at all their nodes in one array pass.  A non-finite
+level evaluates the sources on the nodes and far edges of the pending
+panels (and at the first level on each integral's two ends), with one
+call for all the closed forms of one formula and one per other source,
+and does the rest of the level in array passes over all panels.  A non-finite
 integrand value, or a rule that does not get there within a fixed number
 of levels and panels, raises PhaseIntegralError.  Each ``reconstruct``
 logs the chart switches, panels, levels and summed error estimate at
@@ -35,6 +36,7 @@ import math
 
 import numpy as np
 
+from .closed_form import ClosedFormSolution, _stacked
 from .quadratic_flow import Trajectory, amplitudes_to_quad, full_ode_rhs, qqq_rhs
 
 __all__ = [
@@ -205,10 +207,14 @@ def _phases(params, jobs):
     |K15 - G7| of all its panels sum to at most _PHASE_TOL; otherwise the
     level accepts each panel that keeps its weight and whose estimate is
     within its width's share of _PHASE_TOL, and bisects the others.  Each
-    level calls each pending job's source once, on its panels' 15 nodes and
-    far edges and, at level 1, on 0 (where it must match s0 within 1e-8,
-    unless s0 is None) and span.  A fourth source column, dtau/du, weights
-    the integrand: the variable is then an orbit parameter u.
+    level evaluates the sources on the pending panels' 15 nodes and far
+    edges and, at level 1, on 0 (where it must match s0 within 1e-8, unless
+    s0 is None) and span: one call for all the jobs of one closed-form
+    formula (closed_form._stacked; retried job by job if it raises), one
+    per job for any other source.  A fourth source column, dtau/du, weights
+    the integrand: the variable is then an orbit parameter u.  Panels are
+    kept job by job in one array; only the K15 and G7 products and the sums
+    run on each job's own slice, as over stacked jobs they round otherwise.
 
     Returns per job (integral, charts, states, summed error estimate,
     panels, levels), with the chart signs (+1 for N1, -1 for N2) of the runs
@@ -217,70 +223,137 @@ def _phases(params, jobs):
     a source that misses s0, or PhaseIntegralError on a non-finite integrand
     value, after _MAX_LEVELS levels or over _MAX_PANELS pending panels.
     """
-    out, pending = [None] * len(jobs), []
-    for k, (_, _, span, _) in enumerate(jobs):
-        edges = np.linspace(0.0, span, max(1, math.ceil(abs(span) / _PANEL_WIDTH)) + 1)
-        # job, pending panels' centres and half-widths, integral, error, accepted panels, end states
-        pending.append([k, 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), 0.0, 0.0, [], None])
-    for level in range(1, _MAX_LEVELS + 1):
-        calls = []
-        for job in pending:
-            (rho, src, span, s0), taus = jobs[job[0]], job[1][:, None] + job[2][:, None] * _GK_X
+    out, groups, loc = [None] * len(jobs), {}, np.zeros(len(jobs), dtype=int)
+    for k, (_, src, _, _) in enumerate(jobs):
+        groups.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
+    for ks in groups.values():
+        loc[ks] = np.arange(len(ks))  # each job's place in its group
+    groups = [(ks, _stacked([jobs[k][1] for k in ks]) if isinstance(jobs[ks[0]][1], ClosedFormSolution) else None)
+              for ks in groups.values()]
+    # the panels of np.linspace(0, span, n + 1), job by job: the pending
+    # jobs ks have cnt panels each, pj is the job of each panel
+    rho_j, span_j = (np.array([job[j] for job in jobs], dtype=float) for j in (0, 2))
+    ks = list(range(len(jobs)))
+    cnt = np.array([max(1, math.ceil(abs(span) / _PANEL_WIDTH)) for span in span_j.tolist()], dtype=int)
+    pj, i = np.repeat(np.arange(len(jobs)), cnt), np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    step = (span_j / cnt)[pj]
+    left, right = i * step + 0.0, np.where(i + 1 < cnt[pj], (i + 1) * step + 0.0, span_j[pj])
+    center, half = 0.5 * (right + left), 0.5 * (right - left)
+    with np.errstate(divide="ignore"):
+        share = _PHASE_TOL / np.abs(span_j) * 2.0
+    total, err, levels, width = (np.zeros(len(jobs), dtype=t) for t in (float, float, int, int))
+    ends, done, level, ends_q = np.ones((len(jobs), 2, 4)), [], 0, np.stack([np.zeros(len(jobs)), span_j], axis=1)
+    while ks:
+        level, stop = level + 1, np.cumsum(cnt)
+        seg = dict(zip(ks, zip((stop - cnt).tolist(), stop.tolist())))
+        taus, far = center[:, None] + half[:, None] * _GK_X, center + half
+        # the sources' rows at the panels' 15 nodes, component by component,
+        # and at their far edges; 1 past a source's columns
+        nodes, edge = np.ones((4, len(pj), 15)), np.ones((len(pj), 4))
+
+        def call(members, evaluate=None):
+            """One source call: the jobs of a stacked evaluate, or one job's own source."""
+            sel = (slice(None) if len(members) == len(ks) else slice(*seg[members[0]]) if len(members) == 1
+                   else np.repeat(np.isin(ks, members), cnt))
+            q = [taus[sel].ravel(), far[sel]] + ([ends_q[members].ravel()] if level == 1 else [])
             try:
-                s = np.asarray(src(np.concatenate([taus.ravel(), job[1] + job[2], [0.0, span] if level == 1 else []])),
-                               dtype=float)
-                job[6] = s[-2:] if level == 1 else job[6]
-                if level == 1 and s0 is not None and np.max(np.abs(s0 - s[-2, :3])) > 1e-8 * max(1.0, rho):
-                    raise ValueError(_INCONSISTENT)
+                if evaluate is None:
+                    s = np.asarray(jobs[members[0]][1](np.concatenate(q)), dtype=float)
+                else:
+                    at = loc[pj[sel]]
+                    index = [np.repeat(at, 15), at] + ([np.repeat(loc[members], 2)] if level == 1 else [])
+                    s = evaluate(np.concatenate(index), np.concatenate(q))
             except Exception as exc:  # the job's failure, for its caller to raise in its turn
-                out[job[0]] = exc
-                continue
-            calls.append((job, taus, s))
-        if not calls:
-            break
-        nodes = np.concatenate([s[: taus.size, :3].reshape(*taus.shape, 3) for _, taus, s in calls])
-        rho = np.repeat([jobs[job[0]][0] for job, _, _ in calls], [len(job[1]) for job, _, _ in calls])[:, None]
-        sign = np.where(nodes[:, 7:8, 0] >= 0.0, 1.0, -1.0)  # node 7 is the centre
-        f = _phase_rate(params, rho, nodes, sign) - v_rate(params, rho, nodes)
-        kept = np.all(rho + sign * nodes[..., 0] >= 0.5 * rho, axis=1)
-        pending, at = [], 0
-        for job, taus, s in calls:
-            k, center, half, total, err, done, ends = job
-            n, at = len(center), at + len(center)
-            fj, kj = f[at - n:at], kept[at - n:at]
-            if s.shape[-1] == 4:
-                fj = fj * s[: taus.size, 3].reshape(taus.shape)
-            if not np.all(np.isfinite(fj)):
-                out[k] = PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[~np.isfinite(fj)][0])!r}")
-                continue
+                if len(members) == 1:
+                    out[members[0]] = exc
+                else:  # retried job by job, so that each keeps its own exception
+                    for k in members:
+                        call([k])
+                return
+            n, c = len(q[1]), s.shape[-1]
+            width[members], nodes[:c, sel], edge[sel, :c] = c, s[: 15 * n].T.reshape(c, -1, 15), s[15 * n: 16 * n]
+            if level == 1:
+                ends[members, :, :c] = s[16 * n:].reshape(-1, 2, c)
+
+        pending = set(ks)
+        for members, evaluate in groups:
+            if members := [k for k in members if k in pending]:
+                call(members, evaluate)
+        checked = [k for k, job in enumerate(jobs) if job[3] is not None and out[k] is None] if level == 1 else []
+        if checked:
+            s0 = np.array([jobs[k][3] for k in checked], dtype=float)
+            miss = np.max(np.abs(s0 - ends[checked, 0, :3]), axis=1) > 1e-8 * np.maximum(1.0, rho_j[checked])
+            for k in np.array(checked)[miss].tolist():
+                out[k] = ValueError(_INCONSISTENT)
+        # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
+        chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
+        rho, sign = np.repeat(rho_j[ks], 15 * cnt).reshape(-1, 15), np.repeat(chart, 15).reshape(-1, 15)
+        states = nodes[:3].transpose(1, 2, 0)  # (panel, node, D R I), each component contiguous
+        f = _phase_rate(params, rho, states, sign) - v_rate(params, rho, states)
+        f = f * nodes[3] if 4 in width else f
+        finite = np.isfinite(f)
+        if not finite.all():
+            for j in np.flatnonzero(~finite.all(axis=1)).tolist():
+                if out[pj[j]] is None:  # the job's first non-finite value
+                    out[pj[j]] = PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[j][~finite[j]][0])!r}")
+            f[~finite] = 0.0  # the failed jobs' panels are let go below
+        first = stop - cnt
+        bounds = list(zip(ks, first.tolist(), stop.tolist()))
+        kept = np.logical_and.reduce(rho + sign * nodes[0] >= 0.5 * rho, axis=1)
+        kronrod, gauss = np.empty(len(pj)), np.empty(len(pj))
+        for _, a, b in bounds:
             # per job: a product over several jobs' stacked panels rounds differently
-            kronrod = half * (fj @ _K15_W)
-            diff = np.abs(kronrod - half * (fj @ _G7_W))
-            if kj.all() and err + float(np.sum(diff)) <= _PHASE_TOL:
-                ok = kj
-            else:
-                ok = kj & (diff <= _PHASE_TOL / abs(jobs[k][2]) * 2.0 * np.abs(half))
-            job[3], job[4] = total + float(np.sum(kronrod[ok])), err + float(np.sum(diff[ok]))
-            done.append(((center + half)[ok], sign[at - n:at, 0][ok], s[taus.size:taus.size + n][ok]))
-            if ok.all():
-                far, charts, states = (np.concatenate(c) for c in zip(*done))
-                order = np.argsort(np.abs(far))
-                charts, states = charts[order], states[order]
-                switch = np.flatnonzero(charts[1:] != charts[:-1])
-                out[k] = (job[3], charts[np.concatenate([[0], switch + 1])],
-                          np.concatenate([ends[:1], states[switch], ends[1:]]), job[4], len(far), level)
-                continue
-            center, half = center[~ok], 0.5 * half[~ok]
-            if 2 * len(center) <= _MAX_PANELS:
-                job[1:3] = center, half = np.concatenate([center - half, center + half]), np.tile(half, 2)
-                if level < _MAX_LEVELS:
-                    pending.append(job)
-                    continue
-            out[k] = PhaseIntegralError(
-                f"phase integral not within {_PHASE_TOL:g} after {level} levels ({len(center)} panels unresolved)"
-            )
-        if not pending:
+            kronrod[a:b], gauss[a:b] = f[a:b] @ _K15_W, f[a:b] @ _G7_W
+        kronrod = half * kronrod
+        diff = np.abs(kronrod - half * gauss)
+        # a job whose panels all keep their weights and whose estimates sum
+        # to at most _PHASE_TOL accepts them all; the sums run per job
+        finish = np.logical_and.reduceat(kept, first)
+        for j in np.flatnonzero(finish).tolist():
+            k, a, b = bounds[j]
+            d = np.add.reduce(diff[a:b])
+            finish[j] = err[k] + d <= _PHASE_TOL
+            if finish[j]:
+                total[k], err[k] = total[k] + np.add.reduce(kronrod[a:b]), err[k] + d
+        ok = kept & (np.repeat(finish, cnt) | (diff <= share[pj] * np.abs(half)))
+        if any(out[k] is not None for k in ks):  # a failed job's panels are let go
+            ok |= np.repeat([out[k] is not None for k in ks], cnt)
+        if not finish.all():
+            at, accepted_k, accepted_d = np.concatenate([[0], np.cumsum(ok)]), kronrod[ok], diff[ok]
+            for j in np.flatnonzero(~finish).tolist():
+                k, a, b = bounds[j]
+                total[k] += np.add.reduce(accepted_k[at[a]:at[b]])
+                err[k] += np.add.reduce(accepted_d[at[a]:at[b]])
+        if ok.all():
+            done.append((pj, far, chart, edge))
+            levels[ks] = level
             break
+        done.append((pj[ok], far[ok], chart[ok], edge[ok]))
+        unresolved = np.add.reduceat(~ok, first, dtype=int)
+        levels[np.array(ks)[unresolved == 0]] = level
+        over = (unresolved > 0) & ((2 * unresolved > _MAX_PANELS) | (level == _MAX_LEVELS))
+        for j in np.flatnonzero(over).tolist():
+            out[ks[j]] = PhaseIntegralError(
+                f"phase integral not within {_PHASE_TOL:g} after {level} levels ({unresolved[j]} panels unresolved)"
+            )
+        # bisect the rest: each job's left halves, then its right halves
+        rest, more = ~ok & ~np.repeat(over, cnt), (unresolved > 0) & ~over
+        jj, c, h = pj[rest], center[rest], 0.5 * half[rest]
+        order = np.argsort(np.concatenate([jj, jj]), kind="stable")
+        pj, center, half = np.concatenate([jj, jj])[order], np.concatenate([c - h, c + h])[order], np.tile(h, 2)[order]
+        ks, cnt = [k for k, go in zip(ks, more) if go], 2 * unresolved[more]
+    if done:
+        # each finished job's accepted panels in order of |far edge|: the
+        # charts of its runs and the far-edge rows where the chart changes
+        jd, fd, cd, sd = (np.concatenate(x) for x in zip(*done))
+        order = np.lexsort((np.abs(fd), jd))
+        jd, cd, sd = jd[order], cd[order], sd[order]
+        runs = np.flatnonzero(np.concatenate([[True], (jd[1:] != jd[:-1]) | (cd[1:] != cd[:-1])]))
+        runs_of, panels = np.searchsorted(jd[runs], np.arange(len(jobs) + 1)).tolist(), np.bincount(jd).tolist()
+        for k in (k for k in range(len(jobs)) if out[k] is None):
+            r, c = runs[runs_of[k]:runs_of[k + 1]], width[k]
+            states = np.concatenate([ends[k, :1, :c], sd[r[1:] - 1, :c], ends[k, 1:, :c]])
+            out[k] = (float(total[k]), cd[r], states, float(err[k]), panels[k], int(levels[k]))
     return out
 
 

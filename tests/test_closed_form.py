@@ -1,7 +1,9 @@
 """Classification, the three lemma solvers, and per-case closed forms vs oracle."""
 
+import functools
 import logging
 import math
+import zlib
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.integrate import solve_ivp
 
 from cubicnls.closed_form import (
     CaseId,
+    ClosedFormSolution,
     UnsupportedCaseError,
     UnsupportedRatioError,
     classify,
@@ -17,11 +20,15 @@ from cubicnls.closed_form import (
     solve_lemma1,
     solve_lemma2,
     solve_lemma3,
+    _lemma1,
+    _lemma2,
+    _lemma3,
+    _stacked,
 )
 from cubicnls.quadratic_flow import integrate_quad, qqq_rhs, random_sphere_states
 from cubicnls.standard_form import StandardParams, TrivialSystemError
 
-from helpers import closed_vs_oracle, std
+from helpers import branch_states, case_branch_plan, closed_vs_oracle, std
 
 
 def lemma_oracle(rhs, y0, span=(-5.0, 5.0), n=41):
@@ -782,3 +789,55 @@ class TestOneThirdPlanes:
         with mp.workdps(30):
             ref = _one_third_mp(3.0, s0, self.TAUS)
         assert np.max(np.abs(sol(self.TAUS) - ref)) <= (1e-10 if delta == 1e-14 else 1e-12)
+
+
+class TestGroupedEvaluation:
+    """closed_form._stacked: the solutions of one formula evaluated in one call,
+    each constant repeated over its own solution's taus, bit for bit what
+    each solution's own call returns, over seeded states of every catalogue
+    family and every branch of the builders."""
+
+    @staticmethod
+    @functools.cache
+    def solutions():
+        sols = []
+        for label, params, key, family in case_branch_plan():
+            for rho in (0.5, 2.0):
+                states = branch_states(params, rho, key, family, 2, seed=zlib.crc32(label.encode()))
+                sols += [solve_case(params, rho, s0) for s0 in states]
+        # pure p3 at |D| = |R| with R < 0 (lemma 1's sign flip at gap = 0) and
+        # at |D| < |R| (its swap)
+        for s0 in ((0.6, -0.6, math.sqrt(0.28)), (-0.6, -0.6, -math.sqrt(0.28)), (0.3, -0.8, math.sqrt(0.27))):
+            sols.append(solve_case(std(p3=1.1), 1.0, np.array(s0)))
+        # fixed points, and the lemmas' rest points
+        sols += [solve_case(std(p3=1.1), 1.0, np.array(s0)) for s0 in ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0))]
+        for formula in (_lemma1(0.0, 0.0, 0.5, 0.25)[0], _lemma2(0.0, 0.3, 0.0)[0], _lemma3(1.0, 0.4, 0.0, 0.0)):
+            sols.append(ClosedFormSolution(CaseId(0), "rest", {}, 1.0, np.zeros(3), formula))
+        return sols
+
+    def test_branches_covered(self):
+        sols = self.solutions()
+        stages = {tuple((fn.__name__, static) for fn, static, _ in sol._formula) for sol in sols}
+        heads = {s[0] for s in stages}
+        assert any(s[0][0] == "_lemma1_fgh" and s[1] == ("_permute", (0, 2, 1)) for s in stages)  # the swap
+        assert any(s[0][0] == "_lemma1_fgh" and [n for n, _ in s[1:3]] == ["_affine"] * 2 for s in stages)  # the flip
+        assert sum(sol.branch == "fixed-point" for sol in sols) >= 2 and ("_const", ()) in heads
+        assert {("_lemma3_k_positive_fgh", ()), ("_lemma3_k_zero_fgh", ()), ("_outer_plus", ()), ("_outer_minus", ()),
+                ("_middle_inner", (False,)), ("_middle_inner", (True,)), ("_diag", ()), ("_recessive", ())} <= heads
+        sides = {(sol.case_id.case, float(np.sign(sol._formula[0][2][0]))) for sol in sols
+                 if sol._formula[0][0].__name__ in ("_case6_fn", "_case14_15_fn")}
+        assert {(6, -1.0), (6, 0.0), (6, 1.0), (14, -1.0), (14, 1.0), (15, -1.0), (15, 1.0)} <= sides
+
+    def test_bits_of_each_solution(self):
+        groups = {}
+        for sol in self.solutions():
+            groups.setdefault(sol._key, []).append(sol)
+        rng = np.random.default_rng(5)
+        for members in groups.values():
+            taus = [rng.uniform(-6.0, 6.0, rng.integers(1, 40)) / sol.rho for sol in members]
+            order = rng.permutation(sum(len(t) for t in taus))
+            index = np.repeat(np.arange(len(members)), [len(t) for t in taus])[order]
+            tau = np.concatenate(taus)[order]
+            got = _stacked(members)(index, tau)
+            for j, sol in enumerate(members):
+                assert np.array_equal(got[index == j].view(np.uint64), sol(tau[index == j]).view(np.uint64)), sol.branch

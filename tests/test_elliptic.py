@@ -454,3 +454,56 @@ class TestQuarterPeriodReflection:
             _, cn_back, _ = el.jacobi_sn_cn_dn(u, 1.0 - m1, m1=m1)
             slope = abs(mp.ellipfun("sn", exact, m=m_ref) * mp.ellipfun("dn", exact, m=m_ref))
             assert abs(cn_back - cn) <= 1e-10 * abs(cn) + float(slope) * math.ulp(u)
+
+
+class TestArrayParameter:
+    """m and m1 as arrays broadcast against u: each element gets the bits of a
+    call with its own (m, m1) alone, and a single bad element raises."""
+
+    @staticmethod
+    def elements(seed=0):
+        """(u, m, m1): seeded m, m = 0, m1 = 0, m1 = 1e-16, arguments within
+        K/2 of an odd K and |u| up to 8K, in runs of equal parameters and
+        element by element."""
+        rng = np.random.default_rng(seed)
+        m1 = np.concatenate([rng.uniform(0.0, 1.0, 12), 10.0 ** rng.uniform(-16.0, -1.0, 6), [1.0, 0.0, 1e-16]])
+        m = 1.0 - m1
+        k = np.array([el.complete_K(a) if b > 0.0 else 1.0 for a, b in zip(np.minimum(m, 1.0 - 2.0**-53), m1)])
+        odd = 2 * rng.integers(-4, 4, m.size) + 1
+        u = np.stack([rng.uniform(-8.0, 8.0, m.size) * k, (odd + rng.uniform(-0.5, 0.5, m.size)) * k,
+                      rng.uniform(-40.0, 40.0, m.size), np.zeros(m.size)], axis=1)
+        u[m1 == 0.0, :2] = rng.uniform(-30.0, 30.0, (1, 2))
+        runs = np.repeat(np.arange(m.size), u.shape[1])
+        shuffled = rng.permutation(runs.size)
+        return [(u.ravel(), m[runs], m1[runs]), (u.ravel()[shuffled], m[runs][shuffled], m1[runs][shuffled])]
+
+    @pytest.mark.parametrize("layout", [0, 1], ids=["runs", "mixed"])
+    def test_bits_of_one_call_per_element(self, layout):
+        u, m, m1 = self.elements()[layout]
+        got = el.jacobi_sn_cn_dn(u, m, m1=m1)
+        for j in range(u.size):
+            want = el.jacobi_sn_cn_dn(u[j], float(m[j]), m1=float(m1[j]))
+            assert [float(g[j]) for g in got] == [float(w) for w in want], (u[j], m[j], m1[j])
+            assert all(np.signbit(g[j]) == np.signbit(w) for g, w in zip(got, want))
+
+    def test_broadcast_and_default_m1(self):
+        u = np.linspace(-6.0, 6.0, 7)
+        m = np.array([[0.0], [0.3], [0.9]])
+        sn, cn, dn = el.jacobi_sn_cn_dn(u, m)
+        assert sn.shape == cn.shape == dn.shape == (3, 7)
+        for i, row in enumerate(m[:, 0]):
+            for got, want in zip((sn, cn, dn), el.jacobi_sn_cn_dn(u, float(row))):
+                assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize("bad", ["m", "m1", "u"])
+    def test_one_bad_element_raises(self, bad):
+        u, m, m1 = (x.copy() for x in self.elements()[0])
+        j = u.size // 2
+        if bad == "m":
+            m[j], m1[j] = 1.5, -0.5
+        elif bad == "m1":
+            m1[j] = m1[j] + 1e-9
+        else:
+            u[j] = math.nan
+        with pytest.raises(el.EllipticDomainError):
+            el.jacobi_sn_cn_dn(u, m, m1=m1)

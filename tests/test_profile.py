@@ -1,6 +1,7 @@
 """Space-time profiles: identity at t = 1, mass, specialized formulas, decay."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import cubicnls.profile as profile
+from cubicnls.elliptic import EllipticDomainError
 from cubicnls.profile import (
     ExtrapolationError,
     FinalData,
@@ -18,6 +20,7 @@ from cubicnls.profile import (
     uapp,
 )
 from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, detect_sync, full_ode_rhs
+from cubicnls.reconstruction import _phases
 from cubicnls.standard_form import nonlinearity
 
 from helpers import std
@@ -420,3 +423,42 @@ class TestGrid:
         with pytest.raises(ExtrapolationError) as points:
             [uapp(GRID_FAMILIES[name], fd, t, x) for x in xs]
         assert str(grid.value) == str(points.value) and "xi = 2.5 " in str(grid.value)
+
+    def test_failing_point_of_a_group(self, monkeypatch):
+        # the pure-p3 points of a grid share one lemma-1 formula and one source
+        # call a level; two of them get an m1 off 1 - m, so that call raises
+        # and is retried point by point: each bad point keeps its own error,
+        # the grid raises the first one's, and the other points' integrals
+        # are those of an intact grid, bit for bit
+        params, fd, t = GRID_FAMILIES["p3"], grid_fd(), 1e4
+        real, bad = profile.solve_case, {3: -0.25, 6: -0.5}
+        sols = [real(params, *amplitudes_to_quad(*fd.interp(v))) for v in GRID_XI]
+        assert len({sol._key for sol in sols}) == 1
+
+        def broken(sol, m1):
+            (fn, static, consts), *rest = sol._formula
+            return dataclasses.replace(sol, _formula=((fn, static, (*consts[:3], m1, *consts[4:])), *rest))
+
+        jobs = [(sol.rho, sol, 0.5 * math.log(t), sol.initial) for sol in sols]
+        intact = _phases(params, jobs)
+        got = _phases(params, [(rho, broken(sol, bad[k]) if k in bad else sol, span, s0)
+                               for k, (rho, sol, span, s0) in enumerate(jobs)])
+        for k, (res, ref) in enumerate(zip(got, intact)):
+            if k in bad:
+                assert isinstance(res, EllipticDomainError) and f"m1={bad[k]}" in str(res)
+            else:
+                assert res[0] == ref[0] and np.array_equal(res[2], ref[2]) and res[3:] == ref[3:]
+        points = iter(range(len(GRID_XI)))
+
+        def solve_case(*args):
+            k, sol = next(points), real(*args)
+            return broken(sol, bad[k]) if k in bad else sol
+
+        monkeypatch.setattr(profile, "solve_case", solve_case)
+        with pytest.raises(EllipticDomainError, match=r"m1=-0\.25 "):
+            uapp(params, fd, t, 2.0 * t * GRID_XI)
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 3)), np.zeros((1, 4)), [[0.0]]])
+    def test_x_of_more_dimensions_rejected(self, x):
+        with pytest.raises(ValueError, match=r"1-D array x, got an array of shape \(" + str(np.shape(x)[0])):
+            uapp(GRID_FAMILIES["p1"], grid_fd(), 10.0, x)

@@ -408,17 +408,20 @@ class TestPhaseIntegral:
                 assert calls[0] == (first,)
                 # bisected panels come in pairs
                 assert all(len(shape) == 1 and shape[0] % 32 == 0 for shape in calls[1:])
-        # a 9-point profile grid: one closed-form call per point per level
-        real, calls = ClosedFormSolution.eval, {}
+        # a 9-point profile grid: one closed-form call per formula and level
+        # for all the points that share the formula and are still pending,
+        # on their panels' nodes and far edges (at level 1 also on 0 and tau)
+        real, calls = ClosedFormSolution.__call__, []
 
         def counted(sol, t):
-            calls.setdefault(id(sol), []).append(np.shape(t))
+            calls.append((sol._key, np.shape(t)))
             return real(sol, t)
 
-        monkeypatch.setattr(ClosedFormSolution, "eval", counted)
+        monkeypatch.setattr(ClosedFormSolution, "__call__", counted)
         xi = np.linspace(-1.6, 1.6, 9)
         fd = FinalData(xi, (0.7 + 0.2j) * np.exp(-xi * xi / 4), (0.3 - 0.4j) * np.exp(-xi * xi / 3))
         for p in FAMILIES.values():
+            keys = [solve_case(p, *amplitudes_to_quad(*fd.interp(v)))._key for v in xi]
             calls.clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
@@ -426,7 +429,10 @@ class TestPhaseIntegral:
             levels = [int(r.getMessage().split("levels=")[1].split()[0])
                       for r in caplog.records if r.name == "cubicnls.reconstruction"]
             assert len(levels) == 9
-            assert [len(c) for c in calls.values()] == levels
+            expected = [key for level in range(1, max(levels) + 1) for key in dict.fromkeys(keys)
+                        if any(k == key and n >= level for k, n in zip(keys, levels))]
+            assert [key for key, _ in calls] == expected
+            assert calls[0][1] == (keys.count(keys[0]) * first,)
 
     def test_chart_weight_bisects(self):
         # with every coupling and potential zero the rate N - V vanishes and
