@@ -228,8 +228,7 @@ def _phases(params, jobs):
         groups.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
     for ks in groups.values():
         loc[ks] = np.arange(len(ks))  # each job's place in its group
-    groups = [(ks, _stacked([jobs[k][1] for k in ks]) if isinstance(jobs[ks[0]][1], ClosedFormSolution) else None)
-              for ks in groups.values()]
+    groups = [(ks, _stacked([jobs[k][1] for k in ks]) if len(ks) > 1 else None) for ks in groups.values()]
     # the panels of np.linspace(0, span, n + 1), job by job: the pending
     # jobs ks have cnt panels each, pj is the job of each panel
     rho_j, span_j = (np.array([job[j] for job in jobs], dtype=float) for j in (0, 2))
@@ -242,7 +241,7 @@ def _phases(params, jobs):
     with np.errstate(divide="ignore"):
         share = _PHASE_TOL / np.abs(span_j) * 2.0
     total, err, levels, width = (np.zeros(len(jobs), dtype=t) for t in (float, float, int, int))
-    ends, done, level, ends_q = np.ones((len(jobs), 2, 4)), [], 0, np.stack([np.zeros(len(jobs)), span_j], axis=1)
+    ends, done, level = np.ones((len(jobs), 2, 4)), [], 0
     while ks:
         level, stop = level + 1, np.cumsum(cnt)
         seg = dict(zip(ks, zip((stop - cnt).tolist(), stop.tolist())))
@@ -255,7 +254,8 @@ def _phases(params, jobs):
             """One source call: the jobs of a stacked evaluate, or one job's own source."""
             sel = (slice(None) if len(members) == len(ks) else slice(*seg[members[0]]) if len(members) == 1
                    else np.repeat(np.isin(ks, members), cnt))
-            q = [taus[sel].ravel(), far[sel]] + ([ends_q[members].ravel()] if level == 1 else [])
+            q = [taus[sel].ravel(), far[sel]]
+            q += [[0.0, end] for end in span_j[members].tolist()] if level == 1 else []
             try:
                 if evaluate is None:
                     s = np.asarray(jobs[members[0]][1](np.concatenate(q)), dtype=float)
@@ -279,11 +279,8 @@ def _phases(params, jobs):
         for members, evaluate in groups:
             if members := [k for k in members if k in pending]:
                 call(members, evaluate)
-        checked = [k for k, job in enumerate(jobs) if job[3] is not None and out[k] is None] if level == 1 else []
-        if checked:
-            s0 = np.array([jobs[k][3] for k in checked], dtype=float)
-            miss = np.max(np.abs(s0 - ends[checked, 0, :3]), axis=1) > 1e-8 * np.maximum(1.0, rho_j[checked])
-            for k in np.array(checked)[miss].tolist():
+        for k, (rho, _, _, s0) in enumerate(jobs if level == 1 else ()):
+            if out[k] is None and s0 is not None and np.max(np.abs(s0 - ends[k, 0, :3])) > 1e-8 * max(1.0, rho):
                 out[k] = ValueError(_INCONSISTENT)
         # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
         chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
