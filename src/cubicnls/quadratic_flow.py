@@ -24,6 +24,7 @@ is logged at debug level on the ``cubicnls.quadratic_flow`` logger.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import logging
 import math
@@ -487,24 +488,81 @@ def _planar(params, rho: float):
 
     With p scaled to max|p| = 1, returns det A, X* = -A^-1 b (None if
     det A = 0) and the equator angles: on X = rho (cos t, sin t),
-    I' = 2 rho^2 g(t), g = -p1 + p3 sin 2t + p4 sin t - p5 cos t, and
-    2i z^2 g is p3 z^4 + (p4 - i p5) z^3 - 2i p1 z^2 - (p4 + i p5) z - p3 in
-    z = e^(it).  The angles are its roots within 1e-6 of |z| = 1 (terms
-    under 1e-14 of the largest trimmed) after 4 Newton steps on g; a nearly
-    tangent pair off the circle stays, so fixed points need a flow check.
+    I' = 2 rho^2 g(t), g = -p1 + p3 sin 2t + p4 sin t - p5 cos t, and the
+    angles are the roots t of _planar_form with |z| = e^(-Im t) within 1e-6
+    of 1 (a nearly tangent pair off the circle stays: fixed points need a
+    flow check)."""
+    _, det, x_star, roots = _planar_form(params, rho)
+    return det, x_star, np.array([t.real for t in roots if abs(math.exp(-t.imag) - 1.0) <= 1e-6])
+
+
+def _planar_form(params, rho: float):
+    """(p / max|p| as floats, det A, X* or None, roots t) of _planar: z = e^(it)
+    runs over the nonzero roots of 2i z^2 g = p3 z^4 + (p4 - i p5) z^3 -
+    2i p1 z^2 - (p4 + i p5) z - p3, terms under 1e-14 of the largest trimmed
+    (_quartic, or _quadratic once p3 is trimmed), and each complex t takes 4
+    Newton steps on g, fewer where g' or a step is 0 or a step is 1 or more.
     """
     _check_sphere(rho)
-    p1, p2, p3, p4, p5 = params.p / max(abs(params.p))
+    p = (params.p / max(abs(params.p))).tolist()
+    p1, p2, p3, p4, p5 = p
     det = p1 * p1 + p2 * p2 - p3 * p3
-    x_star = None if det == 0.0 else -rho / det * np.array([p1 * p5 + (p2 - p3) * p4, (p2 + p3) * p5 - p1 * p4])
-    c = np.array([p3, p4 - 1j * p5, -2j * p1, -(p4 + 1j * p5), -p3])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.roots(np.where(np.abs(c) > 1e-14 * np.abs(c).max(), c, 0.0))
-        t = np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-6])
+    f = -rho / det if det else 0.0  # a float: inf for a negligible A, then X* is nan or inf without a warning
+    x_star = None if det == 0.0 else np.array([f * (p1 * p5 + (p2 - p3) * p4), f * ((p2 + p3) * p5 - p1 * p4)])
+    c = [p3, complex(p4, -p5), complex(0.0, -2.0 * p1), complex(-p4, -p5), -p3]
+    big = max(map(abs, c))
+    c = [v / big if abs(v) > 1e-14 * big else 0.0 for v in c]  # scaled, so no underflow
+    roots = []
+    for z in _quartic(*c) if c[0] else _quadratic(*c[1:4]) if c[1] else []:
+        angle = cmath.phase(z) + 0.0  # in (-pi, pi], +0 on the positive axis
+        t = complex(math.pi if angle == -math.pi else angle, -math.log(abs(z)))
         for _ in range(4):
-            g = -p1 + p3 * np.sin(2.0 * t) + p4 * np.sin(t) - p5 * np.cos(t)
-            t = t - g / (2.0 * p3 * np.cos(2.0 * t) + p4 * np.cos(t) + p5 * np.sin(t))
-    return det, x_star, t
+            slope = 2.0 * p3 * cmath.cos(2.0 * t) + p4 * cmath.cos(t) + p5 * cmath.sin(t)
+            new = t - (-p1 + p3 * cmath.sin(2.0 * t) + p4 * cmath.sin(t) - p5 * cmath.cos(t)) / slope if slope else t
+            if not 0.0 < abs(new - t) < 1.0:  # converged, or not a local step (nor a finite one)
+                break
+            t = new
+        roots.append(t)
+    return p, det, x_star, roots
+
+
+def _quartic(c0, c1, c2, c3, c4) -> list:
+    """The roots of c0 z^4 + c1 z^3 + c2 z^2 + c3 z + c4 (c0, c4 nonzero) by
+    Ferrari's method without the shift to a depressed quartic, which loses
+    the unit roots when p3 is small: with a = c1 / c0, b, c, d likewise and
+    y the resolvent root that makes r largest, (z^2 + a z / 2 + y / 2)^2 =
+    (r z + e)^2.  The smaller of a/2 -+ r (of y/2 -+ e) is their product
+    b - y (d) over the larger, so none cancels, and exact coefficients give
+    a multiple root exactly (the triple root of p1 = p5 = 0, p4 = 2 p3)."""
+    a, b, c, d = c1 / c0, c2 / c0, c3 / c0, c4 / c0
+    h = 0.5 * a
+    y = max(_cubic(-b, a * c - 4.0 * d, d * (4.0 * b - a * a) - c * c), key=lambda y: abs(h * h - b + y))
+    r = cmath.sqrt(h * h - b + y)
+    e = (h * y - c) / (2.0 * r) if r else cmath.sqrt(0.25 * y * y - d)
+    (u_lo, u_hi), (v_lo, v_hi) = (
+        (product / hi, hi) if abs(lo) < abs(hi) else (lo, product / lo if lo else hi)
+        for lo, hi, product in ((h - r, h + r, b - y), (0.5 * y - e, 0.5 * y + e, d))
+    )
+    return _quadratic(1.0, u_lo, v_lo) + _quadratic(1.0, u_hi, v_hi)
+
+
+def _cubic(b, c, d) -> list:
+    """The roots of y^3 + b y^2 + c y + d by Cardano's formula, from the
+    larger of the two cubes, which does not cancel."""
+    s = b / 3.0
+    p, q = c - b * s, d - s * (c - 2.0 * s * s)
+    root = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    u = max(-0.5 * q + root, -0.5 * q - root, key=abs) ** (1.0 / 3.0)
+    w = complex(-0.5, 0.5 * math.sqrt(3.0))  # a cube root of unity
+    return [u * k - p / (3.0 * u * k) - s for k in (1.0, w, w.conjugate())] if u else [-s] * 3
+
+
+def _quadratic(a, b, c) -> list:
+    """The roots of a z^2 + b z + c (a, c nonzero): the larger without
+    cancellation, the smaller from their product."""
+    root = cmath.sqrt(b * b - 4.0 * a * c)
+    q = -0.5 * (b + root if (b.conjugate() * root).real >= 0.0 else b - root)
+    return [q / a, c / q]
 
 
 # The sigma-reduction (_SigmaOrbit).  In sigma = int 2 I dtau the plane part of
@@ -789,108 +847,49 @@ class _SigmaOrbit:
         return 2.0 * math.pi * k + (2.0 * math.pi - phi if mirror else phi)
 
 
-def _pair(rho: float, k: int, c: float, j: int) -> list:
-    """The two points of the sphere with component k = c rho, component
-    j = +-rho sqrt(1 - c^2) and the third component zero."""
-    w = rho * math.sqrt(1.0 - c**2)
-    out = []
-    for sgn in (1.0, -1.0):
-        s = np.zeros(3)
-        s[k], s[j] = c * rho, sgn * w
-        out.append(s)
-    return out
-
-
-# the families whose fixed points include +-rho e_k, by axis k of (D, R, I)
-_AXES = {
-    1: (2,), 2: (2,), 3: (0, 1, 2), 4: (0,), 5: (2,), 7: (0, 1, 2),
-    8: (0,), 9: (0,), 10: (1,), 11: (2,), 12: (0,), 13: (1,),
-}
-
-
 def fixed_points(params, rho: float) -> FixedPointSet:
-    """Fixed points of the quadratic flow on the sphere of radius rho.
-
-    For the catalogued parameter families the analytic sets are returned
-    (continua as Circle descriptors).  For families 14 and 15 the circle is
-    analytic and the isolated points off it, like every fixed point of
-    parameters outside the catalogue, are algebraic: the equator roots of
-    the quartic of _planar and the pair (X*, +-I*) where A X* + b = 0.
-    """
-    from .closed_form import classify  # local import to avoid a cycle
-
-    _check_sphere(rho)
-    p1, p2, p3, p4, p5 = (float(x) for x in params.p)
-    case_id = classify(params)
-    case = case_id.case
-    pts = [sgn * rho * np.eye(3)[k] for k in _AXES.get(case, ()) for sgn in (1.0, -1.0)]
-    circles = []
-
-    # the catalogued sets take 0.02-0.08 ms, the algebraic solve below 0.39 ms
-    # (about a third of a fixed-points call)
-    if case == 2:
-        circles = [Circle((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), rho)]
-    elif case == 6:
-        # the ladder follows classify's subcase (p1 = p4 within 1e-12), not
-        # the sign of _case6's C3 that names its branch
-        if case_id.subcase == "p1=p4":
-            pts = [rho * np.eye(3)[1]]
-        elif case_id.subcase == "p1>p4":
-            pts = _pair(rho, 1, p4 / p1, 2)
-        else:
-            pts = _pair(rho, 1, p1 / p4, 0)
-    elif case == 8:
-        if abs(p2) >= p4:
-            pts += _pair(rho, 0, -p4 / p2, 2)
-    elif case == 9:
-        if p4 <= 2.0 * p3:
-            pts += _pair(rho, 0, -p4 / (2.0 * p3), 1)
-        if p4 <= p3:
-            pts += _pair(rho, 0, -p4 / p3, 2)
-    elif case == 10:
-        if p5 <= 2.0 * p3:
-            pts += _pair(rho, 1, p5 / (2.0 * p3), 0)
-        if p5 <= p3:
-            pts += _pair(rho, 1, p5 / p3, 2)
-    elif case == 11:
-        if case_id.ratio == 1.0:
-            circles = [Circle((0.0, 0.0, 0.0), tuple(np.array([1.0, -1.0, 0.0]) / math.sqrt(2)), rho)]
-        elif p1 < p3:
-            # equilibria in the I = 0 plane: p1 (D^2 + R^2) = 2 p3 D R
-            for ratio in (
-                (p3 + math.sqrt(p3 * p3 - p1 * p1)) / p1,
-                (p3 - math.sqrt(p3 * p3 - p1 * p1)) / p1,
-            ):
-                d = rho * ratio / math.hypot(ratio, 1.0)
-                r = rho / math.hypot(ratio, 1.0)
-                pts += [np.array([d, r, 0.0]), np.array([-d, -r, 0.0])]
-    elif case == 12:
-        if 2.0 * p3 > abs(p4):
-            w = rho * math.sqrt(1.0 - (p4 / (2.0 * p3)) ** 2)
-            circles = [Circle((-p4 / (2 * p3) * rho, 0.0, 0.0), (1.0, 0.0, 0.0), w)]
-    elif case == 13:
-        if 2.0 * p3 > p5:
-            w = rho * math.sqrt(1.0 - (p5 / (2.0 * p3)) ** 2)
-            circles = [Circle((0.0, p5 / (2 * p3) * rho, 0.0), (0.0, 1.0, 0.0), w)]
-    elif case in (14, 15):
-        # p1^2 + p2^2 = p3^2 makes the flow vanish on the whole plane
-        # p1 D + (p2 - p3) R + rho p5 = 0; its other fixed points are isolated
-        norm = math.hypot(p1, p2 - p3)  # no underflow for tiny p
-        axis = np.array([p1 / norm, (p2 - p3) / norm, 0.0])
-        offset = -rho * p5 / norm
-        if abs(offset) < rho:
-            circles = [Circle(tuple(offset * axis), tuple(axis), math.sqrt(rho * rho - offset * offset))]
-    if case in (0, 14, 15):
-        _, x_star, t = _planar(params, rho)
-        pts = list(rho * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1))
-        if x_star is not None and x_star @ x_star <= rho * rho:
+    """Fixed points of the quadratic flow on the sphere of radius rho, for
+    every family from _planar: the equator roots of g (the equator, a
+    Circle, where p1, p3, p4, p5 are within 1e-12 of max|p|: family 2) and
+    the set A X + b = 0, shaped by classify's relative 1e-12 rules.  A
+    singular A (|det A| <= 1e-12 (p1^2 + p2^2 + p3^2)) gives the circle
+    v.X = s, v A's top right singular vector and s the least-squares offset,
+    where b is in A's range within 1e-12 rho (families 11 at ratio 1, 12 to
+    15); |X*| = rho within 1e-12 rho the point rho X*/|X*| (family 6 at
+    p1 = p4); |X*| < rho the pair (X*, +-I*).  Equator points and the pair
+    need a flow of p / max|p| at most 5e-13 rho^2; points on a circle or
+    within 1e-6 rho of an earlier one are dropped."""
+    p, det, x_star, roots = _planar_form(params, rho)
+    p1, p2, p3, p4, p5 = p
+    g_vanishes = max(abs(p1), abs(p3), abs(p4), abs(p5)) <= 1e-12
+    circles = [Circle((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), rho)] if g_vanishes else []
+    t = np.array([r.real for r in sorted(roots, key=lambda r: abs(r.imag))])  # the nearest |z| = 1 first
+    pts, tangent = list(rho * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)), []
+    half_norm = p1 * p1 + p2 * p2 + p3 * p3  # |A|_F^2 / 2, 0 once A is negligible
+    if abs(det) > 1e-12 * half_norm:
+        size = math.hypot(*x_star)
+        if abs(size - rho) <= 1e-12 * rho:
+            tangent = [np.append(rho / size * x_star, 0.0)]
+        elif size < rho:
             pts += [np.append(x_star, sgn * math.sqrt(rho * rho - x_star @ x_star)) for sgn in (1.0, -1.0)]
-        # a flow of p / max|p| above 5e-13 rho^2 drops a near-tangent equator pair and X* of a near-singular A
-        flow = np.linalg.norm(_qqq(*params.p / max(abs(params.p)), rho, *np.reshape(pts, (-1, 3)).T), axis=0)
-        pts = [s for s, f in zip(pts, flow) if f <= 5e-13 * rho * rho]
-        pts = [s for s in pts if case == 0 or abs(s @ axis - offset) > 1e-6 * rho]
-
-    return FixedPointSet(_dedup(pts, 1e-6 * rho), circles)
+    elif half_norm:
+        # the top eigenvector v of A^T A = [[p1^2 + (p2 + p3)^2, -2 p1 p3],
+        # [-2 p1 p3, p1^2 + (p2 - p3)^2]] bisects (1, 0) and (p2, -p1) (p3 > 0)
+        h = math.hypot(p1, p2)
+        v = np.array([h + p2, -p1] if p2 >= 0.0 else [-p1, h - p2])
+        v /= math.hypot(*v)
+        u = np.array([[p1, p2 - p3], [-(p2 + p3), p1]]) @ v  # A v = sigma u, |u| = 1
+        sigma = math.hypot(*u)
+        u, b = u / sigma, rho * np.array([p5, -p4])
+        offset = -(u @ b) / sigma
+        if abs(u[0] * b[1] - u[1] * b[0]) <= 1e-12 * rho and abs(offset) < rho:
+            radius = math.sqrt(rho * rho - offset * offset)
+            circles.append(Circle((*(offset * v).tolist(), 0.0), (*v.tolist(), 0.0), radius))
+    flow = np.linalg.norm(_qqq(*p, rho, *np.reshape(pts, (-1, 3)).T), axis=0)
+    pts = [s for s, f in zip(pts, flow) if f <= 5e-13 * rho * rho]
+    for c in circles:
+        pts = [s for s in pts if abs((s - c.center) @ c.axis) > 1e-6 * rho]
+    return FixedPointSet(_dedup(tangent + pts, 1e-6 * rho), circles)
 
 
 # ---------------------------------------------------------------------------

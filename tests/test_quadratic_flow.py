@@ -4,6 +4,7 @@ import logging
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from cubicnls.quadratic_flow import (
     stability,
 )
 from cubicnls.standard_form import StandardParams
+from helpers import CATALOGUE, ladder_fixed_points
 
 CASE1 = StandardParams(1, 0, 0, 0, 0)
 # four isolated fixed points, one passing the sufficient test, and g > 0 on
@@ -264,6 +266,25 @@ class TestFixedPoints:
         fps_m = fixed_points(p_merge, 1.0)
         pts = [tuple(np.round(q, 9)) for q in fps_m.points]
         assert len(pts) == len(set(pts))
+        # there g has a triple root at t = pi: (-rho, 0, 0) is listed exactly once
+        assert sum(np.linalg.norm(q - [-1.0, 0.0, 0.0]) <= 1e-6 for q in fps_m.points) == 1
+        assert min(np.linalg.norm(q - [-1.0, 0.0, 0.0]) for q in fps_m.points) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "p, point", [((0, 0.3, 1, 2, 0), (-1.0, 0.0, 0.0)), ((0, 0.3, 1, 0, 2), (0.0, 1.0, 0.0))]
+    )
+    @pytest.mark.parametrize("rho", [1.0, 0.37])
+    def test_triple_equator_root(self, p, point, rho):
+        # p1 = p5 = 0, p4 = 2 p3 (or p4 = 0, p5 = 2 p3): g = sin t (2 p3 cos t + p4)
+        # has a triple root at t = pi (at t = pi / 2), outside the catalogue;
+        # an eigenvalue solve scatters it about 6e-6 off |z| = 1, the quartic
+        # in closed form gives it exactly
+        p = StandardParams(*p)
+        point = rho * np.array(point)
+        assert classify(p).case == 0 and np.all(qqq_rhs(p, rho, point) == 0.0)
+        pts = fixed_points(p, rho).points
+        assert sum(np.linalg.norm(q - point) <= 1e-6 * rho for q in pts) == 1
+        assert min(np.linalg.norm(q - point) for q in pts) <= 1e-15 * rho
 
     def test_all_reported_points_are_fixed(self):
         rng = np.random.default_rng(7)
@@ -286,11 +307,14 @@ class TestFixedPoints:
     @pytest.mark.parametrize("eps", [3e-13, -3e-13])
     def test_ratio_one_band_keeps_circle(self, eps):
         # classify puts p1/p3 within 1e-12 of 1 in the ratio-1 family, whose
-        # fixed set is the poles and the circle D = R
+        # fixed set is the circle D = R; the poles lie on it, so no isolated
+        # point is listed
         fps = fixed_points(StandardParams(1, 0, 1 + eps, 0, 0), 1.0)
         (circle,) = fps.circles
         assert np.allclose(circle.axis, np.array([1.0, -1.0, 0.0]) / math.sqrt(2), atol=1e-15)
-        assert sorted(tuple(np.round(p, 12)) for p in fps.points) == [(0, 0, -1), (0, 0, 1)]
+        for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
+            assert abs((np.array(pole) - circle.center) @ circle.axis) <= 1e-15
+        assert fps.points == []
 
     def test_p1_p4_band_single_point(self):
         # within the p1 = p4 band the fixed set is the one point (0, rho, 0)
@@ -336,11 +360,13 @@ class TestFixedPoints:
         st.floats(0.2, 3.0),
     )
     def test_every_point_is_fixed(self, p, rho):
-        # the algebraic points: outside the catalogue and off the circle of
-        # families 14 and 15 (a catalogue member's points are exact only for
-        # parameters exactly in its family, not within classify's 1e-12 band)
+        # every family's points pass fixed_points' flow check, which is below
+        # this bound, except rho X*/|X*|: it stands for the set of a whole
+        # 1e-12 band of |X*| = rho and is fixed only where the tangency is
+        # exact (to rounding)
         p = StandardParams(*p)
-        assume(classify(p).case in (0, 14, 15))
+        x_star = qf._planar(p, rho)[1]
+        assume(x_star is None or not 1e-15 * rho < abs(math.hypot(*x_star) - rho) <= 1e-12 * rho)
         for s in fixed_points(p, rho).points:
             assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho * np.max(np.abs(p.p))
 
@@ -393,6 +419,109 @@ class TestFixedPoints:
             assert abs((s - np.asarray(circle.center)) @ axis) > 1e-6 * rho
             assert np.linalg.norm(qqq_rhs(p, rho, s)) < 1e-9 * rho * rho
         assert detect_sync(p, rho) is None
+
+
+# seeded radii for the catalogue tests
+CATALOGUE_RHOS = (0.6, 1.0, float(np.random.default_rng(29).uniform(0.3, 3.0)))
+# members of classify's 1e-12 bands: p1/p3 = 1 (family 11), p1 = p4 (family
+# 6) and p2 = p3 (family 12), each 3e-13 to either side
+BAND_MEMBERS = [
+    p for e in (3e-13, -3e-13)
+    for p in ((1, 0, 1 + e, 0, 0), (1, 0, 0, 1 + e, 0), (1 + e, 0, 0, 1, 0), (0, 0.7 * (1 + e), 0.7, 0.4, 0))
+]
+
+
+def _set_distance(a, b) -> float:
+    """Hausdorff distance between two lists of points (inf if their sizes differ)."""
+    if len(a) != len(b):
+        return math.inf
+    gaps = [min(np.linalg.norm(x - y) for y in b) for x in a] + [min(np.linalg.norm(x - y) for x in a) for y in b]
+    return max(gaps, default=0.0)
+
+
+class TestFixedPointCatalogue:
+    @pytest.mark.parametrize("rho", CATALOGUE_RHOS)
+    @pytest.mark.parametrize("p", CATALOGUE + BAND_MEMBERS)
+    def test_matches_the_ladder(self, p, rho):
+        # the one algebraic solve gives each family's set as the per-family
+        # ladder did (tests/helpers.py), except that a point on a circle is
+        # not listed (the poles of p1/p3 = 1 lie on its circle D = R)
+        p = StandardParams(*p)
+        got, ref = fixed_points(p, rho), ladder_fixed_points(p, rho)
+        ref_points = [s for s in ref.points if all(abs((s - c.center) @ c.axis) > 1e-6 * rho for c in ref.circles)]
+        assert _set_distance(got.points, ref_points) <= 1e-12 * rho
+        assert len(got.circles) == len(ref.circles)
+        for c, r in zip(got.circles, ref.circles):
+            assert np.linalg.norm(np.subtract(c.center, r.center)) <= 1e-12 * rho
+            assert min(np.linalg.norm(np.subtract(c.axis, r.axis)), np.linalg.norm(np.add(c.axis, r.axis))) <= 1e-12
+            assert abs(c.radius - r.radius) <= 1e-12 * rho
+
+    @pytest.mark.parametrize("p", CATALOGUE)
+    def test_every_family_set_is_fixed(self, p):
+        rng = np.random.default_rng(31)
+        p = StandardParams(*p)
+        for rho in rng.uniform(0.2, 3.0, 3):
+            for s in fixed_points(p, rho).all_points():
+                assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho * np.max(np.abs(p.p))
+
+
+def _mp_equator_angles(p) -> list:
+    """Angles of the roots within 1e-6 of |z| = 1 of _planar's quartic for the
+    parameters p, by mpmath's polyroots at 30 digits (None if g = 0)."""
+    p1, _, p3, p4, p5 = (mp.mpf(v) for v in p)
+    coeffs = [p3, mp.mpc(p4, -p5), mp.mpc(0, -2 * p1), mp.mpc(-p4, -p5), -p3]
+    while coeffs and coeffs[0] == 0 and coeffs[-1] == 0:
+        coeffs = coeffs[1:-1]
+    if len(coeffs) < 2:
+        return None if not coeffs or coeffs[0] == 0 else []
+    with mp.workdps(30):
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=60)
+    return [float(mp.arg(z)) for z in roots if abs(abs(z) - 1) <= 1e-6]
+
+
+def _assert_angles_match(p, rho=1.0):
+    got, ref = qf._planar(StandardParams(*p), rho)[2], _mp_equator_angles(p)
+    assert len(got) == len(ref), (p, got, ref)
+    for a in ref:
+        assert min(abs(math.remainder(a - t, 2.0 * math.pi)) for t in got) <= 1e-13, (p, got, ref)
+
+
+class TestQuartic:
+    def test_seeded_uncatalogued_against_mpmath(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            p = rand_params(rng)
+            assert classify(p).case == 0
+            _assert_angles_match(p.p.tolist(), rng.uniform(0.3, 3.0))
+
+    @pytest.mark.parametrize("p", [(0.7, -0.4, 0, 0.9, 0.3), (0.7, -0.4, 0, 0.5, 0.1), (0.7, -0.4, 0, 0, 0)])
+    def test_reduced_degree(self, p):
+        # p3 = 0 leaves a quadratic, p3 = p4 = p5 = 0 no root
+        _assert_angles_match(p)
+
+    def test_g_identically_zero_is_the_equator(self):
+        p = StandardParams(0, -0.4, 0, 0, 0)
+        assert _mp_equator_angles(p.p.tolist()) is None and qf._planar(p, 1.3)[2].size == 0
+        (circle,) = fixed_points(p, 1.3).circles
+        assert circle == qf.Circle((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.3)
+
+    def test_double_root(self):
+        # family 6 at p1 = p4: g = p1 (sin t - 1), a double root at t = pi / 2
+        _assert_angles_match((1, 0, 0, 1, 0))
+        assert qf._planar(StandardParams(1, 0, 0, 1, 0), 1.0)[2].tolist() == [math.pi / 2] * 2
+
+    def test_family9_at_p4_equal_p3(self):
+        # the pair (X*, +-I*) meets the equator root t = pi (the quartic's
+        # roots 0, pi, +-2 pi / 3 stay simple)
+        _assert_angles_match((0, 0, 1, 1, 0))
+
+    def test_near_tangent_pair_dropped(self):
+        # p4 = p1 (1 - 1e-10): the complex pair at |z| = 1 +- 1.4e-5 is no
+        # equator root, and only the pair (X*, +-I*) is fixed
+        p = StandardParams(1, 0, 0, 1 - 1e-10, 0)
+        assert _mp_equator_angles(p.p.tolist()) == [] and qf._planar(p, 1.0)[2].size == 0
+        pts = fixed_points(p, 1.0).points
+        assert len(pts) == 2 and all(abs(s[2]) > 1e-6 for s in pts)
 
 
 class TestStability:

@@ -26,18 +26,9 @@ from cubicnls.standard_form import (
     transform_cubic,
 )
 
-V_SYSTEM = GeneralCubic((0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0))  # lambda5 = lambda9 = 1
+from helpers import CATALOGUE
 
-# members of every catalogued family 1..15, with p4 >= 0 where p5 = 0 (the
-# sign the reduction picks when the rotation leaves it free)
-CATALOGUE = [
-    (1, 0, 0, 0, 0), (0.4, 0, 0, 0, 0), (0, -0.8, 0, 0, 0), (0, 0.5, 0, 0, 0), (0, 0, 1.1, 0, 0),
-    (0, 0, 0, 0.9, 0), (0, 0, 0, 0.3, 0), (1, 0.7, 0, 0, 0), (1, 0, 0, 0.4, 0), (1, 0, 0, 1, 0),
-    (0.5, 0, 0, 1.2, 0), (0, -2, 1, 0, 0), (0, 0.4, 1, 0, 0), (0, 2, 1, 0, 0), (0, 0.8, 0, 0.5, 0),
-    (0, -0.3, 0, 0.9, 0), (0, 0, 1, 0.3, 0), (0, 0, 1, 1.5, 0), (0, 0, 1, 0, 0.3), (0, 0, 1, 0, 1.3),
-    (1, 0, 1, 0, 0), (3, 0, 1, 0, 0), (1, 0, 3, 0, 0), (0, 0.7, 0.7, 0.4, 0), (0, -0.7, 0.7, 0, 0.4),
-    (0.6, 0.8, 1, 0, 0), (0.6, 0.8, 1, 0.5, 0.5 * 0.6 / 1.8),
-]
+V_SYSTEM = GeneralCubic((0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0))  # lambda5 = lambda9 = 1
 
 
 class TestBuildStructure:
