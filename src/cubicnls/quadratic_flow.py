@@ -853,12 +853,13 @@ def fixed_points(params, rho: float) -> FixedPointSet:
     Circle, where p1, p3, p4, p5 are within 1e-12 of max|p|: family 2) and
     the set A X + b = 0, shaped by classify's relative 1e-12 rules.  A
     singular A (|det A| <= 1e-12 (p1^2 + p2^2 + p3^2)) gives the circle
-    v.X = s, v A's top right singular vector and s the least-squares offset,
-    where b is in A's range within 1e-12 rho (families 11 at ratio 1, 12 to
-    15); |X*| = rho within 1e-12 rho the point rho X*/|X*| (family 6 at
-    p1 = p4); |X*| < rho the pair (X*, +-I*).  Equator points and the pair
-    need a flow of p / max|p| at most 5e-13 rho^2; points on a circle or
-    within 1e-6 rho of an earlier one are dropped."""
+    v.X = s, v spanning A's row space, where b is in A's range within
+    1e-12 rho (families 11 at ratio 1, 12 to 15); |X*| = rho within
+    1e-12 rho the point rho X*/|X*| (family 6 at p1 = p4) where its flow is
+    within the 1e-12 rho^2 of that band, else the pair (X*, +-I*) where
+    |X*| < rho.  Equator points and the pair need a flow of p / max|p| at
+    most 5e-13 rho^2; points on a circle or within 1e-6 rho of an earlier
+    one are dropped."""
     p, det, x_star, roots = _planar_form(params, rho)
     p1, p2, p3, p4, p5 = p
     g_vanishes = max(abs(p1), abs(p3), abs(p4), abs(p5)) <= 1e-12
@@ -868,23 +869,21 @@ def fixed_points(params, rho: float) -> FixedPointSet:
     half_norm = p1 * p1 + p2 * p2 + p3 * p3  # |A|_F^2 / 2, 0 once A is negligible
     if abs(det) > 1e-12 * half_norm:
         size = math.hypot(*x_star)
-        if abs(size - rho) <= 1e-12 * rho:
-            tangent = [np.append(rho / size * x_star, 0.0)]
-        elif size < rho:
+        tangent = [np.append(rho / size * x_star, 0.0)] if abs(size - rho) <= 1e-12 * rho else []
+        tangent = [s for s in tangent if math.hypot(*_qqq(*p, rho, *s.tolist())) <= 1e-12 * rho * rho]
+        if size < rho and not tangent:
             pts += [np.append(x_star, sgn * math.sqrt(rho * rho - x_star @ x_star)) for sgn in (1.0, -1.0)]
     elif half_norm:
-        # the top eigenvector v of A^T A = [[p1^2 + (p2 + p3)^2, -2 p1 p3],
-        # [-2 p1 p3, p1^2 + (p2 - p3)^2]] bisects (1, 0) and (p2, -p1) (p3 > 0)
-        h = math.hypot(p1, p2)
-        v = np.array([h + p2, -p1] if p2 >= 0.0 else [-p1, h - p2])
-        v /= math.hypot(*v)
-        u = np.array([[p1, p2 - p3], [-(p2 + p3), p1]]) @ v  # A v = sigma u, |u| = 1
-        sigma = math.hypot(*u)
-        u, b = u / sigma, rho * np.array([p5, -p4])
-        offset = -(u @ b) / sigma
-        if abs(u[0] * b[1] - u[1] * b[0]) <= 1e-12 * rho and abs(offset) < rho:
+        # the rows of [A | b], the larger first: their aligned sum spans A's row space
+        rows = [np.array([p1, p2 - p3, rho * p5]), np.array([-(p2 + p3), p1, -rho * p4])]
+        big, small = sorted(rows, key=lambda r: r[:2] @ r[:2], reverse=True)
+        row = big + np.sign(big[:2] @ small[:2]) * small
+        row = (-1.0 if row[0] < 0.0 or row[0] == 0.0 and row[1] < 0.0 else 1.0) * row / math.hypot(row[0], row[1])
+        v, offset = row[:2], -row[2]  # v's first nonzero entry is positive
+        if max(abs(r[:2] @ v * offset + r[2]) for r in rows) <= 1e-12 * rho and abs(offset) < rho:
             radius = math.sqrt(rho * rho - offset * offset)
-            circles.append(Circle((*(offset * v).tolist(), 0.0), (*v.tolist(), 0.0), radius))
+            center, axis = (np.append(x, 0.0) + 0.0 for x in (offset * v, v))  # + 0.0: no -0.0 entries
+            circles.append(Circle(tuple(center.tolist()), tuple(axis.tolist()), radius))
     flow = np.linalg.norm(_qqq(*p, rho, *np.reshape(pts, (-1, 3)).T), axis=0)
     pts = [s for s, f in zip(pts, flow) if f <= 5e-13 * rho * rho]
     for c in circles:

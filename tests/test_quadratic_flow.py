@@ -7,7 +7,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -321,6 +321,67 @@ class TestFixedPoints:
         fps = fixed_points(StandardParams(1, 0, 0, 1 - 3e-13, 0), 2.0)
         assert [p.tolist() for p in fps.points] == [[0.0, 2.0, 0.0]]
 
+    @pytest.mark.parametrize("eps", [8e-13, -8e-13])
+    def test_p1_p4_band_edge_lists_exact_points(self, eps):
+        # near the edge of the p1 = p4 band the flow at (0, rho, 0), 2 |p1 - p4|
+        # rho^2, is above the band's 1e-12: the exact points are listed, the
+        # equator roots t = pi / 2 +- 1.3e-6 or the pair (X*, +-I*)
+        p, rho = StandardParams(1, 0, 0, 1 + eps, 0), 2.0
+        pts = fixed_points(p, rho).points
+        assert len(pts) == 2 and all(np.linalg.norm(s - [0.0, rho, 0.0]) > 1e-6 * rho for s in pts)
+        for s in pts:
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-15 * rho * rho
+
+    def test_tangent_point_needs_its_flow_check(self):
+        # |X*| is within 1e-12 of rho, but rho X*/|X*| has a flow of 1.2e-12
+        # rho^2 max|p|: the pair (X*, +-I*) is listed in its place
+        p, rho = StandardParams(1e-6, 1e-12, 1e-13, 1e-6, 1e-160), 1e-3
+        _, x_star, _ = qf._planar(p, rho)
+        assert classify(p).case == 0 and abs(math.hypot(*x_star) - rho) <= 1e-12 * rho
+        pts = fixed_points(p, rho).points
+        for sgn in (1.0, -1.0):
+            pair = np.append(x_star, sgn * math.sqrt(rho * rho - x_star @ x_star))
+            assert min(np.linalg.norm(s - pair) for s in pts) == 0.0
+        for s in pts:
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho * np.max(np.abs(p.p))
+
+    @pytest.mark.parametrize("p2, axis", [(1.0, (1.0, 0.0, 0.0)), (-1.0, (0.0, 1.0, 0.0))])
+    def test_degenerate_p2_equal_p3(self, p2, axis):
+        # classify's 'degenerate |p2| = p3' row of case 0: A is singular and
+        # b = 0, so the flow vanishes on the circle D = 0 (R = 0); the equator
+        # points off it are the circle's poles
+        p, rho = StandardParams(0, p2, 1, 0, 0), 1.3
+        assert classify(p).subcase == "degenerate |p2| = p3"
+        fps = fixed_points(p, rho)
+        assert fps.circles == [qf.Circle((0.0, 0.0, 0.0), axis, rho)]
+        assert len(fps.points) == 2
+        for pole in (rho * np.array(axis), -rho * np.array(axis)):
+            assert min(np.linalg.norm(s - pole) for s in fps.points) <= 1e-15 * rho
+        for s in fps.all_points():
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-15 * rho * rho
+
+    @pytest.mark.parametrize("eps", [7.5e-13, -7.5e-13])
+    @pytest.mark.parametrize("p4, p5", [(0.0, 0.0), (0.5, 0.5 * 0.6 / 1.8)])
+    def test_singular_band_is_wider_than_families_14_15(self, eps, p4, p5):
+        # |det A| <= 1e-12 (p1^2 + p2^2 + p3^2) is twice classify's band
+        # |p1^2 + p2^2 - p3^2| <= 1e-12 p3^2 of families 14 and 15: here
+        # classify gives case 0, and fixed_points the family's circle, whose
+        # samples are fixed to the 2e-12 of that band
+        p, rho = StandardParams(0.6, 0.8, 1 + eps, p4, p5), 1.3
+        assert classify(p).case == 0
+        fps = fixed_points(p, rho)
+        (circle,) = fps.circles
+        (exact,) = fixed_points(StandardParams(0.6, 0.8, 1, p4, p5), rho).circles
+        assert np.allclose(circle.center, exact.center, rtol=0, atol=1e-12 * rho)
+        assert np.allclose(circle.axis, exact.axis, rtol=0, atol=1e-12)
+        assert abs(circle.radius - exact.radius) <= 1e-12 * rho
+        for s in circle.samples(32):
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 2e-12 * rho * rho
+        assert len(fps.points) == 2
+        for s in fps.points:
+            assert abs((s - np.asarray(circle.center)) @ np.asarray(circle.axis)) > 1e-6 * rho
+            assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho
+
     def test_numeric_fallback(self):
         # uncatalogued parameters: the algebraic fixed points of the planar flow
         p = StandardParams(0.8, 0.3, 0.5, 0.2, 0.1)
@@ -360,13 +421,10 @@ class TestFixedPoints:
         st.floats(0.2, 3.0),
     )
     def test_every_point_is_fixed(self, p, rho):
-        # every family's points pass fixed_points' flow check, which is below
-        # this bound, except rho X*/|X*|: it stands for the set of a whole
-        # 1e-12 band of |X*| = rho and is fixed only where the tangency is
-        # exact (to rounding)
+        # every family's points pass fixed_points' flow checks, which are at
+        # or below this bound (rho X*/|X*|, which stands for the 1e-12 band of
+        # |X*| = rho, is held to the bound itself)
         p = StandardParams(*p)
-        x_star = qf._planar(p, rho)[1]
-        assume(x_star is None or not 1e-15 * rho < abs(math.hypot(*x_star) - rho) <= 1e-12 * rho)
         for s in fixed_points(p, rho).points:
             assert np.linalg.norm(qqq_rhs(p, rho, s)) <= 1e-12 * rho * rho * np.max(np.abs(p.p))
 
