@@ -15,11 +15,13 @@ linear X' = A X + b, so the orbit is explicit and time one quadrature),
 fixed points with their stability classification, and a certificate for
 the synchronization scenario (a single attracting fixed point).
 
-The oracles are one Dormand-Prince 5(4) loop on Python floats under scipy
-RK45's step controller, with the pair's quartic continuous extension as
+The oracles share one Dormand-Prince 5(4) controller on Python floats with
+scipy RK45's step control, and the pair's quartic continuous extension as
 dense output (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-II.6).  Each oracle run, sigma-reduction and detect_sync call
-is logged at debug level on the ``cubicnls.quadratic_flow`` logger.
+ODEs I, II.4-II.6).  The quadratic flow takes a straight-line trial step,
+the full flow the dimension-generic one, with the same bits.  Each oracle
+run, sigma-reduction and detect_sync call is logged at debug level on the
+``cubicnls.quadratic_flow`` logger.
 """
 
 from __future__ import annotations
@@ -238,27 +240,108 @@ _DP5_P = np.array([
 _DP5_SAFETY, _DP5_MIN_FACTOR, _DP5_MAX_FACTOR, _DP5_EXPONENT = 0.9, 0.2, 10.0, -0.2
 
 
-def _dp5_path(f, t0: float, t1: float, y: list, tol: float):
+# the tableau's nonzero entries as floats, read by both trial steps
+_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65 = (
+    _DP5_A[np.tril_indices(6, -1)].tolist()
+)
+_B1, _B3, _B4, _B5, _B6 = _DP5_B[_DP5_B != 0].tolist()
+_E1, _E3, _E4, _E5, _E6, _E7 = _DP5_E[_DP5_E != 0].tolist()
+_ROOT3 = math.sqrt(3)
+
+
+def _dp5_trial(f, y: list, k1: tuple, h: float, tol: float):
+    """One Dormand-Prince 5(4) trial step of y' = f(y) from the state y with
+    derivative k1, for any dimension.
+
+    Returns (the new state, the 7 stage derivatives concatenated, the RMS
+    error norm with scale tol + max(|y|, |y_new|) tol).
+    """
+    k2 = f(*[v + (_A21 * p) * h for v, p in zip(y, k1)])
+    k3 = f(*[v + (_A31 * p + _A32 * q) * h for v, p, q in zip(y, k1, k2)])
+    k4 = f(*[v + (_A41 * p + _A42 * q + _A43 * r) * h for v, p, q, r in zip(y, k1, k2, k3)])
+    k5 = f(*[
+        v + (_A51 * p + _A52 * q + _A53 * r + _A54 * s) * h
+        for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+    ])
+    k6 = f(*[
+        v + (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u) * h
+        for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+    ])
+    y_new = [
+        v + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * w)
+        for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7 = f(*y_new)
+    err = math.hypot(*[
+        (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * w + _E7 * z) * h
+        / (tol + max(abs(v), abs(vn)) * tol)
+        for p, r, s, u, w, z, v, vn in zip(k1, k3, k4, k5, k6, k7, y, y_new)
+    ]) / math.sqrt(len(y))
+    return y_new, k1 + k2 + k3 + k4 + k5 + k6 + k7, err
+
+
+def _dp5_trial3(f, y, k1: tuple, h: float, tol: float):
+    """_dp5_trial for the three components (D, R, I), written out: the same
+    operations in the same order, so the same bits, without building a list
+    per stage."""
+    d, r, i = y
+    d1, r1, i1 = k1
+    d2, r2, i2 = f(d + (_A21 * d1) * h, r + (_A21 * r1) * h, i + (_A21 * i1) * h)
+    d3, r3, i3 = f(
+        d + (_A31 * d1 + _A32 * d2) * h,
+        r + (_A31 * r1 + _A32 * r2) * h,
+        i + (_A31 * i1 + _A32 * i2) * h,
+    )
+    d4, r4, i4 = f(
+        d + (_A41 * d1 + _A42 * d2 + _A43 * d3) * h,
+        r + (_A41 * r1 + _A42 * r2 + _A43 * r3) * h,
+        i + (_A41 * i1 + _A42 * i2 + _A43 * i3) * h,
+    )
+    d5, r5, i5 = f(
+        d + (_A51 * d1 + _A52 * d2 + _A53 * d3 + _A54 * d4) * h,
+        r + (_A51 * r1 + _A52 * r2 + _A53 * r3 + _A54 * r4) * h,
+        i + (_A51 * i1 + _A52 * i2 + _A53 * i3 + _A54 * i4) * h,
+    )
+    d6, r6, i6 = f(
+        d + (_A61 * d1 + _A62 * d2 + _A63 * d3 + _A64 * d4 + _A65 * d5) * h,
+        r + (_A61 * r1 + _A62 * r2 + _A63 * r3 + _A64 * r4 + _A65 * r5) * h,
+        i + (_A61 * i1 + _A62 * i2 + _A63 * i3 + _A64 * i4 + _A65 * i5) * h,
+    )
+    dn = d + h * (_B1 * d1 + _B3 * d3 + _B4 * d4 + _B5 * d5 + _B6 * d6)
+    rn = r + h * (_B1 * r1 + _B3 * r3 + _B4 * r4 + _B5 * r5 + _B6 * r6)
+    i_n = i + h * (_B1 * i1 + _B3 * i3 + _B4 * i4 + _B5 * i5 + _B6 * i6)
+    d7, r7, i7 = f(dn, rn, i_n)
+    err = math.hypot(
+        (_E1 * d1 + _E3 * d3 + _E4 * d4 + _E5 * d5 + _E6 * d6 + _E7 * d7) * h
+        / (tol + max(abs(d), abs(dn)) * tol),
+        (_E1 * r1 + _E3 * r3 + _E4 * r4 + _E5 * r5 + _E6 * r6 + _E7 * r7) * h
+        / (tol + max(abs(r), abs(rn)) * tol),
+        (_E1 * i1 + _E3 * i3 + _E4 * i4 + _E5 * i5 + _E6 * i6 + _E7 * i7) * h
+        / (tol + max(abs(i), abs(i_n)) * tol),
+    ) / _ROOT3
+    k = (d1, r1, i1, d2, r2, i2, d3, r3, i3, d4, r4, i4, d5, r5, i5, d6, r6, i6, d7, r7, i7)
+    return (dn, rn, i_n), k, err
+
+
+def _dp5_path(f, trial, t0: float, t1: float, y: list, tol: float):
     """Dormand-Prince 5(4) run of y' = f(y) from the state y (a list of
     floats) at t0 to t1, on Python floats.
 
-    f(*y) returns the derivative as a tuple of floats.  The step sequence
-    is scipy RK45's at rtol = atol = tol: its initial step, RMS error norm
-    with scale tol + max(|y|, |y_new|) tol, step factors, no growth right
-    after a rejection and the last step clipped to t1.  Raises
+    The controller: f(*y) returns the derivative as a tuple of floats, and
+    trial(f, y, k1, h, tol) takes one trial step (_dp5_trial, or
+    _dp5_trial3 for the quadratic flow, of the same bits).  The step
+    sequence is scipy RK45's at rtol = atol = tol: its initial step, RMS
+    error norm with scale tol + max(|y|, |y_new|) tol, step factors, no
+    growth right after a rejection and the last step clipped to t1.  Raises
     StiffnessError when a step falls below 10 ulps of its time.  Returns
     (node times, node states, the 7 stage derivatives of each accepted step
-    concatenated, rejected steps, right-hand-side evaluations); a zero-length
-    span has the nodes t0, t1 and no step.
+    concatenated, rejected steps, right-hand-side evaluations); a
+    zero-length span has the nodes t0, t1 and no step.
     """
     if t1 == t0:
         return [t0, t1], [y, y], [], 0, 0
-    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
-        row[:s] for s, row in enumerate(_DP5_A.tolist())
-    )
-    b1, _, b3, b4, b5, b6 = _DP5_B.tolist()
-    e1, _, e3, e4, e5, e6, e7 = _DP5_E.tolist()
-    root_n = math.sqrt(len(y))
+    n = len(y)
+    root_n = math.sqrt(n)
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
 
@@ -293,29 +376,8 @@ def _dp5_path(f, t0: float, t1: float, y: list, tol: float):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            k1 = fy
-            k2 = f(*[v + (a21 * p) * h for v, p in zip(y, k1)])
-            k3 = f(*[v + (a31 * p + a32 * q) * h for v, p, q in zip(y, k1, k2)])
-            k4 = f(*[v + (a41 * p + a42 * q + a43 * r) * h for v, p, q, r in zip(y, k1, k2, k3)])
-            k5 = f(*[
-                v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                for v, p, q, r, s in zip(y, k1, k2, k3, k4)
-            ])
-            k6 = f(*[
-                v + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
-                for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
-            ])
-            y_new = [
-                v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
-                for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = f(*y_new)
+            y_new, k, err = trial(f, y, fy, h, tol)
             nfev += 6
-            err = math.hypot(*[
-                (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
-                / (tol + max(abs(v), abs(vn)) * tol)
-                for p, r, s, u, w, z, v, vn in zip(k1, k3, k4, k5, k6, k7, y, y_new)
-            ]) / root_n
             if err < 1.0:
                 if err == 0.0:
                     factor = _DP5_MAX_FACTOR
@@ -328,8 +390,8 @@ def _dp5_path(f, t0: float, t1: float, y: list, tol: float):
             h_abs *= max(_DP5_MIN_FACTOR, _DP5_SAFETY * err**_DP5_EXPONENT)
             step_rejected = True
             rejected += 1
-        stages.append(k1 + k2 + k3 + k4 + k5 + k6 + k7)
-        t, y, fy = t_new, y_new, k7
+        stages.append(k)
+        t, y, fy = t_new, y_new, k[-n:]
         times.append(t)
         states.append(y)
     return times, states, stages, rejected, nfev
@@ -371,13 +433,14 @@ class _DenseDP5:
         return y.T
 
 
-def _oracle(flow: str, f, span, y0: list, tol: float):
+def _oracle(flow: str, f, trial, span, y0: list, tol: float):
     """Node times, node states (rows) and dense output of the Dormand-Prince
-    run of f over span from y0, logged at debug level as flow."""
+    run of f with the trial step trial over span from y0, logged at debug
+    level as flow."""
     _check_span(span)
     tol = _check_tol(tol)
     t0, t1 = float(span[0]), float(span[1])
-    times, states, stages, rejected, nfev = _dp5_path(f, t0, t1, y0, tol)
+    times, states, stages, rejected, nfev = _dp5_path(f, trial, t0, t1, y0, tol)
     log.debug(
         "oracle flow=%s span=(%.17g, %.17g) tol=%.3g accepted=%d rejected=%d rhs_evals=%d",
         flow, t0, t1, tol, len(stages), rejected, nfev,
@@ -390,21 +453,24 @@ def integrate_quad(params, rho: float, s0, span, tol: float = 1e-10) -> Trajecto
     """Adaptive RK45 oracle of the quadratic flow, with dense output.
 
     A Dormand-Prince 5(4) run on floats with scipy RK45's step controller at
-    rtol = atol = tol, evaluating qqq_rhs's formula; the dense output is the
-    pair's quartic continuous extension, exact at the stored nodes.  The
-    state is not renormalized onto the sphere: conservation of rho is an
-    observable of the test suite, not enforced by the integrator.  s0 is the
-    state at span[0].  Raises StiffnessError when a step underflows.
+    rtol = atol = tol, evaluating qqq_rhs's formula in a straight-line trial
+    step over (D, R, I) (the generic step's operations in its order, so its
+    bits); the dense output is the pair's quartic continuous extension,
+    exact at the stored nodes.  The state is not renormalized onto the
+    sphere: conservation of rho is an observable of the test suite, not
+    enforced by the integrator.  s0 is the state at span[0].  Raises
+    StiffnessError when a step underflows.
     """
     s0 = _check_sphere(rho, s0)
     f = functools.partial(_qqq, params.p1, params.p2, params.p3, params.p4, params.p5, float(rho))
-    times, states, dense = _oracle("quad", f, span, s0.tolist(), tol)
+    times, states, dense = _oracle("quad", f, _dp5_trial3, span, s0.tolist(), tol)
     return Trajectory(times, states, "quad", dense)
 
 
 def integrate_full(params, a0, span, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK45 oracle of the full complex flow (same contract as
-    :func:`integrate_quad`, over C^2 as four reals)."""
+    :func:`integrate_quad`, over C^2 as four reals, with the
+    dimension-generic trial step)."""
     y0 = [float(v) for z in np.asarray(a0, dtype=complex) for v in (z.real, z.imag)]
 
     def f(x1, y1, x2, y2):
@@ -412,7 +478,7 @@ def integrate_full(params, a0, span, tol: float = 1e-10) -> Trajectory:
         f1, f2 = nonlinearity(params, complex(x1, y1), complex(x2, y2))
         return f1.imag, -f1.real, f2.imag, -f2.real
 
-    times, states, dense = _oracle("full", f, span, y0, tol)
+    times, states, dense = _oracle("full", f, _dp5_trial, span, y0, tol)
     return Trajectory(times, states[:, 0::2] + 1j * states[:, 1::2], "amplitude", dense)
 
 
@@ -963,17 +1029,20 @@ def detect_sync(params, rho: float):
     det, x_star, t = _planar(params, rho)
     scale = max(abs(params.p))
     source_inside = params.p1 > 1e-12 * scale and det > 0.0 and x_star @ x_star < rho * rho
+    # det A of the unscaled p, for the debug line only; on Python floats a
+    # huge max|p| overflows it to inf without a warning
+    det_a = det * (float(scale) * float(scale)) if log.isEnabledFor(logging.DEBUG) else None
     if source_inside and -params.p1 - params.p5 < 0.0 and t.size == 0:
         point = np.append(x_star, -math.sqrt(rho * rho - x_star @ x_star))
         log.debug(
             "detect_sync candidate=(%.17g, %.17g, %.17g) certificate trace_A=%.17g det_A=%.17g "
             "x_star_over_rho=%.3g outcome=sync",
-            *point, 2.0 * params.p1, det * scale**2, math.sqrt(x_star @ x_star) / rho,
+            *point, 2.0 * params.p1, det_a, math.sqrt(x_star @ x_star) / rho,
         )
         return SyncResult(point, gamma_pair(point, rho))
     log.debug(
         "detect_sync certificate trace_A=%.17g det_A=%.17g x_star_over_rho=%s equator_roots=[%s] outcome=none",
-        2.0 * params.p1, det * scale**2,
+        2.0 * params.p1, det_a,
         "none" if x_star is None else "%.3g" % (math.sqrt(x_star @ x_star) / rho),
         ", ".join("%.6g" % v for v in np.sort(t)),
     )

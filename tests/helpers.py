@@ -17,7 +17,19 @@ from scipy.optimize import brentq
 
 import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import classify, solve_case
-from cubicnls.quadratic_flow import integrate_quad, qqq_rhs, random_sphere_states
+from cubicnls.quadratic_flow import (
+    _DP5_A,
+    _DP5_B,
+    _DP5_E,
+    _DP5_EXPONENT,
+    _DP5_MAX_FACTOR,
+    _DP5_MIN_FACTOR,
+    _DP5_SAFETY,
+    StiffnessError,
+    integrate_quad,
+    qqq_rhs,
+    random_sphere_states,
+)
 from cubicnls.standard_form import StandardParams
 
 RHOS = (0.5, 1.0, 2.0)
@@ -626,3 +638,105 @@ def ladder_fixed_points(params, rho: float):
         pts = [s for s in pts if case == 0 or abs(s @ axis - offset) > 1e-6 * rho]
 
     return qf.FixedPointSet(qf._dedup(pts, 1e-6 * rho), circles)
+
+
+# ---------------------------------------------------------------------------
+# the reference stepper: the Dormand-Prince loop with its trial step inline
+# and dimension-generic, with which the oracles of both flows agree bit for bit
+
+
+def reference_dp5_path(f, t0: float, t1: float, y: list, tol: float):
+    """Dormand-Prince 5(4) run of y' = f(y) from the state y (a list of
+    floats) at t0 to t1, on Python floats.
+
+    f(*y) returns the derivative as a tuple of floats.  The step sequence
+    is scipy RK45's at rtol = atol = tol: its initial step, RMS error norm
+    with scale tol + max(|y|, |y_new|) tol, step factors, no growth right
+    after a rejection and the last step clipped to t1.  Raises
+    StiffnessError when a step falls below 10 ulps of its time.  Returns
+    (node times, node states, the 7 stage derivatives of each accepted step
+    concatenated, rejected steps, right-hand-side evaluations); a zero-length
+    span has the nodes t0, t1 and no step.
+    """
+    if t1 == t0:
+        return [t0, t1], [y, y], [], 0, 0
+    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
+        row[:s] for s, row in enumerate(_DP5_A.tolist())
+    )
+    b1, _, b3, b4, b5, b6 = _DP5_B.tolist()
+    e1, _, e3, e4, e5, e6, e7 = _DP5_E.tolist()
+    root_n = math.sqrt(len(y))
+    direction = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
+
+    # initial step (Hairer, Norsett & Wanner II.4)
+    fy = f(*y)
+    scale = [tol + abs(v) * tol for v in y]
+    d0 = math.hypot(*[v / c for v, c in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[g / c for g, c in zip(fy, scale)]) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    hd = h0 * direction
+    f1 = f(*[v + hd * g for v, g in zip(y, fy)])
+    d2 = math.hypot(*[(u - g) / c for u, g, c in zip(f1, fy, scale)]) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, span)
+
+    t = t0
+    times, states, stages = [t], [y], []
+    rejected, nfev = 0, 2
+    while t != t1:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if not h_abs >= min_step:  # also replaces a NaN step
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError("Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0.0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = fy
+            k2 = f(*[v + (a21 * p) * h for v, p in zip(y, k1)])
+            k3 = f(*[v + (a31 * p + a32 * q) * h for v, p, q in zip(y, k1, k2)])
+            k4 = f(*[v + (a41 * p + a42 * q + a43 * r) * h for v, p, q, r in zip(y, k1, k2, k3)])
+            k5 = f(*[
+                v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = f(*[
+                v + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+                for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = f(*y_new)
+            nfev += 6
+            err = math.hypot(*[
+                (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+                / (tol + max(abs(v), abs(vn)) * tol)
+                for p, r, s, u, w, z, v, vn in zip(k1, k3, k4, k5, k6, k7, y, y_new)
+            ]) / root_n
+            if err < 1.0:
+                if err == 0.0:
+                    factor = _DP5_MAX_FACTOR
+                else:
+                    factor = min(_DP5_MAX_FACTOR, _DP5_SAFETY * err**_DP5_EXPONENT)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_DP5_MIN_FACTOR, _DP5_SAFETY * err**_DP5_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        stages.append(k1 + k2 + k3 + k4 + k5 + k6 + k7)
+        t, y, fy = t_new, y_new, k7
+        times.append(t)
+        states.append(y)
+    return times, states, stages, rejected, nfev

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,16 @@ class TestFixedPoints:
         lines = [l for l in runs["debug"].stderr.decode().splitlines() if "detect_sync candidate=" in l]
         assert len(lines) == 1 and lines[0].endswith("outcome=sync")
         assert json.loads(runs["debug"].stdout)["synchronization"] is not None
+
+    def test_huge_p_without_a_warning(self, capsys):
+        # max|p| = 1e200: det A overflows a float, which must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(
+                capsys, "fixed-points", "--params", '{"p": [1e200, 0.3, 0.2, 0.1, 0.4]}', "--rho", "1",
+            )
+        assert code == 0
+        assert json.loads(out)["synchronization"] is not None
 
     def test_bad_rho_exit_1(self, capsys):
         code, _, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "-1")

@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +32,7 @@ from cubicnls.quadratic_flow import (
     stability,
 )
 from cubicnls.standard_form import StandardParams
-from helpers import CATALOGUE, ladder_fixed_points
+from helpers import CATALOGUE, ladder_fixed_points, reference_dp5_path
 
 CASE1 = StandardParams(1, 0, 0, 0, 0)
 # four isolated fixed points, one passing the sufficient test, and g > 0 on
@@ -683,6 +684,17 @@ class TestSync:
             "detect_sync candidate=(-0, -0, -1) certificate trace_A=2 det_A=1 x_star_over_rho=0 outcome=sync"
         ]
 
+    @pytest.mark.parametrize("level", [logging.WARNING, logging.DEBUG], ids=["debug_off", "debug_on"])
+    def test_huge_p_logs_without_a_warning(self, caplog, level):
+        # det A of the unscaled p = 1e200 overflows a float: the debug line
+        # reports inf, and no logging level computes it with a warning
+        with caplog.at_level(level, logger="cubicnls.quadratic_flow"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = detect_sync(StandardParams(1e200, 0.3, 0.2, 0.1, 0.4), 1.0)
+        assert res is not None
+        lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
+        assert [" det_A=inf " in line for line in lines] == ([True] if level == logging.DEBUG else [])
+
     def test_certificate_where_the_lattice_missed(self):
         # the 64-start lattice at the horizon 20 / (rho p1) reported no
         # synchronization here: the contraction is slower than that horizon
@@ -920,6 +932,79 @@ class TestLeanOracle:
         # two evaluations choose the first step, six more go into each trial step
         trials = int(fields["accepted"]) + int(fields["rejected"])
         assert int(fields["rhs_evals"]) == 2 + 6 * trials
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestReferenceStepper:
+    """The oracles against the reference stepper of tests/helpers.py: the
+    quadratic flow's written-out trial step and the full flow's generic one
+    give the same nodes, states, stages, rejected steps, right-hand-side
+    evaluations and dense output, bit for bit."""
+
+    @staticmethod
+    def _runs(monkeypatch):
+        # every _dp5_path call an oracle makes, with its f, ends, state, tol
+        # and result
+        runs, real = [], qf._dp5_path
+
+        def spy(f, trial, t0, t1, y, tol):
+            out = real(f, trial, t0, t1, y, tol)
+            runs.append(((f, t0, t1, list(y), tol), out))
+            return out
+
+        monkeypatch.setattr(qf, "_dp5_path", spy)
+        return runs
+
+    @staticmethod
+    def _assert_same(run, tr) -> int:
+        """Rejected steps of the reference run, after checking bit equality."""
+        (f, t0, t1, y, tol), (times, states, stages, rejected, nfev) = run
+        ref_times, ref_states, ref_stages, ref_rejected, ref_nfev = reference_dp5_path(f, t0, t1, y, tol)
+        assert _bits(times) == _bits(ref_times)
+        assert _bits(states) == _bits(ref_states)
+        assert _bits(stages) == _bits(ref_stages)
+        assert (rejected, nfev) == (ref_rejected, ref_nfev)
+        nodes = np.array(ref_states)
+        if tr.kind == "amplitude":
+            nodes = nodes[:, 0::2] + 1j * nodes[:, 1::2]
+        dense = qf._DenseDP5(np.array(ref_times), np.array(ref_states), ref_stages)
+        ref = Trajectory(ref_times, nodes, tr.kind, dense)
+        taus = np.linspace(min(t0, t1) - 0.25, max(t0, t1) + 0.25, 41)
+        assert tr.at(taus).tobytes() == ref.at(taus).tobytes()
+        return ref_rejected
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
+    def test_quad(self, monkeypatch, tol):
+        runs = self._runs(monkeypatch)
+        rng = np.random.default_rng(23)
+        members = [StandardParams(*p) for p in CATALOGUE] + [rand_params(rng) for _ in range(8)]
+        for k, params in enumerate(members):
+            rho = (0.5, 1.0, 2.0)[k % 3]
+            s0 = random_sphere_states(rho, 1, 100 + k)[0]
+            span = 1.5 / (rho * max(np.abs(params.p)))
+            for ends in ((0.0, span), (0.0, -span), (0.7, 0.7 - 2.0 * span), (0.3, 0.3)):
+                tr = integrate_quad(params, rho, s0, ends, tol=tol)
+                self._assert_same(runs[-1], tr)
+        assert len(runs) == 4 * len(members)
+
+    def test_quad_rejected_steps(self, monkeypatch):
+        # a loose tolerance over a long span: the controller rejects steps
+        runs = self._runs(monkeypatch)
+        params = StandardParams(0.6, 0.8, 1.0, 0.6, 0.2)
+        tr = integrate_quad(params, 2.0, random_sphere_states(2.0, 1, 5)[0], (-1.0, 12.0), tol=1e-4)
+        assert self._assert_same(runs[-1], tr) > 0
+
+    def test_full(self, monkeypatch):
+        runs = self._runs(monkeypatch)
+        rng = np.random.default_rng(24)
+        cases = [(1e-13, (0.0, 1.0)), (1e-10, (0.5, -1.5)), (1e-4, (-0.2, 3.0)), (1e-10, (1.0, 1.0))]
+        for tol, ends in cases:
+            a0 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            tr = integrate_full(rand_params(rng), a0, ends, tol=tol)
+            self._assert_same(runs[-1], tr)
 
 
 # ---------------------------------------------------------------------------
