@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import elliptic as el
-from .quadratic_flow import _check_sphere, qqq_rhs
+from .quadratic_flow import _check_sphere, _qqq
 from .standard_form import TrivialSystemError
 
 __all__ = [
@@ -514,30 +514,42 @@ def solve_case(params, rho: float, s0) -> ClosedFormSolution:
     catalogue (use the numerical oracle instead) and UnsupportedRatioError
     for a p1/p3 family whose ratio has no catalogued formula.  The radius
     and the state are validated first, so a bad one raises ValueError
-    whatever the parameters.
+    whatever the parameters.  This is the one-state call of _solve_states.
     """
-    s0 = _check_sphere(rho, s0)
-    case_id = classify(params)
-    if case_id.case == 0:
-        raise UnsupportedCaseError(
-            f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
-        )
-    if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
-        raise UnsupportedRatioError(
-            f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
-            "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
-        )
+    return next(_solve_states(params, [(rho, s0)]))
 
-    pscale = max(float(np.max(np.abs(params.p))), 1e-300)
-    if np.linalg.norm(qqq_rhs(params, rho, s0)) <= 1e-13 * rho * rho * pscale:
-        branch, constants, formula = "fixed-point", {}, _constant(*s0)
-    else:
-        branch, constants, formula = _CASE_BUILDERS[case_id.case](params, rho, s0, case_id)
-    if log.isEnabledFor(logging.DEBUG):
-        consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
-        log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
-                  case_id.case, case_id.subcase or "-", branch, consts)
-    return ClosedFormSolution(case_id, branch, constants, rho, s0, formula)
+
+def _solve_states(params, states):
+    """solve_case at each (rho, state) of an iterable, in turn: the
+    per-parameter work (classify and its errors, max|p|, the builder, the
+    debug test) runs once, after the first state's sphere check; each state
+    is checked on its sphere and for a fixed point and built as alone."""
+    case_id = None
+    for rho, s0 in states:
+        s0 = _check_sphere(rho, s0)
+        if case_id is None:
+            case_id = classify(params)
+            if case_id.case == 0:
+                raise UnsupportedCaseError(
+                    f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
+                )
+            if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
+                raise UnsupportedRatioError(
+                    f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
+                    "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
+                )
+            p = params.p1, params.p2, params.p3, params.p4, params.p5
+            pscale, build = max(*map(abs, p), 1e-300), _CASE_BUILDERS[case_id.case]
+            debug = log.isEnabledFor(logging.DEBUG)
+        if np.linalg.norm(_qqq(*p, rho, *s0.tolist())) <= 1e-13 * rho * rho * pscale:  # qqq_rhs on floats
+            branch, constants, formula = "fixed-point", {}, _constant(*s0)
+        else:
+            branch, constants, formula = build(params, rho, s0, case_id)
+        if debug:
+            consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
+            log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
+                      case_id.case, case_id.subcase or "-", branch, consts)
+        yield ClosedFormSolution(case_id, branch, constants, rho, s0, formula)
 
 
 def _case1_5(params, rho, s0, case_id):

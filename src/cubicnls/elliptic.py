@@ -118,9 +118,12 @@ class _AGMChain:
         """am(t, m) for t in [-2K, 2K], by the descending phase recursion."""
         phi, (lowest, highest) = self.scale * t, self.tops
         for n in range(highest, 0, -1):  # minimum(maximum()) clips in half np.clip's time
-            s = np.minimum(np.maximum(self.ratio[n] * np.sin(phi), -1.0), 1.0)
-            step = 0.5 * (phi + np.arcsin(s))
-            phi = step if n <= lowest else np.where(n <= self.phase_top, step, phi)
+            x = phi if n <= lowest else phi.take(self.reach[n])
+            x = 0.5 * (x + np.arcsin(np.minimum(np.maximum(self.ratio[n] * np.sin(x), -1.0), 1.0)))
+            if n <= lowest:
+                phi = x
+            else:  # a level above the lowest top (_Chains), on the elements that reach it
+                phi.put(self.reach[n], x)
         return phi
 
     def incomplete_F(self, phi: np.ndarray) -> np.ndarray:
@@ -141,8 +144,9 @@ _chain = functools.lru_cache(maxsize=4096)(_AGMChain)
 class _Chains(_AGMChain):
     """The AGM chains of arrays of (m, m1): K, the phase recursion's start,
     ratios and top level are arrays, each element's from the chain of its
-    own pair.  Each run of equal pairs is checked by _check_m and reads one
-    chain; pairs with m1 = 0 (``hyperbolic``) read m = 0's as a placeholder."""
+    own pair; a level above the lowest top runs on the elements that reach
+    it alone (``reach``).  Each run of equal pairs is checked by _check_m
+    and reads one chain; m1 = 0 (``hyperbolic``) reads m = 0's as a stand-in."""
 
     def __init__(self, m: np.ndarray, m1: np.ndarray):
         flat, flat1 = m.ravel(), m1.ravel()
@@ -156,7 +160,10 @@ class _Chains(_AGMChain):
                           + [[ch.ratio[n] if n < len(ch.ratio) else 0.0 for ch in chains]
                              for n in range(1, self.tops[1] + 1)], np.diff(np.append(new, flat.size)), axis=1)
         self.K, self.scale, self.phase_top, *ratio = table.reshape(-1, *m.shape)
-        self.ratio = [None, *ratio]
+        self.ratio, self.reach = [None, *ratio], {}
+        for n in range(self.tops[0] + 1, self.tops[1] + 1):  # a level's elements and their ratios
+            self.reach[n] = np.flatnonzero(self.phase_top >= n)
+            self.ratio[n] = self.ratio[n].ravel()[self.reach[n]]
 
 
 def _checked(x, m: float, m1, name: str, per_element: bool = False):

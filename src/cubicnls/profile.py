@@ -12,8 +12,8 @@ planar orbit in closed form, time as a quadrature over it and the phase by
 reconstruction's rule (quadratic_flow._SigmaOrbit,
 reconstruction._orbit_jobs).  Points the reduction declines go to the
 numerical oracle of the full flow.  ``uapp`` takes a whole x-grid at one
-t: all its points' phase integrals then run in one refinement loop, with
-the same bits as one call per point.
+t: one setup pass (solve_case's per-parameter work once) and one refinement
+loop serve all its points, with the same bits as one call per point.
 
 Two specialized, fully explicit profile formulas are provided for the pure
 p1 family (synchronizing) and the pure p3 family (elliptic), and the
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic as el
-from .closed_form import UnsupportedCaseError, solve_case
-from .quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, integrate_full
+from .closed_form import UnsupportedCaseError, _solve_states
+from .quadratic_flow import _Decline, _SigmaOrbit, _check_sphere, amplitudes_to_quad, integrate_full
 from .reconstruction import _orbit_jobs, _phases, _reconstruct_jobs
 
 __all__ = [
@@ -73,17 +73,22 @@ class FinalData:
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
 
-    def interp(self, xi: float) -> tuple[complex, complex]:
-        grid = self.xi_grid
-        if not grid[0] <= xi <= grid[-1]:
-            raise ExtrapolationError(f"xi = {xi} outside grid [{grid[0]}, {grid[-1]}]")
-        a1 = complex(
-            np.interp(xi, grid, self.alpha1.real), np.interp(xi, grid, self.alpha1.imag)
-        )
-        a2 = complex(
-            np.interp(xi, grid, self.alpha2.real), np.interp(xi, grid, self.alpha2.imag)
-        )
-        return a1, a2
+    def _inside(self, x) -> int:
+        """How many leading elements of the 1-D array x lie on the grid (NaN does not)."""
+        lo, hi = self.xi_grid[0].item(), self.xi_grid[-1].item()
+        return next((k for k, v in enumerate(x.tolist()) if not lo <= v <= hi), len(x))
+
+    def interp(self, xi):
+        """(alpha1, alpha2) at xi: two complex numbers for a number xi, two
+        complex arrays for a 1-D array, each element bit for bit its own
+        call.  Raises ExtrapolationError for the first xi outside the grid."""
+        grid, x = self.xi_grid, np.asarray(xi, dtype=float)
+        if (k := self._inside(x.reshape(-1))) < x.size:
+            raise ExtrapolationError(f"xi = {xi if x.ndim == 0 else x[k]} outside grid [{grid[0]}, {grid[-1]}]")
+        a = np.empty((2, *x.shape), dtype=complex)
+        a.real[0], a.imag[0], a.real[1], a.imag[1] = (
+            np.interp(x, grid, v) for v in (self.alpha1.real, self.alpha1.imag, self.alpha2.real, self.alpha2.imag))
+        return (complex(a[0]), complex(a[1])) if x.ndim == 0 else (a[0], a[1])
 
     def decay_constant(self) -> float:
         """Smallest C with |alpha1| + |alpha2| <= C (1 + xi^2)^-1 on the grid."""
@@ -95,63 +100,63 @@ def _prefactor(t: float, x: float) -> complex:
     return cmath.exp(1j * x * x / (4.0 * t)) / cmath.sqrt(2j * t)
 
 
-def _flow_jobs(params, a0, tau: float):
-    """The phase-integral jobs of advancing a0 by tau (see _flows) and the
-    function that builds the pair from their results."""
-    if tau == 0.0 or (a0[0] == 0 and a0[1] == 0):
-        return [], lambda _: a0
-    rho, s0 = amplitudes_to_quad(*a0)
+def _sigma_jobs(params, a0, rho: float, s0, tau: float):
+    """_flows' phase-integral jobs and pair builder for a0 outside the catalogue."""
+    # the last stored node of the full flow's oracle is the state at tau itself
+    oracle = lambda: tuple(map(complex, integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]))
     try:
-        cf = solve_case(params, rho, s0)
-    except UnsupportedCaseError:
-        # the last stored node of the full flow's oracle is the state at tau itself
-        oracle = lambda: tuple(map(complex, integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]))
+        jobs, pair = _orbit_jobs(a0, rho, _SigmaOrbit(params, rho, s0, tau))
+    except _Decline:
+        return [], lambda _: oracle()
+
+    def pair_or_oracle(results):
         try:
-            jobs, pair = _orbit_jobs(a0, rho, _SigmaOrbit(params, rho, s0, tau))
-        except _Decline:
-            return [], lambda _: oracle()
+            return pair(results)
+        except _Decline:  # the orbit's source declined inside the phase integral
+            return oracle()
 
-        def pair_or_oracle(results):
-            try:
-                return pair(results)
-            except _Decline:  # the orbit's source declined inside the phase integral
-                return oracle()
-
-        return jobs, pair_or_oracle
-    return _reconstruct_jobs(a0, cf, rho, tau)
+    return jobs, pair_or_oracle
 
 
 def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
-    """The amplitude pairs of the iterable a0s advanced by tau, all phase
-    integrals in one refinement loop: closed form + reconstruction when the
-    parameters are catalogued, the sigma-reduction otherwise, and the RK45
-    oracle of the full flow where the reduction declines (a separatrix, or
-    a time rule short of its target; logged at debug level with the
-    reason).  The first failing point raises its own error."""
-    points, failed = [], None
+    """The amplitude pairs of the list a0s advanced by tau: closed form +
+    reconstruction for catalogued parameters, else the sigma-reduction and,
+    where it declines (logged at debug level), the full flow's RK45 oracle.
+    One setup pass (solve_case's and reconstruct's per-grid work once) and
+    one phase-integral loop serve all points; the first failing point
+    raises, after the points before it."""
+    if tau == 0.0:
+        return list(a0s)
+    live, sols, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], None
     try:
-        for a0 in a0s:
-            points.append(_flow_jobs(params, a0, tau))
+        for sol in _solve_states(params, (amplitudes_to_quad(*a0) for a0 in live)):
+            sols.append(sol)
     except Exception as exc:  # raised after the points before it
         failed = exc
+    points = _reconstruct_jobs([(a0, sol, sol.rho, sol.initial) for a0, sol in zip(live, sols)], tau)
+    if isinstance(failed, UnsupportedCaseError):  # outside the catalogue, point by point
+        failed = None
+        for a0 in live:
+            try:  # each state checked on its sphere, as its own solve_case call would
+                rho, s0 = amplitudes_to_quad(*a0)
+                points.append(_sigma_jobs(params, a0, rho, _check_sphere(rho, s0), tau))
+            except Exception as exc:
+                failed = exc
+                break
     results = iter(_phases(params, [job for jobs, _ in points for job in jobs]))
-    pairs = [pair([next(results) for _ in jobs]) for jobs, pair in points]
+    pairs = iter([pair([next(results) for _ in jobs]) for jobs, pair in points])
     if failed is not None:
         raise failed
-    return pairs
-
-
-def _flow(params, a0: tuple[complex, complex], tau: float) -> tuple[complex, complex]:
-    """Amplitude pair advanced by tau (see _flows)."""
-    return _flows(params, [a0], tau)[0]
+    return [next(pairs) if a0[0] != 0 or a0[1] != 0 else a0 for a0 in a0s]
 
 
 def uapp(params, fd: FinalData, t: float, x):
     """The approximate solution pair at (t, x) for finite t != 0; for a 1-D
     array x, two complex arrays, bit for bit the calls at each x in turn
-    (the first failing one raises), with one phase-integral loop for all,
-    and one source call a level for the points of one closed-form formula.
-    An x of more dimensions raises ValueError."""
+    (the first failing one raises), with one setup pass, one final-data
+    interpolation and one phase-integral loop for all, and one source call
+    a level for the points of one closed-form formula (see _flows).  An x
+    of more dimensions raises ValueError."""
     if not math.isfinite(t):
         raise ValueError(f"the profile is defined for finite t, got {t}")
     if t == 0.0:
@@ -160,7 +165,15 @@ def uapp(params, fd: FinalData, t: float, x):
         raise ValueError(f"the profile takes a number or a 1-D array x, got an array of shape {np.shape(x)}")
     xs = [x] if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
-    pairs = _flows(params, (fd.interp(v / (2.0 * t)) for v in xs), tau)
+    xi = np.asarray(xs, dtype=float) / (2.0 * t)
+    try:
+        (a1, a2), n = fd.interp(xi), len(xi)
+    except ExtrapolationError:  # the points before the first outside the data run, then it raises
+        n = fd._inside(xi)
+        a1, a2 = fd.interp(xi[:n])
+    pairs = _flows(params, list(zip(a1.tolist(), a2.tolist())), tau)
+    if n < len(xi):
+        fd.interp(xs[n] / (2.0 * t))  # that point's error, after the points before it
     u = np.array([[_prefactor(t, v) * a for a in pair] for v, pair in zip(xs, pairs)], dtype=complex).reshape(-1, 2)
     return (complex(u[0, 0]), complex(u[0, 1])) if np.ndim(x) == 0 else (u[:, 0], u[:, 1])
 

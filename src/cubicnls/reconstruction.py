@@ -31,6 +31,7 @@ debug level on the ``cubicnls.reconstruction`` logger.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -232,6 +233,8 @@ def _phases(params, jobs):
     # the panels of np.linspace(0, span, n + 1), job by job: the pending
     # jobs ks have cnt panels each, pj is the job of each panel
     rho_j, span_j = (np.array([job[j] for job in jobs], dtype=float) for j in (0, 2))
+    # each job's s0 (NaN where none is given), checked at level 1 against its source at 0
+    s0_j = np.array([np.full(3, np.nan) if job[3] is None else job[3] for job in jobs])
     ks = list(range(len(jobs)))
     cnt = np.array([max(1, math.ceil(abs(span) / _PANEL_WIDTH)) for span in span_j.tolist()], dtype=int)
     pj, i = np.repeat(np.arange(len(jobs)), cnt), np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
@@ -251,7 +254,8 @@ def _phases(params, jobs):
         nodes, edge = np.ones((4, len(pj), 15)), np.ones((len(pj), 4))
 
         def call(members, evaluate=None):
-            """One source call: the jobs of a stacked evaluate, or one job's own source."""
+            """One source call: the jobs of a stacked evaluate, or one job's own
+            source; returns the exception it raised, if any."""
             sel = (slice(None) if len(members) == len(ks) else slice(*seg[members[0]]) if len(members) == 1
                    else np.repeat(np.isin(ks, members), cnt))
             q = [taus[sel].ravel(), far[sel]]
@@ -263,13 +267,8 @@ def _phases(params, jobs):
                     at = loc[pj[sel]]
                     index = [np.repeat(at, 15), at] + ([np.repeat(loc[members], 2)] if level == 1 else [])
                     s = evaluate(np.concatenate(index), np.concatenate(q))
-            except Exception as exc:  # the job's failure, for its caller to raise in its turn
-                if len(members) == 1:
-                    out[members[0]] = exc
-                else:  # retried job by job, so that each keeps its own exception
-                    for k in members:
-                        call([k])
-                return
+            except Exception as exc:
+                return exc
             n, c = len(q[1]), s.shape[-1]
             width[members], nodes[:c, sel], edge[sel, :c] = c, s[: 15 * n].T.reshape(c, -1, 15), s[15 * n: 16 * n]
             if level == 1:
@@ -277,10 +276,13 @@ def _phases(params, jobs):
 
         pending = set(ks)
         for members, evaluate in groups:
-            if members := [k for k in members if k in pending]:
-                call(members, evaluate)
-        for k, (rho, _, _, s0) in enumerate(jobs if level == 1 else ()):
-            if out[k] is None and s0 is not None and np.max(np.abs(s0 - ends[k, 0, :3])) > 1e-8 * max(1.0, rho):
+            if (members := [k for k in members if k in pending]) and (failed := call(members, evaluate)) is not None:
+                # the job's failure, for its caller to raise in its turn; a shared
+                # call is retried job by job, so that each keeps its own exception
+                for k in members:
+                    out[k] = failed if len(members) == 1 else call([k])
+        for k, miss in enumerate(np.abs(s0_j - ends[:, 0, :3]).max(axis=1).tolist() if level == 1 else ()):
+            if out[k] is None and miss > 1e-8 * max(1.0, jobs[k][0]):
                 out[k] = ValueError(_INCONSISTENT)
         # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
         chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
@@ -387,45 +389,49 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     non-finite integrand value, or when the rule misses its target within
     its level and panel caps.
     """
-    jobs, pair = _reconstruct_jobs(a0, quad_src, rho, tau, anchor)
+    a0 = complex(a0[0]), complex(a0[1])
+    if a0[0] == 0 and a0[1] == 0:
+        raise ValueError("reconstruction needs a nontrivial amplitude pair")
+    ((jobs, pair),) = _reconstruct_jobs([(a0, quad_src, rho, None)], tau, anchor)
     return pair(_phases(params, jobs))
 
 
-def _reconstruct_jobs(a0, quad_src, rho: float, tau: float, anchor=None):
-    """reconstruct's checks, then its phase-integral job (none at tau = 0)
-    and the function that builds the pair from that job's result."""
-    a1_0, a2_0 = complex(a0[0]), complex(a0[1])
-    if a1_0 == 0 and a2_0 == 0:
-        raise ValueError("reconstruction needs a nontrivial amplitude pair")
+def _reconstruct_jobs(points, tau: float, anchor=None):
+    """reconstruct's checks, of tau once, for nontrivial points (a0, source,
+    rho, s0), then per point its job (none at tau = 0) and the function
+    that builds its pair from that job's result.  s0 = None stands for a0's
+    (D, R, I), checked against rho and the source; a grid passes its own."""
     if not math.isfinite(tau):
         raise ValueError(f"reconstruction needs a finite tau, got {tau!r}")
     if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
         raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
-    rho0, s_init = amplitudes_to_quad(a1_0, a2_0)
-    tol = 1e-8 * max(1.0, rho)
-    if abs(rho0 - rho) > tol or (tau == 0.0 and np.max(np.abs(s_init - np.asarray(quad_src(0.0), dtype=float))) > tol):
-        raise ValueError(_INCONSISTENT)
+    out = []
+    for a0, src, rho, s0 in points:
+        if s0 is None:
+            rho0, s0 = amplitudes_to_quad(*a0)
+            tol = 1e-8 * max(1.0, rho)
+            if abs(rho0 - rho) > tol or (tau == 0.0 and np.max(np.abs(s0 - np.asarray(src(0.0), dtype=float))) > tol):
+                raise ValueError(_INCONSISTENT)
+        if anchor not in (None, 1, 2):
+            raise ValueError("anchor must be 1, 2 or None")
+        start = 1.0 if (abs(a0[0]) >= abs(a0[1]) if anchor is None else anchor == 1) else -1.0
+        seed = a0[0] if start > 0.0 else a0[1]
+        if seed == 0:
+            raise SingularAnchorError("requested anchor component vanishes at tau = 0")
+        out.append(([], lambda _, a0=a0: a0) if tau == 0.0 else
+                   ([(rho, src, tau, s0)], functools.partial(_reconstructed, rho, tau, seed, start)))
+    return out
 
-    if anchor is None:
-        anchor = 1 if abs(a1_0) >= abs(a2_0) else 2
-    elif anchor not in (1, 2):
-        raise ValueError("anchor must be 1, 2 or None")
-    seed = a1_0 if anchor == 1 else a2_0
-    if seed == 0:
-        raise SingularAnchorError("requested anchor component vanishes at tau = 0")
-    if tau == 0.0:
-        return [], lambda _: (a1_0, a2_0)
 
-    def pair(results):
-        phase, out, s, switches = _turned(results[0], 1.0 if anchor == 1 else -1.0)
-        _, _, _, err, panels, levels = results[0]
-        log.debug(
-            "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
-            tau, anchor, switches, panels, levels, err,
-        )
-        return _pair(rho, seed, phase, out, s)
-
-    return [(rho, quad_src, tau, s_init)], pair
+def _reconstructed(rho: float, tau: float, seed: complex, start: float, results):
+    """The pair at tau from a reconstruct job's result, and its debug line."""
+    phase, out, s, switches = _turned(results[0], start)
+    _, _, _, err, panels, levels = results[0]
+    log.debug(
+        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
+        tau, 1 if start > 0.0 else 2, switches, panels, levels, err,
+    )
+    return _pair(rho, seed, phase, out, s)
 
 
 def _pair(rho: float, seed: complex, phase: float, out: float, s):

@@ -10,13 +10,23 @@ defining curves on the sphere.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 from scipy.optimize import brentq
 
 import cubicnls.quadratic_flow as qf
-from cubicnls.closed_form import classify, solve_case
+from cubicnls.closed_form import (
+    _CASE_BUILDERS,
+    ClosedFormSolution,
+    UnsupportedCaseError,
+    UnsupportedRatioError,
+    _constant,
+    classify,
+    log,
+    solve_case,
+)
 from cubicnls.quadratic_flow import (
     _DP5_A,
     _DP5_B,
@@ -26,6 +36,7 @@ from cubicnls.quadratic_flow import (
     _DP5_MIN_FACTOR,
     _DP5_SAFETY,
     StiffnessError,
+    _check_sphere,
     integrate_quad,
     qqq_rhs,
     random_sphere_states,
@@ -740,3 +751,34 @@ def reference_dp5_path(f, t0: float, t1: float, y: list, tol: float):
         times.append(t)
         states.append(y)
     return times, states, stages, rejected, nfev
+
+
+# ---------------------------------------------------------------------------
+# the per-state solve_case that closed_form._solve_states replaced by one
+# setup pass per grid, body unchanged, over the unchanged builders: the
+# reference for the grid entry's solutions
+
+
+def reference_solve_case(params, rho: float, s0) -> ClosedFormSolution:
+    s0 = _check_sphere(rho, s0)
+    case_id = classify(params)
+    if case_id.case == 0:
+        raise UnsupportedCaseError(
+            f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
+        )
+    if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
+        raise UnsupportedRatioError(
+            f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
+            "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
+        )
+
+    pscale = max(float(np.max(np.abs(params.p))), 1e-300)
+    if np.linalg.norm(qqq_rhs(params, rho, s0)) <= 1e-13 * rho * rho * pscale:
+        branch, constants, formula = "fixed-point", {}, _constant(*s0)
+    else:
+        branch, constants, formula = _CASE_BUILDERS[case_id.case](params, rho, s0, case_id)
+    if log.isEnabledFor(logging.DEBUG):
+        consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
+        log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
+                  case_id.case, case_id.subcase or "-", branch, consts)
+    return ClosedFormSolution(case_id, branch, constants, rho, s0, formula)

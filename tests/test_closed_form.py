@@ -23,12 +23,13 @@ from cubicnls.closed_form import (
     _lemma1,
     _lemma2,
     _lemma3,
+    _solve_states,
     _stacked,
 )
-from cubicnls.quadratic_flow import integrate_quad, qqq_rhs, random_sphere_states
+from cubicnls.quadratic_flow import fixed_points, integrate_quad, qqq_rhs, random_sphere_states
 from cubicnls.standard_form import StandardParams, TrivialSystemError
 
-from helpers import branch_states, case_branch_plan, closed_vs_oracle, std
+from helpers import branch_states, case_branch_plan, closed_vs_oracle, curve_states, reference_solve_case, std
 
 
 def lemma_oracle(rhs, y0, span=(-5.0, 5.0), n=41):
@@ -791,6 +792,17 @@ class TestOneThirdPlanes:
         assert np.max(np.abs(sol(self.TAUS) - ref)) <= (1e-10 if delta == 1e-14 else 1e-12)
 
 
+@functools.cache
+def plan_states():
+    """(label, params, rho, state): two seeded states of every branch of
+    case_branch_plan() at rho = 0.5 and 2."""
+    out = []
+    for label, params, key, family in case_branch_plan():
+        for rho in (0.5, 2.0):
+            out += [(label, params, rho, s0) for s0 in branch_states(params, rho, key, family, 2, seed=zlib.crc32(label.encode()))]
+    return out
+
+
 class TestGroupedEvaluation:
     """closed_form._stacked: the solutions of one formula evaluated in one call,
     each constant repeated over its own solution's taus, bit for bit what
@@ -800,11 +812,7 @@ class TestGroupedEvaluation:
     @staticmethod
     @functools.cache
     def solutions():
-        sols = []
-        for label, params, key, family in case_branch_plan():
-            for rho in (0.5, 2.0):
-                states = branch_states(params, rho, key, family, 2, seed=zlib.crc32(label.encode()))
-                sols += [solve_case(params, rho, s0) for s0 in states]
+        sols = [solve_case(params, rho, s0) for _, params, rho, s0 in plan_states()]
         # pure p3 at |D| = |R| with R < 0 (lemma 1's sign flip at gap = 0) and
         # at |D| < |R| (its swap)
         for s0 in ((0.6, -0.6, math.sqrt(0.28)), (-0.6, -0.6, -math.sqrt(0.28)), (0.3, -0.8, math.sqrt(0.27))):
@@ -841,3 +849,71 @@ class TestGroupedEvaluation:
             got = _stacked(members)(index, tau)
             for j, sol in enumerate(members):
                 assert np.array_equal(got[index == j].view(np.uint64), sol(tau[index == j]).view(np.uint64)), sol.branch
+
+
+class TestGridEntry:
+    """closed_form._solve_states, one setup pass for the states of a grid:
+    state by state the case, branch, constants, rows and debug lines of the
+    per-state reference (helpers.reference_solve_case, the former
+    solve_case), over grids that mix every branch of a family at two
+    radii, its fixed points, ratio 1's circle D = R and ratio 1/3's plane
+    D = -R."""
+
+    TAUS = np.linspace(-4.0, 4.0, 17)
+
+    @staticmethod
+    @functools.cache
+    def grids():
+        """Per family: its parameters and the shuffled (rho, state) pairs."""
+        families = {}
+        for _, params, rho, s0 in plan_states():
+            families.setdefault(tuple(params.p), (params, []))[1].append((rho, s0))
+        for params, grid in families.values():
+            grid += [(rho, s0) for rho in (0.5, 2.0) for s0 in fixed_points(params, rho).all_points()[:4]]
+        for p, plane in (((1.0, 0.0, 1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 3.0, 0.0, 0.0), -1.0)):
+            d = np.linspace(-0.69, 0.69, 7)
+            families[p][1].extend((rho, s0) for rho in (0.5, 2.0) for s0 in curve_states(rho, lambda d: plane * d, d * rho))
+        rng = np.random.default_rng(11)
+        return [(params, [grid[j] for j in rng.permutation(len(grid))]) for params, grid in families.values()]
+
+    def test_grids_cover_the_special_states(self):
+        branches = {(tuple(params.p), sol.branch) for params, grid in self.grids()
+                    for sol in _solve_states(params, grid)}
+        assert ((1.0, 0.0, 1.0, 0.0, 0.0), "fixed-point") in branches
+        assert ((1.0, 0.0, 3.0, 0.0, 0.0), "ratio=1/3 diag-") in branches
+        assert sum(b == "fixed-point" for _, b in branches) >= 10
+
+    def test_state_by_state_as_the_reference(self):
+        for params, grid in self.grids():
+            got = list(_solve_states(params, grid))
+            assert len(got) == len(grid)
+            for sol, (rho, s0) in zip(got, grid):
+                ref = reference_solve_case(params, rho, s0)
+                assert (sol.case_id, sol.branch, sol.constants) == (ref.case_id, ref.branch, ref.constants)
+                taus = self.TAUS / rho
+                assert sol(taus).tobytes() == ref(taus).tobytes(), (params, rho, s0, sol.branch)
+
+    def test_debug_lines(self, caplog):
+        for params, grid in self.grids():
+            with caplog.at_level(logging.DEBUG, logger="cubicnls.closed_form"):
+                list(_solve_states(params, grid))
+                got = [r.getMessage() for r in caplog.records]
+                caplog.clear()
+                for rho, s0 in grid:
+                    reference_solve_case(params, rho, s0)
+                assert got == [r.getMessage() for r in caplog.records] and len(got) == len(grid)
+                caplog.clear()
+
+    def test_errors_in_their_turn(self):
+        # the states before a bad one are solved, then its error raises;
+        # outside the catalogue the first state's sphere check still comes
+        # before the parameters' error
+        good, bad = np.array([0.6, 0.0, 0.8]), np.array([0.6, 0.0, 0.9])
+        states = _solve_states(std(p1=1.0), [(1.0, good), (1.0, bad), (1.0, good)])
+        assert next(states).branch == "collapse"
+        with pytest.raises(ValueError, match="off the sphere"):
+            next(states)
+        with pytest.raises(UnsupportedRatioError):
+            next(_solve_states(std(p1=2.0, p3=1.0), [(1.0, good), (1.0, bad)]))
+        with pytest.raises(ValueError, match="off the sphere"):
+            next(_solve_states(std(p1=2.0, p3=1.0), [(1.0, bad), (1.0, good)]))

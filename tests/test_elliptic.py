@@ -475,9 +475,20 @@ class TestArrayParameter:
         u[m1 == 0.0, :2] = rng.uniform(-30.0, 30.0, (1, 2))
         runs = np.repeat(np.arange(m.size), u.shape[1])
         shuffled = rng.permutation(runs.size)
-        return [(u.ravel(), m[runs], m1[runs]), (u.ravel()[shuffled], m[runs][shuffled], m1[runs][shuffled])]
+        # pairs whose phase recursions stop at levels 4, 5 and 6, and one
+        # m1 = 0, interleaved: the levels above the lowest top run on some
+        # elements only
+        tops = np.insert(np.tile([0.9, 0.5, 0.1, 0.3, 0.05, 0.7, 0.02], 4), 13, 0.0)
+        k_tops = np.array([el.complete_K(1.0 - b) if b > 0.0 else 1.0 for b in tops])
+        return [(u.ravel(), m[runs], m1[runs]), (u.ravel()[shuffled], m[runs][shuffled], m1[runs][shuffled]),
+                (rng.uniform(-6.0, 6.0, tops.size) * k_tops, 1.0 - tops, tops)]
 
-    @pytest.mark.parametrize("layout", [0, 1], ids=["runs", "mixed"])
+    def test_layout_of_phase_tops(self):
+        _, m, m1 = self.elements()[2]
+        assert sorted({el._chain(a, b).phase_top for a, b in zip(m, m1) if b > 0.0}) == [4, 5, 6]
+        assert np.count_nonzero(m1 == 0.0) == 1 and (np.diff(m1) != 0.0).all()
+
+    @pytest.mark.parametrize("layout", [0, 1, 2], ids=["runs", "mixed", "tops"])
     def test_bits_of_one_call_per_element(self, layout):
         u, m, m1 = self.elements()[layout]
         got = el.jacobi_sn_cn_dn(u, m, m1=m1)

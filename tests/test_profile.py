@@ -2,6 +2,8 @@
 
 import cmath
 import dataclasses
+import gc
+import logging
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import cubicnls.profile as profile
+from cubicnls.closed_form import solve_case
 from cubicnls.elliptic import EllipticDomainError
 from cubicnls.profile import (
     ExtrapolationError,
@@ -58,6 +61,19 @@ class TestFinalData:
     def test_nan_rejected(self):
         with pytest.raises(ExtrapolationError):
             make_fd().interp(math.nan)
+
+    def test_array_xi_as_each_point(self):
+        # a 1-D xi, nodes and the grid's ends included, gives each element the
+        # bits of its own call; the first xi outside the grid names the error
+        fd, xi = make_fd(), np.array([-2.0, -1.3, 0.0, -0.0, 0.37, 1.95, 2.0])
+        a1, a2 = fd.interp(xi)
+        want = np.array([fd.interp(float(v)) for v in xi])
+        assert np.array_equal(np.stack([a1, a2], axis=1).view(np.uint64), want.view(np.uint64))
+        assert [len(a) for a in fd.interp(xi[:0])] == [0, 0]
+        with pytest.raises(ExtrapolationError, match=r"xi = 2\.5 outside"):
+            fd.interp(np.array([0.0, 2.5, math.nan, -3.0]))
+        with pytest.raises(ExtrapolationError, match=r"xi = nan outside"):
+            fd.interp(np.array([0.0, math.nan, 2.5]))
 
     def test_nonfinite_grid_rejected(self):
         # NaN compares False, so a grid test written as "no step <= 0" passes it
@@ -351,6 +367,24 @@ def grid_and_points(params, fd, t, xs):
     return bits(np.stack(got)), bits(np.array(want).T)
 
 
+def declining_grid(k):
+    """Uncatalogued parameters, and grid_fd() with point k on an ellipse of
+    X' = A X + b that comes within I = 1e-3 rho of the equator, where the
+    time rule of the sigma-reduction declines at t = 10; and that state."""
+    params, gap = std(p2=0.8, p3=0.3, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), 1e-3
+    a, b, r = np.array([[0.0, 0.5], [-1.1, 0.0]]), np.array([0.1, -0.2]), math.sqrt(1.0 - gap * gap)
+
+    def x_at(th):
+        return r * np.array([math.cos(th), math.sin(th)])
+
+    th = brentq(lambda th: x_at(th) @ (a @ x_at(th) + b), 1.9, 2.1)  # |X| is largest there
+    s0 = np.array([*x_at(th), gap])
+    a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
+    a1[k] = math.sqrt((1.0 + s0[0]) / 2.0)
+    a2[k] = complex(s0[1], s0[2]) / (2.0 * a1[k])
+    return params, s0, FinalData(GRID_XI, a1, a2)
+
+
 def oracle_calls(monkeypatch):
     """The amplitude pairs handed to integrate_full from now on."""
     calls, real = [], profile.integrate_full
@@ -372,29 +406,14 @@ class TestGrid:
         assert np.array_equal(got, want)
 
     def test_decline_at_construction(self, monkeypatch):
-        # an ellipse of X' = A X + b coming within I = 1e-3 rho of the equator:
-        # the time rule of the sigma-reduction declines it at t = 10, so that
-        # point, and only that one, goes to the full-flow oracle
-        params, gap = std(p2=0.8, p3=0.3, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), 1e-3
-        a = np.array([[0.0, 0.5], [-1.1, 0.0]])
-        b = np.array([0.1, -0.2])
-        r = math.sqrt(1.0 - gap * gap)
-
-        def x_at(th):
-            return r * np.array([math.cos(th), math.sin(th)])
-
-        th = brentq(lambda th: x_at(th) @ (a @ x_at(th) + b), 1.9, 2.1)  # |X| is largest there
-        s0 = np.array([*x_at(th), gap])
+        # the declined point, and only that one, goes to the full-flow oracle
+        params, s0, fd = declining_grid(4)
         with pytest.raises(_Decline):
             _SigmaOrbit(params, 1.0, s0, 0.5 * math.log(10.0))
-        a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
-        a1[4] = math.sqrt((1.0 + s0[0]) / 2.0)
-        a2[4] = complex(s0[1], s0[2]) / (2.0 * a1[4])
-        fd = FinalData(GRID_XI, a1, a2)
         calls = oracle_calls(monkeypatch)
         got, want = grid_and_points(params, fd, 10.0, 20.0 * GRID_XI)
         assert np.array_equal(got, want)
-        assert len(calls) == 2 and calls[0] == (a1[4], a2[4])  # the grid's, then the point's
+        assert len(calls) == 2 and calls[0] == (fd.alpha1[4], fd.alpha2[4])  # the grid's, then the point's
 
     def test_decline_in_the_phase_integral(self, monkeypatch):
         # a source that declines for one point's orbit inside the level loop
@@ -431,8 +450,8 @@ class TestGrid:
         # the grid raises the first one's, and the other points' integrals
         # are those of an intact grid, bit for bit
         params, fd, t = GRID_FAMILIES["p3"], grid_fd(), 1e4
-        real, bad = profile.solve_case, {3: -0.25, 6: -0.5}
-        sols = [real(params, *amplitudes_to_quad(*fd.interp(v))) for v in GRID_XI]
+        bad = {3: -0.25, 6: -0.5}
+        sols = [solve_case(params, *amplitudes_to_quad(*fd.interp(v))) for v in GRID_XI]
         assert len({sol._key for sol in sols}) == 1
 
         def broken(sol, m1):
@@ -448,15 +467,89 @@ class TestGrid:
                 assert isinstance(res, EllipticDomainError) and f"m1={bad[k]}" in str(res)
             else:
                 assert res[0] == ref[0] and np.array_equal(res[2], ref[2]) and res[3:] == ref[3:]
-        points = iter(range(len(GRID_XI)))
+        real = profile._solve_states
 
-        def solve_case(*args):
-            k, sol = next(points), real(*args)
-            return broken(sol, bad[k]) if k in bad else sol
+        def solve_states(*args):
+            return [broken(sol, bad[k]) if k in bad else sol for k, sol in enumerate(real(*args))]
 
-        monkeypatch.setattr(profile, "solve_case", solve_case)
+        monkeypatch.setattr(profile, "_solve_states", solve_states)
         with pytest.raises(EllipticDomainError, match=r"m1=-0\.25 "):
             uapp(params, fd, t, 2.0 * t * GRID_XI)
+
+    def test_outside_point_raises_in_its_turn(self, caplog):
+        # the 4th x lies outside the data: the grid solves and reconstructs
+        # points 1-3 with the lines of three one-point calls, then raises the
+        # 4th point's error; the 5th, outside too, is never reached
+        params, fd, t = GRID_FAMILIES["p3"], grid_fd(xi=np.linspace(-2.0, 2.0, 9)), 10.0
+        xs = 20.0 * np.array([-1.0, 0.5, 1.5, 2.5, -3.0, 0.0])
+
+        def lines(kind):
+            return [r.getMessage() for r in caplog.records if r.getMessage().startswith(kind)]
+
+        with caplog.at_level(logging.DEBUG, logger="cubicnls"):
+            with pytest.raises(ExtrapolationError, match=r"xi = 2\.5 outside"):
+                uapp(params, fd, t, xs)
+            grid = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            for x in xs[:3]:
+                uapp(params, fd, t, x)
+        assert [g for g in grid if g.startswith("solve_case")] == lines("solve_case") and len(lines("solve_case")) == 3
+        assert [g for g in grid if g.startswith("reconstruct")] == lines("reconstruct") and len(lines("reconstruct")) == 3
+        assert grid[-1].startswith("reconstruct")  # raised after the points before it
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("params", [GRID_FAMILIES["p1"], std(p1=0.8, p2=0.4, p3=0.9, p4=0.3, p5=0.35)],
+                             ids=["catalogued", "uncatalogued"])
+    @pytest.mark.parametrize("big, error", [(1e150, "off the sphere"), (1e-170, "rho must be"),
+                                            (1e155, "out of range")])
+    def test_bad_point_in_its_turn(self, caplog, params, big, error):
+        # a point whose radius overflows or underflows raises the error of its
+        # own call, after the points before it and before those after it,
+        # whether or not the parameters are catalogued
+        a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
+        a1[5], a2[5] = big, 0.0
+        fd, xs, t = FinalData(GRID_XI, a1, a2), 2e4 * GRID_XI, 1e4
+        with caplog.at_level(logging.DEBUG, logger="cubicnls"):
+            with pytest.raises((ValueError, OverflowError), match=error) as grid:
+                uapp(params, fd, t, xs)
+            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(("reconstruct", "sigma"))]
+        with pytest.raises(type(grid.value)) as points:
+            [uapp(params, fd, t, x) for x in xs]
+        assert str(grid.value) == str(points.value) and len(lines) == 5
+
+    def test_uncatalogued_grid_point_by_point(self, caplog, monkeypatch):
+        # outside the catalogue the grid logs no solve_case line and each
+        # point its own sigma line, a decline included, in the order of the
+        # one-point calls; only the declined point goes to the oracle
+        params, _, fd = declining_grid(2)
+        xs = 20.0 * GRID_XI[:5]
+        calls = oracle_calls(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="cubicnls"):
+            uapp(params, fd, 10.0, xs)
+            grid = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            for x in xs:
+                uapp(params, fd, 10.0, x)
+            points = [r.getMessage() for r in caplog.records]
+        sigma = [g for g in grid if g.startswith("sigma")]
+        assert not any("solve_case" in g for g in grid + points)
+        assert sigma == [p for p in points if p.startswith("sigma")] and len(sigma) == 5
+        assert "declined" in sigma[2] and sum("declined" in g for g in sigma) == 1
+        assert len(calls) == 2 and calls[0] == calls[1] == (fd.alpha1[2], fd.alpha2[2])
+
+    def test_no_cyclic_garbage(self):
+        # the level loop's source calls leave no reference cycle, so a level's
+        # arrays are freed when _phases returns, not at some later collection
+        params, fd, t = GRID_FAMILIES["p3"], grid_fd(), 1e4
+        sols = [solve_case(params, *amplitudes_to_quad(*fd.interp(v))) for v in GRID_XI]
+        jobs = [(sol.rho, sol, 0.5 * math.log(t), sol.initial) for sol in sols]
+        gc.collect()
+        gc.disable()
+        try:
+            _phases(params, jobs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("x", [np.zeros((3, 3)), np.zeros((1, 4)), [[0.0]]])
     def test_x_of_more_dimensions_rejected(self, x):

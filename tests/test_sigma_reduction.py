@@ -1,6 +1,6 @@
 """The sigma-reduction of uncatalogued profiles against scipy's DOP853.
 
-Outside the catalogue, profile._flow advances the final data along the
+Outside the catalogue, profile._flows advances the final data along the
 planar orbit X' = A X + b in sigma = int 2 I dtau (quadratic_flow._SigmaOrbit)
 and integrates the phase over the orbit parameter (reconstruction._orbit_pair).
 Every check here compares the amplitude pair with a DOP853 run of the full
@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import classify
-from cubicnls.profile import _flow
+from cubicnls.profile import _flows
 from cubicnls.quadratic_flow import _SigmaOrbit, amplitudes_to_quad
 from cubicnls.reconstruction import _orbit_pair
 from cubicnls.standard_form import StandardParams, nonlinearity
@@ -227,7 +227,7 @@ class TestDecline:
         monkeypatch.setattr(qf, "_SIGMA_NODES", (4, 4))
         params, a0 = StandardParams(0.3, 0.5, 0.7, 0.2, 0.1, *Q), (0.6 + 0.1j, 0.3 - 0.4j)
         with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
-            got = np.array(_flow(params, a0, tau_of(1e4)))
+            (got,) = np.array(_flows(params, [a0], tau_of(1e4)))
         lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
         assert any(l.startswith("sigma kind=declined reason='time rule estimate") for l in lines)
         assert any(l.startswith("oracle flow=full") for l in lines)
