@@ -17,9 +17,10 @@ identical inputs give byte-identical files.  The environment
 variable NLS_ASY_LOG in {error, debug} controls logging verbosity.
 
 Each call is a fresh process, so start-up is kept short: importing this
-module loads numpy but not scipy, which no subcommand loads, and main
-builds only the subparser its first argument names (all four for --help,
-an unknown word or none).
+module loads numpy but not scipy, which no subcommand loads.  main reads a
+well-formed call straight from the grammar table, _GRAMMAR, and builds
+argparse from it, with only the subparser its first argument names (all
+four for --help, an unknown word or none), only for a call it declines.
 """
 
 from __future__ import annotations
@@ -275,54 +276,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _add_standardize(sub) -> None:
-    p_std = sub.add_parser("standardize", help="reduce a general system to standard parameters")
-    p_std.add_argument("input", help="path to, or inline, JSON {\"lambda\": [12 numbers]}")
-    p_std.add_argument("--out", default=None)
-    p_std.set_defaults(func=cmd_standardize)
-
-
-def _add_solve(sub) -> None:
-    p_solve = sub.add_parser("solve", help="sample a quadratic-flow trajectory to CSV")
-    p_solve.add_argument("--params", required=True, help="path or inline JSON {\"p\": [...], \"q\": [...]}")
-    p_solve.add_argument("--rho", type=float, required=True)
-    p_solve.add_argument("--init", required=True, help="state D,R,I on the sphere at tau = 0")
-    p_solve.add_argument("--span", required=True, help="time span a,b (use --span=-1,1 for negative a)")
-    p_solve.add_argument("--samples", type=int, default=201)
-    p_solve.add_argument("--mode", choices=["closed", "oracle", "both"], default="both")
-    p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=cmd_solve)
-
-
-def _add_fixed_points(sub) -> None:
-    p_fp = sub.add_parser("fixed-points", help="fixed points and stability as JSON")
-    p_fp.add_argument("--params", required=True)
-    p_fp.add_argument("--rho", type=float, required=True)
-    p_fp.add_argument("--out", default=None)
-    p_fp.set_defaults(func=cmd_fixed_points)
-
-
-def _add_profile(sub) -> None:
-    p_prof = sub.add_parser("profile", help="sample the space-time profile to CSV")
-    p_prof.add_argument("--params", required=True)
-    p_prof.add_argument("--finaldata", required=True, help="CSV xi,re_a1,im_a1,re_a2,im_a2")
-    p_prof.add_argument("--t-list", required=True, help="comma-separated times")
-    p_prof.add_argument("--x-grid", required=True, help="a,b,n for a uniform x grid")
-    p_prof.add_argument("--special", action="store_true", help="cross-check the explicit p1-family profile")
-    p_prof.add_argument("--sync-check", action="store_true", help="report the synchronization observable")
-    p_prof.add_argument("--out", default=None)
-    p_prof.set_defaults(func=cmd_profile)
-
-
-# each builder names its cmd_* function when it runs, so a wrapper put on
-# the module attribute is the one the parser calls
-_SUBCOMMANDS = {
-    "standardize": _add_standardize,
-    "solve": _add_solve,
-    "fixed-points": _add_fixed_points,
-    "profile": _add_profile,
+# The CLI's grammar: each subcommand's help and its arguments in order, each
+# as the name and the keyword arguments add_argument takes.  build_parser
+# makes argparse from it; _read reads a well-formed call straight from it.
+_GRAMMAR = {
+    "standardize": ("reduce a general system to standard parameters", (
+        ("input", {"help": "path to, or inline, JSON {\"lambda\": [12 numbers]}"}),
+        ("--out", {"default": None}),
+    )),
+    "solve": ("sample a quadratic-flow trajectory to CSV", (
+        ("--params", {"required": True, "help": "path or inline JSON {\"p\": [...], \"q\": [...]}"}),
+        ("--rho", {"type": float, "required": True}),
+        ("--init", {"required": True, "help": "state D,R,I on the sphere at tau = 0"}),
+        ("--span", {"required": True, "help": "time span a,b (use --span=-1,1 for negative a)"}),
+        ("--samples", {"type": int, "default": 201}),
+        ("--mode", {"choices": ["closed", "oracle", "both"], "default": "both"}),
+        ("--tol", {"type": float, "default": 1e-10}),
+        ("--out", {"default": None}),
+    )),
+    "fixed-points": ("fixed points and stability as JSON", (
+        ("--params", {"required": True}),
+        ("--rho", {"type": float, "required": True}),
+        ("--out", {"default": None}),
+    )),
+    "profile": ("sample the space-time profile to CSV", (
+        ("--params", {"required": True}),
+        ("--finaldata", {"required": True, "help": "CSV xi,re_a1,im_a1,re_a2,im_a2"}),
+        ("--t-list", {"required": True, "help": "comma-separated times"}),
+        ("--x-grid", {"required": True, "help": "a,b,n for a uniform x grid"}),
+        ("--special", {"action": "store_true", "help": "cross-check the explicit p1-family profile"}),
+        ("--sync-check", {"action": "store_true", "help": "report the synchronization observable"}),
+        ("--out", {"default": None}),
+    )),
 }
+
+
+def _func(command: str):
+    # looked up per call: a wrapper put on the module attribute is the one run
+    return globals()["cmd_" + command.replace("-", "_")]
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -334,23 +325,71 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Standard-form reduction, quadratic-flow solutions and "
         "large-time profiles of two-component cubic systems.",
     )
-    # one add_subparsers call for both would print the metavar instead of
-    # "required: command" when no subcommand is given
-    if command in _SUBCOMMANDS:
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUBCOMMANDS))
-        _SUBCOMMANDS[command](sub)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
+    # a lone subparser lists all four in its usage line; all four keep no
+    # metavar, which prints "required: command" when no subcommand is given
+    lone = command in _GRAMMAR
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_GRAMMAR) if lone else None)
+    for name in [command] if lone else _GRAMMAR:
+        help_text, arguments = _GRAMMAR[name]
+        p_sub = sub.add_parser(name, help=help_text)
+        for arg, kwargs in arguments:
+            p_sub.add_argument(arg, **kwargs)
+        p_sub.set_defaults(func=_func(name))
     return parser
+
+
+def _read(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse gives for argv, read straight from _GRAMMAR;
+    None for help, a malformed call or a form left to argparse: an
+    abbreviated or repeated option, a value after a space that starts with
+    '-', or '--'."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    command, (_, arguments) = argv[0], _GRAMMAR[argv[0]]
+    options = {arg: kwargs for arg, kwargs in arguments if arg[0] == "-"}
+    given, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            positionals.append(word)
+            continue
+        arg, eq, value = word.partition("=")
+        kwargs = options.get(arg)
+        if kwargs is None or arg in given or value == "--":  # argparse reads --opt=-- as []
+            return None
+        if "action" in kwargs:  # a store_true flag
+            if eq:
+                return None
+            given[arg] = True
+            continue
+        value = value if eq else next(words, "-")  # no word left reads as '-'
+        if not eq and value[:1] == "-":
+            return None
+        try:
+            value = kwargs["type"](value) if "type" in kwargs else value
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[arg] = value
+    names = [arg for arg, _ in arguments if arg[0] != "-"]
+    if len(positionals) != len(names) or any(kw.get("required") and arg not in given for arg, kw in options.items()):
+        return None
+    given.update(zip(names, positionals))
+    values = {"command": command}
+    for arg, kwargs in arguments:
+        default = kwargs.get("default", False if "action" in kwargs else None)
+        values[arg.lstrip("-").replace("-", "_")] = given.get(arg, default)
+    return argparse.Namespace(**values, func=_func(command))
 
 
 def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # one call runs one subcommand, so only its subparser is built
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        # help, a usage error or a form the reader leaves to argparse
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

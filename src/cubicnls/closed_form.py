@@ -541,7 +541,7 @@ def _solve_states(params, states):
             p = params.p1, params.p2, params.p3, params.p4, params.p5
             pscale, build = max(*map(abs, p), 1e-300), _CASE_BUILDERS[case_id.case]
             debug = log.isEnabledFor(logging.DEBUG)
-        if np.linalg.norm(_qqq(*p, rho, *s0.tolist())) <= 1e-13 * rho * rho * pscale:  # qqq_rhs on floats
+        if math.hypot(*_qqq(*p, rho, *s0.tolist())) <= 1e-13 * rho * rho * pscale:  # qqq_rhs on floats
             branch, constants, formula = "fixed-point", {}, _constant(*s0)
         else:
             branch, constants, formula = build(params, rho, s0, case_id)

@@ -950,7 +950,7 @@ def fixed_points(params, rho: float) -> FixedPointSet:
             radius = math.sqrt(rho * rho - offset * offset)
             center, axis = (np.append(x, 0.0) + 0.0 for x in (offset * v, v))  # + 0.0: no -0.0 entries
             circles.append(Circle(tuple(center.tolist()), tuple(axis.tolist()), radius))
-    flow = np.linalg.norm(_qqq(*p, rho, *np.reshape(pts, (-1, 3)).T), axis=0)
+    flow = np.hypot.reduce(_qqq(*p, rho, *np.reshape(pts, (-1, 3)).T), axis=0)  # |flow| without squares
     pts = [s for s, f in zip(pts, flow) if f <= 5e-13 * rho * rho]
     for c in circles:
         pts = [s for s in pts if abs((s - c.center) @ c.axis) > 1e-6 * rho]
@@ -979,7 +979,7 @@ def stability(params, rho: float, point) -> StabilityReport:
     """
     point = _check_sphere(rho, point)
     pscale = max(float(np.max(np.abs(params.p))), 1e-300)
-    if np.linalg.norm(qqq_rhs(params, rho, point)) >= 1e-8 * rho * rho * pscale:
+    if math.hypot(*qqq_rhs(params, rho, point)) >= 1e-8 * rho * rho * pscale:
         raise ValueError("stability requested at a non-fixed point")
     e1, e2 = _tangent_basis(point / np.linalg.norm(point))
     H = flow_jacobian(params, rho, point)

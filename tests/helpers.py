@@ -10,6 +10,7 @@ defining curves on the sphere.
 
 from __future__ import annotations
 
+import argparse
 import logging
 import math
 
@@ -41,6 +42,7 @@ from cubicnls.quadratic_flow import (
     qqq_rhs,
     random_sphere_states,
 )
+from cubicnls.cli import _Parser, cmd_fixed_points, cmd_profile, cmd_solve, cmd_standardize
 from cubicnls.standard_form import StandardParams
 
 RHOS = (0.5, 1.0, 2.0)
@@ -782,3 +784,78 @@ def reference_solve_case(params, rho: float, s0) -> ClosedFormSolution:
         log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
                   case_id.case, case_id.subcase or "-", branch, consts)
     return ClosedFormSolution(case_id, branch, constants, rho, s0, formula)
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser the CLI built from one builder per subcommand before
+# its grammar table, body unchanged: the reference for the help, usage and
+# error text of cli.main and for the Namespace of cli._read
+
+
+def _add_standardize(sub) -> None:
+    p_std = sub.add_parser("standardize", help="reduce a general system to standard parameters")
+    p_std.add_argument("input", help="path to, or inline, JSON {\"lambda\": [12 numbers]}")
+    p_std.add_argument("--out", default=None)
+    p_std.set_defaults(func=cmd_standardize)
+
+
+def _add_solve(sub) -> None:
+    p_solve = sub.add_parser("solve", help="sample a quadratic-flow trajectory to CSV")
+    p_solve.add_argument("--params", required=True, help="path or inline JSON {\"p\": [...], \"q\": [...]}")
+    p_solve.add_argument("--rho", type=float, required=True)
+    p_solve.add_argument("--init", required=True, help="state D,R,I on the sphere at tau = 0")
+    p_solve.add_argument("--span", required=True, help="time span a,b (use --span=-1,1 for negative a)")
+    p_solve.add_argument("--samples", type=int, default=201)
+    p_solve.add_argument("--mode", choices=["closed", "oracle", "both"], default="both")
+    p_solve.add_argument("--tol", type=float, default=1e-10)
+    p_solve.add_argument("--out", default=None)
+    p_solve.set_defaults(func=cmd_solve)
+
+
+def _add_fixed_points(sub) -> None:
+    p_fp = sub.add_parser("fixed-points", help="fixed points and stability as JSON")
+    p_fp.add_argument("--params", required=True)
+    p_fp.add_argument("--rho", type=float, required=True)
+    p_fp.add_argument("--out", default=None)
+    p_fp.set_defaults(func=cmd_fixed_points)
+
+
+def _add_profile(sub) -> None:
+    p_prof = sub.add_parser("profile", help="sample the space-time profile to CSV")
+    p_prof.add_argument("--params", required=True)
+    p_prof.add_argument("--finaldata", required=True, help="CSV xi,re_a1,im_a1,re_a2,im_a2")
+    p_prof.add_argument("--t-list", required=True, help="comma-separated times")
+    p_prof.add_argument("--x-grid", required=True, help="a,b,n for a uniform x grid")
+    p_prof.add_argument("--special", action="store_true", help="cross-check the explicit p1-family profile")
+    p_prof.add_argument("--sync-check", action="store_true", help="report the synchronization observable")
+    p_prof.add_argument("--out", default=None)
+    p_prof.set_defaults(func=cmd_profile)
+
+
+_SUBCOMMANDS = {
+    "standardize": _add_standardize,
+    "solve": _add_solve,
+    "fixed-points": _add_fixed_points,
+    "profile": _add_profile,
+}
+
+
+def reference_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only command's when it names
+    one.  The lone subcommand keeps the full usage line, so its help and
+    error messages read the same either way."""
+    parser = _Parser(
+        prog="cubicnls",
+        description="Standard-form reduction, quadratic-flow solutions and "
+        "large-time profiles of two-component cubic systems.",
+    )
+    # one add_subparsers call for both would print the metavar instead of
+    # "required: command" when no subcommand is given
+    if command in _SUBCOMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUBCOMMANDS))
+        _SUBCOMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
+    return parser

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, deterministic output."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicnls.quadratic_flow as qf
-from cubicnls.cli import build_parser, main
+from cubicnls import cli
+from cubicnls.cli import main
 from cubicnls.standard_form import StandardParams
+from helpers import reference_parser
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
 CASE1_PARAMS = '{"p": [1, 0, 0, 0, 0], "q": [0, 0, 0]}'
@@ -512,9 +518,75 @@ class TestProfile:
         assert "sync observable" in err
 
 
+def setup_calls(finaldata) -> list:
+    """The fresh-process set-up calls of the benchmark (perfbench/setup_child.py)."""
+    return [
+        ["solve", "--params", '{"p": [0, 0, 1.1, 0, 0]}', "--rho", "1", "--init=0.6,0.0,0.8",
+         "--span=-1,1", "--samples", "11", "--mode", "both"],
+        ["fixed-points", "--params", '{"p": [0, 0, 1.1, 0, 0]}', "--rho", "1"],
+        ["profile", "--params", '{"p": [0, 0, 1.3, 0, 0]}', "--finaldata", str(finaldata),
+         "--t-list", "10", "--x-grid=-20,20,2"],
+        ["standardize", V_SYSTEM_JSON],
+    ]
+
+
+# each subcommand's options, as the parser before the grammar table named them
+OPTIONS = {
+    "standardize": ["--out"],
+    "solve": ["--params", "--rho", "--init", "--span", "--samples", "--mode", "--tol", "--out"],
+    "fixed-points": ["--params", "--rho", "--out"],
+    "profile": ["--params", "--finaldata", "--t-list", "--x-grid", "--special", "--sync-check", "--out"],
+}
+VALUES = ["-1", "-1,1", "", "nan", "1.5", "x", "-", "--", "3", "both"]
+FLAGS = {"--special", "--sync-check"}
+WELL_FORMED = {"--samples": "3", "--mode": "both"}  # the others take "1.5"
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand's argv: most of its options in any order, each written
+    --opt v or --opt=v, and sometimes a form the direct reader declines."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    names = OPTIONS[command]
+    value = st.sampled_from(VALUES)
+    mostly = st.sampled_from([True] * 7 + [False])
+
+    def option(name, exact=True):
+        short = name if exact else name[: draw(st.integers(3, len(name) - 1))]
+        if name in FLAGS:
+            return [short]
+        v = draw(st.one_of(value, st.just(WELL_FORMED.get(name, "1.5"))))
+        return [f"{short}={v}"] if draw(st.booleans()) else [short, v]
+
+    parts = [option(name) for name in names if draw(mostly)]
+    if command == "standardize" and draw(mostly):
+        parts.append([draw(value)])
+    if not draw(st.sampled_from([True] * 3 + [False])):
+        parts.append(draw(st.one_of(
+            st.sampled_from(names).map(option),  # repeated
+            st.sampled_from(names).map(lambda name: option(name, exact=False)),  # abbreviated
+            st.sampled_from(names).map(lambda name: [name]),  # missing its value
+            value.map(lambda v: [v]),  # a stray positional
+            st.sampled_from([["-h"], ["--help"], ["--"]]),
+        )))
+    return [command] + [word for part in draw(st.permutations(parts)) for word in part]
+
+
+def parsed(argv):
+    """reference_parser's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return reference_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
 class TestParser:
-    """main builds only the subparser its first word names; nothing it
-    prints or returns may tell."""
+    """main reads a well-formed call straight from the grammar table and
+    builds argparse, for only the subparser its first word names, to print
+    help and usage errors; nothing it prints, returns or runs may tell
+    either from the parser the CLI had before the table (tests/helpers.py
+    reference_parser)."""
 
     @staticmethod
     def exit_of(capsys, parse, argv):
@@ -529,16 +601,65 @@ class TestParser:
             ["--help"], ["solve", "--help"], ["profile", "-h"], ["standardize", "--help"],
             [], ["bogus"], ["solve"], ["fixed-points", "--rho", "x"],
             ["solve", "--params", "{}", "--rho", "1", "--init", "1,0,0", "--span", "0,1", "extra"],
+            ["fixed-points", "--help"], ["solve", "--rho", "1"], ["fixed-points", "--params", "{}", "--rho", "-"],
+            ["fixed-points", "--params", "{}", "--rho=1", "--rh", "1", "--out"],
+            ["profile", "--params", "{}", "--finaldata", "f", "--t-list", "1", "--x-grid=0,1,2", "--special=1"],
+            ["solve", "--params", "{}", "--rho", "1", "--init", "1,0,0", "--span", "0,1", "--mode", "all"],
+            ["solve", "--params", "{}", "--rho", "1", "--init", "1,0,0", "--span", "0,1", "--samples", "1.5"],
+            ["standardize"], ["standardize", "{}", "{}"], ["standardize", "--", "a", "b"],
+            ["fixed-points", "--params", "{}", "--rho", "1", "--bogus"],
         ],
     )
     def test_same_text_as_full_parser(self, capsys, argv):
-        full = self.exit_of(capsys, build_parser().parse_args, argv)
+        full = self.exit_of(capsys, reference_parser().parse_args, argv)
         assert self.exit_of(capsys, main, argv) == full
 
     def test_unknown_subcommand_exit_1(self, capsys):
         code, out, err = self.exit_of(capsys, main, ["bogus"])
         assert (code, out) == (1, "")
         assert "invalid choice: 'bogus'" in err
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(argv=cli_argv())
+    def test_reader_declines_or_agrees(self, argv):
+        # repr: the same attributes in the same order, nan equal to nan
+        read = cli._read(argv)
+        if read is not None:
+            ref = parsed(argv)
+            assert ref is not None, argv
+            assert repr(vars(read)) == repr(vars(ref)), argv
+
+    def test_benchmark_calls_skip_argparse(self, monkeypatch, tmp_path):
+        # every argv the benchmark builds is read straight from the table,
+        # and runs the cmd_* function on the module when the call is made,
+        # which is where the benchmark's tracer wraps it
+        def no_parser(*_):
+            raise AssertionError("argparse built for a well-formed call")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS
+
+        def call(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                return main(argv), out.getvalue()
+
+        argvs = setup_calls(tmp_path / "fd.csv")
+        for build in WORKLOADS.values():
+            # the pipeline's profile calls take the parameters its standardize calls print
+            argvs += [op.argv for op in build(1, tmp_path, call)]
+        seen = []
+        for command in OPTIONS:
+            attr = "cmd_" + command.replace("-", "_")
+            monkeypatch.setattr(cli, attr, lambda args, attr=attr: seen.append((attr, args)) or 0)
+        for argv in argvs:
+            assert main(argv) == 0
+            attr, args = seen.pop()
+            assert attr == "cmd_" + argv[0].replace("-", "_")
+            got, ref = vars(args), vars(parsed(argv))
+            assert (got.pop("func"), ref.pop("func").__name__) == (getattr(cli, attr), attr)
+            assert repr(got) == repr(ref), argv
 
 
 COLD_START_CHILD = """
@@ -568,17 +689,9 @@ def test_cold_start_leaves_scipy_unloaded(tmp_path, capsys):
     # need no scipy, and neither do fixed points outside the analytic sets
     finaldata = tmp_path / "fd.csv"
     write_finaldata(finaldata)
-    setup_calls = [
-        ["solve", "--params", '{"p": [0, 0, 1.1, 0, 0]}', "--rho", "1", "--init=0.6,0.0,0.8",
-         "--span=-1,1", "--samples", "11", "--mode", "both"],
-        ["fixed-points", "--params", '{"p": [0, 0, 1.1, 0, 0]}', "--rho", "1"],
-        ["profile", "--params", '{"p": [0, 0, 1.3, 0, 0]}', "--finaldata", str(finaldata),
-         "--t-list", "10", "--x-grid=-20,20,2"],
-        ["standardize", V_SYSTEM_JSON],
-    ]
     fixed_points_call = ["fixed-points", "--params", UNCATALOGUED_PARAMS, "--rho", "1"]
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_CHILD, json.dumps([setup_calls, fixed_points_call])],
+        [sys.executable, "-c", COLD_START_CHILD, json.dumps([setup_calls(finaldata), fixed_points_call])],
         capture_output=True, env=fresh_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()

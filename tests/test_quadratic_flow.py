@@ -515,6 +515,21 @@ class TestFixedPointCatalogue:
             assert min(np.linalg.norm(np.subtract(c.axis, r.axis)), np.linalg.norm(np.add(c.axis, r.axis))) <= 1e-12
             assert abs(c.radius - r.radius) <= 1e-12 * rho
 
+    @pytest.mark.parametrize("rho", [1e-100, 1e-60, 1e60, 1e100])
+    @pytest.mark.parametrize("p", CATALOGUE)
+    def test_scale_free_at_extreme_radii(self, p, rho):
+        # the flow checks measure |flow| without squaring it, so the set at
+        # radius rho is rho times the set at radius 1, and each of its points
+        # passes stability's and solve_case's fixed-point tests, however far
+        # rho^2 is from 1
+        p = StandardParams(*p)
+        got, ref = fixed_points(p, rho), fixed_points(p, 1.0)
+        assert _set_distance([s / rho for s in got.points], ref.points) <= 1e-12
+        assert len(got.circles) == len(ref.circles)
+        for s in got.points:
+            stability(p, rho, s)
+            assert solve_case(p, rho, s).branch == "fixed-point"
+
     @pytest.mark.parametrize("p", CATALOGUE)
     def test_every_family_set_is_fixed(self, p):
         rng = np.random.default_rng(31)
