@@ -275,6 +275,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:  # --opt=--, else stored as []
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 # The CLI's grammar: each subcommand's help and its arguments in order, each
 # as the name and the keyword arguments add_argument takes.  build_parser
@@ -355,7 +360,7 @@ def _read(argv: list) -> argparse.Namespace | None:
             continue
         arg, eq, value = word.partition("=")
         kwargs = options.get(arg)
-        if kwargs is None or arg in given or value == "--":  # argparse reads --opt=-- as []
+        if kwargs is None or arg in given or value == "--":  # --opt=--: _Parser rejects it
             return None
         if "action" in kwargs:  # a store_true flag
             if eq:

@@ -22,7 +22,8 @@ kernel's m1 = 0; lemma 3's forms on both sides of R = eta - sqrt(-K) are
 written from a quarter period, so they stay finite on it.  The elementary
 thresholds (case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's
 plane K = 0) share one formula in functions entire in the threshold
-parameter (_ent).  No threshold is served by a band.
+parameter (_ent), and the collapse onto a pole (cases 1 and 5, p1 = p3, 1/3
+on D = -R) one formula (_collapse).  No threshold is served by a band.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def _lemma1(f0: float, g0: float, h0: float, gap: float):
         return formula + (_FLIP,), constants
 
     r_fg, r_fh = math.hypot(f0, g0), math.hypot(f0, h0)
-    m, m1 = min((r_fg / r_fh) ** 2, 1.0), gap / (r_fh * r_fh)
+    m, m1 = min((r_fg / r_fh) ** 2, 1.0), min(gap / (r_fh * r_fh), 1.0)
     sig = math.copysign(1.0, h0)
     t0 = el.invert_sn_cn(f0 / r_fg, g0 / r_fg, m, m1=m1)
     return ((_lemma1_fgh, (), (sig * r_fh, t0, m, m1, r_fg)),), {"m": m, "m1": m1, "u0": t0}
@@ -557,20 +558,31 @@ def _case1_5(params, rho, s0, case_id):
     # case 1 admits |p2| up to 1e-12 of the scale; its formula takes p2 = 0
     p1, p2 = params.p1, (params.p2 if case_id.case == 5 else 0.0)
     d0, r0, i0 = s0
-    tau0 = math.atanh(min(1.0 - 1e-16, max(-1.0 + 1e-16, i0 / rho)))
-    phase0 = math.atan2(r0, d0)
-    la, lb = math.log(rho - i0), math.log(rho + i0)
-    ratio = p2 / p1
-    consts = (2.0 * p1 * rho, tau0, phase0, ratio, la, lb, math.log(2.0 * rho), rho)
-    return ("rotating-collapse" if p2 else "collapse"), {"tau0": tau0, "phase0": phase0}, \
-        ((_collapse, (ratio != 0.0,), consts),)
+    tau0, formula = _collapse_from(2.0 * p1 * rho, rho, i0, (0.0, 0.0), (d0, r0), p2 / p1)
+    return ("rotating-collapse" if p2 else "collapse"), {"tau0": tau0, "phase0": math.atan2(r0, d0)}, formula
 
 
-def _collapse(t, rotating, k, tau0, phase0, ratio, la, lb, log_2rho, rho):
+def _collapse_from(k, big_l, i0, centre, offset, ratio=0.0):
+    """tau0 = atanh(I0 / L) and the collapse through a state of height I0 and
+    in-plane offset X0 - centre, formed exactly: from L - |I0| = r^2 / (L +
+    |I0|), r = |offset|, which keeps the digits of r next to a pole."""
+    r, a = math.hypot(*offset), abs(i0)
+    tau0 = math.copysign(0.5 * math.log1p((2.0 * a / r) * ((big_l + a) / r)), i0)
+    amp = big_l / r  # cosh tau0
+    return tau0, ((_collapse, (ratio != 0.0,), (k, tau0, ratio, *centre, offset[0] * amp, offset[1] * amp, big_l)),)
+
+
+def _collapse(t, rotating, k, tau0, ratio, c_d, c_r, a_d, a_r, big_l):
+    """(c_d, c_r) + (a_d, a_r) sech(k t - tau0), turned with rotating by ratio
+    (log cosh(k t - tau0) - log cosh tau0), and I = -L tanh(k t - tau0)."""
     arg = k * t - tau0
-    sech = 1.0 / np.cosh(arg)
-    phase = phase0 + ratio * (np.logaddexp(la + k * t, lb - k * t) - log_2rho) if rotating else phase0
-    return rho * np.cos(phase) * sech, rho * np.sin(phase) * sech, -rho * np.tanh(arg)
+    ch = np.cosh(arg)
+    x, y = a_d / ch, a_r / ch
+    if rotating:
+        phase = ratio * (np.logaddexp(arg, -arg) - np.logaddexp(tau0, -tau0))
+        cos, sin = np.cos(phase), np.sin(phase)
+        x, y = x * cos - y * sin, x * sin + y * cos
+    return c_d + x, c_r + y, -big_l * np.tanh(arg)
 
 
 def _rotation(i, j, rate):
@@ -677,26 +689,15 @@ def _case11(params, rho, s0, case_id):
 
 
 def _case11_balanced(params, rho, s0):
-    p1 = params.p1
     d0, r0, i0 = s0
     if d0 == r0:
         # the fixed circle D = R of p1 = p3, reached within the ratio band
         return "fixed-point", {}, _constant(*s0)
-    c_plus = 0.5 * (d0 - r0) ** 2
-    # on the sphere rho^2 - (D0 + R0)^2 / 2 = I0^2 + c_plus and atanh(I0 / L)
-    # = asinh(I0 / sqrt(c_plus)): forms that do not cancel next to the circle
-    big_l = math.sqrt(i0 * i0 + c_plus)
-    tau0 = -math.asinh(i0 / math.sqrt(c_plus))
-    amp = big_l / math.sqrt(c_plus)
+    # the collapse about (mean, mean, 0); L^2 = I0^2 + (D0 - R0)^2 / 2 does not cancel next to the circle
     mean, half = 0.5 * (d0 + r0), 0.5 * (d0 - r0)
-    consts = (4.0 * p1 * big_l, tau0, amp, mean, half, big_l)
-    return "ratio=1", {"L": big_l, "tau0": tau0}, ((_balanced, (), consts),)
-
-
-def _balanced(t, w, tau0, amp, mean, half, big_l):
-    arg = w * t + tau0
-    s = amp / np.cosh(arg)
-    return mean + half * s, mean - half * s, -big_l * np.tanh(arg)
+    big_l = math.sqrt(i0 * i0 + 2.0 * half * half)
+    tau0, formula = _collapse_from(4.0 * params.p1 * big_l, big_l, i0, (mean, mean), (half, -half))
+    return "ratio=1", {"L": big_l, "tau0": tau0}, formula
 
 
 def _case11_dominant(params, rho, s0):
@@ -725,9 +726,8 @@ def _case11_recessive(params, rho, s0):
     c_minus = 0.5 * (d0 + r0) ** 2
     if c_minus == 0.0:
         # the invariant plane D = -R: collapse onto the lower pole
-        tau0 = math.atanh(i0 / rho)
-        consts = ((8.0 / 3.0) * p3 * rho, tau0, math.copysign(1.0, d0) * rho, math.sqrt(2.0), rho)
-        return "ratio=1/3 diag-", {"tau0": tau0}, ((_diag, (), consts),)
+        tau0, formula = _collapse_from((8.0 / 3.0) * p3 * rho, rho, i0, (0.0, 0.0), (d0, r0))
+        return "ratio=1/3 diag-", {"tau0": tau0}, formula
 
     # a < 0 <= b <= g solve v^3 - rho^2 v + c- sigma = 0: a and g by the
     # trigonometric method with a Newton step each, b by Vieta (no cancellation
@@ -758,12 +758,6 @@ def _case11_recessive(params, rho, s0):
     half_y = 0.5 * (d0 - r0) * beta
     consts = (theta, t0, m, m1, nu, amp_x, half_y, rate * (1.0 - nu))
     return "ratio=1/3 general", {"a": a, "b": b, "g": g, "m": m, "m1": m1, "t0": t0}, ((_recessive, (), consts),)
-
-
-def _diag(t, w, tau0, amp, rt2, rho):
-    arg = w * t - tau0
-    d = amp / (rt2 * np.cosh(arg))
-    return d, -d, -rho * np.tanh(arg)
 
 
 def _recessive(t, rate, u0, m, m1, nu, amp_x, half_y, c_i):

@@ -614,6 +614,22 @@ class TestParser:
         full = self.exit_of(capsys, reference_parser().parse_args, argv)
         assert self.exit_of(capsys, main, argv) == full
 
+    @pytest.mark.parametrize("command,given,named", [
+        (command, option, option) for command, names in OPTIONS.items() for option in names if option not in FLAGS
+    ] + [("solve", "--ini", "--init"), ("profile", "--x-g", "--x-grid")])
+    def test_option_equals_double_dash_exit_1(self, capsys, command, given, named):
+        # argparse alone stores [] for --opt=--, which the command then
+        # fails on; both paths give the usage error of --opt with no value
+        base = {
+            "standardize": ["{}"],
+            "solve": ["--params", "{}", "--rho", "1", "--init", "1,0,0", "--span", "0,1"],
+            "fixed-points": ["--params", "{}", "--rho", "1"],
+            "profile": ["--params", "{}", "--finaldata", "f", "--t-list", "1", "--x-grid", "0,1,2"],
+        }[command]
+        code, out, err = self.exit_of(capsys, main, [command, *base, f"{given}=--"])
+        assert (code, out) == (1, "") and err.endswith(f"error: argument {named}: expected one argument\n")
+        assert self.exit_of(capsys, reference_parser().parse_args, [command, *base, given]) == (code, out, err)
+
     def test_unknown_subcommand_exit_1(self, capsys):
         code, out, err = self.exit_of(capsys, main, ["bogus"])
         assert (code, out) == (1, "")

@@ -26,7 +26,7 @@ from cubicnls.closed_form import (
     _solve_states,
     _stacked,
 )
-from cubicnls.quadratic_flow import fixed_points, integrate_quad, qqq_rhs, random_sphere_states
+from cubicnls.quadratic_flow import _qqq, fixed_points, integrate_quad, qqq_rhs, random_sphere_states
 from cubicnls.standard_form import StandardParams, TrivialSystemError
 
 from helpers import branch_states, case_branch_plan, closed_vs_oracle, curve_states, reference_solve_case, std
@@ -542,6 +542,22 @@ class TestNearSeparatrix:
             ref = _case7_mp(p2, 1.0, s0, taus)
         assert np.max(np.abs(solve_case(std(p2=p2, p3=1.0), 1.0, s0)(taus) - ref)) <= 1e-12
 
+    def test_case7_next_to_its_fixed_points(self):
+        # p = (0, 0.4, 1, 0, 0): seeded states 1e-6 to 1e-12 rho off the
+        # fixed points (0, +-rho, 0), where lemma 1's 1 - m rounded above 1
+        # and the kernel refused it for most of them; each state now matches
+        # DOP853 over |tau| <= 5
+        params, rho = std(p2=0.4, p3=1.0), 1.0
+        rng = np.random.default_rng(7)
+        taus = np.linspace(-5.0, 5.0, 11)
+        for dist in (1e-6, 1e-8, 1e-10, 1e-12):
+            for _ in range(40):
+                d, i = rng.standard_normal(2)
+                d, i = dist * d / math.hypot(d, i), dist * i / math.hypot(d, i)
+                s0 = np.array([d, math.copysign(math.sqrt(rho * rho - d * d - i * i), rng.uniform(-1.0, 1.0)), i])
+                ref = _dop853(lambda y: qqq_rhs(params, rho, y), s0, taus)
+                assert np.max(np.abs(solve_case(params, rho, s0)(taus) - ref)) <= 1e-11, s0
+
     @pytest.mark.parametrize("disc", [-1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8])
     @pytest.mark.parametrize("sr", [1.0, -1.0])
     def test_lemma2_curve(self, disc, sr):
@@ -792,6 +808,98 @@ class TestOneThirdPlanes:
         assert np.max(np.abs(sol(self.TAUS) - ref)) <= (1e-10 if delta == 1e-14 else 1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the collapse onto a pole: cases 1 and 5, p1 = p3, and p1/p3 = 1/3 on D = -R
+
+
+# (p1, p2, p3), the branch, and kap: with c the flow's fixed centre (the
+# origin, or ((D + R)/2, (D + R)/2) for p1 = p3) the in-plane offset y = (D,
+# R) - c and I solve |y|' = kap I |y|, I' = -kap |y|^2, while y turns at
+# -2 p2 I; so on the circle of radius L = |(y, I)| the offset shrinks by
+# cosh(tau0) / cosh(kap L tau - tau0), tau0 = atanh(I0 / L), and turns by
+# (p2 / p1) (log cosh(kap L tau - tau0) - log cosh tau0)
+_COLLAPSES = {
+    "p1": ((1.0, 0.0, 0.0), "collapse", 2),
+    "p1/p2": ((1.0, 0.7, 0.0), "rotating-collapse", 2),
+    "p1=p3": ((1.0, 0.0, 1.0), "ratio=1", 4),
+    "p1/p3=1/3": ((1.0, 0.0, 3.0), "ratio=1/3 diag-", 8),
+}
+
+
+def _collapse_mp(family, s0, taus):
+    """The exact collapse of a _COLLAPSES family through the float state s0,
+    evaluated by mpmath at the working precision."""
+    (p1, p2, p3), _, kap = _COLLAPSES[family]
+    d0, r0, i0 = (mp.mpf(float(x)) for x in s0)
+    c = (d0 + r0) / 2 if p3 == p1 else mp.mpf(0)
+    y = (d0 - c, r0 - c)
+    big_l = mp.sqrt(y[0] ** 2 + y[1] ** 2 + i0 ** 2)
+    tau0, ratio = mp.atanh(i0 / big_l), mp.mpf(p2) / mp.mpf(p1)
+    out = []
+    for tau in taus:
+        arg = kap * p1 * big_l * mp.mpf(tau) - tau0
+        s, ph = mp.cosh(tau0) / mp.cosh(arg), ratio * (mp.log(mp.cosh(arg)) - mp.log(mp.cosh(tau0)))
+        out.append((c + s * (y[0] * mp.cos(ph) - y[1] * mp.sin(ph)), c + s * (y[0] * mp.sin(ph) + y[1] * mp.cos(ph)),
+                    -big_l * mp.tanh(arg)))
+    return out
+
+
+class TestCollapse:
+    """The collapse onto a pole of the collapse circle, for cases 1 and 5,
+    p1 = p3 and the plane D = -R of p1/p3 = 1/3: one evaluator, started from
+    tau0 = atanh(I0 / L) taken from the in-plane offset, against the exact
+    collapse through the same float state (mpmath, 50 digits) over |tau| <=
+    9.21 (t <= 1e8).  A start from atanh(I0 / rho) raised "math domain error"
+    within about 1e-8 rho of a pole, and was up to 0.31 off outside it.  At
+    1e-14 rho a state is inside solve_case's fixed-point test (|qqq_rhs| <=
+    1e-13 rho^2 max|p|) and stays put, so the scan stops at 1e-13."""
+
+    TAUS = np.linspace(-9.21, 9.21, 19)
+
+    @staticmethod
+    def _state(family, rho, near, pole, rng):
+        """A seeded state of the family's collapse: in-plane distance
+        near * rho from its pole of sign pole, or anywhere for near None."""
+        if near is None:
+            if family != "p1/p3=1/3":
+                return random_sphere_states(rho, 1, rng.integers(2**31))[0]
+            i0 = rng.uniform(-0.95, 0.95) * rho
+            d = math.copysign(math.sqrt(0.5 * (rho * rho - i0 * i0)), rng.uniform(-1.0, 1.0))
+            return np.array([d, -d, i0])
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        if family == "p1=p3":  # about a seeded centre (m, m, 0) on D = R
+            m, h = rng.uniform(-0.4, 0.4) * rho, math.copysign(near * rho / math.sqrt(2.0), math.cos(ang))
+            return np.array([m + h, m - h, pole * math.sqrt(rho * rho - 2.0 * (m * m + h * h))])
+        d, r = near * rho * math.cos(ang), near * rho * math.sin(ang)
+        if family == "p1/p3=1/3":
+            d, r = math.copysign(near * rho / math.sqrt(2.0), d), -math.copysign(near * rho / math.sqrt(2.0), d)
+        return np.array([d, r, pole * math.sqrt(rho * rho - d * d - r * r)])
+
+    @pytest.mark.parametrize("family", list(_COLLAPSES))
+    def test_reference_solves_the_flow(self, family):
+        (p1, p2, p3), _, _ = _COLLAPSES[family]
+        s0 = self._state(family, 1.3, 0.4, 1.0, np.random.default_rng(3))
+        with mp.workdps(50):
+            for tau in (-0.6, 0.0, 0.9):
+                state = _collapse_mp(family, s0, [tau])[0]
+                slope = [mp.diff(lambda x: _collapse_mp(family, s0, [x])[0][k], tau) for k in range(3)]
+                assert max(abs(a - b) for a, b in zip(slope, _qqq(p1, p2, p3, 0.0, 0.0, 1.3, *state))) < 1e-40
+
+    @pytest.mark.parametrize("near", [None, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13])
+    @pytest.mark.parametrize("family", list(_COLLAPSES))
+    def test_against_mpmath(self, family, near):
+        (p1, p2, p3), branch, _ = _COLLAPSES[family]
+        rng = np.random.default_rng(zlib.crc32(f"{family} {near}".encode()))
+        for rho in (0.5, 1.0, 2.0):
+            for pole in (1.0, -1.0):
+                s0 = self._state(family, rho, near, pole, rng)
+                sol = solve_case(std(p1, p2, p3), rho, s0)
+                assert sol.branch == branch
+                with mp.workdps(50):
+                    ref = np.array(_collapse_mp(family, s0, self.TAUS), dtype=float)
+                assert np.max(np.abs(sol(self.TAUS) - ref)) <= 1e-13, (rho, s0)
+
+
 @functools.cache
 def plan_states():
     """(label, params, rho, state): two seeded states of every branch of
@@ -831,7 +939,7 @@ class TestGroupedEvaluation:
         assert any(s[0][0] == "_lemma1_fgh" and [n for n, _ in s[1:3]] == ["_affine"] * 2 for s in stages)  # the flip
         assert sum(sol.branch == "fixed-point" for sol in sols) >= 2 and ("_const", ()) in heads
         assert {("_lemma3_k_positive_fgh", ()), ("_lemma3_k_zero_fgh", ()), ("_outer_plus", ()), ("_outer_minus", ()),
-                ("_middle_inner", (False,)), ("_middle_inner", (True,)), ("_diag", ()), ("_recessive", ())} <= heads
+                ("_middle_inner", (False,)), ("_middle_inner", (True,)), ("_recessive", ())} <= heads
         sides = {(sol.case_id.case, float(np.sign(sol._formula[0][2][0]))) for sol in sols
                  if sol._formula[0][0].__name__ in ("_case6_fn", "_case14_15_fn")}
         assert {(6, -1.0), (6, 0.0), (6, 1.0), (14, -1.0), (14, 1.0), (15, -1.0), (15, 1.0)} <= sides

@@ -416,21 +416,30 @@ class TestGrid:
         assert len(calls) == 2 and calls[0] == (fd.alpha1[4], fd.alpha2[4])  # the grid's, then the point's
 
     def test_decline_in_the_phase_integral(self, monkeypatch):
-        # a source that declines for one point's orbit inside the level loop
+        # a source that declines for one point's orbit inside the level loop:
+        # only once the orbit is built, whose construction evaluates its
+        # states too, so the decline reaches the pair built after the loop
         params, fd = std(p1=0.3, p2=0.5, p3=0.7, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), grid_fd()
         target = amplitudes_to_quad(*fd.interp(GRID_XI[6]))[0]
-        real = _SigmaOrbit.states
+        real_init, real_states, declined = _SigmaOrbit.__init__, _SigmaOrbit.states, []
+
+        def init(orbit, *args):
+            real_init(orbit, *args)
+            orbit.built = True
 
         def states(orbit, phi):
-            if orbit.rho == target:
+            if getattr(orbit, "built", False) and orbit.rho == target:
+                declined.append(phi)
                 raise _Decline("declined for the test")
-            return real(orbit, phi)
+            return real_states(orbit, phi)
 
+        monkeypatch.setattr(_SigmaOrbit, "__init__", init)
         monkeypatch.setattr(_SigmaOrbit, "states", states)
         calls = oracle_calls(monkeypatch)
         got, want = grid_and_points(params, fd, 1e4, 2e4 * GRID_XI)
         assert np.array_equal(got, want)
         assert len(calls) == 2 and calls[0] == fd.interp(GRID_XI[6])
+        assert len(declined) == 2  # in the grid's phase integral, then in the point's
 
     @pytest.mark.parametrize("name", ["p1", "case15"])
     def test_extrapolation_error(self, name):

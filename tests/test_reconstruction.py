@@ -507,6 +507,44 @@ class TestPhaseIntegral:
                 reconstruct(p, a0, src, rho, tau)
         assert calls == []
 
+    @pytest.mark.parametrize("kind,message", [
+        # a jump by 1e12 in the integrand: the estimates of the panels next
+        # to it halve with each bisection, and are still above the tolerance
+        # at the level cap
+        ("jump", r"after 40 levels [(]\d+ panels unresolved[)]"),
+        # an integrand that turns 1e4 times a unit of tau leaves most panels
+        # unresolved until their number passes the pending-panel cap
+        ("oscillation", r"after 10 levels [(]\d+ panels unresolved[)]"),
+    ])
+    def test_rule_gives_up(self, kind, message):
+        p = FAMILIES["p1"]
+        a0 = (0.7 + 0.2j, -0.3 + 0.4j)
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+        calls = []
+
+        def src(t):
+            calls.append(np.size(t))
+            out = sol(t)
+            if kind == "jump":
+                return np.where(np.asarray(t)[..., None] > 1.3, 1e6 * out, out)
+            return out * (1.0 + 0.2 * np.sin(1e4 * np.asarray(t)))[..., None]
+
+        with pytest.raises(PhaseIntegralError, match=message):
+            reconstruct(p, a0, src, rho, 2.0)
+        assert len(calls) == (40 if kind == "jump" else 10)
+
+    def test_anchor_errors(self):
+        p = FAMILIES["p1"]
+        for a0, anchor, error, message in [
+            ((0.7 + 0.2j, -0.3 + 0.4j), 3, ValueError, "anchor must be 1, 2 or None"),
+            ((0.7 + 0.2j, 0j), 2, SingularAnchorError, "requested anchor component vanishes"),
+            ((0j, 0.7 + 0.2j), 1, SingularAnchorError, "requested anchor component vanishes"),
+        ]:
+            rho, s0 = amplitudes_to_quad(*a0)
+            with pytest.raises(error, match=message):
+                reconstruct(p, a0, solve_case(p, rho, s0).eval, rho, 1.0, anchor=anchor)
+
 
 POLE_EPS = (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 POLE_FAMILIES = {
