@@ -10,10 +10,11 @@ evaluates the flow through the closed forms plus reconstruction when the
 parameters are catalogued, and through the sigma-reduction otherwise: the
 planar orbit in closed form, time as a quadrature over it and the phase by
 reconstruction's rule (quadratic_flow._SigmaOrbit,
-reconstruction._orbit_jobs).  Points the reduction declines go to the
-numerical oracle of the full flow.  ``uapp`` takes a whole x-grid at one
-t: one setup pass (solve_case's per-parameter work once) and one refinement
-loop serve all its points, with the same bits as one call per point.
+reconstruction._orbit_jobs).  A point the reduction declines raises its
+ValueError in its turn, as any failing point does.  ``uapp`` takes a whole
+x-grid at one t: one setup pass (solve_case's per-parameter work once) and
+one refinement loop serve all its points, with the same bits as one call
+per point.
 
 Two specialized, fully explicit profile formulas are provided for the pure
 p1 family (synchronizing) and the pure p3 family (elliptic), and the
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, _solve_states
-from .quadratic_flow import _Decline, _SigmaOrbit, _check_sphere, amplitudes_to_quad, integrate_full
+from .quadratic_flow import _SigmaOrbit, _check_sphere, amplitudes_to_quad
 from .reconstruction import _orbit_jobs, _phases, _reconstruct_jobs
 
 __all__ = [
@@ -100,31 +101,13 @@ def _prefactor(t: float, x: float) -> complex:
     return cmath.exp(1j * x * x / (4.0 * t)) / cmath.sqrt(2j * t)
 
 
-def _sigma_jobs(params, a0, rho: float, s0, tau: float):
-    """_flows' phase-integral jobs and pair builder for a0 outside the catalogue."""
-    # the last stored node of the full flow's oracle is the state at tau itself
-    oracle = lambda: tuple(map(complex, integrate_full(params, a0, (0.0, tau), tol=1e-10).states[-1]))
-    try:
-        jobs, pair = _orbit_jobs(a0, rho, _SigmaOrbit(params, rho, s0, tau))
-    except _Decline:
-        return [], lambda _: oracle()
-
-    def pair_or_oracle(results):
-        try:
-            return pair(results)
-        except _Decline:  # the orbit's source declined inside the phase integral
-            return oracle()
-
-    return jobs, pair_or_oracle
-
-
 def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
     """The amplitude pairs of the list a0s advanced by tau: closed form +
-    reconstruction for catalogued parameters, else the sigma-reduction and,
-    where it declines (logged at debug level), the full flow's RK45 oracle.
-    One setup pass (solve_case's and reconstruct's per-grid work once) and
-    one phase-integral loop serve all points; the first failing point
-    raises, after the points before it."""
+    reconstruction for catalogued parameters, else the sigma-reduction, whose
+    declines (logged at debug level) fail their points.  One setup pass
+    (solve_case's and reconstruct's per-grid work once) and one
+    phase-integral loop serve all points; the first failing point raises,
+    after the points before it."""
     if tau == 0.0:
         return list(a0s)
     live, sols, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], None
@@ -139,7 +122,7 @@ def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
         for a0 in live:
             try:  # each state checked on its sphere, as its own solve_case call would
                 rho, s0 = amplitudes_to_quad(*a0)
-                points.append(_sigma_jobs(params, a0, rho, _check_sphere(rho, s0), tau))
+                points.append(_orbit_jobs(a0, rho, _SigmaOrbit(params, rho, _check_sphere(rho, s0), tau)))
             except Exception as exc:
                 failed = exc
                 break

@@ -641,12 +641,12 @@ def _quadratic(a, b, c) -> list:
 # and a defective (kappa = 0) or singular (p1^2 = kappa) A takes no branch.
 _SIGMA_TERMS, _SIGMA_BASES = 18, 4096  # series terms; bases on a side before a decline
 _SIGMA_INV_FACTORIALS = [1.0 / math.factorial(n) for n in range(1, _SIGMA_TERMS + 1)]
-# 2n + 1 Clenshaw-Curtis nodes a piece, n doubling from 32 to 512; the target on
+# 2n + 1 Clenshaw-Curtis nodes a piece, pieces before a decline; the target on
 # time, in units of 1 / (rho max|p|)
-_SIGMA_NODES, _SIGMA_TOL = (32, 512), 1e-13
+_SIGMA_NODES, _SIGMA_PIECES, _SIGMA_TOL = 32, 256, 1e-13
 
 
-class _Decline(Exception):
+class _Decline(ValueError):
     """The sigma-reduction cannot certify an orbit; the message says why."""
 
 
@@ -674,20 +674,20 @@ class _SigmaOrbit:
     sigma runs over [lo, hi]: on each side of 0 the first zero of
     F = rho^2 - |X|^2 within 3 rho |tau| (a turning point, where I changes
     sign), or else 2 rho |tau|, which |I| <= rho keeps out of reach.  A
-    near-touch of the sphere (a minimum of F on the bases) cuts it.  On
-    sigma = c - h cos(phi), I = sign(sin phi) sqrt F and
+    near-touch of the sphere (a minimum F > 0, by Newton steps on F') cuts it.
+    On sigma = c - h cos(phi), I = sign(sin phi) sqrt F and
     tau(phi) = int h |sin phi| / (2 sqrt F) dphi is smooth across simple
     turning points, past which phi runs on by symmetry: with both ends
     turning the orbit is periodic in phi.  tau is a Chebyshev series on each
-    piece of [0, pi], inverted by Newton steps.  The kind is open, turning
-    (one end), periodic or fixed (a fixed point: span is tau, the states
-    constant).  For reconstruction: phi0, span (phi to the state at tau,
-    less ``periods`` whole periods) and states(phi), rows of D, R, I and
-    dtau/dphi (D, R, I for a fixed point).  Raises _Decline at a tangent
-    turning point (a separatrix), a zero missed between the ends, over 4096
-    bases on a side, or a rule short of its target at 1025 nodes a piece.
-    Logs one debug line: kind, sigma interval, period, nodes and the
-    two-rule estimate.
+    piece of [0, pi], bisected until it meets its share of the target, and
+    inverted by Newton steps.  The kind is open, turning (one end), periodic
+    or fixed (a fixed point: span is tau, the states constant).  For
+    reconstruction: phi0, span (phi to the state at tau, less ``periods``
+    whole periods) and states(phi), rows of D, R, I and dtau/dphi (D, R, I
+    for a fixed point).  Raises _Decline, a ValueError, at a tangent turning
+    point (a separatrix), a zero missed between the ends, over 4096 bases on
+    a side, or a rule short of its target at 256 pieces.  Logs one debug
+    line: kind, sigma interval, period, nodes and the two-rule estimate.
     """
 
     def __init__(self, params, rho: float, s0, tau: float):
@@ -714,8 +714,6 @@ class _SigmaOrbit:
         m = next((m for m in range(2, _SIGMA_TERMS) if x**m + m * x ** (m - 1) <= 1e-17 * math.factorial(m + 1)),
                  _SIGMA_TERMS)
         self.coef, self.horner = np.array(coef[:m]), coef[:m][::-1]
-        if 1.5 * reach > _SIGMA_BASES * self.step:
-            self._decline(f"{1.5 * reach / self.step:.0f} bases on a side")
         # bases every step out from s0 to the first F <= 0 or to 1.5 reach (a
         # zero just past reach still ends the interval)
         ends, zeros, grid = {-1.0: -reach, 1.0: reach}, {}, {}
@@ -724,30 +722,36 @@ class _SigmaOrbit:
             if i0 == 0.0 and side * df0 < 0.0:
                 ends[side] = 0.0  # s0 is a turning point on this side
             while ends[side] and (len(rows) - 1) * self.step < 1.5 * reach:
+                if len(rows) > _SIGMA_BASES:
+                    self._decline(f"more than {_SIGMA_BASES} bases on a side")
                 x0, x1, f = self._past(rows[-1], side * self.step)
                 if not f > 0.0:
                     zeros[side] = (side * self.step * (len(rows) - 1), side * self.step * len(rows), rows[-1][6], f)
                     break
                 rows.append(self._row(x0, x1, f))
         self.k, self.rows = len(grid[-1.0]) - 1, grid[-1.0][::-1] + grid[1.0][1:]
-        # a near-touch of the sphere, a minimum of F on the bases below half their
-        # maximum, cuts the interval at the vertex of the parabola through three
-        # bases, or is the first of two zeros there
+        # a minimum of F on the bases below half their maximum: F's minimum next
+        # to it, by Newton steps on F' = -2 X.W, is a near-touch of the sphere
+        # that cuts the interval, or at F <= 0 brackets the first of two zeros
         fs, touches = [r[6] for r in self.rows], []
         deep = 0.5 * max(fs)
         for i in range(1, len(fs) - 1):
-            curv = fs[i - 1] - 2.0 * fs[i] + fs[i + 1]
-            if fs[i] <= min(fs[i - 1], fs[i + 1]) and fs[i] < deep and curv > 0.0:
-                d = 0.5 * (fs[i - 1] - fs[i + 1]) / curv * self.step
-                s, f = (i - self.k) * self.step + d, self._past(self.rows[i], d)[2]
-                side, j = math.copysign(1.0, s), int(s / self.step) + self.k  # j: the base before it
+            if fs[i] <= min(fs[i - 1], fs[i + 1]) and fs[i] < deep:
+                s = (i - self.k) * self.step
+                s, row, _ = self._newton(s - self.step, s + self.step, s, lambda r: (
+                    r[0] * r[2] + r[1] * r[3], r[2] * r[2] + r[3] * r[3] + r[0] * (self.a * r[2] + r[4])
+                    + r[1] * (self.a * r[3] + r[5])))  # X.W and its derivative W.W + X.A W
+                f, side, j = row[6], math.copysign(1.0, s), int(s / self.step) + self.k  # j: the base before it
                 if f > 0.0:
                     touches.append(s)
                 elif side not in zeros or abs(s) < abs(zeros[side][1]):
                     zeros[side] = ((j - self.k) * self.step, s, fs[j], f)
         self.turning, self.ends = [ends[-1.0] == 0.0, ends[1.0] == 0.0], [base0, base0]
-        for side, bracket in zeros.items():
-            ends[side], x = self._zero(*bracket)
+        for side, (lo, hi, f_lo, f_hi) in zeros.items():
+            # the zero of F between lo (F > 0) and hi (F <= 0), and X there by X' = W
+            s = lo + (hi - lo) * f_lo / (f_lo - f_hi) if math.isfinite(f_hi) else 0.5 * (lo + hi)
+            s, row, ends[side] = self._newton(lo, hi, s, lambda r: (r[6], -2.0 * (r[0] * r[2] + r[1] * r[3])))
+            x = row[0] + (ends[side] - s) * row[2], row[1] + (ends[side] - s) * row[3]
             self.turning[side > 0.0], self.ends[side > 0.0] = True, self._row(*x, 0.0)  # F = 0 there exactly
         self.lo, self.hi = ends[-1.0], ends[1.0]
         self.c, self.h = 0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo)
@@ -794,22 +798,22 @@ class _SigmaOrbit:
         d0, d1 = j0 * row[2] + j1 * row[4], j0 * row[3] + j1 * row[5]
         return row[0] + d0, row[1] + d1, row[6] - d0 * (2.0 * row[0] + d0) - d1 * (2.0 * row[1] + d1)
 
-    def _zero(self, lo: float, hi: float, f_lo: float, f_hi: float):
-        """(zero, X there) of F between lo (F > 0) and hi (F <= 0): Newton
-        steps kept inside the shrinking bracket, bisection otherwise."""
-        s = lo + (hi - lo) * f_lo / (f_lo - f_hi) if math.isfinite(f_hi) else 0.5 * (lo + hi)
+    def _newton(self, lo: float, hi: float, s: float, fn):
+        """(s, the base at s, the next step) for a zero of v between lo (v > 0)
+        and hi (v <= 0) from s, with (v, dv/dsigma) = fn(base): Newton steps
+        kept inside the shrinking bracket, bisection otherwise."""
         for _ in range(200):
             i = min(max(round(s / self.step), -self.k), len(self.rows) - 1 - self.k)
             row = self._row(*self._past(self.rows[i + self.k], s - i * self.step))
-            lo, hi = (s, hi) if row[6] > 0.0 else (lo, s)
-            xw = row[0] * row[2] + row[1] * row[3]
-            new = s + 0.5 * row[6] / xw if xw != 0.0 else lo  # s - F / F'
+            v, dv = fn(row)
+            lo, hi = (s, hi) if v > 0.0 else (lo, s)
+            new = s - v / dv if dv != 0.0 else lo
             if (new - lo) * (new - hi) > 0.0:
                 new = 0.5 * (lo + hi)
-            elif abs(new - s) <= 1e-8 * (abs(s) + self.step):  # quadratic convergence: exact, and X by X' = W
-                return new, (row[0] + (new - s) * row[2], row[1] + (new - s) * row[3])
+            elif abs(new - s) <= 1e-8 * (abs(s) + self.step):  # quadratic convergence: exact
+                return s, row, new
             s = new
-        return s, row[:2]
+        return s, row, s
 
     def states(self, phi):
         """Rows of D, R, I and dtau/dphi at a 1-D array of phi."""
@@ -840,28 +844,41 @@ class _SigmaOrbit:
 
     def _rule(self, cuts, tau: float, tol: float):
         """Chebyshev series of dtau/dphi (a) and of tau (t) on each piece
-        between cuts from 2n + 1 Clenshaw-Curtis nodes, checked against the
-        series of every other node; n doubles until the two agree within the
-        target, which shrinks with the half-periods that tau spans."""
-        cuts = np.array(cuts)
-        mid, width = 0.5 * (cuts[1:] + cuts[:-1])[:, None], (cuts[1:] - cuts[:-1])[:, None]
-        n = _SIGMA_NODES[0]
+        between cuts from 2n + 1 Clenshaw-Curtis nodes, each checked against
+        the series of every other node.  The rule is done once the estimates
+        sum to the target, which shrinks with the half-periods that tau spans;
+        otherwise the pieces within their share of it (of the tolerance by
+        width, of the rounding allowance by time) are kept and the others
+        bisected, as reconstruction._phases bisects its panels, and a round
+        evaluates only the new pieces."""
+        n, cuts = _SIGMA_NODES, np.array(cuts)
+        x, _, synth = _cheb_nodes(2 * n)
+        lo, hi, kept, err = cuts[:-1], cuts[1:], [], 0.0  # kept: the pieces of earlier rounds
         while True:
-            x, _, synth = _cheb_nodes(2 * n)
-            phi = (mid + 0.5 * width * x).ravel()
-            g = self.states(phi)[:, 3].reshape(len(mid), -1)
+            mid, width = 0.5 * (hi + lo)[:, None], (hi - lo)[:, None]
+            g = self.states((mid + 0.5 * width * x).ravel())[:, 3].reshape(len(mid), -1)
             (a, t), coarse = (self._series(v, width) for v in (g, g[:, ::2]))
-            self.estimate = float(np.abs(t[:, :n + 2] - coarse[1]).sum() + np.abs(t[:, n + 2:]).sum())
-            total = t.sum(axis=1)
-            self.half, self.nodes = float(total.sum()), g.size
+            diff, total = (np.abs(t[:, :n + 2] - coarse[1]), np.abs(t[:, n + 2:])), t.sum(axis=1)
+            count = sum(len(k[0]) for k in kept) + len(lo)
+            self.half, self.nodes = float(np.concatenate([k[4] for k in kept] + [total]).sum()), count * (2 * n + 1)
+            self.estimate, share = err + float(diff[0].sum() + diff[1].sum()), tol / (1.0 + tau / self.half)
             # the estimate sums the differences of all coefficients, so its rounding grows with them
-            if self.estimate <= tol / (1.0 + tau / self.half) + 1e-16 * self.nodes * self.half:
-                # tau at the nodes, in increasing phi, for _phi's first guess
-                self.pieces = (cuts, a, t, np.cumsum(total) - total, (t @ synth.T)[:, ::-1])
-                return
-            if n >= _SIGMA_NODES[1]:
-                self._decline(f"time rule estimate {self.estimate:.3g} above its target at {self.nodes} nodes")
-            n *= 2
+            if self.estimate <= share + 1e-16 * self.nodes * self.half:
+                break
+            est = diff[0].sum(axis=1) + diff[1].sum(axis=1)
+            ok = est <= share / math.pi * width[:, 0] + 1e-16 * self.nodes * total
+            if ok.all():
+                break
+            if count + np.count_nonzero(~ok) > _SIGMA_PIECES:
+                self._decline(f"time rule estimate {self.estimate:.3g} above its target at {count} pieces")
+            kept.append(tuple(v[ok] for v in (lo, hi, a, t, total)))
+            err += float(est[ok].sum())
+            lo, hi = np.concatenate((lo[~ok], mid[~ok, 0])), np.concatenate((mid[~ok, 0], hi[~ok]))
+        if kept:  # in increasing phi
+            order = np.argsort(np.concatenate([k[0] for k in kept] + [lo]), kind="stable")
+            lo, hi, a, t, total = (np.concatenate(v)[order] for v in zip(*kept, (lo, hi, a, t, total)))
+        # tau at the nodes, in increasing phi, for _phi's first guess
+        self.pieces = (np.append(lo, hi[-1]), a, t, np.cumsum(total) - total, (t @ synth.T)[:, ::-1])
 
     @staticmethod
     def _series(g, width):

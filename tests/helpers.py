@@ -310,6 +310,22 @@ def std(p1=0.0, p2=0.0, p3=0.0, p4=0.0, p5=0.0, q=(0.0, 0.0, 0.0)):
     return StandardParams(p1, p2, p3, p4, p5, *q)
 
 
+def near_touch(gap: float):
+    """Uncatalogued parameters whose planar flow X' = A X + b is a centre,
+    and the state at rho = 1 on one of its ellipses where |X| has a maximum
+    sqrt(1 - gap^2): the orbit comes within I = gap rho of the equator there,
+    a near-touch of the sphere.  At gap = 0 the ellipse touches the equator,
+    at a fixed point of the flow."""
+    params, gap = std(p2=0.8, p3=0.3, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), float(gap)
+    a, b, r = np.array([[0.0, 0.5], [-1.1, 0.0]]), np.array([0.1, -0.2]), math.sqrt(1.0 - gap * gap)
+
+    def x_at(th):
+        return r * np.array([math.cos(th), math.sin(th)])
+
+    th = brentq(lambda th: x_at(th) @ (a @ x_at(th) + b), 1.9, 2.1)  # |X| is largest there
+    return params, np.array([*x_at(th), gap])
+
+
 def case_branch_plan():
     """(label, params, branch key, threshold family or None) inventory.
 

@@ -19,7 +19,7 @@ import cubicnls.quadratic_flow as qf
 from cubicnls import cli
 from cubicnls.cli import main
 from cubicnls.standard_form import StandardParams
-from helpers import reference_parser
+from helpers import near_touch, reference_parser
 
 V_SYSTEM_JSON = '{"lambda": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]}'
 CASE1_PARAMS = '{"p": [1, 0, 0, 0, 0], "q": [0, 0, 0]}'
@@ -516,6 +516,32 @@ class TestProfile:
         )
         assert code == 0
         assert "sync observable" in err
+
+    def test_sync_check_without_synchronization(self, capsys, finaldata_csv):
+        # pure p3 has no synchronizing point: the check says so and the rows stay
+        code, out, err = run(
+            capsys, "profile", "--params", '{"p": [0, 0, 1.1, 0, 0], "q": [0, 0, 0]}',
+            "--finaldata", str(finaldata_csv), "--t-list", str(math.e**4), "--x-grid=-1,1,3",
+            "--sync-check",
+        )
+        assert (code, err) == (0, "no synchronization detected\n")
+        assert len(out.splitlines()) == 4
+
+    def test_decline_exit_1(self, capsys, tmp_path):
+        # final data on an orbit within 1e-6 rho of the equator, where the
+        # sigma-reduction declines: a typed error, reported as malformed input
+        params, s0 = near_touch(1e-6)
+        a1 = math.sqrt((1.0 + s0[0]) / 2.0)
+        a2 = complex(s0[1], s0[2]) / (2.0 * a1)
+        fd = tmp_path / "fd.csv"
+        fd.write_text("xi,re_a1,im_a1,re_a2,im_a2\n" + "".join(
+            f"{xi!r},{a1!r},0,{a2.real!r},{a2.imag!r}\n" for xi in (-1.0, 1.0)))
+        code, out, err = run(
+            capsys, "profile", "--params", params.to_json(), "--finaldata", str(fd), "--t-list", "10",
+            "--x-grid=0,0,1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: time rule estimate ") and " above its target at " in err
 
 
 def setup_calls(finaldata) -> list:

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 import cubicnls.profile as profile
 from cubicnls.closed_form import solve_case
@@ -26,7 +25,10 @@ from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, d
 from cubicnls.reconstruction import _phases
 from cubicnls.standard_form import nonlinearity
 
-from helpers import std
+from helpers import near_touch, std
+
+# outside the catalogue every point is a sigma orbit or a typed error, never an RK45 run
+pytestmark = pytest.mark.usefixtures("no_full_oracle")
 
 XI = np.linspace(-2.0, 2.0, 41)
 
@@ -89,6 +91,11 @@ class TestFinalData:
         alphas[which - 1][1] = bad
         with pytest.raises(ValueError, match="finite"):
             FinalData([0.0, 0.5, 1.0], *alphas)
+
+    @pytest.mark.parametrize("shapes", [(2, 3), (3, 4), ((3, 1), 3)])
+    def test_alpha_shape_rejected(self, shapes):
+        with pytest.raises(ValueError, match="alpha arrays must match the grid"):
+            FinalData([0.0, 0.5, 1.0], *(np.ones(n, complex) for n in shapes))
 
     def test_decay_envelope(self):
         fd = make_fd()
@@ -232,6 +239,18 @@ class TestSpecializedProfiles:
         with pytest.raises(ValueError, match="degenerate"):
             case1_profile(1.0, (0, 0, 0), fd, 2.0, 0.4)
 
+    @pytest.mark.parametrize("profile,coupling", [(case1_profile, 1.0), (case3_profile, 1.3)])
+    def test_zero_alpha1_rejected(self, profile, coupling):
+        fd = FinalData(XI, np.zeros(XI.shape, complex), np.full(XI.shape, 0.5, complex))
+        with pytest.raises(ValueError, match=r"alpha1\(xi\) != 0"):
+            profile(coupling, (0, 0, 0), fd, 2.0, 0.4)
+
+    def test_case3_zero_d0_rejected(self):
+        # |alpha1| = |alpha2|: D0 = 0
+        fd = FinalData(XI, np.full(XI.shape, 0.5, complex), np.full(XI.shape, 0.5j, complex))
+        with pytest.raises(ValueError, match="D0 != 0"):
+            case3_profile(1.3, (0, 0, 0), fd, 2.0, 0.4)
+
     def test_case1_requires_t_above_one(self):
         with pytest.raises(ValueError):
             case1_profile(1.0, (0, 0, 0), make_fd(), 0.5, 0.1)
@@ -310,6 +329,11 @@ class TestSyncDecay:
         fd = make_fd()
         assert sync_decay(std(p1=1.0), fd, (0j, 0j), 5.0, (-1.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("t", [1.0, 0.5, -3.0])
+    def test_t_at_most_one_rejected(self, t):
+        with pytest.raises(ValueError, match="defined for t > 1"):
+            sync_decay(std(p1=1.0), make_fd(), (1, -1j), t, (-1.0, 1.0))
+
     def test_empty_region(self):
         fd = make_fd()
         with pytest.raises(ValueError, match="region"):
@@ -347,9 +371,13 @@ GRID_XI = np.linspace(-1.6, 1.6, 9)
 
 
 def grid_fd(dominant=1, xi=GRID_XI):
-    """Final data on xi whose component ``dominant`` is the larger."""
+    """Final data on xi whose component ``dominant`` is the larger, or, for
+    "alternating", whose second component is alternately 0.2 and 0.9 times
+    the first (pure p3 splits it into formula groups of 5 and 4 points)."""
     env = np.exp(-xi * xi / 4.0)
     big = env * (0.8 + 0.1j) * np.exp(0.3j * xi)
+    if dominant == "alternating":
+        return FinalData(xi, big, big * np.where(np.arange(len(xi)) % 2, 0.9, 0.2))
     small = env * (0.25 - 0.1j) * np.exp(-0.2j * xi)
     return FinalData(xi, big, small) if dominant == 1 else FinalData(xi, small, big)
 
@@ -369,56 +397,53 @@ def grid_and_points(params, fd, t, xs):
 
 def declining_grid(k):
     """Uncatalogued parameters, and grid_fd() with point k on an ellipse of
-    X' = A X + b that comes within I = 1e-3 rho of the equator, where the
-    time rule of the sigma-reduction declines at t = 10; and that state."""
-    params, gap = std(p2=0.8, p3=0.3, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), 1e-3
-    a, b, r = np.array([[0.0, 0.5], [-1.1, 0.0]]), np.array([0.1, -0.2]), math.sqrt(1.0 - gap * gap)
-
-    def x_at(th):
-        return r * np.array([math.cos(th), math.sin(th)])
-
-    th = brentq(lambda th: x_at(th) @ (a @ x_at(th) + b), 1.9, 2.1)  # |X| is largest there
-    s0 = np.array([*x_at(th), gap])
+    X' = A X + b that comes within I = 1e-6 rho of the equator, where the
+    rounding of F keeps the time rule of the sigma-reduction short of its
+    target at its piece cap; and that state."""
+    params, s0 = near_touch(1e-6)
     a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
     a1[k] = math.sqrt((1.0 + s0[0]) / 2.0)
     a2[k] = complex(s0[1], s0[2]) / (2.0 * a1[k])
     return params, s0, FinalData(GRID_XI, a1, a2)
 
 
-def oracle_calls(monkeypatch):
-    """The amplitude pairs handed to integrate_full from now on."""
-    calls, real = [], profile.integrate_full
-
-    def counted(params, a0, *args, **kwargs):
-        calls.append(a0)
-        return real(params, a0, *args, **kwargs)
-
-    monkeypatch.setattr(profile, "integrate_full", counted)
-    return calls
+def declined_in_turn(params, fd, t, xs):
+    """The decline that uapp on the grid xs raises, and the index and the
+    decline of the first of the one-point calls that raises."""
+    with pytest.raises(_Decline) as grid:
+        uapp(params, fd, t, xs)
+    for k, x in enumerate(xs):
+        try:
+            uapp(params, fd, t, x)
+        except _Decline as exc:
+            return grid.value, k, exc
+    raise AssertionError("no one-point call declined")
 
 
 class TestGrid:
     @pytest.mark.parametrize("name", GRID_FAMILIES)
-    @pytest.mark.parametrize("dominant", [1, 2])
+    @pytest.mark.parametrize("dominant", [1, 2, "alternating"])
     @pytest.mark.parametrize("t", [10.0, 1e4, 1e8])
     def test_grid_matches_points(self, name, dominant, t):
         got, want = grid_and_points(GRID_FAMILIES[name], grid_fd(dominant), t, 2.0 * t * GRID_XI)
         assert np.array_equal(got, want)
 
-    def test_decline_at_construction(self, monkeypatch):
-        # the declined point, and only that one, goes to the full-flow oracle
+    def test_decline_at_construction(self):
+        # the declined point raises its typed error in its turn, as its
+        # one-point call does; the points before it match theirs
         params, s0, fd = declining_grid(4)
         with pytest.raises(_Decline):
             _SigmaOrbit(params, 1.0, s0, 0.5 * math.log(10.0))
-        calls = oracle_calls(monkeypatch)
-        got, want = grid_and_points(params, fd, 10.0, 20.0 * GRID_XI)
+        got, want = grid_and_points(params, fd, 10.0, 20.0 * GRID_XI[:4])
         assert np.array_equal(got, want)
-        assert len(calls) == 2 and calls[0] == (fd.alpha1[4], fd.alpha2[4])  # the grid's, then the point's
+        grid, k, point = declined_in_turn(params, fd, 10.0, 20.0 * GRID_XI)
+        assert isinstance(grid, ValueError) and k == 4 and str(grid) == str(point)
 
     def test_decline_in_the_phase_integral(self, monkeypatch):
         # a source that declines for one point's orbit inside the level loop:
         # only once the orbit is built, whose construction evaluates its
-        # states too, so the decline reaches the pair built after the loop
+        # states too, so the decline reaches the pair built after the loop,
+        # which raises it in the point's turn
         params, fd = std(p1=0.3, p2=0.5, p3=0.7, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), grid_fd()
         target = amplitudes_to_quad(*fd.interp(GRID_XI[6]))[0]
         real_init, real_states, declined = _SigmaOrbit.__init__, _SigmaOrbit.states, []
@@ -435,10 +460,10 @@ class TestGrid:
 
         monkeypatch.setattr(_SigmaOrbit, "__init__", init)
         monkeypatch.setattr(_SigmaOrbit, "states", states)
-        calls = oracle_calls(monkeypatch)
-        got, want = grid_and_points(params, fd, 1e4, 2e4 * GRID_XI)
+        got, want = grid_and_points(params, fd, 1e4, 2e4 * GRID_XI[:6])
         assert np.array_equal(got, want)
-        assert len(calls) == 2 and calls[0] == fd.interp(GRID_XI[6])
+        grid, k, point = declined_in_turn(params, fd, 1e4, 2e4 * GRID_XI)
+        assert k == 6 and str(grid) == str(point) == "declined for the test"
         assert len(declined) == 2  # in the grid's phase integral, then in the point's
 
     @pytest.mark.parametrize("name", ["p1", "case15"])
@@ -526,25 +551,27 @@ class TestGrid:
             [uapp(params, fd, t, x) for x in xs]
         assert str(grid.value) == str(points.value) and len(lines) == 5
 
-    def test_uncatalogued_grid_point_by_point(self, caplog, monkeypatch):
+    def test_uncatalogued_grid_point_by_point(self, caplog):
         # outside the catalogue the grid logs no solve_case line and each
         # point its own sigma line, a decline included, in the order of the
-        # one-point calls; only the declined point goes to the oracle
+        # one-point calls; the declined point raises in its turn
         params, _, fd = declining_grid(2)
         xs = 20.0 * GRID_XI[:5]
-        calls = oracle_calls(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="cubicnls"):
-            uapp(params, fd, 10.0, xs)
+            with pytest.raises(_Decline) as grid_error:
+                uapp(params, fd, 10.0, xs)
             grid = [r.getMessage() for r in caplog.records]
             caplog.clear()
-            for x in xs:
+            for x in xs[:2]:
                 uapp(params, fd, 10.0, x)
+            with pytest.raises(_Decline) as point_error:
+                uapp(params, fd, 10.0, xs[2])
             points = [r.getMessage() for r in caplog.records]
         sigma = [g for g in grid if g.startswith("sigma")]
         assert not any("solve_case" in g for g in grid + points)
-        assert sigma == [p for p in points if p.startswith("sigma")] and len(sigma) == 5
+        assert sigma == [p for p in points if p.startswith("sigma")] and len(sigma) == 3
         assert "declined" in sigma[2] and sum("declined" in g for g in sigma) == 1
-        assert len(calls) == 2 and calls[0] == calls[1] == (fd.alpha1[2], fd.alpha2[2])
+        assert str(grid_error.value) == str(point_error.value)
 
     def test_no_cyclic_garbage(self):
         # the level loop's source calls leave no reference cycle, so a level's

@@ -18,10 +18,14 @@ from scipy.linalg import expm
 
 import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import classify
-from cubicnls.profile import _flows
+from cubicnls.profile import FinalData, _flows, uapp
 from cubicnls.quadratic_flow import _SigmaOrbit, amplitudes_to_quad
 from cubicnls.reconstruction import _orbit_pair
 from cubicnls.standard_form import StandardParams, nonlinearity
+from helpers import near_touch
+
+# outside the catalogue every point is a sigma orbit or a typed error, never an RK45 run
+pytestmark = pytest.mark.usefixtures("no_full_oracle")
 
 TIMES = (1e-3, 0.5, 10.0, 1e4, 1e8)
 Q = (0.1, -0.2, 0.3)
@@ -191,6 +195,53 @@ class TestPitfalls:
         assert err < 1e-11
 
 
+class TestCuredDeclines:
+    """Orbits that an n-doubling time rule, a parabola-vertex zero scan and a
+    bases cap checked against the reach used to decline: the reduction now
+    follows them within 1e-10 of DOP853."""
+
+    @staticmethod
+    def census(draws):
+        """(params, rho, s0, t) of the given draws of test_declines_are_rare's
+        generator, with t cycling through 10, 1e2, 1e4, 1e6 and 1e8."""
+        rng, out = np.random.default_rng(2024), []
+        for k in range(max(draws) + 1):
+            while True:
+                p = rng.uniform(-1.0, 1.0, 5)
+                p[[0, 2, 4]] = np.abs(p[[0, 2, 4]])
+                params = StandardParams(*p)
+                if classify(params).case == 0:
+                    break
+            rho = rng.uniform(0.05, 2.0)
+            v = rng.standard_normal(3)
+            if k in draws:
+                out.append((params, rho, rho * v / np.linalg.norm(v), (10.0, 1e2, 1e4, 1e6, 1e8)[k % 5]))
+        return out
+
+    def test_census_states(self):
+        # a missed zero (F dips below 0 between two bases) and two near-touches
+        for params, rho, s0, t in self.census((168, 774, 1318)):
+            assert orbit_and_error(params, pair_of(rho, s0), tau_of(t))[1] < 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_near_touch(self, gap):
+        params, s0 = near_touch(gap)
+        for t in (10.0, 1e4, 1e8):
+            assert orbit_and_error(params, pair_of(1.0, s0), tau_of(t))[1] < 1e-10
+
+    def test_closest_near_touch_returns_or_declines(self):
+        # within 1e-6 rho the rounding of F is 1e-4 of F itself near the
+        # touch: each point either returns within 1e-9 or raises a ValueError
+        # (all three raise, at the piece cap)
+        params, s0 = near_touch(1e-6)
+        for t in (10.0, 1e4, 1e8):
+            try:
+                err = orbit_and_error(params, pair_of(1.0, s0), tau_of(t))[1]
+            except ValueError:
+                continue
+            assert err < 1e-9
+
+
 class TestFixedKind:
     """A start at a fixed point of the quadratic flow: the orbit is of kind
     fixed, its states are constant, and each amplitude only turns, by
@@ -222,17 +273,45 @@ class TestFixedKind:
 
 
 class TestDecline:
-    def test_declined_point_falls_back_to_the_oracle(self, monkeypatch, caplog):
-        # a node cap the rule cannot meet: the point goes to integrate_full
-        monkeypatch.setattr(qf, "_SIGMA_NODES", (4, 4))
-        params, a0 = StandardParams(0.3, 0.5, 0.7, 0.2, 0.1, *Q), (0.6 + 0.1j, 0.3 - 0.4j)
+    def test_declined_point_raises(self, caplog):
+        # a near-touch within 1e-6 rho, where the rounding of F keeps the time
+        # rule short of its target at the piece cap: the point raises the
+        # typed decline, and no oracle runs
+        params, s0 = near_touch(1e-6)
         with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
-            (got,) = np.array(_flows(params, [a0], tau_of(1e4)))
+            with pytest.raises(qf._Decline, match="^time rule estimate .* above its target at .* pieces$"):
+                _flows(params, [pair_of(1.0, s0)], tau_of(1e4))
         lines = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
         assert any(l.startswith("sigma kind=declined reason='time rule estimate") for l in lines)
-        assert any(l.startswith("oracle flow=full") for l in lines)
-        ref = dop853(params, a0, tau_of(1e4))
-        assert np.max(np.abs(got - ref)) < 1e-7 * np.max(np.abs(ref))
+        assert not any(l.startswith("oracle flow=full") for l in lines)
+
+    @pytest.mark.parametrize(
+        "gap, t, reason",
+        [
+            (0.0, 10.0, "tangent turning point"),
+            (None, 1e4, "more than 4096 bases on a side"),
+            (1e-6, 10.0, "time rule estimate .* above its target at .* pieces"),
+        ],
+        ids=["tangent", "bases", "pieces"],
+    )
+    def test_decline_through_uapp(self, caplog, gap, t, reason):
+        # each decline that remains is a ValueError that uapp raises in its
+        # point's turn: the point before it is built, the one after it is not.
+        # gap None: an ellipse about the centre well inside the disk, at
+        # rho = 1000, where sigma runs on for 2 rho |tau| each way
+        params, s0 = near_touch(gap or 0.0)
+        rho = 1.0 if gap is not None else 1000.0
+        if gap is None:
+            x = rho * np.array([-0.08, -0.2])
+            s0 = np.array([*x, math.sqrt(rho * rho - x @ x)])
+        a0 = pair_of(rho, s0)
+        fd = FinalData([-1.0, 0.0, 1.0], [A0[0], a0[0], A0[0]], [A0[1], a0[1], A0[1]])
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
+            with pytest.raises(ValueError, match=reason):
+                uapp(params, fd, t, 2.0 * t * fd.xi_grid)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sigma")]
+        assert len(lines) == 2 and "declined" not in lines[0]
+        assert lines[1].startswith("sigma kind=declined reason=") and "oracle flow=" not in caplog.text
 
     def test_separatrix_declines(self):
         # the curve of X' = A X + b through an equator fixed point touches the

@@ -265,6 +265,20 @@ class TestParams:
         p = StandardParams(-1e-15, 1.0, 0, 0, 0)  # tiny negatives are snapped
         assert p.p1 == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            GeneralCubic((1.0,) * 11 + (bad,))
+        for at in (0, 7):
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                StandardParams(*[bad if k == at else 1.0 for k in range(8)])
+
+    @pytest.mark.parametrize("text", ['{"p": [1, 0, 0, 0]}', '{"p": [1, 0, 0, 0, 0, 0]}',
+                                      '{"p": [1, 0, 0, 0, 0], "q": [0, 0]}'])
+    def test_json_value_count_rejected(self, text):
+        with pytest.raises(ValueError, match="expected 5 interaction and 3 potential parameters"):
+            StandardParams.from_json(text)
+
     def test_json_round_trip(self):
         p = StandardParams(1, -0.5, 0.25, 0.1, 0.0, 0.3, -0.2, 0.7)
         assert StandardParams.from_json(p.to_json()) == p
