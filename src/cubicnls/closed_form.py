@@ -23,7 +23,9 @@ written from a quarter period, so they stay finite on it.  The elementary
 thresholds (case 6 at p1 = p4, cases 14/15 at |X| = sqrt(cap), lemma 3's
 plane K = 0) share one formula in functions entire in the threshold
 parameter (_ent), and the collapse onto a pole (cases 1 and 5, p1 = p3, 1/3
-on D = -R) one formula (_collapse).  No threshold is served by a band.
+on D = -R) one formula (_collapse).  No threshold is served by a band but
+_solve_states' fixed-point test, which takes states within about 5e-14 rho
+of a collapse pole for constants (see the README's known limitations).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ on a grid of the similarity variable xi = x / (2 t).  The generic pipeline
 evaluates the flow through the closed forms plus reconstruction when the
 parameters are catalogued, and through the sigma-reduction otherwise: the
 planar orbit in closed form, time as a quadrature over it and the phase by
-reconstruction's rule (quadratic_flow._SigmaOrbit,
-reconstruction._orbit_jobs).  A point the reduction declines raises its
+reconstruction's job builder, as in the catalogue (quadratic_flow._SigmaOrbit,
+reconstruction._reconstruct_jobs).  A point the reduction declines raises its
 ValueError in its turn, as any failing point does.  ``uapp`` takes a whole
 x-grid at one t: one setup pass (solve_case's per-parameter work once) and
 one refinement loop serve all its points, with the same bits as one call
@@ -33,7 +33,7 @@ import numpy as np
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, _solve_states
 from .quadratic_flow import _SigmaOrbit, _check_sphere, amplitudes_to_quad
-from .reconstruction import _orbit_jobs, _phases, _reconstruct_jobs
+from .reconstruction import _phases, _reconstruct_jobs
 
 __all__ = [
     "ExtrapolationError",
@@ -110,22 +110,22 @@ def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
     after the points before it."""
     if tau == 0.0:
         return list(a0s)
-    live, sols, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], None
+    live, points, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], None
     try:
-        for sol in _solve_states(params, (amplitudes_to_quad(*a0) for a0 in live)):
-            sols.append(sol)
+        for a0, sol in zip(live, _solve_states(params, (amplitudes_to_quad(*a0) for a0 in live))):
+            points.append((a0, sol, sol.rho, sol.initial, None))
     except Exception as exc:  # raised after the points before it
         failed = exc
-    points = _reconstruct_jobs([(a0, sol, sol.rho, sol.initial) for a0, sol in zip(live, sols)], tau)
     if isinstance(failed, UnsupportedCaseError):  # outside the catalogue, point by point
         failed = None
         for a0 in live:
             try:  # each state checked on its sphere, as its own solve_case call would
                 rho, s0 = amplitudes_to_quad(*a0)
-                points.append(_orbit_jobs(a0, rho, _SigmaOrbit(params, rho, _check_sphere(rho, s0), tau)))
+                points.append((a0, None, rho, _check_sphere(rho, s0), _SigmaOrbit(params, rho, s0, tau)))
             except Exception as exc:
                 failed = exc
                 break
+    points = _reconstruct_jobs(points, tau)
     results = iter(_phases(params, [job for jobs, _ in points for job in jobs]))
     pairs = iter([pair([next(results) for _ in jobs]) for jobs, pair in points])
     if failed is not None:

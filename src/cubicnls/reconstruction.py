@@ -24,9 +24,9 @@ panels (and at the first level on each integral's two ends), with one
 call for all the closed forms of one formula and one per other source,
 and does the rest of the level in array passes over all panels.  A non-finite
 integrand value, or a rule that does not get there within a fixed number
-of levels and panels, raises PhaseIntegralError.  Each ``reconstruct``
-logs the chart switches, panels, levels and summed error estimate at
-debug level on the ``cubicnls.reconstruction`` logger.
+of levels and panels, raises PhaseIntegralError.  Each ``reconstruct`` and
+each profile point, sigma-reduced ones too, logs the chart switches, panels,
+levels and summed error estimate at debug level on this module's logger.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .closed_form import ClosedFormSolution, _stacked
-from .quadratic_flow import Trajectory, amplitudes_to_quad, full_ode_rhs, qqq_rhs
+from .quadratic_flow import Trajectory, _check_sphere, amplitudes_to_quad, full_ode_rhs, qqq_rhs
 
 __all__ = [
     "PhaseIntegralError",
@@ -209,8 +209,8 @@ def _phases(params, jobs):
     level accepts each panel that keeps its weight and whose estimate is
     within its width's share of _PHASE_TOL, and bisects the others.  Each
     level evaluates the sources on the pending panels' 15 nodes and far
-    edges and, at level 1, on 0 (where it must match s0 within 1e-8, unless
-    s0 is None) and span: one call for all the jobs of one closed-form
+    edges and, at level 1, on 0 (where it must match s0 within
+    1e-8 max(1, rho)) and span: one call for all the jobs of one closed-form
     formula (closed_form._stacked; retried job by job if it raises), one
     per job for any other source.  A fourth source column, dtau/du, weights
     the integrand: the variable is then an orbit parameter u.  Panels are
@@ -233,8 +233,6 @@ def _phases(params, jobs):
     # the panels of np.linspace(0, span, n + 1), job by job: the pending
     # jobs ks have cnt panels each, pj is the job of each panel
     rho_j, span_j = (np.array([job[j] for job in jobs], dtype=float) for j in (0, 2))
-    # each job's s0 (NaN where none is given), checked at level 1 against its source at 0
-    s0_j = np.array([np.full(3, np.nan) if job[3] is None else job[3] for job in jobs])
     ks = list(range(len(jobs)))
     cnt = np.array([max(1, math.ceil(abs(span) / _PANEL_WIDTH)) for span in span_j.tolist()], dtype=int)
     pj, i = np.repeat(np.arange(len(jobs)), cnt), np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
@@ -281,9 +279,10 @@ def _phases(params, jobs):
                 # call is retried job by job, so that each keeps its own exception
                 for k in members:
                     out[k] = failed if len(members) == 1 else call([k])
-        for k, miss in enumerate(np.abs(s0_j - ends[:, 0, :3]).max(axis=1).tolist() if level == 1 else ()):
-            if out[k] is None and miss > 1e-8 * max(1.0, jobs[k][0]):
-                out[k] = ValueError(_INCONSISTENT)
+        if level == 1:  # each job's source at 0 against its s0, NaN-safe
+            miss = np.abs(np.array([job[3] for job in jobs], dtype=float) - ends[:, 0, :3]).max(axis=1)
+            for k in np.flatnonzero(~(miss <= 1e-8 * np.maximum(1.0, rho_j))).tolist():
+                out[k] = ValueError(_INCONSISTENT) if out[k] is None else out[k]
         # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
         chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
         rho, sign = np.repeat(rho_j[ks], 15 * cnt).reshape(-1, 15), np.repeat(chart, 15).reshape(-1, 15)
@@ -384,33 +383,37 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     is evaluated on G7-K15 Gauss-Kronrod panels of width <= 0.25 in tau,
     one array call of ``quad_src`` per refinement level (the first also
     takes tau = 0 and tau), bisected until the estimates |K15 - G7| sum to
-    at most 1e-11 absolute.  Raises ValueError for a non-finite tau, and
-    PhaseIntegralError when |tau| needs more than 4096 panels, on a
-    non-finite integrand value, or when the rule misses its target within
-    its level and panel caps.
+    at most 1e-11 absolute.  Raises ValueError for a non-finite tau or rho
+    or an a0 off rho or the source at 0 (NaN too), and PhaseIntegralError
+    when |tau| needs more than 4096 panels, on a non-finite integrand value,
+    or when the rule misses its target within its level and panel caps.
     """
     a0 = complex(a0[0]), complex(a0[1])
     if a0[0] == 0 and a0[1] == 0:
         raise ValueError("reconstruction needs a nontrivial amplitude pair")
-    ((jobs, pair),) = _reconstruct_jobs([(a0, quad_src, rho, None)], tau, anchor)
+    ((jobs, pair),) = _reconstruct_jobs([(a0, quad_src, rho, None, None)], tau, anchor)
     return pair(_phases(params, jobs))
 
 
 def _reconstruct_jobs(points, tau: float, anchor=None):
     """reconstruct's checks, of tau once, for nontrivial points (a0, source,
-    rho, s0), then per point its job (none at tau = 0) and the function
-    that builds its pair from that job's result.  s0 = None stands for a0's
-    (D, R, I), checked against rho and the source; a grid passes its own."""
+    rho, s0, orbit), then per point its jobs (none at tau = 0) and the
+    function that builds its pair from their results.  s0 = None stands for
+    a0's (D, R, I), checked NaN-safe against rho and the source; a grid
+    passes its own.  The source runs over tau, or a sigma orbit's states
+    over phi from phi0 do: its span and, with whole periods, one period."""
     if not math.isfinite(tau):
         raise ValueError(f"reconstruction needs a finite tau, got {tau!r}")
     if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
         raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
     out = []
-    for a0, src, rho, s0 in points:
+    for a0, src, rho, s0, orbit in points:
         if s0 is None:
+            _check_sphere(rho)
             rho0, s0 = amplitudes_to_quad(*a0)
             tol = 1e-8 * max(1.0, rho)
-            if abs(rho0 - rho) > tol or (tau == 0.0 and np.max(np.abs(s0 - np.asarray(src(0.0), dtype=float))) > tol):
+            if not (abs(rho0 - rho) <= tol
+                    and (tau != 0.0 or np.max(np.abs(s0 - np.asarray(src(0.0), dtype=float))) <= tol)):
                 raise ValueError(_INCONSISTENT)
         if anchor not in (None, 1, 2):
             raise ValueError("anchor must be 1, 2 or None")
@@ -418,56 +421,35 @@ def _reconstruct_jobs(points, tau: float, anchor=None):
         seed = a0[0] if start > 0.0 else a0[1]
         if seed == 0:
             raise SingularAnchorError("requested anchor component vanishes at tau = 0")
+        spans, periods = [tau], 0
+        if orbit is not None:
+            src, periods = (lambda u, orbit=orbit: orbit.states(orbit.phi0 + u)), orbit.periods
+            spans = [orbit.span] + [math.copysign(2.0 * math.pi, periods)] * (periods != 0)
         out.append(([], lambda _, a0=a0: a0) if tau == 0.0 else
-                   ([(rho, src, tau, s0)], functools.partial(_reconstructed, rho, tau, seed, start)))
+                   ([(rho, src, span, s0) for span in spans],
+                    functools.partial(_reconstructed, rho, tau, seed, start, periods)))
     return out
 
 
-def _reconstructed(rho: float, tau: float, seed: complex, start: float, results):
-    """The pair at tau from a reconstruct job's result, and its debug line."""
+def _reconstructed(rho: float, tau: float, seed: complex, start: float, periods: int, results):
+    """The pair at tau from a point's job results (see _reconstruct_jobs),
+    built on the component of D's sign there, and its debug line."""
     phase, out, s, switches = _turned(results[0], start)
     _, _, _, err, panels, levels = results[0]
+    if periods:
+        turn, _, _, more = _turned(results[1], start, start)
+        phase, switches = phase + abs(periods) * turn, switches + abs(periods) * more
+        err, panels, levels = err + abs(periods) * results[1][3], panels + results[1][4], max(levels, results[1][5])
     log.debug(
         "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
         tau, 1 if start > 0.0 else 2, switches, panels, levels, err,
     )
-    return _pair(rho, seed, phase, out, s)
-
-
-def _pair(rho: float, seed: complex, phase: float, out: float, s):
-    """The pair with quadratic quantities s = (D, R, I), built on the
-    component of chart ``out``, whose phase is arg(seed) + phase."""
     d, r, i = s
     w = rho + out * d
     factor = seed / abs(seed) * complex(math.cos(phase), math.sin(phase))
     amp = math.sqrt(w / 2.0) * factor
     comp = complex(r, out * i) / math.sqrt(2.0 * w) * factor
     return (amp, comp) if out > 0 else (comp, amp)
-
-
-def _orbit_jobs(a0, rho: float, orbit):
-    """The phase-integral jobs over phi of a sigma-reduced orbit (its span
-    and, with whole periods, one period) and the function that builds from
-    their results the pair at its end, anchored on a0's larger component."""
-    seed, start = (a0[0], 1.0) if abs(a0[0]) >= abs(a0[1]) else (a0[1], -1.0)
-    src = lambda u: orbit.states(orbit.phi0 + u)
-    jobs = [(rho, src, orbit.span, None)]
-    if orbit.periods:
-        jobs.append((rho, src, math.copysign(2.0 * math.pi, orbit.periods), None))
-
-    def pair(results):
-        phase, out, s, _ = _turned(results[0], start)
-        if orbit.periods:
-            phase += abs(orbit.periods) * _turned(results[1], start, start)[0]
-        return _pair(rho, complex(seed), phase, out, s)
-
-    return jobs, pair
-
-
-def _orbit_pair(params, a0, rho: float, orbit):
-    """The pair at the end of a sigma-reduced orbit (see _orbit_jobs)."""
-    jobs, pair = _orbit_jobs(a0, rho, orbit)
-    return pair(_phases(params, jobs))
 
 
 def residual(params, path: Trajectory) -> float:

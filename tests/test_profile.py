@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import cubicnls.profile as profile
-from cubicnls.closed_form import solve_case
+from cubicnls.closed_form import classify, solve_case
 from cubicnls.elliptic import EllipticDomainError
 from cubicnls.profile import (
     ExtrapolationError,
@@ -22,7 +22,7 @@ from cubicnls.profile import (
     uapp,
 )
 from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, detect_sync, full_ode_rhs
-from cubicnls.reconstruction import _phases
+from cubicnls.reconstruction import _INCONSISTENT, _phases
 from cubicnls.standard_form import nonlinearity
 
 from helpers import near_touch, std
@@ -395,6 +395,17 @@ def grid_and_points(params, fd, t, xs):
     return bits(np.stack(got)), bits(np.array(want).T)
 
 
+# uncatalogued, with a saddle and a centre in its planar flow: periodic_fd's
+# orbits are periodic, most of them over whole periods at t = 1e4 and 1e8
+PERIODIC = std(p1=0.3, p2=0.5, p3=0.7, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3))
+
+
+def periodic_fd(xi=GRID_XI):
+    """Final data on xi about (1.5 + 0.4i, 0.9 - 1.0i), an orbit of PERIODIC
+    whose time period is a few units of tau."""
+    return FinalData(xi, (1.5 + 0.4j) * (1.0 + 0.1 * xi), (0.9 - 1.0j) * np.exp(0.3j * xi) * (1.0 - 0.05 * xi))
+
+
 def declining_grid(k):
     """Uncatalogued parameters, and grid_fd() with point k on an ellipse of
     X' = A X + b that comes within I = 1e-6 rho of the equator, where the
@@ -539,17 +550,71 @@ class TestGrid:
     def test_bad_point_in_its_turn(self, caplog, params, big, error):
         # a point whose radius overflows or underflows raises the error of its
         # own call, after the points before it and before those after it,
-        # whether or not the parameters are catalogued
+        # whether or not the parameters are catalogued: each of the 5 points
+        # before it logs its reconstruct line, and outside the catalogue its
+        # sigma line too
         a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
         a1[5], a2[5] = big, 0.0
         fd, xs, t = FinalData(GRID_XI, a1, a2), 2e4 * GRID_XI, 1e4
         with caplog.at_level(logging.DEBUG, logger="cubicnls"):
             with pytest.raises((ValueError, OverflowError), match=error) as grid:
                 uapp(params, fd, t, xs)
-            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(("reconstruct", "sigma"))]
+            lines = [r.getMessage() for r in caplog.records]
         with pytest.raises(type(grid.value)) as points:
             [uapp(params, fd, t, x) for x in xs]
-        assert str(grid.value) == str(points.value) and len(lines) == 5
+        assert str(grid.value) == str(points.value)
+        assert sum(g.startswith("reconstruct tau=") for g in lines) == 5
+        assert sum(g.startswith("sigma kind=") for g in lines) == (0 if classify(params).case else 5)
+
+    @pytest.mark.parametrize("t", [1e4, -1e8])
+    def test_periodic_sigma_grid(self, caplog, t):
+        # outside the catalogue, orbits that fold whole periods (periods != 0,
+        # of either sign) next to ones that do not: the grid's values, and its
+        # sigma and reconstruct lines, are those of the one-point calls, bit
+        # for bit and in order, and each point reports its phase estimate
+        params, fd, xs = PERIODIC, periodic_fd(), 2.0 * t * GRID_XI
+        tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
+        periods = [_SigmaOrbit(params, *amplitudes_to_quad(*fd.interp(v)), tau).periods for v in GRID_XI]
+        assert any(periods) and len(set(periods)) > 2
+        with caplog.at_level(logging.DEBUG, logger="cubicnls"):
+            caplog.clear()
+            got = uapp(params, fd, t, xs)
+            grid = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            want = [uapp(params, fd, t, x) for x in xs]
+            points = [r.getMessage() for r in caplog.records]
+        assert np.array_equal(bits(np.stack(got)), bits(np.array(want).T))
+        for kind in ("sigma kind=", "reconstruct tau="):
+            lines = [g for g in grid if g.startswith(kind)]
+            assert lines == [p for p in points if p.startswith(kind)] and len(lines) == len(xs)
+        assert all("error_estimate=" in g for g in grid if g.startswith("reconstruct"))
+
+    def test_sigma_source_off_its_start(self, monkeypatch):
+        # a sigma orbit whose states at phi0, once it is built, miss its
+        # point's state: the phase integral's start check fails that point
+        # with the inconsistency error, in its turn, as its one-point call
+        params, fd, t = PERIODIC, periodic_fd(), 1e4
+        target = amplitudes_to_quad(*fd.interp(GRID_XI[6]))[0]
+        real_init, real_states = _SigmaOrbit.__init__, _SigmaOrbit.states
+
+        def init(orbit, *args):
+            real_init(orbit, *args)
+            orbit.built = True
+
+        def states(orbit, phi):
+            out = real_states(orbit, phi)
+            if getattr(orbit, "built", False) and orbit.rho == target:
+                out[:, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(_SigmaOrbit, "__init__", init)
+        monkeypatch.setattr(_SigmaOrbit, "states", states)
+        got, want = grid_and_points(params, fd, t, 2.0 * t * GRID_XI[:6])
+        assert np.array_equal(got, want)
+        for xs in (2.0 * t * GRID_XI, 2.0 * t * GRID_XI[6]):
+            with pytest.raises(ValueError) as exc:
+                uapp(params, fd, t, xs)
+            assert type(exc.value) is ValueError and str(exc.value) == _INCONSISTENT
 
     def test_uncatalogued_grid_point_by_point(self, caplog):
         # outside the catalogue the grid logs no solve_case line and each

@@ -140,6 +140,24 @@ class TestReconstruct:
             with pytest.raises(ValueError, match="inconsistent"):
                 reconstruct(p, a0, wrong.eval, 1.0, tau)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["a1", "a2", "rho"])
+    def test_nonfinite_input_rejected(self, where, bad, tau):
+        # NaN or inf in a component of a0 or in rho raises ValueError at any
+        # tau, never a pair (a NaN a1 once gave a finite, wrong one at tau = 1)
+        p = std(p3=1.0, q=(0.1, -0.2, 0.3))
+        a0 = [0.6 + 0.1j, 0.3 - 0.2j]
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+        if where == "rho":
+            rho = bad
+        else:
+            a0[where == "a2"] = complex(bad)
+        with pytest.raises(ValueError) as exc:
+            reconstruct(p, a0, sol.eval, rho, tau)
+        assert not isinstance(exc.value, PhaseIntegralError)
+
     def test_trivial_pair_rejected(self):
         p = std(p1=1.0)
         with pytest.raises(ValueError):
@@ -446,7 +464,7 @@ class TestPhaseIntegral:
             t = np.asarray(t, dtype=float)
             return rho * np.stack([np.cos(w * t), np.sin(w * t), np.zeros_like(t)], axis=-1)
 
-        ((total, charts, s, err, panels, _),) = _phases(_Raw(0, 0, 0, 0, 0), [(rho, src, 1.0, None)])
+        ((total, charts, s, err, panels, _),) = _phases(_Raw(0, 0, 0, 0, 0), [(rho, src, 1.0, src(0.0))])
         assert (total, err) == (0.0, 0.0)
         assert panels > 4
         assert list(charts) == [1.0, -1.0] * 3 + [1.0]

@@ -2,7 +2,8 @@
 
 Outside the catalogue, profile._flows advances the final data along the
 planar orbit X' = A X + b in sigma = int 2 I dtau (quadratic_flow._SigmaOrbit)
-and integrates the phase over the orbit parameter (reconstruction._orbit_pair).
+and integrates the phase over the orbit parameter (reconstruction's one job
+builder, _reconstruct_jobs, as for a closed form).
 Every check here compares the amplitude pair with a DOP853 run of the full
 complex flow at rtol = atol = 1e-13, over t in {1e-3, 0.5, 10, 1e4, 1e8}, so
 negative times are covered.
@@ -20,7 +21,7 @@ import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import classify
 from cubicnls.profile import FinalData, _flows, uapp
 from cubicnls.quadratic_flow import _SigmaOrbit, amplitudes_to_quad
-from cubicnls.reconstruction import _orbit_pair
+from cubicnls.reconstruction import _phases, _reconstruct_jobs
 from cubicnls.standard_form import StandardParams, nonlinearity
 from helpers import near_touch
 
@@ -45,11 +46,18 @@ def dop853(params, a0, tau):
     return np.array([complex(y[0], y[1]), complex(y[2], y[3])])
 
 
+def orbit_pair(params, a0, rho, s0, orbit, tau):
+    """The pair at the end of the orbit of (rho, s0) over tau, by
+    reconstruction's job builder, as profile._flows builds it."""
+    ((jobs, pair),) = _reconstruct_jobs([(a0, None, rho, s0, orbit)], tau)
+    return np.array(pair(_phases(params, jobs)))
+
+
 def orbit_and_error(params, a0, tau):
     """The orbit and the relative deviation of its pair from DOP853."""
     rho, s0 = amplitudes_to_quad(*a0)
     orbit = _SigmaOrbit(params, rho, s0, tau)
-    got = np.array(_orbit_pair(params, a0, rho, orbit))
+    got = orbit_pair(params, a0, rho, s0, orbit, tau)
     ref = dop853(params, a0, tau)
     return orbit, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
@@ -267,7 +275,7 @@ class TestFixedKind:
             for tau in (tau_of(t), -tau_of(t)):
                 orbit = _SigmaOrbit(params, rho, s0, tau)
                 assert orbit.kind == "fixed"
-                got = np.array(_orbit_pair(params, a0, rho, orbit))
+                got = orbit_pair(params, a0, rho, s0, orbit, tau)
                 ref = np.array([a * np.exp(-1j * l * tau) for a, l in zip(a0, lam)])
                 assert np.max(np.abs(got - ref)) < 1e-13
 
