@@ -212,12 +212,13 @@ def _finaldata(path: str) -> FinalData:
     re_a2 and im_a2, in any order; '#' starts a comment and blank lines are
     skipped.  A missing column or a bad field raises ValueError."""
     with open(path) as fh:
-        lines = [line.split("#", 1)[0] for line in fh]
+        text = fh.read()
+    lines = text.split("\n") if "#" not in text else [line.split("#", 1)[0] for line in text.split("\n")]
     header, *body = [line.split(",") for line in lines if line.strip()]
     header = [name.strip() for name in header]
     cols = [header.index(name) for name in ("xi", "re_a1", "im_a1", "re_a2", "im_a2")]
-    # float() takes the blanks around a field
-    xi, re1, im1, re2, im2 = np.array([[float(row[c]) for c in cols] for row in body]).reshape(-1, 5).T
+    # float() takes the blanks around a field; row by row, in column order
+    xi, re1, im1, re2, im2 = np.array([float(row[c]) for row in body for c in cols]).reshape(-1, 5).T
     return FinalData(xi, re1 + 1j * im1, re2 + 1j * im2)
 
 

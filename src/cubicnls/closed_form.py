@@ -98,7 +98,8 @@ class ClosedFormSolution:
 
     def __call__(self, tau):
         tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.stack(_run(self._formula, tau_arr), axis=-1)
+        out = np.empty(tau_arr.shape + (3,))
+        out[..., 0], out[..., 1], out[..., 2] = _run(self._formula, tau_arr)
         return out[0] if np.ndim(tau) == 0 else out
 
     eval = __call__

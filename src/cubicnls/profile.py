@@ -64,11 +64,11 @@ class FinalData:
         xi = np.asarray(self.xi_grid, dtype=float)
         a1 = np.asarray(self.alpha1, dtype=complex)
         a2 = np.asarray(self.alpha2, dtype=complex)
-        if xi.ndim != 1 or len(xi) < 2 or not np.all(np.diff(xi) > 0) or not np.all(np.isfinite(xi)):
+        if xi.ndim != 1 or len(xi) < 2 or not (xi[1:] > xi[:-1]).all() or not np.isfinite(xi).all():
             raise ValueError("xi grid must be finite and strictly increasing with >= 2 nodes")
         if a1.shape != xi.shape or a2.shape != xi.shape:
             raise ValueError("alpha arrays must match the grid")
-        if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
+        if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
             raise ValueError("alpha arrays must be finite")
         object.__setattr__(self, "xi_grid", xi)
         object.__setattr__(self, "alpha1", a1)

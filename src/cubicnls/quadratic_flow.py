@@ -67,13 +67,26 @@ class StiffnessError(RuntimeError):
     """The adaptive integrator failed to advance (step underflow)."""
 
 
+# Above this modulus a square, or a sum of three, may overflow; the squares
+# are then taken of the pair or state scaled by its largest modulus (Blue,
+# ACM TOMS 4, 1978)
+_SQUARE_MAX = 2.0**511
+
+
 def amplitudes_to_quad(a1: complex, a2: complex) -> tuple[float, np.ndarray]:
-    """(rho, (D, R, I)) of an amplitude pair."""
+    """(rho, (D, R, I)) of an amplitude pair.  Raises ValueError for a
+    nonzero pair whose rho overflows or underflows to zero."""
+    x1, x2 = abs(a1), abs(a2)
+    if x1 > _SQUARE_MAX or x2 > _SQUARE_MAX:  # the squares of the pair scaled by its larger modulus
+        m = max(x1, x2)
+        if m < math.inf and ((x1 / m) ** 2 + (x2 / m) ** 2) * m * m == math.inf:
+            raise ValueError(f"the amplitudes ({a1}, {a2}) are out of range: |a1|^2 + |a2|^2 overflows")
     cross = np.conj(a1) * a2
-    rho = abs(a1) ** 2 + abs(a2) ** 2
-    return float(rho), np.array(
-        [abs(a1) ** 2 - abs(a2) ** 2, 2.0 * cross.real, 2.0 * cross.imag]
-    )
+    rho = x1**2 + x2**2
+    if rho == 0.0 and (x1 > 0.0 or x2 > 0.0):
+        raise ValueError(f"the amplitudes ({a1}, {a2}) are too small: rho must be positive, but "
+                         "|a1|^2 + |a2|^2 underflows to 0")
+    return float(rho), np.array([x1**2 - x2**2, 2.0 * cross.real, 2.0 * cross.imag])
 
 
 def qqq_rhs(params, rho: float, s) -> np.ndarray:
@@ -190,7 +203,8 @@ def _check_tol(tol: float) -> float:
 
 def _check_sphere(rho: float, s=None):
     """Require a finite radius rho > 0 and, when s is given, a finite state
-    within 1e-9 (relative to max(1, rho^2)) of the sphere of that radius.
+    within 1e-9 (relative to max(1, rho^2)) of the sphere of that radius,
+    of radius at most 2^511, as the flow squares the state.
 
     Returns s as a float array (None without s).  Both tests are written so
     that NaN fails them.
@@ -200,6 +214,12 @@ def _check_sphere(rho: float, s=None):
     if s is None:
         return None
     s = np.asarray(s, dtype=float)
+    if rho > _SQUARE_MAX:  # rho^2 and s @ s may overflow: s / m against rho / m
+        m = max(rho, float(np.abs(s).max()))
+        err = abs(float((s / m) @ (s / m)) - (rho / m) ** 2) / (rho / m) ** 2
+        if not err <= 1e-9:
+            raise ValueError(f"state is off the sphere of radius {rho} by {err:.3g} of rho^2")
+        raise ValueError(f"rho = {rho} is too large: above 2^511 the squares of the flow's states overflow")
     err = abs(float(s @ s) - rho * rho)
     if not err <= 1e-9 * max(1.0, rho * rho):
         raise ValueError(f"state is off the sphere of radius {rho} by {err:.3g}")

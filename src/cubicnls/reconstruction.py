@@ -31,7 +31,9 @@ levels and summed error estimate at debug level on this module's logger.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import logging
 import math
 
@@ -129,24 +131,33 @@ def _phase_rate(params, rho: float, s, sign: float):
     zero of the weight stays finite.
     """
     s = np.asarray(s, dtype=float)
-    d, r, i = s[..., 0], s[..., 1], s[..., 2]
+    n = _rate(params, rho, s.transpose(-1, *range(s.ndim - 1)), sign)[0]
+    return float(n) if n.ndim == 0 else n
+
+
+def _rate(params, rho, s, sign):
+    """_phase_rate's N for the states s = (D, R, I) along the first axis, and
+    where the chart's weight rho + sign*D is at least rho/2."""
+    d, r = s[0], s[1]
     sd = sign * d
-    w = rho + sd
-    direct = w > 0.5 * rho
-    den = r * r + i * i
+    w, floor = rho + sd, 0.5 * rho
+    direct = w > floor
+    rr, ii = r * r, s[2] * s[2]
+    den = rr + ii
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(direct, 1.0 / w, (rho - sd) / den)
         n = (
             sign * params.p1 * rho * r * inv
-            + params.p2 * (-3.0 * rho + i * i * inv)
-            + params.p3 * (-sign * d + r * r * inv)
+            + params.p2 * (-3.0 * rho + ii * inv)
+            + params.p3 * (-sign * d + rr * inv)
             - sign * params.p4 * w
             + params.p5 * (-r - rho * r * inv)
         )
-    # an isolated zero point (den == 0 off the direct branch): any finite
-    # value integrates to nothing
-    n = np.where(~direct & (den == 0.0), 0.0, n)
-    return float(n) if n.ndim == 0 else n
+    if not den.all():
+        # an isolated zero point (den == 0 off the direct branch): any
+        # finite value integrates to nothing
+        n = np.where(~direct & (den == 0.0), 0.0, n)
+    return n, w >= floor
 
 
 def phase_rate_N1(params, rho: float, s) -> float:
@@ -213,9 +224,10 @@ def _phases(params, jobs):
     1e-8 max(1, rho)) and span: one call for all the jobs of one closed-form
     formula (closed_form._stacked; retried job by job if it raises), one
     per job for any other source.  A fourth source column, dtau/du, weights
-    the integrand: the variable is then an orbit parameter u.  Panels are
-    kept job by job in one array; only the K15 and G7 products and the sums
-    run on each job's own slice, as over stacked jobs they round otherwise.
+    the integrand: the variable is then an orbit parameter u.  The jobs of
+    one call lie next to each other, so that its panels are one slice of
+    the level's arrays; only the K15 and G7 products and the sums run on
+    each job's own slice, as over stacked jobs they round otherwise.
 
     Returns per job (integral, charts, states, summed error estimate,
     panels, levels), with the chart signs (+1 for N1, -1 for N2) of the runs
@@ -224,80 +236,74 @@ def _phases(params, jobs):
     a source that misses s0, or PhaseIntegralError on a non-finite integrand
     value, after _MAX_LEVELS levels or over _MAX_PANELS pending panels.
     """
-    out, groups, loc = [None] * len(jobs), {}, np.zeros(len(jobs), dtype=int)
+    keyed = {}
     for k, (_, src, _, _) in enumerate(jobs):
-        groups.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
-    for ks in groups.values():
-        loc[ks] = np.arange(len(ks))  # each job's place in its group
-    groups = [(ks, _stacked([jobs[k][1] for k in ks]) if len(ks) > 1 else None) for ks in groups.values()]
-    # the panels of np.linspace(0, span, n + 1), job by job: the pending
-    # jobs ks have cnt panels each, pj is the job of each panel
-    rho_j, span_j = (np.array([job[j] for job in jobs], dtype=float) for j in (0, 2))
-    ks = list(range(len(jobs)))
-    cnt = np.array([max(1, math.ceil(abs(span) / _PANEL_WIDTH)) for span in span_j.tolist()], dtype=int)
-    pj, i = np.repeat(np.arange(len(jobs)), cnt), np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    step = (span_j / cnt)[pj]
-    left, right = i * step + 0.0, np.where(i + 1 < cnt[pj], (i + 1) * step + 0.0, span_j[pj])
-    center, half = 0.5 * (right + left), 0.5 * (right - left)
-    with np.errstate(divide="ignore"):
-        share = _PHASE_TOL / np.abs(span_j) * 2.0
-    total, err, levels, width = (np.zeros(len(jobs), dtype=t) for t in (float, float, int, int))
-    ends, done, level = np.ones((len(jobs), 2, 4)), [], 0
+        keyed.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
+    # position p holds job order[p]; one source call serves the positions g0:g1
+    order, calls = [], []
+    for ks in keyed.values():
+        calls.append((len(order), len(order) + len(ks), _stacked([jobs[k][1] for k in ks]) if len(ks) > 1 else None))
+        order += ks
+    n_jobs, spans = len(order), [jobs[k][2] for k in order]
+    rho = np.array([jobs[k][0] for k in order], dtype=float)
+    share = np.array([_PHASE_TOL / abs(x) * 2.0 if x else math.inf for x in spans])
+    # the pending jobs ks have cnt panels each, pj is the job of each panel
+    cnt = [max(1, math.ceil(abs(x) / _PANEL_WIDTH)) for x in spans]
+    pj, center, half = _panels(spans, cnt)
+    out, width, levels, panels = [None] * n_jobs, [0] * n_jobs, [0] * n_jobs, [0] * n_jobs
+    total, err = [0.0] * n_jobs, [0.0] * n_jobs
+    ks, done, level = list(range(n_jobs)), [], 0
     while ks:
-        level, stop = level + 1, np.cumsum(cnt)
-        seg = dict(zip(ks, zip((stop - cnt).tolist(), stop.tolist())))
+        level += 1
+        bounds = list(zip(ks, itertools.accumulate([0] + cnt[:-1]), itertools.accumulate(cnt)))
         taus, far = center[:, None] + half[:, None] * _GK_X, center + half
-        # the sources' rows at the panels' 15 nodes, component by component,
-        # and at their far edges; 1 past a source's columns
-        nodes, edge = np.ones((4, len(pj), 15)), np.ones((len(pj), 4))
-
-        def call(members, evaluate=None):
-            """One source call: the jobs of a stacked evaluate, or one job's own
-            source; returns the exception it raised, if any."""
-            sel = (slice(None) if len(members) == len(ks) else slice(*seg[members[0]]) if len(members) == 1
-                   else np.repeat(np.isin(ks, members), cnt))
-            q = [taus[sel].ravel(), far[sel]]
-            q += [[0.0, end] for end in span_j[members].tolist()] if level == 1 else []
-            try:
-                if evaluate is None:
-                    s = np.asarray(jobs[members[0]][1](np.concatenate(q)), dtype=float)
-                else:
-                    at = loc[pj[sel]]
-                    index = [np.repeat(at, 15), at] + ([np.repeat(loc[members], 2)] if level == 1 else [])
-                    s = evaluate(np.concatenate(index), np.concatenate(q))
-            except Exception as exc:
-                return exc
-            n, c = len(q[1]), s.shape[-1]
-            width[members], nodes[:c, sel], edge[sel, :c] = c, s[: 15 * n].T.reshape(c, -1, 15), s[15 * n: 16 * n]
-            if level == 1:
-                ends[members, :, :c] = s[16 * n:].reshape(-1, 2, c)
-
-        pending = set(ks)
-        for members, evaluate in groups:
-            if (members := [k for k in members if k in pending]) and (failed := call(members, evaluate)) is not None:
-                # the job's failure, for its caller to raise in its turn; a shared
-                # call is retried job by job, so that each keeps its own exception
-                for k in members:
-                    out[k] = failed if len(members) == 1 else call([k])
+        # each source call's rows in panel order: (rows or None, its panels, its positions)
+        parts, b = [], 0
+        for g0, g1, stacked in calls:
+            a = b
+            while b < len(bounds) and bounds[b][0] < g1:
+                b += 1
+            tries = [(stacked or jobs[order[g0]][1], g0 if stacked else None, bounds[a:b])] if a < b else []
+            for src, first, members in tries:
+                try:
+                    parts.append(_source_rows(src, first, members, taus, far, level == 1 and spans))
+                except Exception as exc:
+                    if len(members) == 1:
+                        out[members[0][0]] = exc
+                        parts.append((None, members[0][2] - members[0][1], [members[0][0]]))
+                    else:  # a shared call is retried job by job, so that each keeps its own exception
+                        tries += [(jobs[order[m[0]]][1], None, [m]) for m in members]
+        if level == 1:
+            c = max((s.shape[1] for s, _, _ in parts if s is not None), default=3)
+        rows = []
+        for s, n, ps in parts:
+            # a failed call's panels run on ones and are let go below; a
+            # narrower source's columns are made up with ones
+            for p in ps if s is not None else ():
+                width[p] = s.shape[1]
+            s = np.ones((16 * n + 2 * len(ps) * (level == 1), c)) if s is None else s
+            rows.append((np.concatenate([s, np.ones((len(s), c - s.shape[1]))], axis=1) if s.shape[1] < c else s, n))
+        # the rows at the panels' 15 nodes, component by component
+        nodes = np.concatenate([s[:15 * n].T for s, n in rows], axis=1).reshape(c, -1, 15)
         if level == 1:  # each job's source at 0 against its s0, NaN-safe
-            miss = np.abs(np.array([job[3] for job in jobs], dtype=float) - ends[:, 0, :3]).max(axis=1)
-            for k in np.flatnonzero(~(miss <= 1e-8 * np.maximum(1.0, rho_j))).tolist():
-                out[k] = ValueError(_INCONSISTENT) if out[k] is None else out[k]
+            ends = np.concatenate([s[16 * n:] for s, n in rows]).reshape(-1, 2, c)
+            miss = np.abs(np.array([jobs[k][3] for k in order], dtype=float) - ends[:, 0, :3])
+            hit = miss <= 1e-8 * np.maximum(1.0, rho)[:, None]
+            if not hit.all():
+                for p in np.flatnonzero(~hit.all(axis=1)).tolist():
+                    out[p] = ValueError(_INCONSISTENT) if out[p] is None else out[p]
         # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
         chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
-        rho, sign = np.repeat(rho_j[ks], 15 * cnt).reshape(-1, 15), np.repeat(chart, 15).reshape(-1, 15)
-        states = nodes[:3].transpose(1, 2, 0)  # (panel, node, D R I), each component contiguous
-        f = _phase_rate(params, rho, states, sign) - v_rate(params, rho, states)
-        f = f * nodes[3] if 4 in width else f
+        rho_n = np.repeat(rho[pj], 15).reshape(-1, 15)
+        f, kept = _rate(params, rho_n, nodes, np.repeat(chart, 15).reshape(-1, 15))
+        f = f - v_rate(params, rho_n, nodes[:3].transpose(1, 2, 0))
+        f = f * nodes[3] if c > 3 else f
         finite = np.isfinite(f)
         if not finite.all():
             for j in np.flatnonzero(~finite.all(axis=1)).tolist():
                 if out[pj[j]] is None:  # the job's first non-finite value
                     out[pj[j]] = PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[j][~finite[j]][0])!r}")
             f[~finite] = 0.0  # the failed jobs' panels are let go below
-        first = stop - cnt
-        bounds = list(zip(ks, first.tolist(), stop.tolist()))
-        kept = np.logical_and.reduce(rho + sign * nodes[0] >= 0.5 * rho, axis=1)
         kronrod, gauss = np.empty(len(pj)), np.empty(len(pj))
         for _, a, b in bounds:
             # per job: a product over several jobs' stacked panels rounds differently
@@ -305,54 +311,100 @@ def _phases(params, jobs):
         kronrod = half * kronrod
         diff = np.abs(kronrod - half * gauss)
         # a job whose panels all keep their weights and whose estimates sum
-        # to at most _PHASE_TOL accepts them all; the sums run per job
-        finish = np.logical_and.reduceat(kept, first)
-        for j in np.flatnonzero(finish).tolist():
-            k, a, b = bounds[j]
-            d = np.add.reduce(diff[a:b])
-            finish[j] = err[k] + d <= _PHASE_TOL
-            if finish[j]:
-                total[k], err[k] = total[k] + np.add.reduce(kronrod[a:b]), err[k] + d
-        ok = kept & (np.repeat(finish, cnt) | (diff <= share[pj] * np.abs(half)))
-        if any(out[k] is not None for k in ks):  # a failed job's panels are let go
-            ok |= np.repeat([out[k] is not None for k in ks], cnt)
-        if not finish.all():
-            at, accepted_k, accepted_d = np.concatenate([[0], np.cumsum(ok)]), kronrod[ok], diff[ok]
-            for j in np.flatnonzero(~finish).tolist():
-                k, a, b = bounds[j]
-                total[k] += np.add.reduce(accepted_k[at[a]:at[b]])
-                err[k] += np.add.reduce(accepted_d[at[a]:at[b]])
-        if ok.all():
-            done.append((pj, far, chart, edge))
-            levels[ks] = level
-            break
-        done.append((pj[ok], far[ok], chart[ok], edge[ok]))
-        unresolved = np.add.reduceat(~ok, first, dtype=int)
-        levels[np.array(ks)[unresolved == 0]] = level
-        over = (unresolved > 0) & ((2 * unresolved > _MAX_PANELS) | (level == _MAX_LEVELS))
-        for j in np.flatnonzero(over).tolist():
-            out[ks[j]] = PhaseIntegralError(
-                f"phase integral not within {_PHASE_TOL:g} after {level} levels ({unresolved[j]} panels unresolved)"
-            )
-        # bisect the rest: each job's left halves, then its right halves
-        rest, more = ~ok & ~np.repeat(over, cnt), (unresolved > 0) & ~over
-        jj, c, h = pj[rest], center[rest], 0.5 * half[rest]
-        order = np.argsort(np.concatenate([jj, jj]), kind="stable")
-        pj, center, half = np.concatenate([jj, jj])[order], np.concatenate([c - h, c + h])[order], np.tile(h, 2)[order]
-        ks, cnt = [k for k, go in zip(ks, more) if go], 2 * unresolved[more]
-    if done:
-        # each finished job's accepted panels in order of |far edge|: the
-        # charts of its runs and the far-edge rows where the chart changes
-        jd, fd, cd, sd = (np.concatenate(x) for x in zip(*done))
-        order = np.lexsort((np.abs(fd), jd))
-        jd, cd, sd = jd[order], cd[order], sd[order]
-        runs = np.flatnonzero(np.concatenate([[True], (jd[1:] != jd[:-1]) | (cd[1:] != cd[:-1])]))
-        runs_of, panels = np.searchsorted(jd[runs], np.arange(len(jobs) + 1)).tolist(), np.bincount(jd).tolist()
-        for k in (k for k in range(len(jobs)) if out[k] is None):
-            r, c = runs[runs_of[k]:runs_of[k + 1]], width[k]
-            states = np.concatenate([ends[k, :1, :c], sd[r[1:] - 1, :c], ends[k, 1:, :c]])
-            out[k] = (float(total[k]), cd[r], states, float(err[k]), panels[k], int(levels[k]))
-    return out
+        # to at most _PHASE_TOL accepts them all, as a failed job lets them
+        # go; the sums run per job
+        settled = np.logical_and.reduceat(kept.ravel(), [15 * a for _, a, _ in bounds]).tolist()
+        for j, (p, a, b) in enumerate(bounds):
+            if settled[j] and out[p] is None:
+                d = np.add.reduce(diff[a:b])
+                settled[j] = err[p] + d <= _PHASE_TOL
+                if settled[j]:
+                    total[p], err[p] = total[p] + np.add.reduce(kronrod[a:b]), err[p] + d
+            settled[j] = settled[j] or out[p] is not None
+        if all(settled):
+            unresolved = [0] * len(ks)
+        else:
+            # the others accept each panel that keeps its weight and is within its share
+            ok = kept.all(axis=1) & (diff <= share[pj] * np.abs(half)) | np.repeat(settled, cnt)
+            at, accepted_k, accepted_d = np.concatenate([[0], np.cumsum(ok)]).tolist(), kronrod[ok], diff[ok]
+            for (p, a, b), go in zip(bounds, settled):
+                if not go:
+                    total[p] += np.add.reduce(accepted_k[at[a]:at[b]])
+                    err[p] += np.add.reduce(accepted_d[at[a]:at[b]])
+            unresolved = [n - at[b] + at[a] for (_, a, b), n in zip(bounds, cnt)]
+        # the accepted panels' jobs, far edges and charts, and the level's
+        # rows with the mask of the accepted ones (None for all)
+        done.append((pj, far, chart, rows, None) if not any(unresolved) else (pj[ok], far[ok], chart[ok], rows, ok))
+        more = []
+        for p, n, u in zip(ks, cnt, unresolved):
+            levels[p], panels[p] = level if u == 0 else levels[p], panels[p] + n - u
+            if u and (2 * u > _MAX_PANELS or level == _MAX_LEVELS):
+                out[p] = PhaseIntegralError(f"phase integral not within {_PHASE_TOL:g} after {level} levels ({u} panels unresolved)")
+            more.append(u > 0 and out[p] is None)
+        if any(more):  # bisect the rest: each job's left halves, then its right halves
+            rest = ~ok & np.repeat(more, cnt)
+            jj, mid, h = pj[rest], center[rest], 0.5 * half[rest]
+            halves = np.argsort(np.concatenate([jj, jj]), kind="stable")
+            pj, center, half = np.concatenate([jj, jj])[halves], np.concatenate([mid - h, mid + h])[halves], np.tile(h, 2)[halves]
+        ks, cnt = [p for p, go in zip(ks, more) if go], [2 * u for u, go in zip(unresolved, more) if go]
+    result = [None] * len(jobs)
+    for k, res in zip(order, _results(done, ends, out, total, err, panels, levels, width) if done else ()):
+        result[k] = res
+    return result
+
+
+def _panels(spans, cnt):
+    """The job, centre and half width of each panel of
+    np.linspace(0, span, n + 1) for each span and its n = cnt panels."""
+    m, span, cnt = max(cnt, default=0), np.array(spans, dtype=float), np.array(cnt, dtype=int)
+    col = np.arange(m + 1)
+    inside = col < cnt[:, None]
+    edges = np.where(inside, col * (span / cnt)[:, None] + 0.0, span[:, None])  # the span from each job's last edge on
+    valid, right, left = inside[:, :-1], edges[:, 1:], edges[:, :-1]
+    return np.nonzero(valid)[0], (0.5 * (right + left))[valid], (0.5 * (right - left))[valid]
+
+
+def _source_rows(src, g0, members, taus, far, spans):
+    """One source call for the pending panels of members (position, first
+    panel, stop): their 15 nodes and far edges and, given spans (level 1),
+    the members' 0 and span; src is one job's source, or (g0 not None) the
+    stacked formula of the positions from g0.  Returns (rows, panels,
+    positions)."""
+    a, b, ps = members[0][1], members[-1][2], [p for p, _, _ in members]
+    q = [taus[a:b].ravel(), far[a:b]] + ([[x for p in ps for x in (0.0, spans[p])]] if spans else [])
+    if g0 is None:
+        return np.asarray(src(np.concatenate(q)), dtype=float), b - a, ps
+    at = np.repeat([p - g0 for p in ps], [y - x for _, x, y in members])
+    index = [np.repeat(at, 15), at] + ([np.repeat([p - g0 for p in ps], 2)] if spans else [])
+    return src(np.concatenate(index), np.concatenate(q)), b - a, ps
+
+
+def _results(done, ends, out, total, err, panels, levels, width):
+    """Each position's result of _phases, or its exception, from the
+    accepted panels of each level (see _phases) and the rows at 0 and
+    span."""
+    jd, cd = np.concatenate([x[0] for x in done]), np.concatenate([x[2] for x in done])
+    # per job the sum of its panels' charts: +-panels when one chart covers it
+    sums, runs = np.bincount(jd, weights=cd, minlength=len(out)).tolist(), {}
+    if any(o is None and abs(s) != n for o, s, n in zip(out, sums, panels)):
+        # some job switches chart: its panels in order of |far edge|, and
+        # where the next panel of the job has the other chart
+        by_tau = np.lexsort((np.abs(np.concatenate([x[1] for x in done])), jd))
+        cd, starts = cd[by_tau], list(itertools.accumulate(panels, initial=0))
+        # the far-edge rows of the accepted panels
+        sd = np.concatenate([edge if ok is None else edge[ok] for *_, rows, ok in done
+                             for edge in [np.concatenate([s[15 * n:16 * n] for s, n in rows])]])
+        for x in np.flatnonzero(cd[1:] != cd[:-1]).tolist():
+            p = bisect.bisect_right(starts, x) - 1
+            if x + 1 < starts[p + 1]:
+                runs.setdefault(p, [cd[starts[p]]]).append((cd[x + 1], sd[by_tau[x]]))
+    for p, o in enumerate(out):
+        if o is None:
+            first, *switch = runs.get(p, [1.0 if sums[p] > 0.0 else -1.0])
+            states = [ends[p, :1, :width[p]], *(s[None, :width[p]] for _, s in switch), ends[p, 1:, :width[p]]]
+            o = (float(total[p]), np.array([first, *(c for c, _ in switch)]), np.concatenate(states), float(err[p]),
+                 panels[p], levels[p])
+        yield o
 
 
 def _turned(result, start: float, end=None):

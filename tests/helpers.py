@@ -24,6 +24,7 @@ from cubicnls.closed_form import (
     UnsupportedCaseError,
     UnsupportedRatioError,
     _constant,
+    _stacked,
     classify,
     log,
     solve_case,
@@ -43,6 +44,17 @@ from cubicnls.quadratic_flow import (
     random_sphere_states,
 )
 from cubicnls.cli import _Parser, cmd_fixed_points, cmd_profile, cmd_solve, cmd_standardize
+from cubicnls.reconstruction import (
+    _G7_W,
+    _GK_X,
+    _INCONSISTENT,
+    _K15_W,
+    _MAX_LEVELS,
+    _MAX_PANELS,
+    _PANEL_WIDTH,
+    _PHASE_TOL,
+    PhaseIntegralError,
+)
 from cubicnls.standard_form import StandardParams
 
 RHOS = (0.5, 1.0, 2.0)
@@ -875,3 +887,221 @@ def reference_parser(command: str | None = None) -> argparse.ArgumentParser:
         for add in _SUBCOMMANDS.values():
             add(sub)
     return parser
+
+
+# ---------------------------------------------------------------------------
+# the phase integral's level loop before its bookkeeping was cut to a fixed
+# number of array passes a level, with its phase rate and potential, bodies
+# unchanged: the reference for the bits and exceptions of
+# reconstruction._phases
+
+
+def reference_v_rate(params, rho: float, s) -> float:
+    """The conserved quadratic potential along the flow, as a function of the
+    state (one state, or an (n, 3) array of states)."""
+    s = np.asarray(s, dtype=float)
+    d, r = s[..., 0], s[..., 1]
+    return 0.5 * (params.q1 + params.q3) * rho + 0.5 * (params.q1 - params.q3) * d + params.q2 * r
+
+
+def reference_phase_rate(params, rho: float, s, sign: float):
+    """N1 (sign=+1) or N2 (sign=-1), evaluated stably on the sphere, for one
+    state (a float) or an (n, 3) array of states (an array).
+
+    Where rho + sign*D <= rho/2 the reciprocal 1/(rho + sign*D) is replaced
+    by the on-sphere identity (rho - sign*D)/(R^2 + I^2), whose limit at a
+    zero of the weight stays finite.
+    """
+    s = np.asarray(s, dtype=float)
+    d, r, i = s[..., 0], s[..., 1], s[..., 2]
+    sd = sign * d
+    w = rho + sd
+    direct = w > 0.5 * rho
+    den = r * r + i * i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(direct, 1.0 / w, (rho - sd) / den)
+        n = (
+            sign * params.p1 * rho * r * inv
+            + params.p2 * (-3.0 * rho + i * i * inv)
+            + params.p3 * (-sign * d + r * r * inv)
+            - sign * params.p4 * w
+            + params.p5 * (-r - rho * r * inv)
+        )
+    # an isolated zero point (den == 0 off the direct branch): any finite
+    # value integrates to nothing
+    n = np.where(~direct & (den == 0.0), 0.0, n)
+    return float(n) if n.ndim == 0 else n
+
+
+def reference_phases(params, jobs):
+    """The phase integrals of jobs (rho, src, span, s0) from 0 to span, in
+    one refinement loop (see the module docstring).
+
+    Panels are at most _PANEL_WIDTH wide.  A panel integrates N1 - V if
+    D >= 0 at its centre node and N2 - V otherwise, and is bisected unless
+    that chart's weight rho +- D is at least rho/2 at all 15 nodes.  A job
+    ends when every pending panel keeps its weight and the estimates
+    |K15 - G7| of all its panels sum to at most _PHASE_TOL; otherwise the
+    level accepts each panel that keeps its weight and whose estimate is
+    within its width's share of _PHASE_TOL, and bisects the others.  Each
+    level evaluates the sources on the pending panels' 15 nodes and far
+    edges and, at level 1, on 0 (where it must match s0 within
+    1e-8 max(1, rho)) and span: one call for all the jobs of one closed-form
+    formula (closed_form._stacked; retried job by job if it raises), one
+    per job for any other source.  A fourth source column, dtau/du, weights
+    the integrand: the variable is then an orbit parameter u.  Panels are
+    kept job by job in one array; only the K15 and G7 products and the sums
+    run on each job's own slice, as over stacked jobs they round otherwise.
+
+    Returns per job (integral, charts, states, summed error estimate,
+    panels, levels), with the chart signs (+1 for N1, -1 for N2) of the runs
+    of adjacent panels and the source's rows at 0, between runs and at
+    span; or the exception that ended the job: its source's, ValueError for
+    a source that misses s0, or PhaseIntegralError on a non-finite integrand
+    value, after _MAX_LEVELS levels or over _MAX_PANELS pending panels.
+    """
+    out, groups, loc = [None] * len(jobs), {}, np.zeros(len(jobs), dtype=int)
+    for k, (_, src, _, _) in enumerate(jobs):
+        groups.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
+    for ks in groups.values():
+        loc[ks] = np.arange(len(ks))  # each job's place in its group
+    groups = [(ks, _stacked([jobs[k][1] for k in ks]) if len(ks) > 1 else None) for ks in groups.values()]
+    # the panels of np.linspace(0, span, n + 1), job by job: the pending
+    # jobs ks have cnt panels each, pj is the job of each panel
+    rho_j, span_j = (np.array([job[j] for job in jobs], dtype=float) for j in (0, 2))
+    ks = list(range(len(jobs)))
+    cnt = np.array([max(1, math.ceil(abs(span) / _PANEL_WIDTH)) for span in span_j.tolist()], dtype=int)
+    pj, i = np.repeat(np.arange(len(jobs)), cnt), np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    step = (span_j / cnt)[pj]
+    left, right = i * step + 0.0, np.where(i + 1 < cnt[pj], (i + 1) * step + 0.0, span_j[pj])
+    center, half = 0.5 * (right + left), 0.5 * (right - left)
+    with np.errstate(divide="ignore"):
+        share = _PHASE_TOL / np.abs(span_j) * 2.0
+    total, err, levels, width = (np.zeros(len(jobs), dtype=t) for t in (float, float, int, int))
+    ends, done, level = np.ones((len(jobs), 2, 4)), [], 0
+    while ks:
+        level, stop = level + 1, np.cumsum(cnt)
+        seg = dict(zip(ks, zip((stop - cnt).tolist(), stop.tolist())))
+        taus, far = center[:, None] + half[:, None] * _GK_X, center + half
+        # the sources' rows at the panels' 15 nodes, component by component,
+        # and at their far edges; 1 past a source's columns
+        nodes, edge = np.ones((4, len(pj), 15)), np.ones((len(pj), 4))
+
+        def call(members, evaluate=None):
+            """One source call: the jobs of a stacked evaluate, or one job's own
+            source; returns the exception it raised, if any."""
+            sel = (slice(None) if len(members) == len(ks) else slice(*seg[members[0]]) if len(members) == 1
+                   else np.repeat(np.isin(ks, members), cnt))
+            q = [taus[sel].ravel(), far[sel]]
+            q += [[0.0, end] for end in span_j[members].tolist()] if level == 1 else []
+            try:
+                if evaluate is None:
+                    s = np.asarray(jobs[members[0]][1](np.concatenate(q)), dtype=float)
+                else:
+                    at = loc[pj[sel]]
+                    index = [np.repeat(at, 15), at] + ([np.repeat(loc[members], 2)] if level == 1 else [])
+                    s = evaluate(np.concatenate(index), np.concatenate(q))
+            except Exception as exc:
+                return exc
+            n, c = len(q[1]), s.shape[-1]
+            width[members], nodes[:c, sel], edge[sel, :c] = c, s[: 15 * n].T.reshape(c, -1, 15), s[15 * n: 16 * n]
+            if level == 1:
+                ends[members, :, :c] = s[16 * n:].reshape(-1, 2, c)
+
+        pending = set(ks)
+        for members, evaluate in groups:
+            if (members := [k for k in members if k in pending]) and (failed := call(members, evaluate)) is not None:
+                # the job's failure, for its caller to raise in its turn; a shared
+                # call is retried job by job, so that each keeps its own exception
+                for k in members:
+                    out[k] = failed if len(members) == 1 else call([k])
+        if level == 1:  # each job's source at 0 against its s0, NaN-safe
+            miss = np.abs(np.array([job[3] for job in jobs], dtype=float) - ends[:, 0, :3]).max(axis=1)
+            for k in np.flatnonzero(~(miss <= 1e-8 * np.maximum(1.0, rho_j))).tolist():
+                out[k] = ValueError(_INCONSISTENT) if out[k] is None else out[k]
+        # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
+        chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
+        rho, sign = np.repeat(rho_j[ks], 15 * cnt).reshape(-1, 15), np.repeat(chart, 15).reshape(-1, 15)
+        states = nodes[:3].transpose(1, 2, 0)  # (panel, node, D R I), each component contiguous
+        f = reference_phase_rate(params, rho, states, sign) - reference_v_rate(params, rho, states)
+        f = f * nodes[3] if 4 in width else f
+        finite = np.isfinite(f)
+        if not finite.all():
+            for j in np.flatnonzero(~finite.all(axis=1)).tolist():
+                if out[pj[j]] is None:  # the job's first non-finite value
+                    out[pj[j]] = PhaseIntegralError(f"non-finite phase rate at tau = {float(taus[j][~finite[j]][0])!r}")
+            f[~finite] = 0.0  # the failed jobs' panels are let go below
+        first = stop - cnt
+        bounds = list(zip(ks, first.tolist(), stop.tolist()))
+        kept = np.logical_and.reduce(rho + sign * nodes[0] >= 0.5 * rho, axis=1)
+        kronrod, gauss = np.empty(len(pj)), np.empty(len(pj))
+        for _, a, b in bounds:
+            # per job: a product over several jobs' stacked panels rounds differently
+            kronrod[a:b], gauss[a:b] = f[a:b] @ _K15_W, f[a:b] @ _G7_W
+        kronrod = half * kronrod
+        diff = np.abs(kronrod - half * gauss)
+        # a job whose panels all keep their weights and whose estimates sum
+        # to at most _PHASE_TOL accepts them all; the sums run per job
+        finish = np.logical_and.reduceat(kept, first)
+        for j in np.flatnonzero(finish).tolist():
+            k, a, b = bounds[j]
+            d = np.add.reduce(diff[a:b])
+            finish[j] = err[k] + d <= _PHASE_TOL
+            if finish[j]:
+                total[k], err[k] = total[k] + np.add.reduce(kronrod[a:b]), err[k] + d
+        ok = kept & (np.repeat(finish, cnt) | (diff <= share[pj] * np.abs(half)))
+        if any(out[k] is not None for k in ks):  # a failed job's panels are let go
+            ok |= np.repeat([out[k] is not None for k in ks], cnt)
+        if not finish.all():
+            at, accepted_k, accepted_d = np.concatenate([[0], np.cumsum(ok)]), kronrod[ok], diff[ok]
+            for j in np.flatnonzero(~finish).tolist():
+                k, a, b = bounds[j]
+                total[k] += np.add.reduce(accepted_k[at[a]:at[b]])
+                err[k] += np.add.reduce(accepted_d[at[a]:at[b]])
+        if ok.all():
+            done.append((pj, far, chart, edge))
+            levels[ks] = level
+            break
+        done.append((pj[ok], far[ok], chart[ok], edge[ok]))
+        unresolved = np.add.reduceat(~ok, first, dtype=int)
+        levels[np.array(ks)[unresolved == 0]] = level
+        over = (unresolved > 0) & ((2 * unresolved > _MAX_PANELS) | (level == _MAX_LEVELS))
+        for j in np.flatnonzero(over).tolist():
+            out[ks[j]] = PhaseIntegralError(
+                f"phase integral not within {_PHASE_TOL:g} after {level} levels ({unresolved[j]} panels unresolved)"
+            )
+        # bisect the rest: each job's left halves, then its right halves
+        rest, more = ~ok & ~np.repeat(over, cnt), (unresolved > 0) & ~over
+        jj, c, h = pj[rest], center[rest], 0.5 * half[rest]
+        order = np.argsort(np.concatenate([jj, jj]), kind="stable")
+        pj, center, half = np.concatenate([jj, jj])[order], np.concatenate([c - h, c + h])[order], np.tile(h, 2)[order]
+        ks, cnt = [k for k, go in zip(ks, more) if go], 2 * unresolved[more]
+    if done:
+        # each finished job's accepted panels in order of |far edge|: the
+        # charts of its runs and the far-edge rows where the chart changes
+        jd, fd, cd, sd = (np.concatenate(x) for x in zip(*done))
+        order = np.lexsort((np.abs(fd), jd))
+        jd, cd, sd = jd[order], cd[order], sd[order]
+        runs = np.flatnonzero(np.concatenate([[True], (jd[1:] != jd[:-1]) | (cd[1:] != cd[:-1])]))
+        runs_of, panels = np.searchsorted(jd[runs], np.arange(len(jobs) + 1)).tolist(), np.bincount(jd).tolist()
+        for k in (k for k in range(len(jobs)) if out[k] is None):
+            r, c = runs[runs_of[k]:runs_of[k + 1]], width[k]
+            states = np.concatenate([ends[k, :1, :c], sd[r[1:] - 1, :c], ends[k, 1:, :c]])
+            out[k] = (float(total[k]), cd[r], states, float(err[k]), panels[k], int(levels[k]))
+    return out
+
+
+def assert_same_phases(got, want):
+    """Results of reconstruction._phases equal to reference_phases': each
+    field of each tuple bit for bit, of the same type and dtype, and each
+    exception of the same type and message."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w), (g, w)
+            continue
+        assert isinstance(g, tuple) and len(g) == len(w) == 6, g
+        for a, b in zip(g, w):
+            assert type(a) is type(b), (a, b)
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (a, b)

@@ -25,7 +25,7 @@ from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, d
 from cubicnls.reconstruction import _INCONSISTENT, _phases
 from cubicnls.standard_form import nonlinearity
 
-from helpers import near_touch, std
+from helpers import assert_same_phases, near_touch, reference_phases, std
 
 # outside the catalogue every point is a sigma orbit or a typed error, never an RK45 run
 pytestmark = pytest.mark.usefixtures("no_full_oracle")
@@ -542,22 +542,22 @@ class TestGrid:
         assert [g for g in grid if g.startswith("reconstruct")] == lines("reconstruct") and len(lines("reconstruct")) == 3
         assert grid[-1].startswith("reconstruct")  # raised after the points before it
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", [GRID_FAMILIES["p1"], std(p1=0.8, p2=0.4, p3=0.9, p4=0.3, p5=0.35)],
                              ids=["catalogued", "uncatalogued"])
-    @pytest.mark.parametrize("big, error", [(1e150, "off the sphere"), (1e-170, "rho must be"),
+    @pytest.mark.parametrize("big, error", [(1e150, "too large"), (1e-170, "rho must be"),
                                             (1e155, "out of range")])
     def test_bad_point_in_its_turn(self, caplog, params, big, error):
-        # a point whose radius overflows or underflows raises the error of its
-        # own call, after the points before it and before those after it,
-        # whether or not the parameters are catalogued: each of the 5 points
-        # before it logs its reconstruct line, and outside the catalogue its
-        # sigma line too
+        # a point whose radius overflows or underflows raises the ValueError
+        # of its own call, with no warning, after the points before it and
+        # before those after it, whether or not the parameters are
+        # catalogued: each of the 5 points before it logs its reconstruct
+        # line, and outside the catalogue its sigma line too
         a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
         a1[5], a2[5] = big, 0.0
         fd, xs, t = FinalData(GRID_XI, a1, a2), 2e4 * GRID_XI, 1e4
         with caplog.at_level(logging.DEBUG, logger="cubicnls"):
-            with pytest.raises((ValueError, OverflowError), match=error) as grid:
+            with pytest.raises(ValueError, match=error) as grid:
                 uapp(params, fd, t, xs)
             lines = [r.getMessage() for r in caplog.records]
         with pytest.raises(type(grid.value)) as points:
@@ -565,6 +565,26 @@ class TestGrid:
         assert str(grid.value) == str(points.value)
         assert sum(g.startswith("reconstruct tau=") for g in lines) == 5
         assert sum(g.startswith("sigma kind=") for g in lines) == (0 if classify(params).case else 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [GRID_FAMILIES["p1"], std(p1=0.8, p2=0.4, p3=0.9, p4=0.3, p5=0.35)],
+                             ids=["catalogued", "uncatalogued"])
+    @pytest.mark.parametrize("big, error", [
+        # rho = 1.26e300: on its sphere, which the check now finds, and past
+        # 2^511, where the flow's squares overflow
+        (1e150, r"rho = 1.26\d*e\+300 is too large"),
+        (1e-170, r"too small: rho must be positive, but \|a1\|\^2 \+ \|a2\|\^2 underflows to 0"),
+        (1e155, r"out of range: \|a1\|\^2 \+ \|a2\|\^2 overflows"),
+    ], ids=["1e+150", "1e-170", "1e+155"])
+    def test_radius_out_of_range(self, params, big, error):
+        # final data with alpha2 = alpha1 / 2 whose radius overflows or
+        # underflows: a typed ValueError naming what went wrong, and no
+        # warning on the way, for a point and for the grid around it
+        a1 = np.full(len(GRID_XI), big * (1.0 + 0.1j))
+        fd = FinalData(GRID_XI, a1, 0.5 * a1)
+        for x in (0.0, 2e4 * GRID_XI):
+            with pytest.raises(ValueError, match=error):
+                uapp(params, fd, 1e4, x)
 
     @pytest.mark.parametrize("t", [1e4, -1e8])
     def test_periodic_sigma_grid(self, caplog, t):
@@ -588,6 +608,33 @@ class TestGrid:
             lines = [g for g in grid if g.startswith(kind)]
             assert lines == [p for p in points if p.startswith(kind)] and len(lines) == len(xs)
         assert all("error_estimate=" in g for g in grid if g.startswith("reconstruct"))
+
+    @pytest.mark.parametrize("case", [(name, t) for name in GRID_FAMILIES for t in (10.0, 1e4, 1e8)]
+                             + [("sigma", 1e4), ("sigma", -1e8), ("sigma one point", 1e4), ("sigma one point", 1e-4)],
+                             ids=lambda case: f"{case[0]}-t={case[1]:g}")
+    def test_phases_match_reference(self, monkeypatch, case):
+        # every phase-integral call of a 9-point grid of the four families, and
+        # of sigma orbits that fold whole periods of both signs (a grid, and
+        # one point, whose two jobs are its span and one period), gives the
+        # results of tests/helpers.reference_phases bit for bit
+        name, t = case
+        calls = []
+
+        def both(params, jobs):
+            got = _phases(params, jobs)
+            assert_same_phases(got, reference_phases(params, jobs))
+            calls.append(len(jobs))
+            return got
+
+        monkeypatch.setattr(profile, "_phases", both)
+        if name.startswith("sigma"):
+            xs = 2.0 * t * (GRID_XI if name == "sigma" else GRID_XI[4:5])
+            uapp(PERIODIC, periodic_fd(), t, xs)
+            assert calls[0] > len(xs)  # some points fold whole periods
+        else:
+            for dominant in (1, 2, "alternating"):
+                uapp(GRID_FAMILIES[name], grid_fd(dominant), t, 2.0 * t * GRID_XI)
+            assert calls == [9, 9, 9]
 
     def test_sigma_source_off_its_start(self, monkeypatch):
         # a sigma orbit whose states at phi0, once it is built, miss its

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from cubicnls.closed_form import ClosedFormSolution, solve_case
+from cubicnls.closed_form import CaseId, ClosedFormSolution, solve_case
 from cubicnls.profile import FinalData, uapp
 from cubicnls.quadratic_flow import amplitudes_to_quad, full_ode_rhs, integrate_full, random_sphere_states
 from cubicnls.reconstruction import (
@@ -26,7 +26,7 @@ from cubicnls.reconstruction import (
 )
 from cubicnls.standard_form import StandardParams
 
-from helpers import std
+from helpers import assert_same_phases, reference_phases, std
 
 
 class _Raw:
@@ -562,6 +562,110 @@ class TestPhaseIntegral:
             rho, s0 = amplitudes_to_quad(*a0)
             with pytest.raises(error, match=message):
                 reconstruct(p, a0, solve_case(p, rho, s0).eval, rho, 1.0, anchor=anchor)
+
+
+def _circle(rho, w):
+    """A source sweeping the great circle (rho cos wt, rho sin wt, 0)."""
+    def src(t):
+        t = np.asarray(t, dtype=float)
+        return rho * np.stack([np.cos(w * t), np.sin(w * t), np.zeros_like(t)], axis=-1)
+    return src
+
+
+def _circle_formula(t, rho, w):
+    """A closed-form stage of that circle that refuses a negative w."""
+    if np.any(np.asarray(w) < 0.0):
+        raise ValueError("a negative angular speed")
+    return rho * np.cos(w * t), rho * np.sin(w * t), 0.0 * t
+
+
+def _circle_solution(rho, w):
+    return ClosedFormSolution(CaseId(0), "circle", {}, rho, np.array([rho, 0.0, 0.0]),
+                              ((_circle_formula, (), (rho, w)),))
+
+
+class TestReferencePhases:
+    """_phases against tests/helpers.reference_phases, the level loop it
+    replaced: every result field bit for bit, every exception's type and
+    message (the grids and sigma orbits are in test_profile)."""
+
+    @staticmethod
+    def check(params, jobs):
+        got = _phases(params, jobs)
+        assert_same_phases(got, reference_phases(params, jobs))
+        return got
+
+    @pytest.mark.parametrize("t", [10.0, 1e4, 1e8])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_one_job(self, name, t):
+        p = FAMILIES[name]
+        for a0 in [(0.9 + 0.1j, 0.3 - 0.1j), (0.2 - 0.4j, 0.8 + 0.3j)]:
+            rho, s0 = amplitudes_to_quad(*a0)
+            sol = solve_case(p, rho, s0)
+            for tau in (0.5 * math.log(t), -0.5 * math.log(t)):
+                self.check(p, [(rho, sol, tau, s0)])
+
+    def test_chart_switches_and_weight_bisection(self):
+        # the great circle switches chart 6 times in (0, 1), and its panels
+        # are bisected by the weight rule alone (zero parameters) or by both
+        # rules; a p3 orbit through D = 0 switches on its own
+        for params in (_Raw(0, 0, 0, 0, 0), FAMILIES["case15"]):
+            ((_, charts, _, _, _, levels),) = self.check(params, [(1.3, _circle(1.3, 20.0), 1.0, [1.3, 0, 0])])
+            assert len(charts) == 7 and levels > 1
+        p, rho, s0 = FAMILIES["p3"], 1.0, np.array([0.1, 0.7, math.sqrt(0.5)])
+        ((_, charts, *_),) = self.check(p, [(rho, solve_case(p, rho, s0), 4.0, s0)])
+        assert len(charts) > 1
+
+    @pytest.mark.parametrize("kind,message", [
+        ("nan", "non-finite phase rate"),
+        ("jump", "after 40 levels"),
+        ("oscillation", "after 10 levels"),
+        ("off-start", "inconsistent"),
+        ("raises", "level 2"),
+    ])
+    def test_errors(self, kind, message):
+        p = FAMILIES["p1"]
+        rho, s0 = amplitudes_to_quad(0.7 + 0.2j, -0.3 + 0.4j)
+        sol, calls = solve_case(p, rho, s0), []
+
+        def src(t):
+            calls.append(None)
+            out, t = sol(t), np.asarray(t)[..., None]
+            if kind == "nan":
+                return np.where(t > 0.7, np.nan, out)
+            if kind == "raises" and len(calls) == 2:
+                raise RuntimeError("the source fails at level 2")
+            if kind in ("jump", "raises"):
+                return np.where(t > 1.3, 1e6 * out, out)
+            if kind == "oscillation":
+                return out * (1.0 + 0.2 * np.sin(1e4 * t))
+            return out
+
+        start = s0 + 1e-6 if kind == "off-start" else s0
+        # alone, and next to a job that completes
+        for jobs in ([(rho, src, 2.0, start)], [(rho, sol, 2.0, s0), (rho, src, 2.0, start)]):
+            calls.clear()
+            got = _phases(p, jobs)
+            calls.clear()
+            assert_same_phases(got, reference_phases(p, jobs))
+            assert message in str(got[-1])
+
+    def test_mixed_sources_and_a_failing_stacked_call(self):
+        # one formula for three circles, one of which refuses its constant:
+        # the stacked call raises and is retried job by job; next to them a
+        # plain source, a closed form of its own and a job off its start
+        p, rho = FAMILIES["case15"], 1.1
+        a0 = (0.6 - 0.3j, 0.4 + 0.5j)
+        r0, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, r0, s0)
+        start = np.array([rho, 0.0, 0.0])
+        jobs = [(rho, _circle_solution(rho, 3.0), 1.5, start), (r0, sol, 2.5, s0),
+                (rho, _circle_solution(rho, -2.0), 1.5, start), (rho, _circle(rho, 5.0), -1.0, start),
+                (rho, _circle_solution(rho, 7.0), 1.5, start), (r0, sol, 2.5, s0 + 1e-3)]
+        got = self.check(p, jobs)
+        assert [type(g) for g in got] == [tuple, tuple, ValueError, tuple, tuple, ValueError]
+        # the stacked call alone, with no failure
+        self.check(p, [jobs[0], jobs[4], (rho, _circle_solution(rho, 11.0), -0.5, start)])
 
 
 POLE_EPS = (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
