@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import elliptic as el
-from .quadratic_flow import _check_sphere, _qqq
+from .quadratic_flow import _check_sphere, _on_sphere, _qqq
 from .standard_form import TrivialSystemError
 
 __all__ = [
@@ -524,36 +524,45 @@ def solve_case(params, rho: float, s0) -> ClosedFormSolution:
 
 
 def _solve_states(params, states):
-    """solve_case at each (rho, state) of an iterable, in turn: the
-    per-parameter work (classify and its errors, max|p|, the builder, the
-    debug test) runs once, after the first state's sphere check; each state
-    is checked on its sphere and for a fixed point and built as alone."""
-    case_id = None
-    for rho, s0 in states:
-        s0 = _check_sphere(rho, s0)
-        if case_id is None:
-            case_id = classify(params)
-            if case_id.case == 0:
-                raise UnsupportedCaseError(
-                    f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
-                )
-            if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
-                raise UnsupportedRatioError(
-                    f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
-                    "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
-                )
-            p = params.p1, params.p2, params.p3, params.p4, params.p5
-            pscale, build = max(*map(abs, p), 1e-300), _CASE_BUILDERS[case_id.case]
-            debug = log.isEnabledFor(logging.DEBUG)
-        if math.hypot(*_qqq(*p, rho, *s0.tolist())) <= 1e-13 * rho * rho * pscale:  # qqq_rhs on floats
+    """solve_case at each (rho, state) of an iterable, in turn: the sphere
+    checks run as one set of array passes and the per-parameter work
+    (classify and its errors, max|p|, the builder, the debug test) once,
+    after the first state passes its check; each state is tested for a
+    fixed point and built as alone.  A state off its sphere raises its
+    error after the states before it."""
+    states = list(states)
+    if not states:
+        return
+    rho = [r for r, _ in states]
+    s = np.array([x for _, x in states], dtype=float)
+    k = _on_sphere(rho, s)
+    if k == 0:
+        _check_sphere(rho[0], s[0])
+    case_id = classify(params)
+    if case_id.case == 0:
+        raise UnsupportedCaseError(
+            f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
+        )
+    if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
+        raise UnsupportedRatioError(
+            f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
+            "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
+        )
+    p = params.p1, params.p2, params.p3, params.p4, params.p5
+    pscale, build = max(*map(abs, p), 1e-300), _CASE_BUILDERS[case_id.case]
+    debug = log.isEnabledFor(logging.DEBUG)
+    for r, s0, row in zip(rho[:k], s, s[:k].tolist()):
+        if math.hypot(*_qqq(*p, r, *row)) <= 1e-13 * r * r * pscale:  # qqq_rhs on floats
             branch, constants, formula = "fixed-point", {}, _constant(*s0)
         else:
-            branch, constants, formula = build(params, rho, s0, case_id)
+            branch, constants, formula = build(params, r, s0, case_id)
         if debug:
             consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
             log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
                       case_id.case, case_id.subcase or "-", branch, consts)
-        yield ClosedFormSolution(case_id, branch, constants, rho, s0, formula)
+        yield ClosedFormSolution(case_id, branch, constants, r, s0, formula)
+    if k < len(rho):
+        _check_sphere(rho[k], s[k])
 
 
 def _case1_5(params, rho, s0, case_id):
@@ -579,7 +588,8 @@ def _collapse(t, rotating, k, tau0, ratio, c_d, c_r, a_d, a_r, big_l):
     """(c_d, c_r) + (a_d, a_r) sech(k t - tau0), turned with rotating by ratio
     (log cosh(k t - tau0) - log cosh tau0), and I = -L tanh(k t - tau0)."""
     arg = k * t - tau0
-    ch = np.cosh(arg)
+    with np.errstate(over="ignore"):  # cosh = inf past |arg| ~ 710, where sech is 0 as it should be
+        ch = np.cosh(arg)
     x, y = a_d / ch, a_r / ch
     if rotating:
         phase = ratio * (np.logaddexp(arg, -arg) - np.logaddexp(tau0, -tau0))

@@ -117,9 +117,12 @@ class _AGMChain:
     def amplitude(self, t: np.ndarray):
         """am(t, m) for t in [-2K, 2K], by the descending phase recursion."""
         phi, (lowest, highest) = self.scale * t, self.tops
-        for n in range(highest, 0, -1):  # minimum(maximum()) clips in half np.clip's time
+        # no clip into [-1, 1] is needed: c_n = (a - b) / 2 <= (a + b) / 2 = a_n
+        # for b >= 0, and rounding is monotone, so ratio_n = c_n / a_n <= 1 and
+        # |ratio_n sin x| <= 1 exactly
+        for n in range(highest, 0, -1):
             x = phi if n <= lowest else phi.take(self.reach[n])
-            x = 0.5 * (x + np.arcsin(np.minimum(np.maximum(self.ratio[n] * np.sin(x), -1.0), 1.0)))
+            x = 0.5 * (x + np.arcsin(self.ratio[n] * np.sin(x)))
             if n <= lowest:
                 phi = x
             else:  # a level above the lowest top (_Chains), on the elements that reach it

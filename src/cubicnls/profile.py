@@ -12,9 +12,9 @@ planar orbit in closed form, time as a quadrature over it and the phase by
 reconstruction's job builder, as in the catalogue (quadratic_flow._SigmaOrbit,
 reconstruction._reconstruct_jobs).  A point the reduction declines raises its
 ValueError in its turn, as any failing point does.  ``uapp`` takes a whole
-x-grid at one t: one setup pass (solve_case's per-parameter work once) and
-one refinement loop serve all its points, with the same bits as one call
-per point.
+x-grid at one t: one setup pass (solve_case's per-parameter work once), one
+refinement loop and one pass over the chart turns serve all its points, with
+no array pass a point and the same bits as one call per point.
 
 Two specialized, fully explicit profile formulas are provided for the pure
 p1 family (synchronizing) and the pure p3 family (elliptic), and the
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, _solve_states
-from .quadratic_flow import _SigmaOrbit, _check_sphere, amplitudes_to_quad
-from .reconstruction import _phases, _reconstruct_jobs
+from .quadratic_flow import _SigmaOrbit, _check_sphere, _on_sphere, _quad, amplitudes_to_quad
+from .reconstruction import _phases, _reconstruct_jobs, _reconstructed
 
 __all__ = [
     "ExtrapolationError",
@@ -103,33 +103,40 @@ def _prefactor(t: float, x: float) -> complex:
 
 def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
     """The amplitude pairs of the list a0s advanced by tau: closed form +
-    reconstruction for catalogued parameters, else the sigma-reduction, whose
-    declines (logged at debug level) fail their points.  One setup pass
-    (solve_case's and reconstruct's per-grid work once) and one
-    phase-integral loop serve all points; the first failing point raises,
+    reconstruction for catalogued parameters, else the sigma-reduction,
+    whose declines (logged at debug level) fail their points.  One setup
+    pass (solve_case's and reconstruct's per-grid work once), one sphere
+    check, one phase-integral loop and one pass over the turns serve all
+    points, with no array pass a point; the first failing point raises,
     after the points before it."""
     if tau == 0.0:
         return list(a0s)
-    live, points, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], None
+    live, rho, states, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], [], None
+    for a0 in live:
+        try:
+            r, s = _quad(*a0)
+        except ValueError as exc:  # raised after the points before it
+            failed = exc
+            break
+        rho.append(r)
+        states.append(s)
+    sources, s0 = [], None
     try:
-        for a0, sol in zip(live, _solve_states(params, (amplitudes_to_quad(*a0) for a0 in live))):
-            points.append((a0, sol, sol.rho, sol.initial, None))
+        try:
+            sources += _solve_states(params, zip(rho, states))
+        except UnsupportedCaseError:  # outside the catalogue, point by point
+            s0 = np.array(states, dtype=float)
+            for r, s in zip(rho, s0[:_on_sphere(rho, s0)]):
+                sources.append(_SigmaOrbit(params, r, s, tau))
+            if len(sources) < len(rho):  # a state off its sphere raises its error, as in _solve_states
+                _check_sphere(rho[len(sources)], s0[len(sources)])
     except Exception as exc:  # raised after the points before it
         failed = exc
-    if isinstance(failed, UnsupportedCaseError):  # outside the catalogue, point by point
-        failed = None
-        for a0 in live:
-            try:  # each state checked on its sphere, as its own solve_case call would
-                rho, s0 = amplitudes_to_quad(*a0)
-                points.append((a0, None, rho, _check_sphere(rho, s0), _SigmaOrbit(params, rho, s0, tau)))
-            except Exception as exc:
-                failed = exc
-                break
-    points = _reconstruct_jobs(points, tau)
-    results = iter(_phases(params, [job for jobs, _ in points for job in jobs]))
-    pairs = iter([pair([next(results) for _ in jobs]) for jobs, pair in points])
-    if failed is not None:
-        raise failed
+    jobs, plan = _reconstruct_jobs(live, sources, rho, [src.initial for src in sources] if s0 is None else s0, tau)
+    pairs, bad = _reconstructed(plan, _phases(params, jobs))
+    if bad is not None or failed is not None:
+        raise bad if bad is not None else failed
+    pairs = iter(pairs)
     return [next(pairs) if a0[0] != 0 or a0[1] != 0 else a0 for a0 in a0s]
 
 
@@ -144,11 +151,12 @@ def uapp(params, fd: FinalData, t: float, x):
         raise ValueError(f"the profile is defined for finite t, got {t}")
     if t == 0.0:
         raise ValueError("the profile is defined for t != 0")
-    if np.ndim(x) > 1:
-        raise ValueError(f"the profile takes a number or a 1-D array x, got an array of shape {np.shape(x)}")
-    xs = [x] if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"the profile takes a number or a 1-D array x, got an array of shape {xs.shape}")
+    xs = xs.reshape(-1)
     tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
-    xi = np.asarray(xs, dtype=float) / (2.0 * t)
+    xi = xs / (2.0 * t)
     try:
         (a1, a2), n = fd.interp(xi), len(xi)
     except ExtrapolationError:  # the points before the first outside the data run, then it raises
@@ -157,7 +165,10 @@ def uapp(params, fd: FinalData, t: float, x):
     pairs = _flows(params, list(zip(a1.tolist(), a2.tolist())), tau)
     if n < len(xi):
         fd.interp(xs[n] / (2.0 * t))  # that point's error, after the points before it
-    u = np.array([[_prefactor(t, v) * a for a in pair] for v, pair in zip(xs, pairs)], dtype=complex).reshape(-1, 2)
+    # _prefactor, its root and 4 t once for all points
+    q, root = 4.0 * t, cmath.sqrt(2j * t)
+    u = np.array([(f * a, f * b) for f, (a, b) in zip((cmath.exp(1j * v * v / q) / root for v in xs.tolist()), pairs)],
+                 dtype=complex).reshape(-1, 2)
     return (complex(u[0, 0]), complex(u[0, 1])) if np.ndim(x) == 0 else (u[:, 0], u[:, 1])
 
 

@@ -73,20 +73,32 @@ class StiffnessError(RuntimeError):
 _SQUARE_MAX = 2.0**511
 
 
-def amplitudes_to_quad(a1: complex, a2: complex) -> tuple[float, np.ndarray]:
-    """(rho, (D, R, I)) of an amplitude pair.  Raises ValueError for a
-    nonzero pair whose rho overflows or underflows to zero."""
+def amplitudes_to_quad(a1, a2):
+    """(rho, (D, R, I)) of an amplitude pair; for 1-D arrays a1, a2, the
+    array of rho and the (n, 3) array of states, each element bit for bit
+    its own call.  Raises ValueError for a nonzero pair whose rho overflows
+    or underflows to zero (for arrays, the first such)."""
+    if np.ndim(a1) == 0:
+        rho, s = _quad(a1, a2)
+        return rho, np.array(s)
+    pairs = [_quad(x1, x2) for x1, x2 in zip(np.asarray(a1).tolist(), np.asarray(a2).tolist())]
+    return np.array([r for r, _ in pairs], dtype=float), np.array([s for _, s in pairs], dtype=float).reshape(-1, 3)
+
+
+def _quad(a1, a2):
+    """amplitudes_to_quad of one pair, on Python floats: (rho, (D, R, I)).
+    conj(a1) a2 is CPython's complex product, as numpy's scalar one."""
     x1, x2 = abs(a1), abs(a2)
     if x1 > _SQUARE_MAX or x2 > _SQUARE_MAX:  # the squares of the pair scaled by its larger modulus
         m = max(x1, x2)
         if m < math.inf and ((x1 / m) ** 2 + (x2 / m) ** 2) * m * m == math.inf:
             raise ValueError(f"the amplitudes ({a1}, {a2}) are out of range: |a1|^2 + |a2|^2 overflows")
-    cross = np.conj(a1) * a2
+    cross = a1.conjugate() * a2
     rho = x1**2 + x2**2
     if rho == 0.0 and (x1 > 0.0 or x2 > 0.0):
         raise ValueError(f"the amplitudes ({a1}, {a2}) are too small: rho must be positive, but "
                          "|a1|^2 + |a2|^2 underflows to 0")
-    return float(rho), np.array([x1**2 - x2**2, 2.0 * cross.real, 2.0 * cross.imag])
+    return float(rho), (x1**2 - x2**2, 2.0 * cross.real, 2.0 * cross.imag)
 
 
 def qqq_rhs(params, rho: float, s) -> np.ndarray:
@@ -224,6 +236,16 @@ def _check_sphere(rho: float, s=None):
     if not err <= 1e-9 * max(1.0, rho * rho):
         raise ValueError(f"state is off the sphere of radius {rho} by {err:.3g}")
     return s
+
+
+def _on_sphere(rho, s) -> int:
+    """How many leading radii of the list rho and states in the rows of the
+    array s pass _check_sphere: s @ s of all states by one stacked matmul,
+    which rounds as each state's own, and _check_sphere's tests on floats."""
+    with np.errstate(over="ignore"):  # a state whose s @ s overflows fails, as its radius does
+        dots = np.matmul(s[:, None], s[:, :, None]).ravel().tolist()
+    return next((j for j, (r, d) in enumerate(zip(rho, dots))
+                 if not (0.0 < r <= _SQUARE_MAX and abs(d - r * r) <= 1e-9 * max(1.0, r * r))), len(rho))
 
 
 def _check_span(span) -> None:
@@ -746,7 +768,15 @@ class _SigmaOrbit:
                     self._decline(f"more than {_SIGMA_BASES} bases on a side")
                 x0, x1, f = self._past(rows[-1], side * self.step)
                 if not f > 0.0:
-                    zeros[side] = (side * self.step * (len(rows) - 1), side * self.step * len(rows), rows[-1][6], f)
+                    lo, f_lo = side * self.step * (len(rows) - 1), rows[-1][6]
+                    for j in range(1, 60):  # from a turning start (F = 0) the zero past it may lie within this step
+                        if f_lo > 0.0:
+                            break
+                        lo = side * self.step * 0.5**j
+                        f_lo = self._past(rows[-1], lo)[2]
+                    if not f_lo > 0.0:
+                        self._decline("tangent turning point (a separatrix)")
+                    zeros[side] = (lo, side * self.step * len(rows), f_lo, f)
                     break
                 rows.append(self._row(x0, x1, f))
         self.k, self.rows = len(grid[-1.0]) - 1, grid[-1.0][::-1] + grid[1.0][1:]
@@ -987,7 +1017,8 @@ def fixed_points(params, rho: float) -> FixedPointSet:
             radius = math.sqrt(rho * rho - offset * offset)
             center, axis = (np.append(x, 0.0) + 0.0 for x in (offset * v, v))  # + 0.0: no -0.0 entries
             circles.append(Circle(tuple(center.tolist()), tuple(axis.tolist()), radius))
-    flow = np.hypot.reduce(_qqq(*p, rho, *np.reshape(pts, (-1, 3)).T), axis=0)  # |flow| without squares
+    with np.errstate(over="ignore", invalid="ignore"):  # a point of inf (rho^2 overflows) fails, silently
+        flow = np.hypot.reduce(_qqq(*p, rho, *np.reshape(pts, (-1, 3)).T), axis=0)  # |flow| without squares
     pts = [s for s, f in zip(pts, flow) if f <= 5e-13 * rho * rho]
     for c in circles:
         pts = [s for s in pts if abs((s - c.center) @ c.axis) > 1e-6 * rho]

@@ -32,7 +32,6 @@ levels and summed error estimate at debug level on this module's logger.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import logging
 import math
@@ -40,7 +39,7 @@ import math
 import numpy as np
 
 from .closed_form import ClosedFormSolution, _stacked
-from .quadratic_flow import Trajectory, _check_sphere, amplitudes_to_quad, full_ode_rhs, qqq_rhs
+from .quadratic_flow import Trajectory, _check_sphere, _SigmaOrbit, amplitudes_to_quad, full_ode_rhs, qqq_rhs
 
 __all__ = [
     "PhaseIntegralError",
@@ -382,43 +381,37 @@ def _source_rows(src, g0, members, taus, far, spans):
 def _results(done, ends, out, total, err, panels, levels, width):
     """Each position's result of _phases, or its exception, from the
     accepted panels of each level (see _phases) and the rows at 0 and
-    span."""
+    span: the charts of all jobs lie in one array and their rows in
+    another, and each job's are views of them."""
     jd, cd = np.concatenate([x[0] for x in done]), np.concatenate([x[2] for x in done])
     # per job the sum of its panels' charts: +-panels when one chart covers it
-    sums, runs = np.bincount(jd, weights=cd, minlength=len(out)).tolist(), {}
-    if any(o is None and abs(s) != n for o, s, n in zip(out, sums, panels)):
-        # some job switches chart: its panels in order of |far edge|, and
-        # where the next panel of the job has the other chart
+    sums = np.bincount(jd, weights=cd, minlength=len(out)).tolist()
+    if all(o is not None or abs(s) == n for o, s, n in zip(out, sums, panels)):
+        charts, rows, runs = np.array([1.0 if s > 0.0 else -1.0 for s in sums]), ends.reshape(-1, ends.shape[2]), None
+    else:
+        # some job switches chart: its panels in order of |far edge|, the
+        # first of each run of one chart, and the far-edge rows before them
         by_tau = np.lexsort((np.abs(np.concatenate([x[1] for x in done])), jd))
-        cd, starts = cd[by_tau], list(itertools.accumulate(panels, initial=0))
-        # the far-edge rows of the accepted panels
+        jd, cd = jd[by_tau], cd[by_tau]
+        head = np.flatnonzero(np.concatenate([[True], (jd[1:] != jd[:-1]) | (cd[1:] != cd[:-1])]))
+        charts, runs = cd[head], np.bincount(jd[head], minlength=len(out))
         sd = np.concatenate([edge if ok is None else edge[ok] for *_, rows, ok in done
                              for edge in [np.concatenate([s[15 * n:16 * n] for s, n in rows])]])
-        for x in np.flatnonzero(cd[1:] != cd[:-1]).tolist():
-            p = bisect.bisect_right(starts, x) - 1
-            if x + 1 < starts[p + 1]:
-                runs.setdefault(p, [cd[starts[p]]]).append((cd[x + 1], sd[by_tau[x]]))
+        # job p's rows: ends[p, 0], the row before each of its later runs, ends[p, 1]
+        first = np.cumsum(runs) - runs
+        rows = np.empty((len(charts) + len(out), ends.shape[2]))
+        rows[first + np.arange(len(out))] = ends[:, 0]
+        rows[first + runs + np.arange(len(out))] = ends[:, 1]
+        later = np.ones(len(charts), dtype=bool)
+        later[first[runs > 0]] = False
+        rows[np.flatnonzero(later) + jd[head[later]]] = sd[by_tau[head[later] - 1]]
+        runs = runs.tolist()
+    at = list(range(len(out) + 1)) if runs is None else list(itertools.accumulate(runs, initial=0))
     for p, o in enumerate(out):
         if o is None:
-            first, *switch = runs.get(p, [1.0 if sums[p] > 0.0 else -1.0])
-            states = [ends[p, :1, :width[p]], *(s[None, :width[p]] for _, s in switch), ends[p, 1:, :width[p]]]
-            o = (float(total[p]), np.array([first, *(c for c, _ in switch)]), np.concatenate(states), float(err[p]),
-                 panels[p], levels[p])
+            a, b = at[p], at[p + 1]
+            o = (float(total[p]), charts[a:b], rows[a + p:b + p + 1, :width[p]], float(err[p]), panels[p], levels[p])
         yield o
-
-
-def _turned(result, start: float, end=None):
-    """A result of _phases (raised if it is an exception) converted from chart
-    ``start`` into chart ``end``, by default D's sign at span: (phase, end
-    chart, state at span, conversions)."""
-    if isinstance(result, Exception):
-        raise result
-    phase, charts, s = result[:3]
-    out = (1.0 if s[-1, 0] >= 0.0 else -1.0) if end is None else end
-    signs = np.concatenate([[start], charts, [out]])
-    # from chart +1 to -1 the phase gains arg(R + i I), back it loses it
-    turn = 0.5 * (signs[:-1] - signs[1:])
-    return phase + float(np.sum(turn * np.arctan2(s[:, 2], s[:, 1]))), out, s[-1, :3], np.count_nonzero(turn)
 
 
 def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None = None):
@@ -439,69 +432,108 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     or an a0 off rho or the source at 0 (NaN too), and PhaseIntegralError
     when |tau| needs more than 4096 panels, on a non-finite integrand value,
     or when the rule misses its target within its level and panel caps.
+    uapp's points run through the same job builder and pair assembly.
     """
     a0 = complex(a0[0]), complex(a0[1])
     if a0[0] == 0 and a0[1] == 0:
         raise ValueError("reconstruction needs a nontrivial amplitude pair")
-    ((jobs, pair),) = _reconstruct_jobs([(a0, quad_src, rho, None, None)], tau, anchor)
-    return pair(_phases(params, jobs))
+    jobs, plan = _reconstruct_jobs([a0], [quad_src], [rho], None, tau, anchor)
+    if tau == 0.0:
+        return a0
+    pairs, failed = _reconstructed(plan, _phases(params, jobs))
+    if failed is not None:
+        raise failed
+    return pairs[0]
 
 
-def _reconstruct_jobs(points, tau: float, anchor=None):
-    """reconstruct's checks, of tau once, for nontrivial points (a0, source,
-    rho, s0, orbit), then per point its jobs (none at tau = 0) and the
-    function that builds its pair from their results.  s0 = None stands for
-    a0's (D, R, I), checked NaN-safe against rho and the source; a grid
-    passes its own.  The source runs over tau, or a sigma orbit's states
-    over phi from phi0 do: its span and, with whole periods, one period."""
+def _reconstruct_jobs(a0s, sources, rho, s0, tau: float, anchor=None):
+    """reconstruct's checks, of tau once, and the jobs of nontrivial points:
+    amplitude pairs a0s, their sources, radii and states (rows of s0), with
+    the plan that _reconstructed builds their pairs from.  s0 = None stands
+    for a lone point's (D, R, I), checked NaN-safe against rho and the
+    source.  A source runs over tau; a sigma orbit's states run over phi
+    from phi0: its span and, with whole periods, one period."""
     if not math.isfinite(tau):
         raise ValueError(f"reconstruction needs a finite tau, got {tau!r}")
     if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
         raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
-    out = []
-    for a0, src, rho, s0, orbit in points:
-        if s0 is None:
-            _check_sphere(rho)
-            rho0, s0 = amplitudes_to_quad(*a0)
-            tol = 1e-8 * max(1.0, rho)
-            if not (abs(rho0 - rho) <= tol
-                    and (tau != 0.0 or np.max(np.abs(s0 - np.asarray(src(0.0), dtype=float))) <= tol)):
-                raise ValueError(_INCONSISTENT)
-        if anchor not in (None, 1, 2):
-            raise ValueError("anchor must be 1, 2 or None")
+    if s0 is None:
+        _check_sphere(rho[0])
+        rho0, s = amplitudes_to_quad(*a0s[0])
+        tol = 1e-8 * max(1.0, rho[0])
+        if not (abs(rho0 - rho[0]) <= tol
+                and (tau != 0.0 or np.max(np.abs(s - np.asarray(sources[0](0.0), dtype=float))) <= tol)):
+            raise ValueError(_INCONSISTENT)
+        s0 = [s]
+    if anchor not in (None, 1, 2):
+        raise ValueError("anchor must be 1, 2 or None")
+    jobs, points = [], []
+    for a0, src, r, s in zip(a0s, sources, rho, s0):
         start = 1.0 if (abs(a0[0]) >= abs(a0[1]) if anchor is None else anchor == 1) else -1.0
         seed = a0[0] if start > 0.0 else a0[1]
         if seed == 0:
             raise SingularAnchorError("requested anchor component vanishes at tau = 0")
         spans, periods = [tau], 0
-        if orbit is not None:
-            src, periods = (lambda u, orbit=orbit: orbit.states(orbit.phi0 + u)), orbit.periods
+        if isinstance(src, _SigmaOrbit):
+            orbit, periods = src, src.periods
+            src = lambda u, orbit=orbit: orbit.states(orbit.phi0 + u)
             spans = [orbit.span] + [math.copysign(2.0 * math.pi, periods)] * (periods != 0)
-        out.append(([], lambda _, a0=a0: a0) if tau == 0.0 else
-                   ([(rho, src, span, s0) for span in spans],
-                    functools.partial(_reconstructed, rho, tau, seed, start, periods)))
-    return out
+        jobs += [(r, src, span, s) for span in spans]
+        points.append((r, seed, start, periods))
+    return jobs, (tau, points)
 
 
-def _reconstructed(rho: float, tau: float, seed: complex, start: float, periods: int, results):
-    """The pair at tau from a point's job results (see _reconstruct_jobs),
-    built on the component of D's sign there, and its debug line."""
-    phase, out, s, switches = _turned(results[0], start)
-    _, _, _, err, panels, levels = results[0]
-    if periods:
-        turn, _, _, more = _turned(results[1], start, start)
-        phase, switches = phase + abs(periods) * turn, switches + abs(periods) * more
-        err, panels, levels = err + abs(periods) * results[1][3], panels + results[1][4], max(levels, results[1][5])
-    log.debug(
-        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
-        tau, 1 if start > 0.0 else 2, switches, panels, levels, err,
-    )
-    d, r, i = s
-    w = rho + out * d
-    factor = seed / abs(seed) * complex(math.cos(phase), math.sin(phase))
-    amp = math.sqrt(w / 2.0) * factor
-    comp = complex(r, out * i) / math.sqrt(2.0 * w) * factor
-    return (amp, comp) if out > 0 else (comp, amp)
+def _reconstructed(plan, results):
+    """The pairs at tau of the points of a plan (see _reconstruct_jobs) from
+    their jobs' results: a list of pairs for the points before the first
+    with a failed job, and that job's exception (None if no job failed).
+    Each pair is built on the component of D's sign at tau, with the phase
+    turned by arg(R + i I) at each chart switch, and logs its debug line.
+    The turns of all jobs take one arctan2 and one reduceat; a job adds
+    only views and tolist calls, a point a few Python float and complex
+    operations."""
+    tau, points = plan
+    first = list(itertools.accumulate((1 + bool(point[3]) for point in points), initial=0))
+    bad = next((j for j, res in enumerate(results) if isinstance(res, Exception)), None)
+    k = len(points) if bad is None else bisect.bisect_right(first, bad) - 1
+    # a job's signs run from the start chart over the charts of its runs to
+    # D's sign at span (for a period job, the start chart again); from chart
+    # +1 to -1 the phase gains arg(R + i I) at the row between, back it loses
+    # it.  Each job's sum starts from a 0 of its own, as np.sum does from +0.
+    turns, rows, at, switches, spans = [], [], [], [], []
+    for (_, _, start, _), a, b in zip(points, first, first[1:k + 1]):
+        spans.append(results[a][2][-1, :3].tolist())  # (D, R, I) at span
+        for j in range(a, b):
+            signs = [start, *results[j][1].tolist(), start if j > a else 1.0 if spans[-1][0] >= 0.0 else -1.0]
+            at.append(len(turns))
+            turns.append(0.0)
+            turns += [0.5 * (x - y) for x, y in zip(signs, signs[1:])]
+            switches.append(sum(x != y for x, y in zip(signs, signs[1:])))
+            rows += (_PAD, results[j][2][:, 1:3])
+    if at:
+        rows = np.concatenate(rows)
+        turned = np.add.reduceat(np.array(turns) * np.arctan2(rows[:, 1], rows[:, 0]), at).tolist()
+    pairs, debug = [], log.isEnabledFor(logging.DEBUG)
+    for (rho, seed, start, periods), j, (d, r, i) in zip(points, first, spans):
+        total, _, _, err, panels, levels = results[j]
+        phase, count = total + turned[j], switches[j]
+        if periods:  # plus |periods| whole periods
+            total, _, _, err1, panels1, levels1 = results[j + 1]
+            phase, count = phase + abs(periods) * (total + turned[j + 1]), count + abs(periods) * switches[j + 1]
+            err, panels, levels = err + abs(periods) * err1, panels + panels1, max(levels, levels1)
+        if debug:
+            log.debug("reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
+                      tau, 1 if start > 0.0 else 2, count, panels, levels, err)
+        out = 1.0 if d >= 0.0 else -1.0
+        w = rho + out * d
+        factor = seed / abs(seed) * complex(math.cos(phase), math.sin(phase))
+        amp = math.sqrt(w / 2.0) * factor
+        comp = complex(r, out * i) / math.sqrt(2.0 * w) * factor
+        pairs.append((amp, comp) if out > 0 else (comp, amp))
+    return pairs, None if bad is None else results[bad]
+
+
+_PAD = np.zeros((1, 2))  # a row (R, I) whose arctan2 is +0
 
 
 def residual(params, path: Trajectory) -> float:

@@ -11,6 +11,9 @@ defining curves on the sphere.
 from __future__ import annotations
 
 import argparse
+import bisect
+import functools
+import itertools
 import logging
 import math
 
@@ -39,11 +42,15 @@ from cubicnls.quadratic_flow import (
     _DP5_SAFETY,
     StiffnessError,
     _check_sphere,
+    _qqq,
+    _SigmaOrbit,
+    amplitudes_to_quad,
     integrate_quad,
     qqq_rhs,
     random_sphere_states,
 )
 from cubicnls.cli import _Parser, cmd_fixed_points, cmd_profile, cmd_solve, cmd_standardize
+from cubicnls.profile import ExtrapolationError, _prefactor
 from cubicnls.reconstruction import (
     _G7_W,
     _GK_X,
@@ -54,6 +61,7 @@ from cubicnls.reconstruction import (
     _PANEL_WIDTH,
     _PHASE_TOL,
     PhaseIntegralError,
+    SingularAnchorError,
 )
 from cubicnls.standard_form import StandardParams
 
@@ -1105,3 +1113,214 @@ def assert_same_phases(got, want):
             assert type(a) is type(b), (a, b)
             a, b = np.asarray(a), np.asarray(b)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (a, b)
+
+
+# unchanged: the reference for the bits, debug lines and exceptions of
+# profile.uapp's and reconstruction.reconstruct's per-point work around the
+# phase integral (profile._flows, uapp's tail and reconstruction's
+# _reconstruct_jobs, _results, _turned and _reconstructed as they were one
+# call a point), with reference_phases for the integral
+
+
+_reconstruction_log = logging.getLogger("cubicnls.reconstruction")
+
+
+def reference_uapp(params, fd, t: float, x):
+    """The approximate solution pair at (t, x) for finite t != 0; for a 1-D
+    array x, two complex arrays, bit for bit the calls at each x in turn
+    (the first failing one raises), with one setup pass, one final-data
+    interpolation and one phase-integral loop for all, and one source call
+    a level for the points of one closed-form formula (see _flows).  An x
+    of more dimensions raises ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"the profile is defined for finite t, got {t}")
+    if t == 0.0:
+        raise ValueError("the profile is defined for t != 0")
+    if np.ndim(x) > 1:
+        raise ValueError(f"the profile takes a number or a 1-D array x, got an array of shape {np.shape(x)}")
+    xs = [x] if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    tau = 0.5 * math.copysign(1.0, t) * math.log(abs(t))
+    xi = np.asarray(xs, dtype=float) / (2.0 * t)
+    try:
+        (a1, a2), n = fd.interp(xi), len(xi)
+    except ExtrapolationError:  # the points before the first outside the data run, then it raises
+        n = fd._inside(xi)
+        a1, a2 = fd.interp(xi[:n])
+    pairs = reference_flows(params, list(zip(a1.tolist(), a2.tolist())), tau)
+    if n < len(xi):
+        fd.interp(xs[n] / (2.0 * t))  # that point's error, after the points before it
+    u = np.array([[_prefactor(t, v) * a for a in pair] for v, pair in zip(xs, pairs)], dtype=complex).reshape(-1, 2)
+    return (complex(u[0, 0]), complex(u[0, 1])) if np.ndim(x) == 0 else (u[:, 0], u[:, 1])
+
+
+def reference_flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
+    """The amplitude pairs of the list a0s advanced by tau: closed form +
+    reconstruction for catalogued parameters, else the sigma-reduction, whose
+    declines (logged at debug level) fail their points.  One setup pass
+    (solve_case's and reconstruct's per-grid work once) and one
+    phase-integral loop serve all points; the first failing point raises,
+    after the points before it."""
+    if tau == 0.0:
+        return list(a0s)
+    live, points, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], None
+    try:
+        for a0, sol in zip(live, reference_solve_states(params, (amplitudes_to_quad(*a0) for a0 in live))):
+            points.append((a0, sol, sol.rho, sol.initial, None))
+    except Exception as exc:  # raised after the points before it
+        failed = exc
+    if isinstance(failed, UnsupportedCaseError):  # outside the catalogue, point by point
+        failed = None
+        for a0 in live:
+            try:  # each state checked on its sphere, as its own solve_case call would
+                rho, s0 = amplitudes_to_quad(*a0)
+                points.append((a0, None, rho, _check_sphere(rho, s0), _SigmaOrbit(params, rho, s0, tau)))
+            except Exception as exc:
+                failed = exc
+                break
+    points = reference_reconstruct_jobs(points, tau)
+    results = iter(reference_phases(params, [job for jobs, _ in points for job in jobs]))
+    pairs = iter([pair([next(results) for _ in jobs]) for jobs, pair in points])
+    if failed is not None:
+        raise failed
+    return [next(pairs) if a0[0] != 0 or a0[1] != 0 else a0 for a0 in a0s]
+
+
+def reference_solve_states(params, states):
+    """solve_case at each (rho, state) of an iterable, in turn: the
+    per-parameter work (classify and its errors, max|p|, the builder, the
+    debug test) runs once, after the first state's sphere check; each state
+    is checked on its sphere and for a fixed point and built as alone."""
+    case_id = None
+    for rho, s0 in states:
+        s0 = _check_sphere(rho, s0)
+        if case_id is None:
+            case_id = classify(params)
+            if case_id.case == 0:
+                raise UnsupportedCaseError(
+                    f"no closed form for parameters {tuple(float(x) for x in params.p)}; use integrate_quad"
+                )
+            if case_id.case == 11 and case_id.subcase == "ratio-unsupported":
+                raise UnsupportedRatioError(
+                    f"p1/p3 = {case_id.ratio:g} has no catalogued closed form "
+                    "(only 1/3, 1 and 3 are integrated; others need higher-degree integrals)"
+                )
+            p = params.p1, params.p2, params.p3, params.p4, params.p5
+            pscale, build = max(*map(abs, p), 1e-300), _CASE_BUILDERS[case_id.case]
+            debug = log.isEnabledFor(logging.DEBUG)
+        if math.hypot(*_qqq(*p, rho, *s0.tolist())) <= 1e-13 * rho * rho * pscale:  # qqq_rhs on floats
+            branch, constants, formula = "fixed-point", {}, _constant(*s0)
+        else:
+            branch, constants, formula = build(params, rho, s0, case_id)
+        if debug:
+            consts = ", ".join(f"{k}={float(v):.17g}" for k, v in constants.items())
+            log.debug("solve_case case=%d subcase=%s branch=%s constants={%s}",
+                      case_id.case, case_id.subcase or "-", branch, consts)
+        yield ClosedFormSolution(case_id, branch, constants, rho, s0, formula)
+
+
+def reference_reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None = None):
+    """reconstruction.reconstruct, one job builder call and one pair."""
+    a0 = complex(a0[0]), complex(a0[1])
+    if a0[0] == 0 and a0[1] == 0:
+        raise ValueError("reconstruction needs a nontrivial amplitude pair")
+    ((jobs, pair),) = reference_reconstruct_jobs([(a0, quad_src, rho, None, None)], tau, anchor)
+    return pair(reference_phases(params, jobs))
+
+
+def reference_reconstruct_jobs(points, tau: float, anchor=None):
+    """reconstruct's checks, of tau once, for nontrivial points (a0, source,
+    rho, s0, orbit), then per point its jobs (none at tau = 0) and the
+    function that builds its pair from their results.  s0 = None stands for
+    a0's (D, R, I), checked NaN-safe against rho and the source; a grid
+    passes its own.  The source runs over tau, or a sigma orbit's states
+    over phi from phi0 do: its span and, with whole periods, one period."""
+    if not math.isfinite(tau):
+        raise ValueError(f"reconstruction needs a finite tau, got {tau!r}")
+    if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
+        raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
+    out = []
+    for a0, src, rho, s0, orbit in points:
+        if s0 is None:
+            _check_sphere(rho)
+            rho0, s0 = amplitudes_to_quad(*a0)
+            tol = 1e-8 * max(1.0, rho)
+            if not (abs(rho0 - rho) <= tol
+                    and (tau != 0.0 or np.max(np.abs(s0 - np.asarray(src(0.0), dtype=float))) <= tol)):
+                raise ValueError(_INCONSISTENT)
+        if anchor not in (None, 1, 2):
+            raise ValueError("anchor must be 1, 2 or None")
+        start = 1.0 if (abs(a0[0]) >= abs(a0[1]) if anchor is None else anchor == 1) else -1.0
+        seed = a0[0] if start > 0.0 else a0[1]
+        if seed == 0:
+            raise SingularAnchorError("requested anchor component vanishes at tau = 0")
+        spans, periods = [tau], 0
+        if orbit is not None:
+            src, periods = (lambda u, orbit=orbit: orbit.states(orbit.phi0 + u)), orbit.periods
+            spans = [orbit.span] + [math.copysign(2.0 * math.pi, periods)] * (periods != 0)
+        out.append(([], lambda _, a0=a0: a0) if tau == 0.0 else
+                   ([(rho, src, span, s0) for span in spans],
+                    functools.partial(reference_reconstructed, rho, tau, seed, start, periods)))
+    return out
+
+
+def reference_reconstructed(rho: float, tau: float, seed: complex, start: float, periods: int, results):
+    """The pair at tau from a point's job results (see _reconstruct_jobs),
+    built on the component of D's sign there, and its debug line."""
+    phase, out, s, switches = reference_turned(results[0], start)
+    _, _, _, err, panels, levels = results[0]
+    if periods:
+        turn, _, _, more = reference_turned(results[1], start, start)
+        phase, switches = phase + abs(periods) * turn, switches + abs(periods) * more
+        err, panels, levels = err + abs(periods) * results[1][3], panels + results[1][4], max(levels, results[1][5])
+    _reconstruction_log.debug(
+        "reconstruct tau=%.17g anchor=%d switches=%d panels=%d levels=%d error_estimate=%.3g",
+        tau, 1 if start > 0.0 else 2, switches, panels, levels, err,
+    )
+    d, r, i = s
+    w = rho + out * d
+    factor = seed / abs(seed) * complex(math.cos(phase), math.sin(phase))
+    amp = math.sqrt(w / 2.0) * factor
+    comp = complex(r, out * i) / math.sqrt(2.0 * w) * factor
+    return (amp, comp) if out > 0 else (comp, amp)
+
+
+def reference_turned(result, start: float, end=None):
+    """A result of _phases (raised if it is an exception) converted from chart
+    ``start`` into chart ``end``, by default D's sign at span: (phase, end
+    chart, state at span, conversions)."""
+    if isinstance(result, Exception):
+        raise result
+    phase, charts, s = result[:3]
+    out = (1.0 if s[-1, 0] >= 0.0 else -1.0) if end is None else end
+    signs = np.concatenate([[start], charts, [out]])
+    # from chart +1 to -1 the phase gains arg(R + i I), back it loses it
+    turn = 0.5 * (signs[:-1] - signs[1:])
+    return phase + float(np.sum(turn * np.arctan2(s[:, 2], s[:, 1]))), out, s[-1, :3], np.count_nonzero(turn)
+
+
+def reference_results(done, ends, out, total, err, panels, levels, width):
+    """Each position's result of _phases, or its exception, from the
+    accepted panels of each level (see _phases) and the rows at 0 and
+    span."""
+    jd, cd = np.concatenate([x[0] for x in done]), np.concatenate([x[2] for x in done])
+    # per job the sum of its panels' charts: +-panels when one chart covers it
+    sums, runs = np.bincount(jd, weights=cd, minlength=len(out)).tolist(), {}
+    if any(o is None and abs(s) != n for o, s, n in zip(out, sums, panels)):
+        # some job switches chart: its panels in order of |far edge|, and
+        # where the next panel of the job has the other chart
+        by_tau = np.lexsort((np.abs(np.concatenate([x[1] for x in done])), jd))
+        cd, starts = cd[by_tau], list(itertools.accumulate(panels, initial=0))
+        # the far-edge rows of the accepted panels
+        sd = np.concatenate([edge if ok is None else edge[ok] for *_, rows, ok in done
+                             for edge in [np.concatenate([s[15 * n:16 * n] for s, n in rows])]])
+        for x in np.flatnonzero(cd[1:] != cd[:-1]).tolist():
+            p = bisect.bisect_right(starts, x) - 1
+            if x + 1 < starts[p + 1]:
+                runs.setdefault(p, [cd[starts[p]]]).append((cd[x + 1], sd[by_tau[x]]))
+    for p, o in enumerate(out):
+        if o is None:
+            first, *switch = runs.get(p, [1.0 if sums[p] > 0.0 else -1.0])
+            states = [ends[p, :1, :width[p]], *(s[None, :width[p]] for _, s in switch), ends[p, 1:, :width[p]]]
+            o = (float(total[p]), np.array([first, *(c for c, _ in switch)]), np.concatenate(states), float(err[p]),
+                 panels[p], levels[p])
+        yield o

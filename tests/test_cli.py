@@ -339,6 +339,13 @@ class TestFixedPoints:
         code, out, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", rho)
         assert (code, out) == (1, "")
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_radius_warns_nothing(self, capsys):
+        # rho^2 overflows: the flow check of the points drops them silently,
+        # with the JSON as before
+        code, out, err = run(capsys, "fixed-points", "--params", '{"p": [1, 0, 0, 0, 0]}', "--rho", "1e200")
+        assert code == 0 and err == "" and json.loads(out)["points"] == []
+
 
 class TestProfile:
     @pytest.fixture()
@@ -741,3 +748,17 @@ def test_cold_start_leaves_scipy_unloaded(tmp_path, capsys):
     assert doc["after_setup"] == []
     assert doc["after"] == []
     assert run(capsys, *fixed_points_call)[:2] == (0, doc["fixed_points"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1e3])
+def test_equator_start_profile(capsys, tmp_path, scale):
+    # an uncatalogued point with I = 0 exactly whose orbit is back at the
+    # equator within one base step of the sigma-reduction: rows, no traceback
+    a1, a2 = scale * (1.0 + 0.1j), scale * (0.5 + 0.05j)
+    path = tmp_path / "fd.csv"
+    path.write_text("xi,re_a1,im_a1,re_a2,im_a2\n" + "".join(
+        f"{xi},{a1.real!r},{a1.imag!r},{a2.real!r},{a2.imag!r}\n" for xi in (-1.0, 1.0)))
+    code, out, err = run(capsys, "profile", "--params", '{"p": [0.8, 0.4, 0.9, 0.3, 0.35], "q": [0.2, -0.1, 0.15]}',
+                         "--finaldata", str(path), "--t-list", "10,1e4,1e8", "--x-grid=0,0,1")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4

@@ -25,7 +25,7 @@ from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, d
 from cubicnls.reconstruction import _INCONSISTENT, _phases
 from cubicnls.standard_form import nonlinearity
 
-from helpers import assert_same_phases, near_touch, reference_phases, std
+from helpers import assert_same_phases, near_touch, reference_phases, reference_results, reference_uapp, std
 
 # outside the catalogue every point is a sigma orbit or a typed error, never an RK45 run
 pytestmark = pytest.mark.usefixtures("no_full_oracle")
@@ -214,6 +214,15 @@ class TestUapp:
                 pref = cmath.exp(1j * (2 * t * xi) ** 2 / (4 * t)) / cmath.sqrt(2j * t)
                 expect = pref * a1 * cmath.exp(-2j * p4v * abs(a1) ** 2 * 0.5 * math.log(t))
                 assert abs(u1 - expect) < 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [10.0, 30.0, 1e40])
+    def test_collapse_of_large_data_warns_nothing(self, m):
+        # pure p1 with rho from 126 up: cosh in the collapse overflows to inf
+        # far from the pole, where sech is 0, silently
+        a1 = np.full(len(GRID_XI), m * (1.0 + 0.1j))
+        fd = FinalData(GRID_XI, a1, a1 / 2.0)
+        assert all(np.isfinite(uapp(GRID_FAMILIES["p1"], fd, 1e4, 0.0)))
 
 
 class TestSpecializedProfiles:
@@ -703,3 +712,90 @@ class TestGrid:
     def test_x_of_more_dimensions_rejected(self, x):
         with pytest.raises(ValueError, match=r"1-D array x, got an array of shape \(" + str(np.shape(x)[0])):
             uapp(GRID_FAMILIES["p1"], grid_fd(), 10.0, x)
+
+
+# ---------------------------------------------------------------------------
+# the per-point work around the phase integral against its one-call-a-point
+# reference
+
+
+def outcome(fn, params, fd, t, x, caplog):
+    """fn(params, fd, t, x): the bits of its pair, or its exception's type
+    and message, and the debug lines logged on the way, in order."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cubicnls"):
+        try:
+            got = bits(np.stack(fn(params, fd, t, x)) if np.ndim(x) else np.array(fn(params, fd, t, x))).tobytes()
+        except Exception as exc:
+            got = (type(exc), str(exc))
+    return got, [(r.name, r.getMessage()) for r in caplog.records]
+
+
+@pytest.fixture
+def results_as_reference(monkeypatch):
+    """Every reconstruction._results call checked against the reference's."""
+    import cubicnls.reconstruction as reconstruction
+
+    real = reconstruction._results
+
+    def both(*args):
+        got = list(real(*args))
+        assert_same_phases(got, list(reference_results(*args)))
+        return iter(got)
+
+    monkeypatch.setattr(reconstruction, "_results", both)
+
+
+@pytest.mark.usefixtures("results_as_reference")
+class TestReferenceFlows:
+    """uapp on a grid and on a number against tests/helpers.reference_uapp,
+    the per-point path it replaces (with reference_phases): the pairs bit
+    for bit, the debug lines in order, and each exception's type, message
+    and turn (the lines logged before it)."""
+
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    @pytest.mark.parametrize("dominant", [1, 2, "alternating"])
+    @pytest.mark.parametrize("t", [10.0, 1e4, 1e8])
+    def test_grid_families(self, caplog, name, dominant, t):
+        args = GRID_FAMILIES[name], grid_fd(dominant), t
+        for x in (2.0 * t * GRID_XI, 2.0 * t * GRID_XI[3]):
+            assert outcome(uapp, *args, x, caplog) == outcome(reference_uapp, *args, x, caplog)
+
+    @pytest.mark.parametrize("t", [1e4, -1e8])
+    def test_periodic_sigma_grid(self, caplog, t):
+        got, lines = outcome(uapp, PERIODIC, periodic_fd(), t, 2.0 * t * GRID_XI, caplog)
+        assert (got, lines) == outcome(reference_uapp, PERIODIC, periodic_fd(), t, 2.0 * t * GRID_XI, caplog)
+        assert sum(line.startswith("reconstruct tau=") for _, line in lines) == len(GRID_XI)
+
+    @pytest.mark.parametrize("params", [GRID_FAMILIES["p3"], PERIODIC], ids=["catalogued", "uncatalogued"])
+    def test_zero_amplitude_points(self, caplog, params):
+        # points with both components 0 keep their data; one with a1 = 0 is anchored on a2
+        a1, a2 = grid_fd().alpha1.copy(), grid_fd().alpha2.copy()
+        a1[[2, 7]], a2[[2, 7]], a1[5] = 0.0, 0.0, 0.0
+        fd = FinalData(GRID_XI, a1, a2)
+        for t in (10.0, 1e4):
+            assert outcome(uapp, params, fd, t, 2.0 * t * GRID_XI, caplog) == \
+                outcome(reference_uapp, params, fd, t, 2.0 * t * GRID_XI, caplog)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, params", [
+        ("outside the data", GRID_FAMILIES["p1"]), ("outside the data", PERIODIC),
+        ("radius out of range", GRID_FAMILIES["p1"]), ("radius out of range", PERIODIC),
+        ("declined orbit", None),
+    ], ids=["outside-catalogued", "outside-uncatalogued", "radius-catalogued", "radius-uncatalogued", "declined"])
+    def test_fifth_point_fails(self, caplog, kind, params):
+        # the fifth point fails: the four before it are built and logged, then its error raises
+        t, xs, fd = 10.0, 20.0 * GRID_XI, grid_fd()
+        if kind == "outside the data":
+            xs = xs.copy()
+            xs[4] = 20.0 * 1.7
+        elif kind == "radius out of range":
+            a1 = fd.alpha1.copy()
+            a1[4] = 1e155
+            fd = FinalData(GRID_XI, a1, fd.alpha2)
+        else:
+            params, _, fd = declining_grid(4)
+        got, lines = outcome(uapp, params, fd, t, xs, caplog)
+        assert isinstance(got, tuple) and issubclass(got[0], ValueError)
+        assert (got, lines) == outcome(reference_uapp, params, fd, t, xs, caplog)
+        assert sum(line.startswith("reconstruct tau=") for _, line in lines) == 4

@@ -95,6 +95,22 @@ class TestRhs:
             scale = max(1.0, rho) ** 2 * max(1, *np.abs(p.p), *np.abs(p.q))
             assert np.max(np.abs(got - qqq_rhs(p, rho, s))) < 1e-10 * scale
 
+    def test_amplitudes_of_an_array(self):
+        # amplitude arrays give each element exactly its single-pair value,
+        # and raise the error of the first pair whose rho is out of range
+        rng = np.random.default_rng(3)
+        a1 = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 10.0 ** rng.uniform(-100, 100, 40)
+        a2 = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 10.0 ** rng.uniform(-100, 100, 40)
+        a1[::7], a2[3] = 0.0, -0.0
+        rho, states = amplitudes_to_quad(a1, a2)
+        for k in range(len(a1)):
+            one = amplitudes_to_quad(complex(a1[k]), complex(a2[k]))
+            assert type(one[0]) is float and one[0] == rho[k] and one[1].tobytes() == states[k].tobytes()
+        assert amplitudes_to_quad(a1[:0], a2[:0])[1].shape == (0, 3)
+        a1[[5, 9]], a2[[5, 9]] = 1e155, 1e-170
+        with pytest.raises(ValueError, match=r"^the amplitudes \(\(1e\+155\+0j\), \(1e-170\+0j\)\) are out of range"):
+            amplitudes_to_quad(a1, a2)
+
     def test_columns_of_a_state_array(self):
         # the batched oracle evaluates a (3, N) array of states in one call;
         # it must give each column exactly its single-state value

@@ -26,7 +26,7 @@ from cubicnls.reconstruction import (
 )
 from cubicnls.standard_form import StandardParams
 
-from helpers import assert_same_phases, reference_phases, std
+from helpers import assert_same_phases, reference_phases, reference_reconstruct, std
 
 
 class _Raw:
@@ -674,6 +674,31 @@ POLE_FAMILIES = {
     "p1/p3=1/3": std(p1=1.0, p3=3.0, q=(0.2, -0.1, 0.15)),
     "case15": std(p1=0.6, p2=0.8, p3=1.0, p4=0.6, p5=0.2, q=(0.2, -0.1, 0.15)),
 }
+
+
+class TestReferenceReconstruct:
+    """reconstruct, the one-point call of uapp's path, against
+    tests/helpers.reference_reconstruct, the path it replaced: the pair bit
+    for bit, its debug line, and each exception's type and message."""
+
+    @pytest.mark.parametrize("anchor", [None, 1, 2])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_anchors(self, caplog, name, anchor):
+        p = FAMILIES[name]
+        for a0 in [(0.9 + 0.1j, 0.3 - 0.1j), (0.2 - 0.4j, 0.8 + 0.3j), (0.5 + 0.0j, 0.0j)]:
+            rho, s0 = amplitudes_to_quad(*a0)
+            sol = solve_case(p, rho, s0)
+            for src, tau in [(sol, tau) for tau in (0.0, 1.15, -9.2, 3.0)] + [(lambda u: sol(u) + 1e-6, 0.0)]:
+                outs = []
+                for fn in (reconstruct, reference_reconstruct):
+                    caplog.clear()
+                    with caplog.at_level(logging.DEBUG, logger="cubicnls"):
+                        try:
+                            got = np.array(fn(p, a0, src, rho, tau, anchor)).tobytes()
+                        except Exception as exc:
+                            got = (type(exc), str(exc))
+                    outs.append((got, [r.getMessage() for r in caplog.records]))
+                assert outs[0] == outs[1]
 
 
 class TestPoleGrid:

@@ -21,7 +21,7 @@ import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import classify
 from cubicnls.profile import FinalData, _flows, uapp
 from cubicnls.quadratic_flow import _SigmaOrbit, amplitudes_to_quad
-from cubicnls.reconstruction import _phases, _reconstruct_jobs
+from cubicnls.reconstruction import _phases, _reconstruct_jobs, _reconstructed
 from cubicnls.standard_form import StandardParams, nonlinearity
 from helpers import near_touch
 
@@ -49,8 +49,11 @@ def dop853(params, a0, tau):
 def orbit_pair(params, a0, rho, s0, orbit, tau):
     """The pair at the end of the orbit of (rho, s0) over tau, by
     reconstruction's job builder, as profile._flows builds it."""
-    ((jobs, pair),) = _reconstruct_jobs([(a0, None, rho, s0, orbit)], tau)
-    return np.array(pair(_phases(params, jobs)))
+    jobs, plan = _reconstruct_jobs([a0], [orbit], [rho], [s0], tau)
+    pairs, failed = _reconstructed(plan, _phases(params, jobs))
+    if failed is not None:
+        raise failed
+    return np.array(pairs[0])
 
 
 def orbit_and_error(params, a0, tau):
@@ -129,6 +132,29 @@ class TestAgainstDop853:
         assert amplitudes_to_quad(*a0)[1][2] == 0.0
         for t in TIMES:
             assert orbit_and_error(params, a0, tau_of(t))[1] < 1e-10
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_equator_start_back_within_a_step(self, scale):
+        # a2 a real multiple of a1: I0 = 0 exactly, and the orbit is back at
+        # the equator within the first base step: the zero past the start is
+        # bracketed from a point short of it, not from the start (F = 0
+        # there), which would leave the interval no width
+        params = StandardParams(0.8, 0.4, 0.9, 0.3, 0.35, 0.2, -0.1, 0.15)
+        a0 = (scale * (1.0 + 0.1j), scale * (0.5 + 0.05j))
+        assert amplitudes_to_quad(*a0)[1][2] == 0.0
+        for t in TIMES:
+            orbit, err = orbit_and_error(params, a0, tau_of(t))
+            assert orbit.half > 0.0 and err < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [5.0, 30.0, 1e3])
+    def test_equator_start_back_within_a_step_large_data(self, scale):
+        # the same orbit at moduli where DOP853 cannot follow its turns: a
+        # finite pair at every t, and no warning
+        a1 = np.full(2, scale * (1.0 + 0.1j))
+        fd = FinalData(np.array([-1.0, 1.0]), a1, a1 / 2.0)
+        for t in (10.0, 1e4, 1e8):
+            assert all(np.isfinite(uapp(StandardParams(0.8, 0.4, 0.9, 0.3, 0.35, 0.2, -0.1, 0.15), fd, t, 0.0)))
 
 
 class TestPitfalls:
