@@ -86,7 +86,8 @@ class ClosedFormSolution:
     the threshold the state is on (it is recomputable from the parameters,
     radius and initial state alone).  Solutions with one chain of formula
     functions and static arguments (``_key``, see _run) evaluate together
-    (_stacked).
+    (_stacked).  ``_period`` is the trajectory's period in tau, or None,
+    which reconstruction folds whole periods out of the phase integral by.
     """
 
     case_id: CaseId
@@ -107,6 +108,14 @@ class ClosedFormSolution:
     @property
     def _key(self):
         return tuple(stage[:2] for stage in self._formula)
+
+    @property
+    def _period(self):
+        """The period in tau of the formula's first stage (the later ones map
+        states alone), or None: see _PERIODS."""
+        fn, static, consts = self._formula[0]
+        rule = _PERIODS.get(fn)
+        return None if rule is None else rule(static, *consts)
 
 
 def _run(formula, t):
@@ -804,6 +813,33 @@ def _case14_15_fn(t, disc, four_p1, i0, y0_sq, y0, sin_t, cos_t, x0, c_d, c_r):
     y = y0 * e
     return sin_t * (x0 - y - c_d), cos_t * (x0 + y - c_r), i
 
+
+def _sn_period(quarters, rate, m, m1):
+    """quarters K / |rate| for a stage of sn, cn, dn at rate tau + u0, with K
+    from the AGM chain the kernel reduces by; None at m1 = 0 (the hyperbolic
+    forms)."""
+    return quarters * el._chain(m, m1).K / abs(rate) if m1 > 0.0 and rate else None
+
+
+def _ent_period(c, scale):
+    """2 pi / (sqrt|c| |scale|) for _ent at scale tau, periodic for c < 0 alone."""
+    return 2.0 * math.pi / (math.sqrt(-c) * abs(scale)) if c < 0.0 and scale else None
+
+
+# the period in tau of a formula's first stage, by its function, from its
+# static arguments and constants: sn, cn and dn repeat after 4K, lemma 2's dn
+# form and the 1/3 family's quotients after 2K; the stages not listed
+# (constants, the collapse, p1/p3 = 3) have none
+_PERIODS = {
+    _lemma1_fgh: lambda static, rate, u0, m, m1, *_: _sn_period(4.0, rate, m, m1),
+    _lemma2_fgh: lambda static, rate, u0, m, m1, *_: _sn_period(2.0 if static[0] else 4.0, rate, m, m1),
+    _recessive: lambda static, rate, u0, m, m1, *_: _sn_period(2.0, rate, m, m1),
+    **dict.fromkeys((_lemma3_k_positive_fgh, _outer_minus, _outer_plus, _middle_inner),
+                    lambda static, rate, u0, m1, *_: _sn_period(4.0, rate, 1.0 - m1, m1)),
+    _rotate: lambda static, w, *_: 2.0 * math.pi / abs(w) if w else None,
+    _lemma3_k_zero_fgh: lambda static, c, *_: _ent_period(c, 1.0),
+    **dict.fromkeys((_case6_fn, _case14_15_fn), lambda static, c, scale, *_: _ent_period(c, scale)),
+}
 
 _CASE_BUILDERS = {
     1: _case1_5,

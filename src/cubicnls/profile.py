@@ -98,7 +98,9 @@ class FinalData:
 
 
 def _prefactor(t: float, x: float) -> complex:
-    return cmath.exp(1j * x * x / (4.0 * t)) / cmath.sqrt(2j * t)
+    """exp(i x^2 / 4t) / sqrt(2 i t), with the phase x^2 / 4t formed as x xi / 2
+    (xi = x / 2t), which does not overflow where x^2 does."""
+    return cmath.exp(1j * (x * (x / (2.0 * t)) / 2.0)) / cmath.sqrt(2j * t)
 
 
 def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
@@ -165,9 +167,10 @@ def uapp(params, fd: FinalData, t: float, x):
     pairs = _flows(params, list(zip(a1.tolist(), a2.tolist())), tau)
     if n < len(xi):
         fd.interp(xs[n] / (2.0 * t))  # that point's error, after the points before it
-    # _prefactor, its root and 4 t once for all points
-    q, root = 4.0 * t, cmath.sqrt(2j * t)
-    u = np.array([(f * a, f * b) for f, (a, b) in zip((cmath.exp(1j * v * v / q) / root for v in xs.tolist()), pairs)],
+    # _prefactor, with its root once for all points
+    root = cmath.sqrt(2j * t)
+    u = np.array([(f * a, f * b) for f, (a, b) in zip((cmath.exp(1j * (v * w / 2.0)) / root
+                                                       for v, w in zip(xs.tolist(), xi.tolist())), pairs)],
                  dtype=complex).reshape(-1, 2)
     return (complex(u[0, 0]), complex(u[0, 1])) if np.ndim(x) == 0 else (u[:, 0], u[:, 1])
 

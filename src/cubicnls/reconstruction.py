@@ -17,7 +17,12 @@ theta2 = theta1 + arg(R + i I), which holds wherever both are nonzero.
 The phase integral is taken on G7-K15 Gauss-Kronrod panels at most 0.25
 wide in tau.  A panel is bisected while its chart's weight falls below
 rho/2 at one of its nodes, and panels are bisected until the estimates
-|K15 - G7| sum to at most 1e-11 absolute.  One refinement loop serves a
+|K15 - G7| sum to at most 1e-11 absolute.  On a periodic orbit (a sigma
+orbit, or a closed form with a period P) the integral over [0, tau] is
+that over the remainder tau - n P plus n times that over one period,
+whenever the two spans are shorter than tau; each of the two integrals
+then settles at 1e-11 / (1 + |n|), so that the remainder's estimate plus
+|n| times the period's is still at most 1e-11.  One refinement loop serves a
 list of integrals, such as those of every point of a profile grid: each
 level evaluates the sources on the nodes and far edges of the pending
 panels (and at the first level on each integral's two ends), with one
@@ -208,16 +213,16 @@ def zero_times(params, rho: float, quad_src, tau: float, sign: float):
 
 
 def _phases(params, jobs):
-    """The phase integrals of jobs (rho, src, span, s0) from 0 to span, in
-    one refinement loop (see the module docstring).
+    """The phase integrals of jobs (rho, src, span, s0, tol) from 0 to span,
+    in one refinement loop (see the module docstring).
 
     Panels are at most _PANEL_WIDTH wide.  A panel integrates N1 - V if
     D >= 0 at its centre node and N2 - V otherwise, and is bisected unless
     that chart's weight rho +- D is at least rho/2 at all 15 nodes.  A job
     ends when every pending panel keeps its weight and the estimates
-    |K15 - G7| of all its panels sum to at most _PHASE_TOL; otherwise the
+    |K15 - G7| of all its panels sum to at most its tol; otherwise the
     level accepts each panel that keeps its weight and whose estimate is
-    within its width's share of _PHASE_TOL, and bisects the others.  Each
+    within its width's share of tol, and bisects the others.  Each
     level evaluates the sources on the pending panels' 15 nodes and far
     edges and, at level 1, on 0 (where it must match s0 within
     1e-8 max(1, rho)) and span: one call for all the jobs of one closed-form
@@ -236,16 +241,16 @@ def _phases(params, jobs):
     value, after _MAX_LEVELS levels or over _MAX_PANELS pending panels.
     """
     keyed = {}
-    for k, (_, src, _, _) in enumerate(jobs):
+    for k, (_, src, _, _, _) in enumerate(jobs):
         keyed.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
     # position p holds job order[p]; one source call serves the positions g0:g1
     order, calls = [], []
     for ks in keyed.values():
         calls.append((len(order), len(order) + len(ks), _stacked([jobs[k][1] for k in ks]) if len(ks) > 1 else None))
         order += ks
-    n_jobs, spans = len(order), [jobs[k][2] for k in order]
+    n_jobs, spans, tol = len(order), [jobs[k][2] for k in order], [jobs[k][4] for k in order]
     rho = np.array([jobs[k][0] for k in order], dtype=float)
-    share = np.array([_PHASE_TOL / abs(x) * 2.0 if x else math.inf for x in spans])
+    share = np.array([e / abs(x) * 2.0 if x else math.inf for x, e in zip(spans, tol)])
     # the pending jobs ks have cnt panels each, pj is the job of each panel
     cnt = [max(1, math.ceil(abs(x) / _PANEL_WIDTH)) for x in spans]
     pj, center, half = _panels(spans, cnt)
@@ -316,7 +321,7 @@ def _phases(params, jobs):
         for j, (p, a, b) in enumerate(bounds):
             if settled[j] and out[p] is None:
                 d = np.add.reduce(diff[a:b])
-                settled[j] = err[p] + d <= _PHASE_TOL
+                settled[j] = err[p] + d <= tol[p]
                 if settled[j]:
                     total[p], err[p] = total[p] + np.add.reduce(kronrod[a:b]), err[p] + d
             settled[j] = settled[j] or out[p] is not None
@@ -338,7 +343,7 @@ def _phases(params, jobs):
         for p, n, u in zip(ks, cnt, unresolved):
             levels[p], panels[p] = level if u == 0 else levels[p], panels[p] + n - u
             if u and (2 * u > _MAX_PANELS or level == _MAX_LEVELS):
-                out[p] = PhaseIntegralError(f"phase integral not within {_PHASE_TOL:g} after {level} levels ({u} panels unresolved)")
+                out[p] = PhaseIntegralError(f"phase integral not within {tol[p]:g} after {level} levels ({u} panels unresolved)")
             more.append(u > 0 and out[p] is None)
         if any(more):  # bisect the rest: each job's left halves, then its right halves
             rest = ~ok & np.repeat(more, cnt)
@@ -428,11 +433,16 @@ def reconstruct(params, a0, quad_src, rho: float, tau: float, anchor: int | None
     is evaluated on G7-K15 Gauss-Kronrod panels of width <= 0.25 in tau,
     one array call of ``quad_src`` per refinement level (the first also
     takes tau = 0 and tau), bisected until the estimates |K15 - G7| sum to
-    at most 1e-11 absolute.  Raises ValueError for a non-finite tau or rho
-    or an a0 off rho or the source at 0 (NaN too), and PhaseIntegralError
-    when |tau| needs more than 4096 panels, on a non-finite integrand value,
-    or when the rule misses its target within its level and panel caps.
-    uapp's points run through the same job builder and pair assembly.
+    at most 1e-11 absolute.  A ClosedFormSolution with a period P passed as
+    ``quad_src`` folds whole periods out: the integral runs over the
+    remainder tau - n P (n = round(tau / P)) and one period, counted |n|
+    times, each within 1e-11 / (1 + |n|), whenever that integrates less
+    than [0, tau].  Raises ValueError for a non-finite tau or rho or an a0
+    off rho or the source at 0 (NaN too), and PhaseIntegralError when a
+    span it integrates needs more than 4096 panels (|span| > 1024), on a
+    non-finite integrand value, or when the rule misses its target within
+    its level and panel caps.  uapp's points run through the same job
+    builder and pair assembly.
     """
     a0 = complex(a0[0]), complex(a0[1])
     if a0[0] == 0 and a0[1] == 0:
@@ -452,11 +462,14 @@ def _reconstruct_jobs(a0s, sources, rho, s0, tau: float, anchor=None):
     the plan that _reconstructed builds their pairs from.  s0 = None stands
     for a lone point's (D, R, I), checked NaN-safe against rho and the
     source.  A source runs over tau; a sigma orbit's states run over phi
-    from phi0: its span and, with whole periods, one period."""
+    from phi0: its span and, with whole periods, one period.  A closed form
+    with a period P (ClosedFormSolution._period) runs over the remainder
+    tau - n P, of either sign, and one period of n's sign, n = round(tau /
+    P), when |tau - n P| + P < |tau|, and over tau otherwise.  The two jobs
+    of a point with whole periods each get the tolerance 1e-11 / (1 +
+    |periods|); every span must fit in the 4096 first-level panels."""
     if not math.isfinite(tau):
         raise ValueError(f"reconstruction needs a finite tau, got {tau!r}")
-    if abs(tau) > _MAX_PANELS * _PANEL_WIDTH:
-        raise PhaseIntegralError(f"tau = {tau!r} needs more than {_MAX_PANELS} panels")
     if s0 is None:
         _check_sphere(rho[0])
         rho0, s = amplitudes_to_quad(*a0s[0])
@@ -478,7 +491,15 @@ def _reconstruct_jobs(a0s, sources, rho, s0, tau: float, anchor=None):
             orbit, periods = src, src.periods
             src = lambda u, orbit=orbit: orbit.states(orbit.phi0 + u)
             spans = [orbit.span] + [math.copysign(2.0 * math.pi, periods)] * (periods != 0)
-        jobs += [(r, src, span, s) for span in spans]
+        elif isinstance(src, ClosedFormSolution) and (period := src._period) is not None:
+            n = round(tau / period) if math.isfinite(tau / period) else 0  # an overflow fails in the source
+            if abs(tau - n * period) + period < abs(tau):  # folding integrates less
+                spans, periods = [tau - n * period, math.copysign(period, n)], n
+        for span in spans:
+            if abs(span) > _MAX_PANELS * _PANEL_WIDTH:
+                raise PhaseIntegralError(f"a span of {span!r} (tau = {tau!r}) needs more than {_MAX_PANELS} panels")
+        tol = _PHASE_TOL / (1 + abs(periods))  # the span's estimate plus |periods| times the period's
+        jobs += [(r, src, span, s, tol) for span in spans]
         points.append((r, seed, start, periods))
     return jobs, (tau, points)
 

@@ -16,3 +16,12 @@ def no_full_oracle(monkeypatch):
         raise AssertionError("integrate_full was called")
 
     monkeypatch.setattr(qf, "integrate_full", refuse)
+
+
+@pytest.fixture()
+def no_fold(monkeypatch):
+    """No closed form has a period, so that reconstruction integrates every
+    point over all of [0, tau], as the verbatim references do."""
+    from cubicnls.closed_form import ClosedFormSolution
+
+    monkeypatch.setattr(ClosedFormSolution, "_period", property(lambda sol: None))

@@ -507,6 +507,23 @@ class TestProfile:
         assert (code, out) == (1, "")
         assert "finite t" in err
 
+    @pytest.mark.parametrize("p", ["[1, 0, 0, 0, 0]", "[0, 0, 1.3, 0, 0]", "[1, 0, 3, 0, 0]",
+                                   "[0.6, 0.8, 1, 0.6, 0.2]", "[0, 0.4, 1, 0, 0]", "[0, 0, 1, 0.7, 0]"])
+    def test_largest_t_rows_finite(self, capsys, finaldata_csv, p):
+        # at t = 1e300 the prefactor's phase x^2 / 4t no longer squares x (which
+        # overflows past 1.3e154), and the periodic closed forms fold whole
+        # periods out of their phase integrals: every row is finite, with no
+        # warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "profile", "--params", f'{{"p": {p}, "q": [0.1, -0.2, 0.3]}}', "--finaldata",
+                str(finaldata_csv), "--t-list", "1e300", "--x-grid=-3e300,3e300,21",
+            )
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]])
+        assert (code, err, rows.shape) == (0, "", (21, 6))
+        assert np.isfinite(rows).all()
+
     def test_nan_x_grid_exit_1(self, capsys, finaldata_csv):
         code, out, err = run(
             capsys, "profile", "--params", CASE1_PARAMS, "--finaldata", str(finaldata_csv),

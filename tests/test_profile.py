@@ -22,9 +22,10 @@ from cubicnls.profile import (
     uapp,
 )
 from cubicnls.quadratic_flow import _Decline, _SigmaOrbit, amplitudes_to_quad, detect_sync, full_ode_rhs
-from cubicnls.reconstruction import _INCONSISTENT, _phases
+from cubicnls.reconstruction import _INCONSISTENT, _PHASE_TOL, _phases
 from cubicnls.standard_form import nonlinearity
 
+import helpers
 from helpers import assert_same_phases, near_touch, reference_phases, reference_results, reference_uapp, std
 
 # outside the catalogue every point is a sigma orbit or a typed error, never an RK45 run
@@ -512,10 +513,10 @@ class TestGrid:
             (fn, static, consts), *rest = sol._formula
             return dataclasses.replace(sol, _formula=((fn, static, (*consts[:3], m1, *consts[4:])), *rest))
 
-        jobs = [(sol.rho, sol, 0.5 * math.log(t), sol.initial) for sol in sols]
+        jobs = [(sol.rho, sol, 0.5 * math.log(t), sol.initial, _PHASE_TOL) for sol in sols]
         intact = _phases(params, jobs)
-        got = _phases(params, [(rho, broken(sol, bad[k]) if k in bad else sol, span, s0)
-                               for k, (rho, sol, span, s0) in enumerate(jobs)])
+        got = _phases(params, [(rho, broken(sol, bad[k]) if k in bad else sol, span, s0, tol)
+                               for k, (rho, sol, span, s0, tol) in enumerate(jobs)])
         for k, (res, ref) in enumerate(zip(got, intact)):
             if k in bad:
                 assert isinstance(res, EllipticDomainError) and f"m1={bad[k]}" in str(res)
@@ -619,19 +620,27 @@ class TestGrid:
         assert all("error_estimate=" in g for g in grid if g.startswith("reconstruct"))
 
     @pytest.mark.parametrize("case", [(name, t) for name in GRID_FAMILIES for t in (10.0, 1e4, 1e8)]
-                             + [("sigma", 1e4), ("sigma", -1e8), ("sigma one point", 1e4), ("sigma one point", 1e-4)],
+                             + [("sigma", 1e4), ("sigma", -1e8), ("sigma one point", 1e4), ("sigma one point", 1e-4)]
+                             + [(f"{name} folded", t) for name in ("p3", "p1/p3=1/3", "case15") for t in (1e8, -1e8)],
                              ids=lambda case: f"{case[0]}-t={case[1]:g}")
-    def test_phases_match_reference(self, monkeypatch, case):
-        # every phase-integral call of a 9-point grid of the four families, and
-        # of sigma orbits that fold whole periods of both signs (a grid, and
-        # one point, whose two jobs are its span and one period), gives the
-        # results of tests/helpers.reference_phases bit for bit
+    def test_phases_match_reference(self, monkeypatch, request, case):
+        # every phase-integral call of a 9-point grid of the four families
+        # (with no period folded out, and with whole periods of both signs
+        # folded out), and of sigma orbits that fold whole periods of both
+        # signs (a grid, and one point, whose two jobs are its span and one
+        # period), gives the results of tests/helpers.reference_phases bit for
+        # bit; the jobs of each tolerance (a point's share, 1e-11 / (1 +
+        # |periods|)) against the reference at that tolerance
         name, t = case
-        calls = []
+        calls, shares = [], set()
 
         def both(params, jobs):
             got = _phases(params, jobs)
-            assert_same_phases(got, reference_phases(params, jobs))
+            for tol in {job[4] for job in jobs}:
+                group = [k for k, job in enumerate(jobs) if job[4] == tol]
+                monkeypatch.setattr(helpers, "_PHASE_TOL", tol)
+                assert_same_phases([got[k] for k in group], reference_phases(params, [jobs[k][:4] for k in group]))
+                shares.add(tol)
             calls.append(len(jobs))
             return got
 
@@ -639,11 +648,13 @@ class TestGrid:
         if name.startswith("sigma"):
             xs = 2.0 * t * (GRID_XI if name == "sigma" else GRID_XI[4:5])
             uapp(PERIODIC, periodic_fd(), t, xs)
-            assert calls[0] > len(xs)  # some points fold whole periods
+            assert calls[0] > len(xs) and min(shares) < _PHASE_TOL  # some points fold whole periods
         else:
+            if not name.endswith("folded"):
+                request.getfixturevalue("no_fold")
             for dominant in (1, 2, "alternating"):
-                uapp(GRID_FAMILIES[name], grid_fd(dominant), t, 2.0 * t * GRID_XI)
-            assert calls == [9, 9, 9]
+                uapp(GRID_FAMILIES[name.split()[0]], grid_fd(dominant), t, 2.0 * t * GRID_XI)
+            assert calls == [9, 9, 9] if not name.endswith("folded") else max(calls) > 9 and min(shares) < _PHASE_TOL
 
     def test_sigma_source_off_its_start(self, monkeypatch):
         # a sigma orbit whose states at phi0, once it is built, miss its
@@ -699,7 +710,7 @@ class TestGrid:
         # arrays are freed when _phases returns, not at some later collection
         params, fd, t = GRID_FAMILIES["p3"], grid_fd(), 1e4
         sols = [solve_case(params, *amplitudes_to_quad(*fd.interp(v))) for v in GRID_XI]
-        jobs = [(sol.rho, sol, 0.5 * math.log(t), sol.initial) for sol in sols]
+        jobs = [(sol.rho, sol, 0.5 * math.log(t), sol.initial, _PHASE_TOL) for sol in sols]
         gc.collect()
         gc.disable()
         try:
@@ -712,6 +723,99 @@ class TestGrid:
     def test_x_of_more_dimensions_rejected(self, x):
         with pytest.raises(ValueError, match=r"1-D array x, got an array of shape \(" + str(np.shape(x)[0])):
             uapp(GRID_FAMILIES["p1"], grid_fd(), 10.0, x)
+
+
+# ---------------------------------------------------------------------------
+# whole periods folded out of the phase integral
+
+
+# a member of every family whose closed forms are periodic (all three
+# subcases of family 7; 14 and 15 above the threshold on grid_fd(1); 15 is
+# below it at every point of grid_fd(2))
+FOLD_FAMILIES = {
+    name: std(*p, q=(0.2, -0.1, 0.15)) for name, p in {
+        "2": (0, -0.8), "3": (0, 0, 1.1), "4": (0, 0, 0, 0.9), "6 p1<p4": (0.5, 0, 0, 1.2),
+        "7 p2<-p3": (0, -2, 1), "7": (0, 0.4, 1), "7 p2>p3": (0, 2, 1), "8": (0, 0.8, 0, 0.5),
+        "9": (0, 0, 1, 0.3), "10": (0, 0, 1, 0, 0.3), "1/3": (1, 0, 3), "12": (0, 0.7, 0.7, 0.4),
+        "13": (0, -0.7, 0.7, 0, 0.4), "14": (0.6, 0.8, 1), "15": (0.6, 0.8, 1, 0.6, 0.2),
+    }.items()
+}
+
+
+def debug_estimates(caplog):
+    """The error estimates of the reconstruct lines caplog holds."""
+    return [float(r.getMessage().split("error_estimate=")[1]) for r in caplog.records
+            if r.getMessage().startswith("reconstruct tau=")]
+
+
+class TestFold:
+    @pytest.mark.parametrize("name,dominant", [(name, dominant) for name in FOLD_FAMILIES
+                                               for dominant in (1, 2 if name != "15" else "alternating")])
+    def test_folded_matches_unfolded(self, monkeypatch, caplog, request, name, dominant):
+        # a 9-point grid with whole periods folded out of its phase integrals
+        # against the same grid integrated over all of [0, tau]: within 1e-13
+        # relative, or 4 ulps of its largest phase integral where that is more
+        # (both sum the phase to the rounding of its size), and every point's
+        # summed estimate within 1e-11
+        params, fd = FOLD_FAMILIES[name], grid_fd(dominant)
+        sols = [solve_case(params, *amplitudes_to_quad(*fd.interp(v))) for v in GRID_XI]
+        tau = 0.5 * math.log(1e100)
+        assert any(sol._period and abs(tau - round(tau / sol._period) * sol._period) + sol._period < tau
+                   for sol in sols)
+        folded = {}
+        for t in (1e4, 1e8, 1e40, 1e100):
+            with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
+                caplog.clear()
+                folded[t] = np.stack(uapp(params, fd, t, 2.0 * t * GRID_XI))
+                assert len(debug_estimates(caplog)) == 9 and max(debug_estimates(caplog)) <= 1e-11
+        request.getfixturevalue("no_fold")
+        real, size = profile._phases, []
+
+        def phases(*args):
+            results = real(*args)
+            size.append(max(abs(res[0]) for res in results))
+            return results
+
+        monkeypatch.setattr(profile, "_phases", phases)
+        for t, got in folded.items():
+            want = np.stack(uapp(params, fd, t, 2.0 * t * GRID_XI))
+            bound = max(1e-13, 4.0 * np.finfo(float).eps * size[-1])
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), (t, bound)
+
+    @pytest.mark.parametrize("t", [1e8, 1e40, 1e100, 1e300])
+    def test_pure_p3_against_case3_profile(self, t):
+        # pure p3 folds whole periods out up to the largest float t: its
+        # profile stays on the explicit one (whose phase QUADPACK integrates
+        # over one period and the remainder) within 1e-12, finite everywhere
+        fd, q, p3 = make_fd("elliptic"), (0.15, 0.25, -0.1), 1.3
+        xs = 2.0 * t * np.linspace(-1.6, 1.6, 13)
+        got = np.stack(uapp(std(p3=p3, q=q), fd, t, xs))
+        want = np.array([case3_profile(p3, q, fd, t, x) for x in xs]).T
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [1e4, -1e8, 1e40])
+    def test_sigma_estimates_within_tolerance(self, caplog, t):
+        # sigma points with whole periods split the tolerance between their two
+        # integrals the same way: each point's summed estimate is within 1e-11
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
+            uapp(PERIODIC, periodic_fd(), t, 2.0 * t * GRID_XI)
+        assert len(debug_estimates(caplog)) == 9 and max(debug_estimates(caplog)) <= 1e-11
+
+    def test_prefactor_at_large_t(self):
+        # the prefactor's phase x^2 / 4t is formed as x xi / 2: finite where x^2
+        # overflows, of modulus 1/sqrt(2t), and within rounding of mpmath's
+        # exp(i x^2 / 4t) / sqrt(2 i t) where the phase is small
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        for t in (10.0, 1e4, 1e150, 1e300):
+            for x in (2.0 * t * GRID_XI).tolist():
+                got = profile._prefactor(t, x)
+                assert math.isfinite(abs(got)) and abs(abs(got) * math.sqrt(2.0 * t) - 1.0) <= 4e-16
+                if t <= 1e4:
+                    mx, mt = mpmath.mpf(x), mpmath.mpf(t)
+                    want = complex(mpmath.exp(1j * mx * mx / (4 * mt)) / mpmath.sqrt(2j * mt))
+                    assert abs(got - want) <= 1e-15 * (1.0 + abs(x * x / (4.0 * t))) * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +850,13 @@ def results_as_reference(monkeypatch):
     monkeypatch.setattr(reconstruction, "_results", both)
 
 
-@pytest.mark.usefixtures("results_as_reference")
+@pytest.mark.usefixtures("results_as_reference", "no_fold")
 class TestReferenceFlows:
     """uapp on a grid and on a number against tests/helpers.reference_uapp,
     the per-point path it replaces (with reference_phases): the pairs bit
     for bit, the debug lines in order, and each exception's type, message
-    and turn (the lines logged before it)."""
+    and turn (the lines logged before it).  No closed form folds whole
+    periods out, as the reference integrates all of [0, tau]."""
 
     @pytest.mark.parametrize("name", GRID_FAMILIES)
     @pytest.mark.parametrize("dominant", [1, 2, "alternating"])

@@ -13,10 +13,12 @@ from cubicnls.closed_form import CaseId, ClosedFormSolution, solve_case
 from cubicnls.profile import FinalData, uapp
 from cubicnls.quadratic_flow import amplitudes_to_quad, full_ode_rhs, integrate_full, random_sphere_states
 from cubicnls.reconstruction import (
+    _PHASE_TOL,
     PhaseIntegralError,
     SingularAnchorError,
     _phase_rate,
     _phases,
+    _reconstruct_jobs,
     phase_rate_N1,
     phase_rate_N2,
     reconstruct,
@@ -438,8 +440,15 @@ class TestPhaseIntegral:
         monkeypatch.setattr(ClosedFormSolution, "__call__", counted)
         xi = np.linspace(-1.6, 1.6, 9)
         fd = FinalData(xi, (0.7 + 0.2j) * np.exp(-xi * xi / 4), (0.3 - 0.4j) * np.exp(-xi * xi / 3))
+        folded = 0
         for p in FAMILIES.values():
-            keys = [solve_case(p, *amplitudes_to_quad(*fd.interp(v)))._key for v in xi]
+            a0s = list(zip(*(v.tolist() for v in fd.interp(xi))))
+            sols = [solve_case(p, *amplitudes_to_quad(*a0)) for a0 in a0s]
+            keys = [sol._key for sol in sols]
+            # the jobs of the points: the span tau, or with whole periods folded
+            # out the remainder and one period
+            jobs, _ = _reconstruct_jobs(a0s, sols, [sol.rho for sol in sols], [sol.initial for sol in sols], tau)
+            folded += len(jobs) - len(sols)
             calls.clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
@@ -450,7 +459,9 @@ class TestPhaseIntegral:
             expected = [key for level in range(1, max(levels) + 1) for key in dict.fromkeys(keys)
                         if any(k == key and n >= level for k, n in zip(keys, levels))]
             assert [key for key, _ in calls] == expected
-            assert calls[0][1] == (keys.count(keys[0]) * first,)
+            assert calls[0][1] == (sum(16 * math.ceil(abs(span) / 0.25) + 2 for _, sol, span, _, _ in jobs
+                                       if sol._key == keys[0]),)
+        assert folded > 0
 
     def test_chart_weight_bisects(self):
         # with every coupling and potential zero the rate N - V vanishes and
@@ -464,7 +475,7 @@ class TestPhaseIntegral:
             t = np.asarray(t, dtype=float)
             return rho * np.stack([np.cos(w * t), np.sin(w * t), np.zeros_like(t)], axis=-1)
 
-        ((total, charts, s, err, panels, _),) = _phases(_Raw(0, 0, 0, 0, 0), [(rho, src, 1.0, src(0.0))])
+        ((total, charts, s, err, panels, _),) = _phases(_Raw(0, 0, 0, 0, 0), [(rho, src, 1.0, src(0.0), _PHASE_TOL)])
         assert (total, err) == (0.0, 0.0)
         assert panels > 4
         assert list(charts) == [1.0, -1.0] * 3 + [1.0]
@@ -524,6 +535,24 @@ class TestPhaseIntegral:
             with pytest.raises(PhaseIntegralError, match="4096 panels"):
                 reconstruct(p, a0, src, rho, tau)
         assert calls == []
+        # a closed form with no period (the collapse) is refused the same way
+        with pytest.raises(PhaseIntegralError, match="4096 panels"):
+            reconstruct(p, a0, sol, rho, 2000.0)
+
+    def test_folded_spans_under_the_cap(self):
+        # a periodic closed form passed as the source folds its whole periods
+        # out, and the cap applies to the spans it integrates: pure p3 at
+        # tau = +-2000 (8000 first-level panels unfolded) returns the pair
+        # whose quadratic quantities are the closed form's at tau
+        p = FAMILIES["p3"]
+        a0 = (0.7 + 0.2j, -0.3 + 0.4j)
+        rho, s0 = amplitudes_to_quad(*a0)
+        sol = solve_case(p, rho, s0)
+        assert sol._period < 10.0
+        for tau in (2000.0, -2000.0):
+            got = reconstruct(p, a0, sol, rho, tau)
+            r, s = amplitudes_to_quad(*got)
+            assert abs(r - rho) <= 1e-14 and np.max(np.abs(s - sol(tau))) <= 1e-12
 
     @pytest.mark.parametrize("kind,message", [
         # a jump by 1e12 in the integrand: the estimates of the panels next
@@ -591,7 +620,7 @@ class TestReferencePhases:
 
     @staticmethod
     def check(params, jobs):
-        got = _phases(params, jobs)
+        got = _phases(params, [(*job, _PHASE_TOL) for job in jobs])
         assert_same_phases(got, reference_phases(params, jobs))
         return got
 
@@ -645,7 +674,7 @@ class TestReferencePhases:
         # alone, and next to a job that completes
         for jobs in ([(rho, src, 2.0, start)], [(rho, sol, 2.0, s0), (rho, src, 2.0, start)]):
             calls.clear()
-            got = _phases(p, jobs)
+            got = _phases(p, [(*job, _PHASE_TOL) for job in jobs])
             calls.clear()
             assert_same_phases(got, reference_phases(p, jobs))
             assert message in str(got[-1])
@@ -676,10 +705,12 @@ POLE_FAMILIES = {
 }
 
 
+@pytest.mark.usefixtures("no_fold")
 class TestReferenceReconstruct:
     """reconstruct, the one-point call of uapp's path, against
     tests/helpers.reference_reconstruct, the path it replaced: the pair bit
-    for bit, its debug line, and each exception's type and message."""
+    for bit, its debug line, and each exception's type and message (with no
+    period folded out, as the reference integrates all of [0, tau])."""
 
     @pytest.mark.parametrize("anchor", [None, 1, 2])
     @pytest.mark.parametrize("name", FAMILIES)
