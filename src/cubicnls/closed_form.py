@@ -271,9 +271,24 @@ def _ent(c, x, a, b_sq):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ch = np.where(c > 0.0, np.cosh(y), np.where(c < 0.0, np.cos(y), 1.0))
         sh = np.where(c == 0.0, 0.5 * x, np.where(c > 0.0, np.sinh(y), np.sin(y)) / w)
+        e, j, q = _ent_parts(ch, sh, c, a, b_sq)
+        finite = np.isfinite(q) & np.isfinite(j)
+        if not finite.all():
+            # past overflow (c > 0, |y| above about 354), only where q or j is
+            # not finite: the same from ch and sh scaled by e^-|y|, which scales
+            # q by z = e^-2|y|, so that e underflows to 0 and j keeps its limit
+            z = np.exp(-2.0 * np.abs(y))
+            e2, j2, _ = _ent_parts(0.5 * (1.0 + z), np.copysign(0.5, y) * (1.0 - z) / w, c, a, b_sq)
+            keep = finite | ~(c > 0.0)
+            e, j = np.where(keep, e, z * e2), np.where(keep, j, j2)
+    return e, j
+
+
+def _ent_parts(ch, sh, c, a, b_sq):
+    """_ent's (1/q, -q'/q) and q from its ch and sh."""
     u, bsh = ch - a * sh, b_sq * sh
     q = u * u + bsh * sh
-    return 1.0 / q, (u * (a * ch - c * sh) - bsh * ch) / q
+    return 1.0 / q, (u * (a * ch - c * sh) - bsh * ch) / q, q
 
 
 def solve_lemma1(f0: float, g0: float, h0: float):

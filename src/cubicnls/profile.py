@@ -12,9 +12,11 @@ planar orbit in closed form, time as a quadrature over it and the phase by
 reconstruction's job builder, as in the catalogue (quadratic_flow._SigmaOrbit,
 reconstruction._reconstruct_jobs).  A point the reduction declines raises its
 ValueError in its turn, as any failing point does.  ``uapp`` takes a whole
-x-grid at one t: one setup pass (solve_case's per-parameter work once), one
+x-grid at one t: one setup pass (solve_case's per-parameter work once, or
+the grid's sigma orbits built together, quadratic_flow._sigma_orbits), one
 refinement loop and one pass over the chart turns serve all its points, with
-no array pass a point and the same bits as one call per point.
+no array pass a point outside the catalogue's builders and the sigma scans,
+and the same bits as one call per point.
 
 Two specialized, fully explicit profile formulas are provided for the pure
 p1 family (synchronizing) and the pure p3 family (elliptic), and the
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import elliptic as el
 from .closed_form import UnsupportedCaseError, _solve_states
-from .quadratic_flow import _SigmaOrbit, _check_sphere, _on_sphere, _quad, amplitudes_to_quad
+from .quadratic_flow import _check_sphere, _on_sphere, _quad, _sigma_orbits, amplitudes_to_quad
 from .reconstruction import _phases, _reconstruct_jobs, _reconstructed
 
 __all__ = [
@@ -107,10 +109,10 @@ def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
     """The amplitude pairs of the list a0s advanced by tau: closed form +
     reconstruction for catalogued parameters, else the sigma-reduction,
     whose declines (logged at debug level) fail their points.  One setup
-    pass (solve_case's and reconstruct's per-grid work once), one sphere
+    pass (solve_case's and reconstruct's per-grid work once, or all the
+    sigma orbits built together, one time-rule loop for all), one sphere
     check, one phase-integral loop and one pass over the turns serve all
-    points, with no array pass a point; the first failing point raises,
-    after the points before it."""
+    points; the first failing point raises, after the points before it."""
     if tau == 0.0:
         return list(a0s)
     live, rho, states, failed = [a0 for a0 in a0s if a0[0] != 0 or a0[1] != 0], [], [], None
@@ -126,12 +128,15 @@ def _flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
     try:
         try:
             sources += _solve_states(params, zip(rho, states))
-        except UnsupportedCaseError:  # outside the catalogue, point by point
+        except UnsupportedCaseError:  # outside the catalogue, the sigma orbits of all points together
             s0 = np.array(states, dtype=float)
-            for r, s in zip(rho, s0[:_on_sphere(rho, s0)]):
-                sources.append(_SigmaOrbit(params, r, s, tau))
-            if len(sources) < len(rho):  # a state off its sphere raises its error, as in _solve_states
-                _check_sphere(rho[len(sources)], s0[len(sources)])
+            n = _on_sphere(rho, s0)
+            orbits, declined = _sigma_orbits(params, rho[:n], s0[:n], tau)
+            sources += orbits
+            if declined is not None:
+                raise declined
+            if n < len(rho):  # a state off its sphere raises its error, as in _solve_states
+                _check_sphere(rho[n], s0[n])
     except Exception as exc:  # raised after the points before it
         failed = exc
     jobs, plan = _reconstruct_jobs(live, sources, rho, [src.initial for src in sources] if s0 is None else s0, tau)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -686,6 +687,8 @@ _SIGMA_INV_FACTORIALS = [1.0 / math.factorial(n) for n in range(1, _SIGMA_TERMS 
 # 2n + 1 Clenshaw-Curtis nodes a piece, pieces before a decline; the target on
 # time, in units of 1 / (rho max|p|)
 _SIGMA_NODES, _SIGMA_PIECES, _SIGMA_TOL = 32, 256, 1e-13
+_SIGNS = (-1.0) ** np.arange(1, 2 * _SIGMA_NODES + 2)  # -1, 1, -1, ...: a series' value at -1
+_SIGMA_BLOCK = 4096  # rows of several orbits evaluated together
 
 
 class _Decline(ValueError):
@@ -694,14 +697,14 @@ class _Decline(ValueError):
 
 @functools.lru_cache(maxsize=None)
 def _cheb_nodes(n: int):
-    """The points cos(j pi / n), j = 0..n, and the matrices from values there
+    """The points cos(j pi / n), j = 0..n, the matrices from values there
     to the n + 1 coefficients of their interpolant and from n + 2
-    coefficients to values there."""
+    coefficients to values there, and 0..n + 1 as floats."""
     theta = math.pi * np.arange(n + 1) / n
     dct = 2.0 / n * np.cos(np.outer(np.arange(n + 1), theta))
     dct[:, [0, n]] *= 0.5
     dct[[0, n]] *= 0.5
-    return np.cos(theta), dct, np.cos(np.outer(theta, np.arange(n + 2)))
+    return np.cos(theta), dct, np.cos(np.outer(theta, np.arange(n + 2))), np.arange(n + 2.0)
 
 
 def _fold(v: float, whole: float):
@@ -726,20 +729,32 @@ class _SigmaOrbit:
     or fixed (a fixed point: span is tau, the states constant).  For
     reconstruction: phi0, span (phi to the state at tau, less ``periods``
     whole periods) and states(phi), rows of D, R, I and dtau/dphi (D, R, I
-    for a fixed point).  Raises _Decline, a ValueError, at a tangent turning
-    point (a separatrix), a zero missed between the ends, over 4096 bases on
-    a side, or a rule short of its target at 256 pieces.  Logs one debug
-    line: kind, sigma interval, period, nodes and the two-rule estimate.
+    for a fixed point); called with u, the orbit gives its states at
+    phi0 + u, the source of its phase-integral jobs.  Raises _Decline, a
+    ValueError, at a tangent turning point (a separatrix), a zero missed
+    between the ends, over 4096 bases on a side, or a rule short of its
+    target at 256 pieces.  Logs one debug line: kind, sigma interval,
+    period, nodes and the two-rule estimate.  This is _sigma_orbits on one
+    orbit, and states is _states on one orbit.
     """
 
     def __init__(self, params, rho: float, s0, tau: float):
+        failed = _sigma_orbits(params, [rho], [s0], tau, [self])[1]
+        if failed is not None:
+            raise failed
+
+    def __call__(self, u):
+        """The states at phi0 + u, as a phase-integral job's source."""
+        return self.states(self.phi0 + u)
+
+    def _scan(self, params, rho: float, s0, tau: float, coef):
+        """The orbit up to its time rule, from the series coefficients coef
+        (a list and an array of them, see _sigma_orbits): the bases and the
+        interval.  Returns the cuts of the rule and its target, or None for
+        a fixed point; raises _Decline."""
         p1, p2, p3, p4, p5 = params.p1, params.p2, params.p3, params.p4, params.p5
         pmax = max(abs(p1), abs(p2), abs(p3), abs(p4), abs(p5))
         self.rho, self.a, self.n, self.b = rho, p1, (p2 - p3, -(p2 + p3)), (rho * p5, -rho * p4)
-        pq, coef = (1.0, 0.0), []
-        for inv in _SIGMA_INV_FACTORIALS:
-            coef.append((pq[0] * inv, pq[1] * inv))
-            pq = (p1 * pq[0] + (p3 * p3 - p2 * p2) * pq[1], pq[0] + p1 * pq[1])
         self.lo = self.hi = self.phi0 = self.estimate = 0.0
         self.period, self.periods, self.nodes, i0 = None, 0, 0, float(s0[2])
         base0 = self._row(float(s0[0]), float(s0[1]), i0 * i0)
@@ -747,7 +762,7 @@ class _SigmaOrbit:
         if base0[2] == base0[3] == 0.0 or (i0 == 0.0 and df0 == 0.0):
             self.kind, self.span = "fixed", tau
             self.states = lambda t: np.tile(np.asarray(s0, dtype=float), np.shape(t) + (1,))
-            return self._log()
+            return None
         reach = 2.0 * rho * abs(tau)
         self.step = min(1.0 / max(math.hypot(p1, p1, *self.n), 1e-300), 0.375 * reach)  # >= 4 bases a side
         # the terms a step needs: with x = step (|p1| + sqrt|kappa|) the first one
@@ -755,7 +770,7 @@ class _SigmaOrbit:
         x = self.step * (abs(p1) + math.sqrt(abs(p3 * p3 - p2 * p2)))
         m = next((m for m in range(2, _SIGMA_TERMS) if x**m + m * x ** (m - 1) <= 1e-17 * math.factorial(m + 1)),
                  _SIGMA_TERMS)
-        self.coef, self.horner = np.array(coef[:m]), coef[:m][::-1]
+        self.coef, self.horner = coef[1][:m], coef[0][:m][::-1]
         # bases every step out from s0 to the first F <= 0 or to 1.5 reach (a
         # zero just past reach still ends the interval)
         ends, zeros, grid = {-1.0: -reach, 1.0: reach}, {}, {}
@@ -765,7 +780,7 @@ class _SigmaOrbit:
                 ends[side] = 0.0  # s0 is a turning point on this side
             while ends[side] and (len(rows) - 1) * self.step < 1.5 * reach:
                 if len(rows) > _SIGMA_BASES:
-                    self._decline(f"more than {_SIGMA_BASES} bases on a side")
+                    raise _Decline(f"more than {_SIGMA_BASES} bases on a side")
                 x0, x1, f = self._past(rows[-1], side * self.step)
                 if not f > 0.0:
                     lo, f_lo = side * self.step * (len(rows) - 1), rows[-1][6]
@@ -775,7 +790,7 @@ class _SigmaOrbit:
                         lo = side * self.step * 0.5**j
                         f_lo = self._past(rows[-1], lo)[2]
                     if not f_lo > 0.0:
-                        self._decline("tangent turning point (a separatrix)")
+                        raise _Decline("tangent turning point (a separatrix)")
                     zeros[side] = (lo, side * self.step * len(rows), f_lo, f)
                     break
                 rows.append(self._row(x0, x1, f))
@@ -805,35 +820,39 @@ class _SigmaOrbit:
             self.turning[side > 0.0], self.ends[side > 0.0] = True, self._row(*x, 0.0)  # F = 0 there exactly
         self.lo, self.hi = ends[-1.0], ends[1.0]
         self.c, self.h = 0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo)
-        self.bases = np.array(self.rows + self.ends)
+        self.bases = np.array(self.rows + self.ends).T.copy()  # a row each for X, W, N W and F
         df = [2.0 * abs(r[0] * r[2] + r[1] * r[3]) for r in self.ends]
         if any(t and not d > 1e-9 * rho * rho * pmax for t, d in zip(self.turning, df)):
-            self._decline("tangent turning point (a separatrix)")
+            raise _Decline("tangent turning point (a separatrix)")
         # dtau/dphi at phi = 0 and pi: sqrt(h / (2 |F'|)) at a turning point, 0 at an open end
         self.g_end = [math.sqrt(self.h / (2.0 * d)) if t else 0.0 for t, d in zip(self.turning, df)]
         self.kind = "periodic" if all(self.turning) else "turning" if any(self.turning) else "open"
         self.phi0 = math.atan2(2.0 * math.sqrt(-self.lo * self.hi), self.hi + self.lo)  # sigma(phi0) = 0
         self.phi0 = 2.0 * math.pi - self.phi0 if i0 < 0.0 else self.phi0
+        # what _states takes for each row: 2h, lo, step, the first and last
+        # base, h, and at each end half a step if it turns (0 if not) and
+        # g_end; and the floor of F
+        self.consts = (2.0 * self.h, self.lo, self.step, -self.k, len(self.rows) - 1 - self.k, self.h,
+                       *(0.5 * self.step if t else 0.0 for t in self.turning), *self.g_end, -1e-12 * rho * rho)
         cuts = sorted([0.0, math.pi] + [math.acos((self.c - s) / self.h) for s in touches if self.lo < s < self.hi])
-        self._rule(cuts, abs(tau), _SIGMA_TOL / (rho * pmax))
+        return np.array(cuts), _SIGMA_TOL / (rho * pmax)
+
+    def _finish(self, tau: float):
+        """phi at tau: the span and whole periods, once the rule is done."""
         phi = self._phi(self._tau(self.phi0) + tau)
         if self.kind == "periodic":
             # leave a remainder of one whole period, not of none: the phase integral needs a span
             self.period = 2.0 * self.half
             self.periods = int(math.copysign(math.ceil(abs(phi - self.phi0) / (2.0 * math.pi)) - 1, tau))
         self.span = phi - self.phi0 - 2.0 * math.pi * self.periods
-        self._log()
 
     def _log(self, declined=None):
-        log.debug(
-            "sigma kind=%s interval=(%.17g, %.17g) period=%s nodes=%d estimate=%.3g",
-            self.kind if declined is None else f"declined reason={declined!r}", self.lo, self.hi,
-            "none" if self.period is None else "%.17g" % self.period, self.nodes, self.estimate,
-        )
-
-    def _decline(self, reason: str):
-        self._log(reason)
-        raise _Decline(reason)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "sigma kind=%s interval=(%.17g, %.17g) period=%s nodes=%d estimate=%.3g",
+                self.kind if declined is None else f"declined reason={declined!r}", self.lo, self.hi,
+                "none" if self.period is None else "%.17g" % self.period, self.nodes, self.estimate,
+            )
 
     def _row(self, x0: float, x1: float, f: float) -> tuple:
         """A base: (X, W = A X + b, N W, F) at X = (x0, x1), with F = f."""
@@ -867,90 +886,34 @@ class _SigmaOrbit:
 
     def states(self, phi):
         """Rows of D, R, I and dtau/dphi at a 1-D array of phi."""
-        sin, cos = np.sin(0.5 * phi), np.cos(0.5 * phi)
-        to_lo, to_hi = (2.0 * self.h) * sin * sin, (2.0 * self.h) * cos * cos  # sigma - lo, hi - sigma
-        i = np.minimum(np.maximum(np.rint((to_lo + self.lo) / self.step), -self.k), len(self.rows) - 1 - self.k)
-        delta, i = (to_lo + self.lo) - i * self.step, (i + self.k).astype(int)
-        # within half a step of a turning point, from the nearer one: sigma - lo and sigma - hi exactly
-        for e, d, near in ((0, to_lo, to_lo <= to_hi), (1, -to_hi, to_hi < to_lo)):
-            near &= self.turning[e] & (np.abs(d) < 0.5 * self.step)
-            i[near], delta[near] = len(self.rows) + e, d[near]
-        b = self.bases[i]
-        p = np.empty((len(delta), len(self.coef)))
-        p[:] = delta[:, None]
-        j = np.multiply.accumulate(p, axis=1) @ self.coef  # J0, J1
-        dx = j[:, :1] * b[:, 2:4] + j[:, 1:] * b[:, 4:6]
-        out = np.empty((len(delta), 4))
-        out[:, :2] = x = b[:, :2] + dx
-        f = b[:, 6] - np.einsum("ij,ij->i", dx, x + b[:, :2])  # F at the base less dx.(2 X_base + dx)
-        if f.min() < -1e-12 * self.rho * self.rho:
-            self._decline("F < 0 inside the interval (a missed zero)")
-        root = np.sqrt(np.maximum(f, 0.0))
-        out[:, 2] = np.copysign(root, sin * cos)
-        # dtau/dphi = h |sin phi| / (2 sqrt F), its limit at an end where F = 0
-        np.divide(self.h * np.abs(sin * cos), root, out=out[:, 3], where=root > 0.0)
-        out[root == 0.0, 3] = np.where(to_lo < to_hi, *self.g_end)[root == 0.0]
-        return out
-
-    def _rule(self, cuts, tau: float, tol: float):
-        """Chebyshev series of dtau/dphi (a) and of tau (t) on each piece
-        between cuts from 2n + 1 Clenshaw-Curtis nodes, each checked against
-        the series of every other node.  The rule is done once the estimates
-        sum to the target, which shrinks with the half-periods that tau spans;
-        otherwise the pieces within their share of it (of the tolerance by
-        width, of the rounding allowance by time) are kept and the others
-        bisected, as reconstruction._phases bisects its panels, and a round
-        evaluates only the new pieces."""
-        n, cuts = _SIGMA_NODES, np.array(cuts)
-        x, _, synth = _cheb_nodes(2 * n)
-        lo, hi, kept, err = cuts[:-1], cuts[1:], [], 0.0  # kept: the pieces of earlier rounds
-        while True:
-            mid, width = 0.5 * (hi + lo)[:, None], (hi - lo)[:, None]
-            g = self.states((mid + 0.5 * width * x).ravel())[:, 3].reshape(len(mid), -1)
-            (a, t), coarse = (self._series(v, width) for v in (g, g[:, ::2]))
-            diff, total = (np.abs(t[:, :n + 2] - coarse[1]), np.abs(t[:, n + 2:])), t.sum(axis=1)
-            count = sum(len(k[0]) for k in kept) + len(lo)
-            self.half, self.nodes = float(np.concatenate([k[4] for k in kept] + [total]).sum()), count * (2 * n + 1)
-            self.estimate, share = err + float(diff[0].sum() + diff[1].sum()), tol / (1.0 + tau / self.half)
-            # the estimate sums the differences of all coefficients, so its rounding grows with them
-            if self.estimate <= share + 1e-16 * self.nodes * self.half:
-                break
-            est = diff[0].sum(axis=1) + diff[1].sum(axis=1)
-            ok = est <= share / math.pi * width[:, 0] + 1e-16 * self.nodes * total
-            if ok.all():
-                break
-            if count + np.count_nonzero(~ok) > _SIGMA_PIECES:
-                self._decline(f"time rule estimate {self.estimate:.3g} above its target at {count} pieces")
-            kept.append(tuple(v[ok] for v in (lo, hi, a, t, total)))
-            err += float(est[ok].sum())
-            lo, hi = np.concatenate((lo[~ok], mid[~ok, 0])), np.concatenate((mid[~ok, 0], hi[~ok]))
-        if kept:  # in increasing phi
-            order = np.argsort(np.concatenate([k[0] for k in kept] + [lo]), kind="stable")
-            lo, hi, a, t, total = (np.concatenate(v)[order] for v in zip(*kept, (lo, hi, a, t, total)))
-        # tau at the nodes, in increasing phi, for _phi's first guess
-        self.pieces = (np.append(lo, hi[-1]), a, t, np.cumsum(total) - total, (t @ synth.T)[:, ::-1])
+        rows, bad = _states([self], phi, [0, len(phi)])
+        if bad is not None:
+            self._log(_MISSED)
+            raise _Decline(_MISSED)
+        return rows
 
     @staticmethod
     def _series(g, width):
         """Chebyshev coefficients of the interpolants of rows of values at
         Clenshaw-Curtis nodes and of their integrals from the pieces' starts
         (the pieces' widths in a column)."""
-        a = g @ _cheb_nodes(g.shape[1] - 1)[1].T
+        _, dct, _, k = _cheb_nodes(g.shape[1] - 1)
+        a = g @ dct.T
         c = np.zeros((len(a), a.shape[1] + 2))
         c[:, :a.shape[1]] = a
         c[:, 0] *= 2.0
         t = np.empty((len(a), a.shape[1] + 1))
-        j = np.arange(1, a.shape[1] + 1)
-        t[:, 1:] = (0.25 * width) * (c[:, :-2] - c[:, 2:]) / j
-        t[:, 0] = -(t[:, 1:] @ (-1.0) ** j)
+        t[:, 1:] = (0.25 * width) * (c[:, :-2] - c[:, 2:]) / k[1:]
+        t[:, 0] = -(t[:, 1:] @ _SIGNS[:a.shape[1]])
         return a, t
 
     def _eval(self, p: int, phi: float):
         """(tau from the start of piece p, dtau/dphi) at phi."""
         cuts, a, t = self.pieces[:3]
-        x = (2.0 * phi - cuts[p] - cuts[p + 1]) / (cuts[p + 1] - cuts[p])
-        cos = np.cos(math.acos(min(1.0, max(-1.0, x))) * np.arange(t.shape[1]))
-        return float(t[p] @ cos), float(a[p] @ cos[:-1])
+        lo, hi = cuts[p].item(), cuts[p + 1].item()
+        x = (2.0 * phi - lo - hi) / (hi - lo)
+        cos = np.cos(math.acos(min(1.0, max(-1.0, x))) * _cheb_nodes(t.shape[1] - 2)[3])
+        return (t[p] @ cos).item(), (a[p] @ cos[:-1]).item()
 
     def _tau(self, phi: float) -> float:
         """tau from phi = 0 to phi, for any real phi."""
@@ -965,7 +928,7 @@ class _SigmaOrbit:
         k, r, mirror = _fold(y, 2.0 * self.half)
         cuts, _, _, before, at_nodes = self.pieces
         p = max(int(np.searchsorted(before, r, side="right")) - 1, 0)
-        lo, hi, r = cuts[p], cuts[p + 1], r - before[p]
+        lo, hi, r = cuts[p].item(), cuts[p + 1].item(), r - before[p].item()
         phi = float(np.interp(r, at_nodes[p], 0.5 * (lo + hi) - 0.5 * (hi - lo) * _cheb_nodes(at_nodes.shape[1] - 1)[0]))
         for _ in range(100):
             val, der = self._eval(p, phi)
@@ -978,6 +941,187 @@ class _SigmaOrbit:
             if done:
                 break
         return 2.0 * math.pi * k + (2.0 * math.pi - phi if mirror else phi)
+
+
+_MISSED = "F < 0 inside the interval (a missed zero)"
+
+
+def _sigma_orbits(params, rho, s0, tau: float, orbits=None):
+    """The sigma orbits of the states s0 on the spheres rho over tau, built
+    together, each bit for bit its own _SigmaOrbit (made here, or the given
+    blank orbits filled in): the series coefficients once, each orbit's
+    scan on its own, one time rule for all (_rules) and each inversion at
+    tau on its own.  Returns the orbits before the first that declines and
+    its _Decline (None if none does); each orbit logs its debug line in
+    turn, the declined one last."""
+    p1, p2, p3 = params.p1, params.p2, params.p3
+    pq, coef = (1.0, 0.0), []
+    for inv in _SIGMA_INV_FACTORIALS:
+        coef.append((pq[0] * inv, pq[1] * inv))
+        pq = (p1 * pq[0] + (p3 * p3 - p2 * p2) * pq[1], pq[0] + p1 * pq[1])
+    coef = coef, np.array(coef)
+    orbits = [_SigmaOrbit.__new__(_SigmaOrbit) for _ in rho] if orbits is None else orbits
+    ruled, failed = [], None
+    for k, (orbit, r, s) in enumerate(zip(orbits, rho, s0)):
+        try:
+            rule = orbit._scan(params, r, s, tau, coef)
+        except _Decline as exc:
+            failed = k, exc
+            break
+        if rule is not None:
+            ruled.append((k, orbit, *rule))
+    # a decline in the rules comes before one in the scans, which stopped at theirs
+    stop, failed = _rules(ruled, abs(tau)) or failed or (len(orbits), None)
+    for orbit in orbits[:stop]:
+        if orbit.kind != "fixed":
+            orbit._finish(tau)
+        orbit._log()
+    if failed is not None:
+        orbits[stop]._log(str(failed))
+    return orbits[:stop], failed
+
+
+def _rules(ruled, tau: float):
+    """The time rules of ruled orbits (index, orbit, cuts, target) in one
+    loop: Chebyshev series of dtau/dphi (a) and of tau (t) on each piece
+    between cuts from 2n + 1 Clenshaw-Curtis nodes, each checked against
+    the series of every other node.  An orbit's rule is done once its
+    estimates sum to its target, which shrinks with the half-periods that
+    tau spans; otherwise its pieces within their share of it (of the
+    tolerance by width, of the rounding allowance by time) are kept and the
+    others bisected, as reconstruction._phases bisects its panels.  A round
+    evaluates the new pieces of every pending orbit in one _states call;
+    the series, sums and checks run on each orbit's own rows.  Returns the
+    index and the _Decline of the first orbit that declines, or None."""
+    n = _SIGMA_NODES
+    x, _, synth, _ = _cheb_nodes(2 * n)
+    live, failed = [(k, orbit, cuts[:-1], cuts[1:], [], 0.0, tol) for k, orbit, cuts, tol in ruled], None
+    while live:
+        mids = [(0.5 * (hi + lo)[:, None], (hi - lo)[:, None]) for _, _, lo, hi, *_ in live]
+        at = list(itertools.accumulate((len(mid) * len(x) for mid, _ in mids), initial=0))
+        rows, bad = _states([s[1] for s in live], np.concatenate([(mid + 0.5 * width * x).ravel() for mid, width in mids]), at)
+        if bad is not None:
+            failed, live = (live[bad][0], _Decline(_MISSED)), live[:bad]
+        going = []
+        for (k, orbit, lo, hi, kept, err, tol), (mid, width), a, b in zip(live, mids, at, at[1:]):
+            g = rows[a:b, 3].reshape(len(mid), -1)
+            (c, t), coarse = (orbit._series(v, width) for v in (g, g[:, ::2]))
+            diff, total = (np.abs(t[:, :n + 2] - coarse[1]), np.abs(t[:, n + 2:])), t.sum(axis=1)
+            count = sum(len(kp[0]) for kp in kept) + len(lo)
+            orbit.half = float((np.concatenate([kp[4] for kp in kept] + [total]) if kept else total).sum())
+            orbit.nodes = count * (2 * n + 1)
+            orbit.estimate, share = err + float(diff[0].sum() + diff[1].sum()), tol / (1.0 + tau / orbit.half)
+            # the estimate sums the differences of all coefficients, so its rounding grows with them
+            done = orbit.estimate <= share + 1e-16 * orbit.nodes * orbit.half
+            if not done:
+                est = diff[0].sum(axis=1) + diff[1].sum(axis=1)
+                ok = est <= share / math.pi * width[:, 0] + 1e-16 * orbit.nodes * total
+                done = ok.all()
+            if not done:
+                if count + np.count_nonzero(~ok) > _SIGMA_PIECES:
+                    failed = k, _Decline(f"time rule estimate {orbit.estimate:.3g} above its target at {count} pieces")
+                    break
+                kept.append(tuple(v[ok] for v in (lo, hi, c, t, total)))
+                lo, hi = np.concatenate((lo[~ok], mid[~ok, 0])), np.concatenate((mid[~ok, 0], hi[~ok]))
+                going.append((k, orbit, lo, hi, kept, err + float(est[ok].sum()), tol))
+                continue
+            if kept:  # in increasing phi
+                order = np.argsort(np.concatenate([kp[0] for kp in kept] + [lo]), kind="stable")
+                lo, hi, c, t, total = (np.concatenate(v)[order] for v in zip(*kept, (lo, hi, c, t, total)))
+            # tau at the nodes, in increasing phi, for _phi's first guess
+            orbit.pieces = (np.concatenate((lo, hi[-1:])), c, t, np.cumsum(total) - total, (t @ synth.T)[:, ::-1])
+        live = going
+    return failed
+
+
+def _states(orbits, phi, at):
+    """Rows of D, R, I and dtau/dphi at the 1-D array phi, the rows
+    at[k]:at[k + 1] (none empty) on orbits[k], each bit for bit that
+    orbit's own call; and the first k whose F is below 0 there beyond
+    rounding (a missed zero), or None.  The orbits run in blocks of whole
+    orbits of at most _SIGMA_BLOCK rows (or one orbit), whose passes stay
+    in the caches."""
+    out, first, k = np.empty((len(phi), 4)), None, 0
+    while k < len(orbits):
+        e = k + 1
+        while e < len(orbits) and at[e + 1] - at[k] <= _SIGMA_BLOCK:
+            e += 1
+        low = _block(orbits[k:e], phi[at[k]:at[e]], [a - at[k] for a in at[k:e + 1]], out[at[k]:at[e]])
+        if first is None and low is not None:
+            first = k + low
+        k = e
+    return out, first
+
+
+def _block(orbits, phi, at, out):
+    """_states' rows of a block into out: every pass runs over all its rows
+    but the series product, which runs on each orbit's own slice, as over
+    stacked rows it rounds otherwise.  Returns the first k whose F is
+    below 0 beyond rounding, or None."""
+    consts, offset = [], 0
+    for orbit in orbits:  # and where its k-th base (base 0) and its first end lie
+        consts.append((offset + orbit.k, offset + len(orbit.rows)) + orbit.consts)
+        offset += orbit.bases.shape[1]
+    consts = np.array(consts).T.copy()  # one orbit's broadcast, several repeated over their rows
+    base, end, h2, lo, step, kmin, kmax, h, half0, half1, g0, g1 = \
+        consts[:-1] if len(orbits) == 1 else np.repeat(consts[:-1], np.diff(at), axis=1)
+    bases = orbits[0].bases if len(orbits) == 1 else np.concatenate([orbit.bases for orbit in orbits], axis=1)
+    sin, cos = np.sin(0.5 * phi), np.cos(0.5 * phi)
+    to_lo, to_hi = h2 * sin * sin, h2 * cos * cos  # sigma - lo, hi - sigma
+    sigma = to_lo + lo
+    i = np.minimum(np.maximum(np.rint(sigma / step), kmin), kmax)
+    delta, i = sigma - i * step, i + base
+    # within half a step of a turning end, from the nearer one: sigma - lo and sigma - hi exactly
+    upper = to_hi < to_lo
+    near = np.minimum(to_lo, to_hi) < np.where(upper, half1, half0)
+    if near.any():
+        np.copyto(delta, np.where(upper, -to_hi, to_lo), where=near)
+        np.copyto(i, end + upper, where=near)
+    b = np.take(bases, i.astype(int), axis=1)
+    # J0, J1: the powers of delta (a row each) times the series coefficients
+    p, j = np.empty((max(len(orbit.coef) for orbit in orbits), len(delta))), np.empty((len(delta), 2))
+    p[0] = delta
+    for k in range(1, len(p)):
+        np.multiply(p[k - 1], delta, out=p[k])
+    for orbit, a, z in zip(orbits, at, at[1:]):
+        np.matmul(p[:len(orbit.coef), a:z].T.copy(), orbit.coef, out=j[a:z])
+    j0, j1 = j.T.copy()
+    dx0, dx1 = j0 * b[2] + j1 * b[4], j0 * b[3] + j1 * b[5]
+    out[:, 0], out[:, 1] = x0, x1 = b[0] + dx0, b[1] + dx1
+    # F at the base less dx.(2 X_base + dx), the dot summed from +0
+    f = b[6] - ((0.0 + dx0 * (x0 + b[0])) + dx1 * (x1 + b[1]))
+    low = (np.minimum.reduceat(f, at[:-1]) < consts[-1]).tolist()
+    root, sc = np.sqrt(np.maximum(f, 0.0)), sin * cos
+    out[:, 2] = np.copysign(root, sc)
+    # dtau/dphi = h |sin phi| / (2 sqrt F), its limit at an end where F = 0
+    np.divide(h * np.abs(sc), root, out=out[:, 3], where=root > 0.0)
+    zero = root == 0.0
+    if zero.any():
+        np.copyto(out[:, 3], np.where(to_lo < to_hi, g0, g1), where=zero)
+    return low.index(True) if True in low else None
+
+
+def _sigma_stacked(orbits):
+    """(index, u) -> the rows of orbits[index[k]] at u[k], each orbit(u)
+    bit for bit, for the phase integral's jobs on sigma orbits: one _states
+    call, with each job's rows on a slice of their own in the order of its
+    own call.  Raises _Decline, unlogged, when one of them misses a zero:
+    the caller retries job by job, and the job's own call logs it."""
+    phi0 = np.array([orbit.phi0 for orbit in orbits])
+
+    def evaluate(index, u):
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        at = np.searchsorted(index, np.arange(len(orbits) + 1)).tolist()
+        ks = [k for k in range(len(orbits)) if at[k] < at[k + 1]]  # the jobs with rows
+        rows, bad = _states([orbits[k] for k in ks], phi0[index] + u[order], [at[k] for k in ks] + [len(index)])
+        if bad is not None:
+            raise _Decline(_MISSED)
+        out = np.empty_like(rows)
+        out[order] = rows
+        return out
+
+    return evaluate
 
 
 def fixed_points(params, rho: float) -> FixedPointSet:

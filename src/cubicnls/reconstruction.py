@@ -26,8 +26,9 @@ then settles at 1e-11 / (1 + |n|), so that the remainder's estimate plus
 list of integrals, such as those of every point of a profile grid: each
 level evaluates the sources on the nodes and far edges of the pending
 panels (and at the first level on each integral's two ends), with one
-call for all the closed forms of one formula and one per other source,
-and does the rest of the level in array passes over all panels.  A non-finite
+call for all the closed forms of one formula, one for all the sigma
+orbits (quadratic_flow._sigma_stacked) and one per other source, and
+does the rest of the level in array passes over all panels.  A non-finite
 integrand value, or a rule that does not get there within a fixed number
 of levels and panels, raises PhaseIntegralError.  Each ``reconstruct`` and
 each profile point, sigma-reduced ones too, logs the chart switches, panels,
@@ -44,7 +45,8 @@ import math
 import numpy as np
 
 from .closed_form import ClosedFormSolution, _stacked
-from .quadratic_flow import Trajectory, _check_sphere, _SigmaOrbit, amplitudes_to_quad, full_ode_rhs, qqq_rhs
+from .quadratic_flow import (Trajectory, _check_sphere, _sigma_stacked, _SigmaOrbit, amplitudes_to_quad, full_ode_rhs,
+                             qqq_rhs)
 
 __all__ = [
     "PhaseIntegralError",
@@ -226,12 +228,14 @@ def _phases(params, jobs):
     level evaluates the sources on the pending panels' 15 nodes and far
     edges and, at level 1, on 0 (where it must match s0 within
     1e-8 max(1, rho)) and span: one call for all the jobs of one closed-form
-    formula (closed_form._stacked; retried job by job if it raises), one
-    per job for any other source.  A fourth source column, dtau/du, weights
-    the integrand: the variable is then an orbit parameter u.  The jobs of
-    one call lie next to each other, so that its panels are one slice of
-    the level's arrays; only the K15 and G7 products and the sums run on
-    each job's own slice, as over stacked jobs they round otherwise.
+    formula (closed_form._stacked) and one for all the jobs on sigma orbits
+    that are not fixed points (quadratic_flow._sigma_stacked), either
+    retried job by job if it raises, and one per job for any other source.
+    A fourth source column, dtau/du, weights the integrand: the variable is
+    then an orbit parameter u.  The jobs of one call lie next to each
+    other, so that its panels are one slice of the level's arrays; only the
+    K15 and G7 products and the sums run on each job's own slice, as over
+    stacked jobs they round otherwise.
 
     Returns per job (integral, charts, states, summed error estimate,
     panels, levels), with the chart signs (+1 for N1, -1 for N2) of the runs
@@ -242,11 +246,19 @@ def _phases(params, jobs):
     """
     keyed = {}
     for k, (_, src, _, _, _) in enumerate(jobs):
-        keyed.setdefault(src._key if isinstance(src, ClosedFormSolution) else k, []).append(k)
+        if isinstance(src, ClosedFormSolution):
+            key = src._key
+        elif isinstance(src, _SigmaOrbit) and src.kind != "fixed":
+            key = _SigmaOrbit  # one call for all the moving sigma orbits
+        else:
+            key = k
+        keyed.setdefault(key, []).append(k)
     # position p holds job order[p]; one source call serves the positions g0:g1
     order, calls = [], []
     for ks in keyed.values():
-        calls.append((len(order), len(order) + len(ks), _stacked([jobs[k][1] for k in ks]) if len(ks) > 1 else None))
+        srcs = [jobs[k][1] for k in ks]
+        stacked = None if len(ks) == 1 else _sigma_stacked(srcs) if isinstance(srcs[0], _SigmaOrbit) else _stacked(srcs)
+        calls.append((len(order), len(order) + len(ks), stacked))
         order += ks
     n_jobs, spans, tol = len(order), [jobs[k][2] for k in order], [jobs[k][4] for k in order]
     rho = np.array([jobs[k][0] for k in order], dtype=float)
@@ -296,10 +308,10 @@ def _phases(params, jobs):
             if not hit.all():
                 for p in np.flatnonzero(~hit.all(axis=1)).tolist():
                     out[p] = ValueError(_INCONSISTENT) if out[p] is None else out[p]
-        # per node: its job's rho and its panel's chart, +1 where D >= 0 at node 7, the centre
+        # per panel: its job's rho and its chart, +1 where D >= 0 at node 7, the centre
         chart = np.where(nodes[0, :, 7] >= 0.0, 1.0, -1.0)
-        rho_n = np.repeat(rho[pj], 15).reshape(-1, 15)
-        f, kept = _rate(params, rho_n, nodes, np.repeat(chart, 15).reshape(-1, 15))
+        rho_n = rho[pj][:, None]  # a column, broadcast over the 15 nodes
+        f, kept = _rate(params, rho_n, nodes, chart[:, None])
         f = f - v_rate(params, rho_n, nodes[:3].transpose(1, 2, 0))
         f = f * nodes[3] if c > 3 else f
         finite = np.isfinite(f)
@@ -487,10 +499,9 @@ def _reconstruct_jobs(a0s, sources, rho, s0, tau: float, anchor=None):
         if seed == 0:
             raise SingularAnchorError("requested anchor component vanishes at tau = 0")
         spans, periods = [tau], 0
-        if isinstance(src, _SigmaOrbit):
-            orbit, periods = src, src.periods
-            src = lambda u, orbit=orbit: orbit.states(orbit.phi0 + u)
-            spans = [orbit.span] + [math.copysign(2.0 * math.pi, periods)] * (periods != 0)
+        if isinstance(src, _SigmaOrbit):  # the orbit runs over u = phi - phi0
+            periods = src.periods
+            spans = [src.span] + [math.copysign(2.0 * math.pi, periods)] * (periods != 0)
         elif isinstance(src, ClosedFormSolution) and (period := src._period) is not None:
             n = round(tau / period) if math.isfinite(tau / period) else 0  # an overflow fails in the source
             if abs(tau - n * period) + period < abs(tau):  # folding integrates less

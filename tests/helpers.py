@@ -43,7 +43,6 @@ from cubicnls.quadratic_flow import (
     StiffnessError,
     _check_sphere,
     _qqq,
-    _SigmaOrbit,
     amplitudes_to_quad,
     integrate_quad,
     qqq_rhs,
@@ -1153,6 +1152,290 @@ def reference_uapp(params, fd, t: float, x):
     return (complex(u[0, 0]), complex(u[0, 1])) if np.ndim(x) == 0 else (u[:, 0], u[:, 1])
 
 
+@functools.lru_cache(maxsize=None)
+def reference_cheb_nodes(n: int):
+    """The points cos(j pi / n), j = 0..n, and the matrices from values there
+    to the n + 1 coefficients of their interpolant and from n + 2
+    coefficients to values there."""
+    theta = math.pi * np.arange(n + 1) / n
+    dct = 2.0 / n * np.cos(np.outer(np.arange(n + 1), theta))
+    dct[:, [0, n]] *= 0.5
+    dct[[0, n]] *= 0.5
+    return np.cos(theta), dct, np.cos(np.outer(theta, np.arange(n + 2)))
+
+
+class ReferenceSigmaOrbit:
+    """quadratic_flow._SigmaOrbit as one orbit was built on its own before a
+    grid's orbits were built together (quadratic_flow._sigma_orbits): the
+    orbit of s0 over the time tau, by the sigma-reduction.
+
+    sigma runs over [lo, hi]: on each side of 0 the first zero of
+    F = rho^2 - |X|^2 within 3 rho |tau| (a turning point, where I changes
+    sign), or else 2 rho |tau|, which |I| <= rho keeps out of reach.  A
+    near-touch of the sphere (a minimum F > 0, by Newton steps on F') cuts it.
+    On sigma = c - h cos(phi), I = sign(sin phi) sqrt F and
+    tau(phi) = int h |sin phi| / (2 sqrt F) dphi is smooth across simple
+    turning points, past which phi runs on by symmetry: with both ends
+    turning the orbit is periodic in phi.  tau is a Chebyshev series on each
+    piece of [0, pi], bisected until it meets its share of the target, and
+    inverted by Newton steps.  The kind is open, turning (one end), periodic
+    or fixed (a fixed point: span is tau, the states constant).  For
+    reconstruction: phi0, span (phi to the state at tau, less ``periods``
+    whole periods) and states(phi), rows of D, R, I and dtau/dphi (D, R, I
+    for a fixed point).  Raises _Decline, a ValueError, at a tangent turning
+    point (a separatrix), a zero missed between the ends, over 4096 bases on
+    a side, or a rule short of its target at 256 pieces.  Logs one debug
+    line: kind, sigma interval, period, nodes and the two-rule estimate.
+    """
+
+    def __init__(self, params, rho: float, s0, tau: float):
+        p1, p2, p3, p4, p5 = params.p1, params.p2, params.p3, params.p4, params.p5
+        pmax = max(abs(p1), abs(p2), abs(p3), abs(p4), abs(p5))
+        self.rho, self.a, self.n, self.b = rho, p1, (p2 - p3, -(p2 + p3)), (rho * p5, -rho * p4)
+        pq, coef = (1.0, 0.0), []
+        for inv in qf._SIGMA_INV_FACTORIALS:
+            coef.append((pq[0] * inv, pq[1] * inv))
+            pq = (p1 * pq[0] + (p3 * p3 - p2 * p2) * pq[1], pq[0] + p1 * pq[1])
+        self.lo = self.hi = self.phi0 = self.estimate = 0.0
+        self.period, self.periods, self.nodes, i0 = None, 0, 0, float(s0[2])
+        base0 = self._row(float(s0[0]), float(s0[1]), i0 * i0)
+        df0 = -2.0 * (base0[0] * base0[2] + base0[1] * base0[3])  # F' = -2 X.W
+        if base0[2] == base0[3] == 0.0 or (i0 == 0.0 and df0 == 0.0):
+            self.kind, self.span = "fixed", tau
+            self.states = lambda t: np.tile(np.asarray(s0, dtype=float), np.shape(t) + (1,))
+            return self._log()
+        reach = 2.0 * rho * abs(tau)
+        self.step = min(1.0 / max(math.hypot(p1, p1, *self.n), 1e-300), 0.375 * reach)  # >= 4 bases a side
+        # the terms a step needs: with x = step (|p1| + sqrt|kappa|) the first one
+        # left out is below (x^m + m x^(m-1)) / (m+1)!, relative
+        x = self.step * (abs(p1) + math.sqrt(abs(p3 * p3 - p2 * p2)))
+        m = next((m for m in range(2, qf._SIGMA_TERMS) if x**m + m * x ** (m - 1) <= 1e-17 * math.factorial(m + 1)),
+                 qf._SIGMA_TERMS)
+        self.coef, self.horner = np.array(coef[:m]), coef[:m][::-1]
+        # bases every step out from s0 to the first F <= 0 or to 1.5 reach (a
+        # zero just past reach still ends the interval)
+        ends, zeros, grid = {-1.0: -reach, 1.0: reach}, {}, {}
+        for side in ends:
+            rows = grid[side] = [base0]
+            if i0 == 0.0 and side * df0 < 0.0:
+                ends[side] = 0.0  # s0 is a turning point on this side
+            while ends[side] and (len(rows) - 1) * self.step < 1.5 * reach:
+                if len(rows) > qf._SIGMA_BASES:
+                    self._decline(f"more than {qf._SIGMA_BASES} bases on a side")
+                x0, x1, f = self._past(rows[-1], side * self.step)
+                if not f > 0.0:
+                    lo, f_lo = side * self.step * (len(rows) - 1), rows[-1][6]
+                    for j in range(1, 60):  # from a turning start (F = 0) the zero past it may lie within this step
+                        if f_lo > 0.0:
+                            break
+                        lo = side * self.step * 0.5**j
+                        f_lo = self._past(rows[-1], lo)[2]
+                    if not f_lo > 0.0:
+                        self._decline("tangent turning point (a separatrix)")
+                    zeros[side] = (lo, side * self.step * len(rows), f_lo, f)
+                    break
+                rows.append(self._row(x0, x1, f))
+        self.k, self.rows = len(grid[-1.0]) - 1, grid[-1.0][::-1] + grid[1.0][1:]
+        # a minimum of F on the bases below half their maximum: F's minimum next
+        # to it, by Newton steps on F' = -2 X.W, is a near-touch of the sphere
+        # that cuts the interval, or at F <= 0 brackets the first of two zeros
+        fs, touches = [r[6] for r in self.rows], []
+        deep = 0.5 * max(fs)
+        for i in range(1, len(fs) - 1):
+            if fs[i] <= min(fs[i - 1], fs[i + 1]) and fs[i] < deep:
+                s = (i - self.k) * self.step
+                s, row, _ = self._newton(s - self.step, s + self.step, s, lambda r: (
+                    r[0] * r[2] + r[1] * r[3], r[2] * r[2] + r[3] * r[3] + r[0] * (self.a * r[2] + r[4])
+                    + r[1] * (self.a * r[3] + r[5])))  # X.W and its derivative W.W + X.A W
+                f, side, j = row[6], math.copysign(1.0, s), int(s / self.step) + self.k  # j: the base before it
+                if f > 0.0:
+                    touches.append(s)
+                elif side not in zeros or abs(s) < abs(zeros[side][1]):
+                    zeros[side] = ((j - self.k) * self.step, s, fs[j], f)
+        self.turning, self.ends = [ends[-1.0] == 0.0, ends[1.0] == 0.0], [base0, base0]
+        for side, (lo, hi, f_lo, f_hi) in zeros.items():
+            # the zero of F between lo (F > 0) and hi (F <= 0), and X there by X' = W
+            s = lo + (hi - lo) * f_lo / (f_lo - f_hi) if math.isfinite(f_hi) else 0.5 * (lo + hi)
+            s, row, ends[side] = self._newton(lo, hi, s, lambda r: (r[6], -2.0 * (r[0] * r[2] + r[1] * r[3])))
+            x = row[0] + (ends[side] - s) * row[2], row[1] + (ends[side] - s) * row[3]
+            self.turning[side > 0.0], self.ends[side > 0.0] = True, self._row(*x, 0.0)  # F = 0 there exactly
+        self.lo, self.hi = ends[-1.0], ends[1.0]
+        self.c, self.h = 0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo)
+        self.bases = np.array(self.rows + self.ends)
+        df = [2.0 * abs(r[0] * r[2] + r[1] * r[3]) for r in self.ends]
+        if any(t and not d > 1e-9 * rho * rho * pmax for t, d in zip(self.turning, df)):
+            self._decline("tangent turning point (a separatrix)")
+        # dtau/dphi at phi = 0 and pi: sqrt(h / (2 |F'|)) at a turning point, 0 at an open end
+        self.g_end = [math.sqrt(self.h / (2.0 * d)) if t else 0.0 for t, d in zip(self.turning, df)]
+        self.kind = "periodic" if all(self.turning) else "turning" if any(self.turning) else "open"
+        self.phi0 = math.atan2(2.0 * math.sqrt(-self.lo * self.hi), self.hi + self.lo)  # sigma(phi0) = 0
+        self.phi0 = 2.0 * math.pi - self.phi0 if i0 < 0.0 else self.phi0
+        cuts = sorted([0.0, math.pi] + [math.acos((self.c - s) / self.h) for s in touches if self.lo < s < self.hi])
+        self._rule(cuts, abs(tau), qf._SIGMA_TOL / (rho * pmax))
+        phi = self._phi(self._tau(self.phi0) + tau)
+        if self.kind == "periodic":
+            # leave a remainder of one whole period, not of none: the phase integral needs a span
+            self.period = 2.0 * self.half
+            self.periods = int(math.copysign(math.ceil(abs(phi - self.phi0) / (2.0 * math.pi)) - 1, tau))
+        self.span = phi - self.phi0 - 2.0 * math.pi * self.periods
+        self._log()
+
+    def _log(self, declined=None):
+        qf.log.debug(
+            "sigma kind=%s interval=(%.17g, %.17g) period=%s nodes=%d estimate=%.3g",
+            self.kind if declined is None else f"declined reason={declined!r}", self.lo, self.hi,
+            "none" if self.period is None else "%.17g" % self.period, self.nodes, self.estimate,
+        )
+
+    def _decline(self, reason: str):
+        self._log(reason)
+        raise qf._Decline(reason)
+
+    def _row(self, x0: float, x1: float, f: float) -> tuple:
+        """A base: (X, W = A X + b, N W, F) at X = (x0, x1), with F = f."""
+        w0, w1 = self.a * x0 + self.n[0] * x1 + self.b[0], self.n[1] * x0 + self.a * x1 + self.b[1]
+        return x0, x1, w0, w1, self.n[0] * w1, self.n[1] * w0, f
+
+    def _past(self, row, d: float):
+        """(X, F) at d past a base, on floats."""
+        j0 = j1 = 0.0
+        for c0, c1 in self.horner:
+            j0, j1 = (j0 + c0) * d, (j1 + c1) * d
+        d0, d1 = j0 * row[2] + j1 * row[4], j0 * row[3] + j1 * row[5]
+        return row[0] + d0, row[1] + d1, row[6] - d0 * (2.0 * row[0] + d0) - d1 * (2.0 * row[1] + d1)
+
+    def _newton(self, lo: float, hi: float, s: float, fn):
+        """(s, the base at s, the next step) for a zero of v between lo (v > 0)
+        and hi (v <= 0) from s, with (v, dv/dsigma) = fn(base): Newton steps
+        kept inside the shrinking bracket, bisection otherwise."""
+        for _ in range(200):
+            i = min(max(round(s / self.step), -self.k), len(self.rows) - 1 - self.k)
+            row = self._row(*self._past(self.rows[i + self.k], s - i * self.step))
+            v, dv = fn(row)
+            lo, hi = (s, hi) if v > 0.0 else (lo, s)
+            new = s - v / dv if dv != 0.0 else lo
+            if (new - lo) * (new - hi) > 0.0:
+                new = 0.5 * (lo + hi)
+            elif abs(new - s) <= 1e-8 * (abs(s) + self.step):  # quadratic convergence: exact
+                return s, row, new
+            s = new
+        return s, row, s
+
+    def states(self, phi):
+        """Rows of D, R, I and dtau/dphi at a 1-D array of phi."""
+        sin, cos = np.sin(0.5 * phi), np.cos(0.5 * phi)
+        to_lo, to_hi = (2.0 * self.h) * sin * sin, (2.0 * self.h) * cos * cos  # sigma - lo, hi - sigma
+        i = np.minimum(np.maximum(np.rint((to_lo + self.lo) / self.step), -self.k), len(self.rows) - 1 - self.k)
+        delta, i = (to_lo + self.lo) - i * self.step, (i + self.k).astype(int)
+        # within half a step of a turning point, from the nearer one: sigma - lo and sigma - hi exactly
+        for e, d, near in ((0, to_lo, to_lo <= to_hi), (1, -to_hi, to_hi < to_lo)):
+            near &= self.turning[e] & (np.abs(d) < 0.5 * self.step)
+            i[near], delta[near] = len(self.rows) + e, d[near]
+        b = self.bases[i]
+        p = np.empty((len(delta), len(self.coef)))
+        p[:] = delta[:, None]
+        j = np.multiply.accumulate(p, axis=1) @ self.coef  # J0, J1
+        dx = j[:, :1] * b[:, 2:4] + j[:, 1:] * b[:, 4:6]
+        out = np.empty((len(delta), 4))
+        out[:, :2] = x = b[:, :2] + dx
+        f = b[:, 6] - np.einsum("ij,ij->i", dx, x + b[:, :2])  # F at the base less dx.(2 X_base + dx)
+        if f.min() < -1e-12 * self.rho * self.rho:
+            self._decline("F < 0 inside the interval (a missed zero)")
+        root = np.sqrt(np.maximum(f, 0.0))
+        out[:, 2] = np.copysign(root, sin * cos)
+        # dtau/dphi = h |sin phi| / (2 sqrt F), its limit at an end where F = 0
+        np.divide(self.h * np.abs(sin * cos), root, out=out[:, 3], where=root > 0.0)
+        out[root == 0.0, 3] = np.where(to_lo < to_hi, *self.g_end)[root == 0.0]
+        return out
+
+    def _rule(self, cuts, tau: float, tol: float):
+        """Chebyshev series of dtau/dphi (a) and of tau (t) on each piece
+        between cuts from 2n + 1 Clenshaw-Curtis nodes, each checked against
+        the series of every other node.  The rule is done once the estimates
+        sum to the target, which shrinks with the half-periods that tau spans;
+        otherwise the pieces within their share of it (of the tolerance by
+        width, of the rounding allowance by time) are kept and the others
+        bisected, as reconstruction._phases bisects its panels, and a round
+        evaluates only the new pieces."""
+        n, cuts = qf._SIGMA_NODES, np.array(cuts)
+        x, _, synth = reference_cheb_nodes(2 * n)
+        lo, hi, kept, err = cuts[:-1], cuts[1:], [], 0.0  # kept: the pieces of earlier rounds
+        while True:
+            mid, width = 0.5 * (hi + lo)[:, None], (hi - lo)[:, None]
+            g = self.states((mid + 0.5 * width * x).ravel())[:, 3].reshape(len(mid), -1)
+            (a, t), coarse = (self._series(v, width) for v in (g, g[:, ::2]))
+            diff, total = (np.abs(t[:, :n + 2] - coarse[1]), np.abs(t[:, n + 2:])), t.sum(axis=1)
+            count = sum(len(k[0]) for k in kept) + len(lo)
+            self.half, self.nodes = float(np.concatenate([k[4] for k in kept] + [total]).sum()), count * (2 * n + 1)
+            self.estimate, share = err + float(diff[0].sum() + diff[1].sum()), tol / (1.0 + tau / self.half)
+            # the estimate sums the differences of all coefficients, so its rounding grows with them
+            if self.estimate <= share + 1e-16 * self.nodes * self.half:
+                break
+            est = diff[0].sum(axis=1) + diff[1].sum(axis=1)
+            ok = est <= share / math.pi * width[:, 0] + 1e-16 * self.nodes * total
+            if ok.all():
+                break
+            if count + np.count_nonzero(~ok) > qf._SIGMA_PIECES:
+                self._decline(f"time rule estimate {self.estimate:.3g} above its target at {count} pieces")
+            kept.append(tuple(v[ok] for v in (lo, hi, a, t, total)))
+            err += float(est[ok].sum())
+            lo, hi = np.concatenate((lo[~ok], mid[~ok, 0])), np.concatenate((mid[~ok, 0], hi[~ok]))
+        if kept:  # in increasing phi
+            order = np.argsort(np.concatenate([k[0] for k in kept] + [lo]), kind="stable")
+            lo, hi, a, t, total = (np.concatenate(v)[order] for v in zip(*kept, (lo, hi, a, t, total)))
+        # tau at the nodes, in increasing phi, for _phi's first guess
+        self.pieces = (np.append(lo, hi[-1]), a, t, np.cumsum(total) - total, (t @ synth.T)[:, ::-1])
+
+    @staticmethod
+    def _series(g, width):
+        """Chebyshev coefficients of the interpolants of rows of values at
+        Clenshaw-Curtis nodes and of their integrals from the pieces' starts
+        (the pieces' widths in a column)."""
+        a = g @ reference_cheb_nodes(g.shape[1] - 1)[1].T
+        c = np.zeros((len(a), a.shape[1] + 2))
+        c[:, :a.shape[1]] = a
+        c[:, 0] *= 2.0
+        t = np.empty((len(a), a.shape[1] + 1))
+        j = np.arange(1, a.shape[1] + 1)
+        t[:, 1:] = (0.25 * width) * (c[:, :-2] - c[:, 2:]) / j
+        t[:, 0] = -(t[:, 1:] @ (-1.0) ** j)
+        return a, t
+
+    def _eval(self, p: int, phi: float):
+        """(tau from the start of piece p, dtau/dphi) at phi."""
+        cuts, a, t = self.pieces[:3]
+        x = (2.0 * phi - cuts[p] - cuts[p + 1]) / (cuts[p + 1] - cuts[p])
+        cos = np.cos(math.acos(min(1.0, max(-1.0, x))) * np.arange(t.shape[1]))
+        return float(t[p] @ cos), float(a[p] @ cos[:-1])
+
+    def _tau(self, phi: float) -> float:
+        """tau from phi = 0 to phi, for any real phi."""
+        k, r, mirror = qf._fold(phi, 2.0 * math.pi)
+        p = max(int(np.searchsorted(self.pieces[0], r)) - 1, 0)
+        val = self.pieces[3][p] + self._eval(p, r)[0]
+        return 2.0 * self.half * k + (2.0 * self.half - val if mirror else val)
+
+    def _phi(self, y: float) -> float:
+        """phi with tau(phi) = y: Newton steps on the piece holding it, from
+        linear interpolation between its nodes."""
+        k, r, mirror = qf._fold(y, 2.0 * self.half)
+        cuts, _, _, before, at_nodes = self.pieces
+        p = max(int(np.searchsorted(before, r, side="right")) - 1, 0)
+        lo, hi, r = cuts[p], cuts[p + 1], r - before[p]
+        phi = float(np.interp(r, at_nodes[p], 0.5 * (lo + hi) - 0.5 * (hi - lo) * reference_cheb_nodes(at_nodes.shape[1] - 1)[0]))
+        for _ in range(100):
+            val, der = self._eval(p, phi)
+            if val == r:
+                break
+            lo, hi = (phi, hi) if val < r else (lo, phi)
+            new = phi - (val - r) / der if der > 0.0 else lo
+            new = new if lo < new < hi else 0.5 * (lo + hi)
+            done, phi = abs(new - phi) <= 1e-8 * (hi - lo), new  # Newton converges quadratically
+            if done:
+                break
+        return 2.0 * math.pi * k + (2.0 * math.pi - phi if mirror else phi)
+
+
 def reference_flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
     """The amplitude pairs of the list a0s advanced by tau: closed form +
     reconstruction for catalogued parameters, else the sigma-reduction, whose
@@ -1173,7 +1456,7 @@ def reference_flows(params, a0s, tau: float) -> list[tuple[complex, complex]]:
         for a0 in live:
             try:  # each state checked on its sphere, as its own solve_case call would
                 rho, s0 = amplitudes_to_quad(*a0)
-                points.append((a0, None, rho, _check_sphere(rho, s0), _SigmaOrbit(params, rho, s0, tau)))
+                points.append((a0, None, rho, _check_sphere(rho, s0), ReferenceSigmaOrbit(params, rho, s0, tau)))
             except Exception as exc:
                 failed = exc
                 break

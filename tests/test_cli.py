@@ -281,6 +281,19 @@ class TestSolve:
         assert proc.stdout.decode() == expected
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_case15_out_to_tau_300(self, capsys):
+        # case 15 below its threshold out to tau = 300, past the overflow of
+        # its q near tau = 250: finite rows, with no warning
+        code, out, err = run(
+            capsys, "solve", "--params", '{"p": [0.6, 0.8, 1.0, 0.6, 0.2]}', "--rho", "1.259855431265944",
+            "--init=0.020899662772089465,0.027599554665534414,-1.2593796791947116", "--span=0,300",
+            "--samples", "7", "--mode", "closed",
+        )
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert code == 0 and err == "" and len(rows) == 7 and np.isfinite(rows).all()
+
+
 class TestFixedPoints:
     def test_case1(self, capsys):
         code, out, _ = run(capsys, "fixed-points", "--params", CASE1_PARAMS, "--rho", "1")

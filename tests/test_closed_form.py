@@ -22,6 +22,7 @@ from cubicnls.closed_form import (
     solve_lemma3,
     _lemma1,
     _lemma2,
+    _ent,
     _lemma3,
     _solve_states,
     _stacked,
@@ -1025,3 +1026,46 @@ class TestGridEntry:
             next(_solve_states(std(p1=2.0, p3=1.0), [(1.0, good), (1.0, bad)]))
         with pytest.raises(ValueError, match="off the sphere"):
             next(_solve_states(std(p1=2.0, p3=1.0), [(1.0, bad), (1.0, good)]))
+
+
+# families 14 and 15 below their threshold out to the largest float t
+
+# the state of ROADMAP item 5's solve command, case 15 below its threshold
+FAR_CASE15 = (std(0.6, 0.8, 1.0, 0.6, 0.2, q=(0.3, -0.2, 0.1)), 1.259855431265944,
+              (0.020899662772089465, 0.027599554665534414, -1.2593796791947116))
+
+
+class TestEntPastOverflow:
+    """_ent's (e, j) = (1/q, -q'/q) past tau of about 250, where q and the
+    numerator of j overflow, against mpmath (50 digits) on both sides of
+    the overflow: e underflows to 0 and j keeps its finite limit."""
+
+    @staticmethod
+    def _mp(c, x, a, b_sq):
+        c, x, a, b_sq = (mp.mpf(float(v)) for v in (c, x, a, b_sq))
+        w = mp.sqrt(c)
+
+        def q(t):
+            return (mp.cosh(w * t / 2) - a * mp.sinh(w * t / 2) / w) ** 2 + b_sq * (mp.sinh(w * t / 2) / w) ** 2
+
+        return 1 / q(x), -mp.diff(q, x) / q(x)
+
+    def test_against_mpmath(self):
+        sol = solve_case(*FAR_CASE15)
+        assert sol.branch == "|X| below threshold"
+        disc, four_p1, i0, y0_sq = sol._formula[0][2][:4]
+        taus = np.concatenate([[1.0, 100.0, 250.0, 300.0, 354.0], np.linspace(280.0, 285.0, 11)])
+        e, j = _ent(disc, four_p1 * taus, i0, y0_sq)
+        with mp.workdps(50):
+            for tau, got_e, got_j in zip(taus, e, j):
+                want_e, want_j = self._mp(disc, four_p1 * tau, i0, y0_sq)
+                # e carries the rounding of its argument, about |y| times eps
+                assert abs(got_e - want_e) <= 1e-12 * want_e + 1e-300, tau
+                assert abs(got_j - want_j) <= 4e-16 * abs(want_j), tau
+
+    @pytest.mark.filterwarnings("error")
+    def test_states_finite(self):
+        taus = np.linspace(0.0, 360.0, 73)
+        got = solve_case(*FAR_CASE15)(taus)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got[-20:] - got[-1])) <= 1e-15  # at its limit point

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import cubicnls.profile as profile
+import cubicnls.quadratic_flow as qf
 from cubicnls.closed_form import classify, solve_case
 from cubicnls.elliptic import EllipticDomainError
 from cubicnls.profile import (
@@ -461,31 +462,28 @@ class TestGrid:
         assert isinstance(grid, ValueError) and k == 4 and str(grid) == str(point)
 
     def test_decline_in_the_phase_integral(self, monkeypatch):
-        # a source that declines for one point's orbit inside the level loop:
-        # only once the orbit is built, whose construction evaluates its
-        # states too, so the decline reaches the pair built after the loop,
-        # which raises it in the point's turn
+        # the sigma states decline for one point's orbit inside the level loop:
+        # only once the orbit is built, whose time rule evaluates its states
+        # too, so the decline reaches the grid's one source call a level,
+        # which is retried job by job, and the pair built after the loop
+        # raises it in the point's turn
         params, fd = std(p1=0.3, p2=0.5, p3=0.7, p4=0.2, p5=0.1, q=(0.1, -0.2, 0.3)), grid_fd()
         target = amplitudes_to_quad(*fd.interp(GRID_XI[6]))[0]
-        real_init, real_states, declined = _SigmaOrbit.__init__, _SigmaOrbit.states, []
+        real, declined = qf._states, []
 
-        def init(orbit, *args):
-            real_init(orbit, *args)
-            orbit.built = True
-
-        def states(orbit, phi):
-            if getattr(orbit, "built", False) and orbit.rho == target:
-                declined.append(phi)
+        def states(orbits, phi, at):
+            if any("span" in vars(orbit) and orbit.rho == target for orbit in orbits):
+                declined.append(len(orbits))
                 raise _Decline("declined for the test")
-            return real_states(orbit, phi)
+            return real(orbits, phi, at)
 
-        monkeypatch.setattr(_SigmaOrbit, "__init__", init)
-        monkeypatch.setattr(_SigmaOrbit, "states", states)
+        monkeypatch.setattr(qf, "_states", states)
         got, want = grid_and_points(params, fd, 1e4, 2e4 * GRID_XI[:6])
         assert np.array_equal(got, want)
         grid, k, point = declined_in_turn(params, fd, 1e4, 2e4 * GRID_XI)
         assert k == 6 and str(grid) == str(point) == "declined for the test"
-        assert len(declined) == 2  # in the grid's phase integral, then in the point's
+        # in the grid's shared call and its retry of the point's job, then in the point's own call
+        assert declined[0] > 1 and declined[1:] == [1, 1]
 
     @pytest.mark.parametrize("name", ["p1", "case15"])
     def test_extrapolation_error(self, name):
@@ -662,20 +660,16 @@ class TestGrid:
         # with the inconsistency error, in its turn, as its one-point call
         params, fd, t = PERIODIC, periodic_fd(), 1e4
         target = amplitudes_to_quad(*fd.interp(GRID_XI[6]))[0]
-        real_init, real_states = _SigmaOrbit.__init__, _SigmaOrbit.states
+        real = qf._states
 
-        def init(orbit, *args):
-            real_init(orbit, *args)
-            orbit.built = True
+        def states(orbits, phi, at):
+            out, bad = real(orbits, phi, at)
+            for orbit, a, z in zip(orbits, at, at[1:]):
+                if "span" in vars(orbit) and orbit.rho == target:
+                    out[a:z, 0] += 1e-6
+            return out, bad
 
-        def states(orbit, phi):
-            out = real_states(orbit, phi)
-            if getattr(orbit, "built", False) and orbit.rho == target:
-                out[:, 0] += 1e-6
-            return out
-
-        monkeypatch.setattr(_SigmaOrbit, "__init__", init)
-        monkeypatch.setattr(_SigmaOrbit, "states", states)
+        monkeypatch.setattr(qf, "_states", states)
         got, want = grid_and_points(params, fd, t, 2.0 * t * GRID_XI[:6])
         assert np.array_equal(got, want)
         for xs in (2.0 * t * GRID_XI, 2.0 * t * GRID_XI[6]):
@@ -793,6 +787,20 @@ class TestFold:
         want = np.array([case3_profile(p3, q, fd, t, x) for x in xs]).T
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e250, 1e300])
+    def test_case15_below_threshold_at_large_t(self, t):
+        # case 15 below its threshold past tau of about 250, where q overflows:
+        # a finite pair of modulus |a| / sqrt(2t), not PhaseIntegralError
+        params, rho, s0 = std(p1=0.6, p2=0.8, p3=1.0, p4=0.6, p5=0.2, q=(0.3, -0.2, 0.1)), 1.259855431265944, \
+            (0.020899662772089465, 0.027599554665534414, -1.2593796791947116)
+        a1 = math.sqrt((rho + s0[0]) / 2.0)
+        a2 = complex(s0[1], s0[2]) / (2.0 * a1)
+        fd = FinalData(np.array([-1.0, 1.0]), np.array([a1, a1], dtype=complex), np.array([a2, a2]))
+        u = np.array(uapp(params, fd, t, 0.0))
+        assert np.isfinite(u).all()
+        assert abs(np.linalg.norm(u) * math.sqrt(2.0 * t) - math.sqrt(rho)) <= 1e-12
 
     @pytest.mark.parametrize("t", [1e4, -1e8, 1e40])
     def test_sigma_estimates_within_tolerance(self, caplog, t):

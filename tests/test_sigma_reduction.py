@@ -4,9 +4,11 @@ Outside the catalogue, profile._flows advances the final data along the
 planar orbit X' = A X + b in sigma = int 2 I dtau (quadratic_flow._SigmaOrbit)
 and integrates the phase over the orbit parameter (reconstruction's one job
 builder, _reconstruct_jobs, as for a closed form).
-Every check here compares the amplitude pair with a DOP853 run of the full
+Most checks here compare the amplitude pair with a DOP853 run of the full
 complex flow at rtol = atol = 1e-13, over t in {1e-3, 0.5, 10, 1e4, 1e8}, so
-negative times are covered.
+negative times are covered.  TestGridBuild checks the orbits of a grid,
+built together, against the one-orbit build they replaced
+(tests/helpers.ReferenceSigmaOrbit), bit for bit.
 """
 
 import logging
@@ -23,7 +25,7 @@ from cubicnls.profile import FinalData, _flows, uapp
 from cubicnls.quadratic_flow import _SigmaOrbit, amplitudes_to_quad
 from cubicnls.reconstruction import _phases, _reconstruct_jobs, _reconstructed
 from cubicnls.standard_form import StandardParams, nonlinearity
-from helpers import near_touch
+from helpers import ReferenceSigmaOrbit, near_touch
 
 # outside the catalogue every point is a sigma orbit or a typed error, never an RK45 run
 pytestmark = pytest.mark.usefixtures("no_full_oracle")
@@ -374,6 +376,127 @@ class TestDecline:
         (line,) = [r.getMessage() for r in caplog.records if r.name == "cubicnls.quadratic_flow"]
         assert line.startswith(f"sigma kind={orbit.kind} interval=(")
         assert f"nodes={orbit.nodes} estimate=" in line and "period=" in line
+
+
+PHIS = np.linspace(-7.0, 7.0, 57)  # phi - phi0 where TestGridBuild compares states
+
+
+def orbit_bits(orbit):
+    """An orbit's fields, its time rule's pieces and its states at phi0 + PHIS,
+    bit for bit."""
+    fields = [getattr(orbit, name, None) for name in
+              ("kind", "lo", "hi", "phi0", "span", "periods", "period", "half", "nodes", "estimate")]
+    return ([v.hex() if isinstance(v, float) else v for v in fields]
+            + [np.asarray(v).tobytes() for v in getattr(orbit, "pieces", ())]
+            + [orbit.states(orbit.phi0 + PHIS).tobytes()])
+
+
+def built_in_turn(params, rho, s0, tau, caplog):
+    """The bits of the orbits that quadratic_flow._sigma_orbits builds
+    together from the states s0 on the spheres rho, its decline (type and
+    message) and its sigma lines; and the same from one ReferenceSigmaOrbit
+    a state, up to the first that declines."""
+    out = []
+    for build in ("grid", "one by one"):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.quadratic_flow"):
+            if build == "grid":
+                orbits, failed = qf._sigma_orbits(params, rho, s0, tau)
+            else:
+                orbits, failed = [], None
+                for r, s in zip(rho, s0):
+                    try:
+                        orbits.append(ReferenceSigmaOrbit(params, r, s, tau))
+                    except qf._Decline as exc:
+                        failed = exc
+                        break
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sigma")]
+        out.append(([orbit_bits(orbit) for orbit in orbits], failed and (type(failed), str(failed)), lines))
+    return out
+
+
+class TestGridBuild:
+    """A grid's orbits built together (quadratic_flow._sigma_orbits, as
+    profile._flows builds them) against one-orbit builds of the code they
+    replaced: every field, the time rule's pieces and the states, bit for
+    bit, the debug lines in order, and a decline in its turn."""
+
+    def test_seeded_grids(self, caplog):
+        rng, kinds = np.random.default_rng(32), set()
+        for t in (0.5, 10.0, 1e4, -1e8, 0.5, 10.0, 1e4, -1e8):
+            while True:
+                p = rng.uniform(-1.0, 1.0, 5)
+                p[[0, 2, 4]] = np.abs(p[[0, 2, 4]])
+                params = StandardParams(*p, *Q)
+                if classify(params).case == 0:
+                    break
+            rho = rng.uniform(0.05, 2.0, 7)
+            s0 = rng.standard_normal((7, 3))
+            s0[3, 2] = 0.0  # an equator start, a turning point
+            s0 *= (rho / np.linalg.norm(s0, axis=1))[:, None]
+            grid, one = built_in_turn(params, rho.tolist(), s0, tau_of(t), caplog)
+            assert grid == one
+            kinds.update(bits[0] for bits in grid[0])
+        assert kinds >= {"open", "turning", "periodic"}
+
+    def test_fixed_points_among_others(self, caplog):
+        # the fixed orbits of TestFixedKind between moving ones, at both signs of tau
+        for p, a0 in [((0.3, 0.5, 0.7, 0.0, 0.0), (math.sqrt(0.5), 1j * math.sqrt(0.5))),
+                      ((0.0, 0.5, 0.7, 0.3, 0.0), (0.6 + 0.8j, 0.0))]:
+            states = [amplitudes_to_quad(*a) for a in (A0, a0, (1.0 + 0.3j, 0.4 - 0.6j), a0)]
+            for tau in (tau_of(1e4), -tau_of(1e4)):
+                grid, one = built_in_turn(StandardParams(*p, *Q), [r for r, _ in states], [s for _, s in states], tau,
+                                          caplog)
+                assert grid == one and [bits[0] for bits in grid[0]].count("fixed") == 2
+
+    @pytest.mark.parametrize("gap, t, reason", [
+        (0.0, 10.0, "tangent turning point"),
+        (None, 1e4, "more than 4096 bases on a side"),
+        (1e-6, 10.0, "time rule estimate"),
+    ], ids=["tangent", "bases", "pieces"])
+    def test_decline_in_turn(self, caplog, gap, t, reason):
+        # a decline in the scan or in the time rule (which the orbits before
+        # it share) ends the grid in its turn: the orbits before it are
+        # built, the one after it is not, and the lines are the one-by-one ones
+        params, s0 = near_touch(gap or 0.0)
+        rho = 1.0 if gap is not None else 1000.0
+        if gap is None:
+            x = rho * np.array([-0.08, -0.2])
+            s0 = np.array([*x, math.sqrt(rho * rho - x @ x)])
+        good = [amplitudes_to_quad(*a) for a in (A0, (1.0 + 0.3j, 0.4 - 0.6j))]
+        rhos = [good[0][0], good[1][0], rho, good[0][0]]
+        states = [good[0][1], good[1][1], np.asarray(s0, dtype=float), good[0][1]]
+        grid, one = built_in_turn(params, rhos, states, tau_of(t), caplog)
+        assert grid == one
+        assert len(grid[0]) == 2 and reason in grid[1][1] and "declined" in grid[2][-1] and len(grid[2]) == 3
+
+    @pytest.mark.parametrize("t", [1e4, -1e8])
+    def test_one_source_call_a_level(self, caplog, monkeypatch, t):
+        # the time rule evaluates all the orbits' pieces in one call a round,
+        # the phase integral all the sigma jobs in one call a level, on their
+        # panels' nodes and far edges (at level 1 also on 0 and the span)
+        xi = np.linspace(-1.6, 1.6, 9)
+        fd = FinalData(xi, (1.5 + 0.4j) * (1.0 + 0.1 * xi), (0.9 - 1.0j) * np.exp(0.3j * xi) * (1.0 - 0.05 * xi))
+        params, real, calls = StandardParams(0.3, 0.5, 0.7, 0.2, 0.1, *Q), qf._states, []
+        a0s = list(zip(*(v.tolist() for v in fd.interp(xi))))
+        states = [amplitudes_to_quad(*a0) for a0 in a0s]
+        orbits = [_SigmaOrbit(params, rho, s0, tau_of(t)) for rho, s0 in states]
+        jobs, _ = _reconstruct_jobs(a0s, orbits, [rho for rho, _ in states], [s0 for _, s0 in states], tau_of(t))
+        assert len(jobs) > len(orbits)  # some orbits fold whole periods out: two jobs
+
+        def counted(orbits, phi, at):
+            calls.append(("phases" if all("span" in vars(o) for o in orbits) else "rule", len(orbits), len(phi)))
+            return real(orbits, phi, at)
+
+        monkeypatch.setattr(qf, "_states", counted)
+        with caplog.at_level(logging.DEBUG, logger="cubicnls.reconstruction"):
+            uapp(params, fd, t, 2.0 * t * xi)
+        levels = [int(r.getMessage().split("levels=")[1].split()[0]) for r in caplog.records
+                  if r.getMessage().startswith("reconstruct")]
+        rule, phases = [c for c in calls if c[0] == "rule"], [c for c in calls if c[0] == "phases"]
+        assert rule[0] == ("rule", 9, 9 * (2 * qf._SIGMA_NODES + 1)) and len(levels) == 9
+        assert len(phases) == max(levels) and phases[0][1] == len(jobs)
+        assert phases[0][2] == sum(16 * math.ceil(abs(span) / 0.25) + 2 for _, _, span, _, _ in jobs)
 
 
 def test_declines_are_rare():
